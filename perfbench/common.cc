@@ -91,17 +91,20 @@ double due_latency_ms(std::int64_t due_ns, std::int64_t send_ns,
   return static_cast<double>(send_ns - due_ns) / 1e6 + server_latency_ms;
 }
 
-double median_setup_seconds(int reps, const std::function<bool()>& setup,
-                            const std::function<void()>& teardown, bool* ok) {
+std::vector<double> sliced_window(int reps, const std::function<bool()>& setup,
+                                  const std::function<void()>& teardown,
+                                  const std::function<void(int)>& slice,
+                                  bool* ok) {
   std::vector<double> times;
   for (int i = 0; i < reps; ++i) {
-    if (i > 0) teardown();
+    teardown();
     ramiel::Stopwatch sw;
     const bool good = setup();
     times.push_back(sw.seconds());
     if (!good) *ok = false;
+    slice(i);
   }
-  return median(times);
+  return times;
 }
 
 double peak_rss_mb() {
@@ -116,6 +119,10 @@ double peak_rss_mb() {
     }
   }
   return 0.0;
+}
+
+void reset_peak_rss() {
+  std::ofstream("/proc/self/clear_refs") << "5";
 }
 
 void Tally::fail(const std::string& why) {
@@ -248,46 +255,38 @@ Fingerprint fingerprint(const ramiel::CompiledModel& cm) {
 
 namespace {
 
-struct LayerMetric {
-  const char* name;
-  const char* unit;
-  const char* pass;  // PassReport::pass summed into it; null = computed
-};
-
-constexpr LayerMetric kCompileLayers[] = {
-    {"models.build_ms", "ms", nullptr},
-    {"passes.constant_folding_ms", "ms", "constant_folding"},
-    {"passes.pattern_rewrite_ms", "ms", "pattern_rewrite"},
-    {"passes.cloning_ms", "ms", "cloning"},
-    {"passes.shape_inference_ms", "ms", "shape_inference"},
-    {"passes.linear_clustering_ms", "ms", "linear_clustering"},
-    {"passes.cluster_merging_ms", "ms", "cluster_merging"},
-    {"passes.hyperclustering_ms", "ms", "hyperclustering"},
-    {"mem.planning_ms", "ms", "mem_planning"},
-    {"codegen.ms", "ms", "codegen"},
-    {"ramiel.compile_ms", "ms", nullptr},
-    {"ramiel.unattributed_ms", "ms", nullptr},
-    {"passes.pattern_applied", "count", nullptr},
-    {"passes.pattern_rounds", "count", nullptr},
-    {"passes.nodes_after", "count", nullptr},
-    {"passes.clusters", "count", nullptr},
-    {"codegen.bytes", "bytes", nullptr},
-    {"mem.planned_peak_mb", "MB", nullptr},
-    {"mem.naive_mb", "MB", nullptr},
+// PassReport::pass -> the per-layer metric its wall time is summed into.
+constexpr std::pair<const char*, const char*> kPassMetrics[] = {
+    {"constant_folding", "passes.constant_folding_ms"},
+    {"pattern_rewrite", "passes.pattern_rewrite_ms"},
+    {"cloning", "passes.cloning_ms"},
+    {"shape_inference", "passes.shape_inference_ms"},
+    {"linear_clustering", "passes.linear_clustering_ms"},
+    {"cluster_merging", "passes.cluster_merging_ms"},
+    {"hyperclustering", "passes.hyperclustering_ms"},
+    {"mem_planning", "mem.planning_ms"},
+    {"codegen", "codegen.ms"},
 };
 constexpr double kMiB = 1024.0 * 1024.0;
 
 }  // namespace
 
-void CompileLayers::add(
+void Samples::put(Result* result) const {
+  for (const auto& [name, values] : values_) {
+    result->put(name, median(values));
+  }
+}
+
+void add_compile_layers(
     const std::vector<const ramiel::CompiledModel*>& compiled,
-    double build_ms, double compile_ms) {
+    double build_ms, double compile_ms, Samples* samples) {
   std::map<std::string, double> v;
+  for (const auto& [pass, metric] : kPassMetrics) v[metric] = 0.0;
   double pass_total = 0.0;
   for (const ramiel::CompiledModel* cm : compiled) {
     const Fingerprint f = fingerprint(*cm);
-    for (const LayerMetric& m : kCompileLayers) {
-      if (m.pass) v[m.name] += pass_ms(*cm, m.pass);
+    for (const auto& [pass, metric] : kPassMetrics) {
+      v[metric] += pass_ms(*cm, pass);
     }
     pass_total += pass_sum_ms(*cm);
     v["passes.pattern_applied"] += cm->pattern_stats.total_applied;
@@ -302,17 +301,7 @@ void CompileLayers::add(
   v["models.build_ms"] = build_ms;
   v["ramiel.compile_ms"] = compile_ms;
   v["ramiel.unattributed_ms"] = compile_ms - pass_total;
-  for (const LayerMetric& m : kCompileLayers) {
-    samples_[m.name].push_back(v[m.name]);
-  }
-}
-
-void CompileLayers::put(Result* result) const {
-  for (const LayerMetric& m : kCompileLayers) {
-    auto it = samples_.find(m.name);
-    result->put(m.name, it == samples_.end() ? 0.0 : median(it->second),
-                m.unit);
-  }
+  for (const auto& [name, value] : v) samples->add(name, value);
 }
 
 int Tracer::begin(const std::string& name, std::int64_t op) {
@@ -444,23 +433,21 @@ std::string result_json(const Result& result) {
   s += ", \"failed\": " + std::to_string(result.tally.failed);
   s += ", \"metrics\": {";
   for (std::size_t i = 0; i < result.metrics.size(); ++i) {
-    const Metric& m = result.metrics[i];
-    s += (i ? ", " : "") + ramiel::obs::json_quote(m.name) +
-         ": {\"value\": " + number(m.value) +
-         ", \"unit\": " + ramiel::obs::json_quote(m.unit) + "}";
+    const auto& [name, value] = result.metrics[i];
+    s += (i ? ", " : "") + ramiel::obs::json_quote(name) + ": " + number(value);
   }
   s += "}}";
   return s;
 }
 
 void put_end_to_end(const EndToEnd& e2e, Result* result) {
-  result->put("setup_s", e2e.setup_s, "s");
-  result->put("p50_ms", percentile(e2e.latencies_ms, 0.50), "ms");
-  result->put("p90_ms", percentile(e2e.latencies_ms, 0.90), "ms");
+  result->put("setup_s", median(e2e.setups_s));
+  result->put("p50_ms", percentile(e2e.latencies_ms, 0.50));
+  result->put("p90_ms", percentile(e2e.latencies_ms, 0.90));
   const double window = e2e.window_s > 0.0 ? e2e.window_s : 1.0;
-  result->put("throughput", e2e.verified_units / window, "1/s");
-  result->put("goodput", e2e.good_units / window, "1/s");
-  result->put("peak_rss_mb", peak_rss_mb(), "MB");
+  result->put("throughput", e2e.verified_units / window);
+  result->put("goodput", e2e.good_units / window);
+  result->put("peak_rss_mb", peak_rss_mb());
 }
 
 }  // namespace perfbench

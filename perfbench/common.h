@@ -24,6 +24,12 @@ struct Args {
   bool trace = false;
 };
 
+/// Complete set-ups timed per run, spread through the timed window.
+inline constexpr int kSetupReps = 5;
+/// Untimed (but verified) operations before the timed window: the first
+/// seconds of a process run measurably slower.
+inline constexpr double kWarmupSeconds = 3.0;
+
 /// Where traced runs write their spans, relative to the working directory.
 inline constexpr const char* kTraceDir = ".bench_out";
 
@@ -53,16 +59,25 @@ double overhead_pct(const std::vector<double>& untraced,
 double due_latency_ms(std::int64_t due_ns, std::int64_t send_ns,
                       double server_latency_ms);
 
-/// Times `reps` complete set-ups and returns the median in seconds. Before
-/// each set-up after the first, `teardown` (untimed) destroys what the
-/// previous one built; the last set-up is left standing for the timed phase.
-/// `setup` returns false when its first output failed verification; any
-/// such failure sets *ok to false.
-double median_setup_seconds(int reps, const std::function<bool()>& setup,
-                            const std::function<void()>& teardown, bool* ok);
+/// The timed window with its set-ups spread through it. The window is cut
+/// into `reps` slices. Each slice starts with `teardown` (untimed: destroys
+/// what the warm-up or the previous set-up left standing) and a timed
+/// `setup` (builds a fresh deployment and checks its first output), then
+/// runs `slice(i)` on that deployment. Set-ups thus see the same host and
+/// process state as the operations around them, after the warm-up.
+/// Returns the set-up times in seconds; a `setup` returning false sets *ok
+/// to false.
+std::vector<double> sliced_window(int reps, const std::function<bool()>& setup,
+                                  const std::function<void()>& teardown,
+                                  const std::function<void(int)>& slice,
+                                  bool* ok);
 
 /// High-water resident set of this process in MiB (VmHWM), 0 if unknown.
 double peak_rss_mb();
+
+/// Resets VmHWM to the current resident set, so memory the benchmark used
+/// to build its inputs and references is not charged to the program.
+void reset_peak_rss();
 
 // -- output checks ----------------------------------------------------------
 
@@ -120,21 +135,26 @@ Fingerprint fingerprint(const ramiel::CompiledModel& cm);
 
 struct Result;
 
-/// The models/passes/mem/codegen/ramiel per-layer metrics. Each add() is one
-/// observation (a zoo compile, or one set-up's compile); put() reports the
-/// median of each metric over the observations.
-class CompileLayers {
+/// Per-layer observations (one value per metric per observation); put()
+/// reports the median of each metric.
+class Samples {
  public:
-  /// `compiled` are the models of one observation; `build_ms` the time spent
-  /// in models::build for them and `compile_ms` the time spent in
-  /// compile_model, both timed outside the calls.
-  void add(const std::vector<const ramiel::CompiledModel*>& compiled,
-           double build_ms, double compile_ms);
+  void add(const std::string& name, double value) {
+    values_[name].push_back(value);
+  }
   void put(Result* result) const;
 
  private:
-  std::map<std::string, std::vector<double>> samples_;  // per observation
+  std::map<std::string, std::vector<double>> values_;
 };
+
+/// Adds one observation of the models/passes/mem/codegen/ramiel metrics:
+/// `compiled` are the models of one zoo compile or one set-up, `build_ms`
+/// the time spent in models::build for them and `compile_ms` the time spent
+/// in compile_model, both timed outside the calls.
+void add_compile_layers(
+    const std::vector<const ramiel::CompiledModel*>& compiled,
+    double build_ms, double compile_ms, Samples* samples);
 
 // -- tracing ----------------------------------------------------------------
 
@@ -206,22 +226,17 @@ class Scope {
 
 // -- result -----------------------------------------------------------------
 
-struct Metric {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
-
 struct Result {
   Tally tally;
-  std::vector<Metric> metrics;
+  std::vector<std::pair<std::string, double>> metrics;  // name, value
 
-  void put(const std::string& name, double value, const std::string& unit) {
-    metrics.push_back({name, value, unit});
+  void put(const std::string& name, double value) {
+    metrics.emplace_back(name, value);
   }
 };
 
-/// The contract's last line: {"correct","attempted","failed","metrics"}.
+/// The last line: {"correct","attempted","failed","metrics": {name: value}}.
+/// perfbench/run.py adds the units from BENCHMARK.json.
 std::string result_json(const Result& result);
 
 /// Shortest decimal that round-trips the double (every measured digit).
@@ -230,7 +245,7 @@ std::string number(double v);
 /// The end-to-end metrics an untraced run reports, computed from the
 /// operation latencies and the verified units completed inside a window.
 struct EndToEnd {
-  double setup_s = 0.0;
+  std::vector<double> setups_s;      // every timed set-up; reported median
   std::vector<double> latencies_ms;  // one per attempted operation
   double good_units = 0.0;           // verified units within the limit
   double verified_units = 0.0;       // verified units, any latency

@@ -13,7 +13,6 @@
 namespace perfbench {
 namespace {
 
-constexpr int kSetupReps = 5;
 // Goodput limit on one zoo compile, fixed above the p99 measured on the
 // commit that introduced the benchmark.
 constexpr double kLimitMs = 1000.0;
@@ -83,62 +82,79 @@ Result run_compile_zoo(const Args& args) {
     std::swap(order[i - 1], order[rng.next_below(i)]);
   }
 
+  // The first compile fixes the fingerprints every later one reproduces.
   std::vector<Fingerprint> ref;
-  ZooCompile built;
-  bool setup_ok = true;
-  std::string setup_error;
-  const double setup_s = median_setup_seconds(
-      kSetupReps,
-      [&] {
-        Scope s(tr, "setup");
-        built = compile_zoo_once(names, order, tr, -1);
-        if (ref.empty()) {
-          for (const auto& cm : built.models) ref.push_back(fingerprint(cm));
-          return true;
-        }
-        return matches(built, ref, names, &setup_error);
-      },
-      [&] { built = ZooCompile{}; }, &setup_ok);
-  built = ZooCompile{};
-  if (!setup_ok) result.tally.fail("set-up: " + setup_error);
+  for (const auto& cm : compile_zoo_once(names, order, tr, -1).models) {
+    ref.push_back(fingerprint(cm));
+  }
 
-  // The timed window: closed loop until the deadline. A traced run
-  // alternates untraced and traced operations, so drift in the host's speed
-  // lands on both alike; latencies go to lat[traced].
-  CompileLayers layers;
+  // Closed loop. A traced run alternates untraced and traced operations, so
+  // drift in the host's speed lands on both alike; latencies go to
+  // lat[traced].
+  Samples layers;
   std::vector<std::vector<double>> model_ms(names.size());
   double good = 0.0;
   double verified = 0.0;
+  double window_s = 0.0;
   std::vector<double> lat[2];
-  ramiel::Stopwatch window;
-  for (std::int64_t op = 0; window.seconds() < args.seconds; ++op) {
-    const bool traced = args.trace && op % 2 == 1;
-    tr.set_enabled(traced);
-    try {
-      ZooCompile z = compile_zoo_once(names, order, tr, op);
-      lat[traced].push_back(z.wall_ms);
-      std::string why;
-      if (!result.tally.record(matches(z, ref, names, &why), why)) continue;
-      verified += static_cast<double>(names.size());
-      if (z.wall_ms <= kLimitMs) good += static_cast<double>(names.size());
-      if (traced) {
-        std::vector<const ramiel::CompiledModel*> ptrs;
-        for (const auto& cm : z.models) ptrs.push_back(&cm);
-        layers.add(ptrs, z.build_ms, z.compile_ms);
-        for (std::size_t m = 0; m < names.size(); ++m) {
-          model_ms[m].push_back(z.model_ms[m]);
+  std::int64_t op = 0;
+  auto run_for = [&](double seconds, bool timed) {
+    ramiel::Stopwatch sw;
+    for (; sw.seconds() < seconds; ++op) {
+      const bool traced = timed && args.trace && op % 2 == 1;
+      tr.set_enabled(traced);
+      try {
+        ZooCompile z = compile_zoo_once(names, order, tr, op);
+        std::string why;
+        if (!result.tally.record(matches(z, ref, names, &why), why) ||
+            !timed) {
+          continue;
         }
+        lat[traced].push_back(z.wall_ms);
+        verified += static_cast<double>(names.size());
+        if (z.wall_ms <= kLimitMs) good += static_cast<double>(names.size());
+        if (traced) {
+          std::vector<const ramiel::CompiledModel*> ptrs;
+          for (const auto& cm : z.models) ptrs.push_back(&cm);
+          add_compile_layers(ptrs, z.build_ms, z.compile_ms, &layers);
+          for (std::size_t m = 0; m < names.size(); ++m) {
+            model_ms[m].push_back(z.model_ms[m]);
+          }
+        }
+      } catch (const std::exception& e) {
+        result.tally.fail(std::string("compile threw: ") + e.what());
       }
-    } catch (const std::exception& e) {
-      result.tally.fail(std::string("compile threw: ") + e.what());
     }
-  }
+    if (timed) window_s += sw.seconds();
+  };
+
+  run_for(kWarmupSeconds, false);
+  // A set-up is one zoo compile with its check. The operations do not use
+  // its result, so it is dropped (untimed) before they run.
+  ZooCompile built;
+  bool setup_ok = true;
+  std::string setup_error;
+  const std::vector<double> setups = sliced_window(
+      kSetupReps,
+      [&] {
+        tr.set_enabled(args.trace);
+        Scope s(tr, "setup");
+        built = compile_zoo_once(names, order, tr, -1);
+        return matches(built, ref, names, &setup_error);
+      },
+      [] {},
+      [&](int) {
+        built = ZooCompile{};
+        run_for(args.seconds / kSetupReps, true);
+      },
+      &setup_ok);
+  if (!setup_ok) result.tally.fail("set-up: " + setup_error);
 
   if (!args.trace) {
     EndToEnd e2e;
-    e2e.setup_s = setup_s;
+    e2e.setups_s = setups;
     e2e.latencies_ms = lat[0];
-    e2e.window_s = window.seconds();
+    e2e.window_s = window_s;
     e2e.good_units = good;
     e2e.verified_units = verified;
     put_end_to_end(e2e, &result);
@@ -147,9 +163,9 @@ Result run_compile_zoo(const Args& args) {
 
   layers.put(&result);
   for (std::size_t m = 0; m < names.size(); ++m) {
-    result.put("ramiel.compile_" + names[m] + "_ms", median(model_ms[m]), "ms");
+    result.put("ramiel.compile_" + names[m] + "_ms", median(model_ms[m]));
   }
-  result.put("trace.overhead_pct", overhead_pct(lat[0], lat[1]), "%");
+  result.put("trace.overhead_pct", overhead_pct(lat[0], lat[1]));
   tr.write(std::string(kTraceDir) + "/compile_zoo-" +
                std::to_string(args.seed) + ".json",
            args, {});

@@ -1,23 +1,19 @@
 // End-to-end benchmark entry point.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//   perfbench --list-metrics
 //
 // Runs one workload and prints, as the last line of standard output, one
-// JSON object {"correct", "attempted", "failed", "metrics"}. Untraced runs
-// report the end-to-end metrics; traced runs report every per-layer metric
-// (0 for a layer the workload does not exercise; --list-metrics names the
-// workloads each metric belongs to) and write their spans under
-// .bench_out/. Exits 1 when an output check failed or the workload threw,
-// 2 on bad arguments.
+// JSON object {"correct", "attempted", "failed", "metrics": {name: value}}.
+// Untraced runs report the end-to-end metrics; traced runs report the
+// per-layer metrics of the layers the workload exercises and write their
+// spans under .bench_out/. perfbench/run.py checks the names against
+// BENCHMARK.json and adds the units. Exits 1 when an output check failed or
+// the workload threw, 2 on bad arguments.
 #include <cstdio>
 #include <exception>
 #include <string>
-#include <vector>
 
 #include "common.h"
-#include "models/zoo.h"
-#include "obs/json.h"
 
 namespace perfbench {
 namespace {
@@ -33,190 +29,31 @@ constexpr Workload kWorkloads[] = {
     {"serve_fleet", run_serve_fleet},
 };
 
-// Workload bits for the per-layer catalogue.
-constexpr unsigned kZoo = 1, kBert = 2, kFleet = 4;
-constexpr unsigned kAll = kZoo | kBert | kFleet;
-
-struct Catalogued {
-  std::string name;
-  std::string unit;
-  unsigned workloads;  // 0 for end-to-end metrics (every workload)
-};
-
-std::vector<Catalogued> end_to_end_metrics() {
-  return {{"setup_s", "s", 0},         {"p50_ms", "ms", 0},
-          {"p90_ms", "ms", 0},         {"throughput", "1/s", 0},
-          {"goodput", "1/s", 0},       {"peak_rss_mb", "MB", 0}};
-}
-
-std::vector<Catalogued> per_layer_metrics() {
-  std::vector<Catalogued> m = {
-      {"models.build_ms", "ms", kAll},
-      {"passes.constant_folding_ms", "ms", kAll},
-      {"passes.pattern_rewrite_ms", "ms", kAll},
-      {"passes.cloning_ms", "ms", kAll},
-      {"passes.shape_inference_ms", "ms", kAll},
-      {"passes.linear_clustering_ms", "ms", kAll},
-      {"passes.cluster_merging_ms", "ms", kAll},
-      {"passes.hyperclustering_ms", "ms", kAll},
-      {"mem.planning_ms", "ms", kAll},
-      {"codegen.ms", "ms", kAll},
-      {"ramiel.compile_ms", "ms", kAll},
-      {"ramiel.unattributed_ms", "ms", kAll},
-      {"passes.pattern_applied", "count", kAll},
-      {"passes.pattern_rounds", "count", kAll},
-      {"passes.nodes_after", "count", kAll},
-      {"passes.clusters", "count", kAll},
-      {"codegen.bytes", "bytes", kAll},
-      {"mem.planned_peak_mb", "MB", kAll},
-      {"mem.naive_mb", "MB", kAll},
-  };
-  for (const std::string& model : ramiel::models::model_names()) {
-    m.push_back({"ramiel.compile_" + model + "_ms", "ms", kZoo});
-  }
-  const std::vector<Catalogued> runtime = {
-      {"rt.run_ms", "ms", kBert},
-      {"rt.seq_ms", "ms", kBert},
-      {"rt.speedup_vs_seq", "x", kBert},
-      {"rt.critpath_compute_ms", "ms", kBert},
-      {"rt.critpath_comm_ms", "ms", kBert},
-      {"rt.critpath_queue_ms", "ms", kBert},
-      {"rt.critpath_idle_ms", "ms", kBert},
-      {"rt.busy_ms", "ms", kBert | kFleet},
-      {"rt.recv_wait_ms", "ms", kBert | kFleet},
-      {"rt.utilization", "ratio", kBert | kFleet},
-      {"rt.task_us_p50", "us", kBert},
-      {"rt.tasks", "count", kBert},
-      {"rt.messages", "count", kBert},
-      {"rt.bytes_sent_kb", "KiB", kBert | kFleet},
-      {"steal.stolen_ratio", "ratio", kBert},
-      {"mem.arena_hit_ratio", "ratio", kBert},
-      {"mem.arena_mb", "MB", kBert},
-      {"tensor.scratch_heap_fallbacks", "count", kBert},
-      {"tensor.conv_ms", "ms", kBert},
-      {"tensor.matmul_ms", "ms", kBert},
-      {"tensor.elementwise_ms", "ms", kBert},
-      {"tensor.norm_ms", "ms", kBert},
-      {"tensor.other_ms", "ms", kBert},
-      {"tensor.matmul_gflops", "GFLOP/s", kBert},
-      {"tensor.conv_gflops", "GFLOP/s", kBert},
-      {"loadgen.offered", "count", kFleet},
-      {"loadgen.late_p99_ms", "ms", kFleet},
-      {"fleet.submit_us_p50", "us", kFleet},
-      {"fleet.server_p50_ms", "ms", kFleet},
-      {"fleet.squeezenet_p50_ms", "ms", kFleet},
-      {"fleet.squeezenet_b_p50_ms", "ms", kFleet},
-      {"fleet.squeezenet_p90_ms", "ms", kFleet},
-      {"fleet.squeezenet_b_p90_ms", "ms", kFleet},
-      {"fleet.jain", "ratio", kFleet},
-      {"fleet.rejected_quota", "count", kFleet},
-      {"fleet.rejected_full", "count", kFleet},
-      {"fleet.aged", "count", kFleet},
-      {"serve.batch_fill", "ratio", kFleet},
-      {"serve.exec_ms_per_batch", "ms", kFleet},
-      {"serve.batches_per_s", "1/s", kFleet},
-      {"serve.pool_busy_ratio", "ratio", kFleet},
-      {"serve.wait_ms", "ms", kFleet},
-      {"trace.overhead_pct", "%", kAll},
-  };
-  m.insert(m.end(), runtime.begin(), runtime.end());
-  return m;
-}
-
-std::string list_metrics_json() {
-  std::string s = "{\"end_to_end\": [";
-  const auto e2e = end_to_end_metrics();
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    s += (i ? ", " : "") + std::string("{\"name\": ") +
-         ramiel::obs::json_quote(e2e[i].name) +
-         ", \"unit\": " + ramiel::obs::json_quote(e2e[i].unit) + "}";
-  }
-  s += "], \"per_layer\": [";
-  const auto layers = per_layer_metrics();
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    s += (i ? ", " : "") + std::string("{\"name\": ") +
-         ramiel::obs::json_quote(layers[i].name) +
-         ", \"unit\": " + ramiel::obs::json_quote(layers[i].unit) +
-         ", \"workloads\": [";
-    bool first = true;
-    for (std::size_t w = 0; w < std::size(kWorkloads); ++w) {
-      if (layers[i].workloads & (1u << w)) {
-        s += (first ? "" : ", ") +
-             ramiel::obs::json_quote(kWorkloads[w].name);
-        first = false;
-      }
-    }
-    s += "]}";
-  }
-  return s + "]}";
-}
-
-/// Orders the result's metrics as the catalogue lists them, checks that
-/// every metric the workload owns is present with its unit, and fills the
-/// per-layer metrics of layers the workload does not exercise with 0.
-bool conform(std::size_t workload, bool trace, Result* result,
-             std::string* error) {
-  const std::vector<Catalogued> catalogue =
-      trace ? per_layer_metrics() : end_to_end_metrics();
-  std::vector<Metric> ordered;
-  std::size_t matched = 0;
-  for (const Catalogued& c : catalogue) {
-    const bool owned = c.workloads == 0 || (c.workloads & (1u << workload));
-    const Metric* found = nullptr;
-    for (const Metric& m : result->metrics) {
-      if (m.name == c.name) found = &m;
-    }
-    if (found && found->unit != c.unit) {
-      *error = c.name + " reported in " + found->unit + ", expected " + c.unit;
-      return false;
-    }
-    if (!found && owned) {
-      *error = "workload did not report " + c.name;
-      return false;
-    }
-    if (found) ++matched;
-    ordered.push_back(found ? *found : Metric{c.name, 0.0, c.unit});
-  }
-  if (matched != result->metrics.size()) {
-    *error = "workload reported a metric outside the catalogue";
-    return false;
-  }
-  result->metrics = std::move(ordered);
-  return true;
-}
-
 int run(int argc, char** argv) {
-  if (argc == 2 && std::string(argv[1]) == "--list-metrics") {
-    std::printf("%s\n", list_metrics_json().c_str());
-    return 0;
-  }
   Args args;
   std::string error;
   if (!parse_args(argc, argv, &args, &error)) {
     std::fprintf(stderr, "perfbench: %s\n", error.c_str());
     return 2;
   }
-  std::size_t index = std::size(kWorkloads);
-  for (std::size_t w = 0; w < std::size(kWorkloads); ++w) {
-    if (args.workload == kWorkloads[w].name) index = w;
+  const Workload* workload = nullptr;
+  for (const Workload& w : kWorkloads) {
+    if (args.workload == w.name) workload = &w;
   }
-  if (index == std::size(kWorkloads)) {
+  if (!workload) {
     std::fprintf(stderr, "perfbench: unknown workload %s\n",
                  args.workload.c_str());
     return 2;
   }
   Result result;
   try {
-    result = kWorkloads[index].run(args);
+    result = workload->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench: %s failed: %s\n", args.workload.c_str(),
                  e.what());
     return 1;
   }
-  if (!conform(index, args.trace, &result, &error)) {
-    std::fprintf(stderr, "perfbench: %s\n", error.c_str());
-    return 2;
-  }
+  if (result.tally.attempted == 0) result.tally.fail("no operation completed");
   if (!result.tally.all_ok()) {
     std::fprintf(stderr,
                  "perfbench: %lld of %lld operations failed; first: %s\n",
@@ -224,7 +61,6 @@ int run(int argc, char** argv) {
                  static_cast<long long>(result.tally.attempted),
                  result.tally.first_error.c_str());
   }
-  if (result.tally.attempted == 0) result.tally.fail("no operation completed");
   std::printf("%s\n", result_json(result).c_str());
   return result.tally.all_ok() ? 0 : 1;
 }

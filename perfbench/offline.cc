@@ -1,7 +1,6 @@
 // offline_bert: closed loop, one caller thread. One operation is one run()
 // of bert at batch 4 on the work-stealing runtime with the arena memory
 // plan; large GEMM, attention and elementwise kernels dominate.
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@ namespace perfbench {
 namespace {
 
 constexpr int kBatch = 4;  // runtime_compile_options() compiles batch 4
-constexpr int kSetupReps = 7;
 constexpr int kSeqReps = 3;
 
 constexpr const char* kModel = "bert";
@@ -106,43 +104,21 @@ KernelClass classify(ramiel::OpKind kind) {
   }
 }
 
-/// Per-run observations of the traced phase; reported as medians.
-class RunLayers {
- public:
-  void add(const std::string& name, const char* unit, double v) {
-    Series& s = series_[name];
-    s.unit = unit;
-    s.values.push_back(v);
-  }
-  void put(Result* result) const {
-    for (const auto& [name, s] : series_) {
-      result->put(name, median(s.values), s.unit);
-    }
-  }
-
- private:
-  struct Series {
-    std::string unit;
-    std::vector<double> values;
-  };
-  std::map<std::string, Series> series_;
-};
-
 void observe_run(const ramiel::CompiledModel& cm, const ramiel::Executor& ex,
                  const std::vector<ramiel::Shape>& shapes,
-                 const ramiel::Profile& profile, RunLayers* layers) {
+                 const ramiel::Profile& profile, Samples* layers) {
   const ramiel::Graph& g = cm.graph;
-  layers->add("rt.run_ms", "ms", profile.wall_ms);
+  layers->add("rt.run_ms", profile.wall_ms);
 
   ramiel::prof::AnalyzeOptions ao;
   ao.keep_path = false;
   ao.what_if = false;
   ao.top_ops = 0;
   const auto cp = ramiel::prof::analyze(g, cm.hyperclusters, profile, ao);
-  layers->add("rt.critpath_compute_ms", "ms", cp.compute_ms);
-  layers->add("rt.critpath_comm_ms", "ms", cp.comm_ms);
-  layers->add("rt.critpath_queue_ms", "ms", cp.queue_ms);
-  layers->add("rt.critpath_idle_ms", "ms", cp.idle_ms);
+  layers->add("rt.critpath_compute_ms", cp.compute_ms);
+  layers->add("rt.critpath_comm_ms", cp.comm_ms);
+  layers->add("rt.critpath_queue_ms", cp.queue_ms);
+  layers->add("rt.critpath_idle_ms", cp.idle_ms);
 
   double busy = 0.0, recv_wait = 0.0, bytes = 0.0;
   double tasks = 0.0, stolen = 0.0, messages = 0.0, avoided = 0.0;
@@ -155,14 +131,13 @@ void observe_run(const ramiel::CompiledModel& cm, const ramiel::Executor& ex,
     messages += w.messages_sent;
     avoided += w.allocs_avoided;
   }
-  layers->add("rt.busy_ms", "ms", busy);
-  layers->add("rt.recv_wait_ms", "ms", recv_wait);
-  layers->add("rt.utilization", "ratio", profile.utilization());
-  layers->add("rt.tasks", "count", tasks);
-  layers->add("rt.messages", "count", messages);
-  layers->add("rt.bytes_sent_kb", "KiB", bytes / 1024.0);
-  layers->add("steal.stolen_ratio", "ratio",
-              tasks > 0 ? stolen / tasks : 0.0);
+  layers->add("rt.busy_ms", busy);
+  layers->add("rt.recv_wait_ms", recv_wait);
+  layers->add("rt.utilization", profile.utilization());
+  layers->add("rt.tasks", tasks);
+  layers->add("rt.messages", messages);
+  layers->add("rt.bytes_sent_kb", bytes / 1024.0);
+  layers->add("steal.stolen_ratio", tasks > 0 ? stolen / tasks : 0.0);
 
   std::vector<double> task_us;
   double class_ms[kNumClasses] = {};
@@ -177,22 +152,21 @@ void observe_run(const ramiel::CompiledModel& cm, const ramiel::Executor& ex,
     if (c == kConv) conv_flops += task_flops(shapes, n);
     outputs += static_cast<double>(n.outputs.size());
   }
-  layers->add("rt.task_us_p50", "us", median(task_us));
-  layers->add("mem.arena_hit_ratio", "ratio",
-              outputs > 0 ? avoided / outputs : 0.0);
-  layers->add("tensor.conv_ms", "ms", class_ms[kConv]);
-  layers->add("tensor.matmul_ms", "ms", class_ms[kMatmul]);
-  layers->add("tensor.elementwise_ms", "ms", class_ms[kElementwise]);
-  layers->add("tensor.norm_ms", "ms", class_ms[kNorm]);
-  layers->add("tensor.other_ms", "ms", class_ms[kOther]);
-  layers->add("tensor.matmul_gflops", "GFLOP/s",
+  layers->add("rt.task_us_p50", median(task_us));
+  layers->add("mem.arena_hit_ratio", outputs > 0 ? avoided / outputs : 0.0);
+  layers->add("tensor.conv_ms", class_ms[kConv]);
+  layers->add("tensor.matmul_ms", class_ms[kMatmul]);
+  layers->add("tensor.elementwise_ms", class_ms[kElementwise]);
+  layers->add("tensor.norm_ms", class_ms[kNorm]);
+  layers->add("tensor.other_ms", class_ms[kOther]);
+  layers->add("tensor.matmul_gflops",
               class_ms[kMatmul] > 0 ? matmul_flops / (class_ms[kMatmul] * 1e6)
                                     : 0.0);
-  layers->add("tensor.conv_gflops", "GFLOP/s",
+  layers->add("tensor.conv_gflops",
               class_ms[kConv] > 0 ? conv_flops / (class_ms[kConv] * 1e6) : 0.0);
 
   const auto* steal = dynamic_cast<const ramiel::StealExecutor*>(&ex);
-  layers->add("mem.arena_mb", "MB",
+  layers->add("mem.arena_mb",
               steal ? static_cast<double>(steal->arena_bytes_allocated()) /
                           (1024.0 * 1024.0)
                     : 0.0);
@@ -212,106 +186,119 @@ Result run_offline_bert(const Args& args) {
   Tracer tr(args.trace);
 
   // Inputs come from the seed; the reference is the sequential executor on
-  // the unmodified graph, in f32.
-  const ramiel::Graph original = ramiel::models::build(kModel);
-  ramiel::Rng rng(args.seed);
-  const std::vector<TensorMap> inputs =
-      ramiel::make_example_inputs(original, kBatch, rng);
-  const std::vector<TensorMap> reference =
-      ramiel::SequentialExecutor(&original).run(inputs);
+  // the unmodified graph, in f32. That graph is dropped once both exist, and
+  // the high-water mark is reset, so peak_rss_mb is the program's alone.
+  std::vector<TensorMap> inputs;
+  std::vector<TensorMap> reference;
+  {
+    const ramiel::Graph original = ramiel::models::build(kModel);
+    ramiel::Rng rng(args.seed);
+    inputs = ramiel::make_example_inputs(original, kBatch, rng);
+    reference = ramiel::SequentialExecutor(&original).run(inputs);
+  }
+  reset_peak_rss();
 
-  CompileLayers compile_layers;
+  Samples layers;
   std::unique_ptr<Deployment> dep;
-  bool setup_ok = true;
   std::string setup_error;
-  const double setup_s = median_setup_seconds(
-      kSetupReps,
-      [&] {
-        Scope s(tr, "setup");
-        dep = std::make_unique<Deployment>();
-        ramiel::Stopwatch sw;
-        ramiel::Graph g;
-        {
-          Scope b(tr, "models.build");
-          g = ramiel::models::build(kModel);
-        }
-        const double build_ms = sw.millis();
-        sw.reset();
-        {
-          Scope c(tr, "ramiel.compile");
-          dep->cm =
-              ramiel::compile_model(std::move(g), runtime_compile_options());
-          tr.add_passes(dep->cm, c.id());
-        }
-        compile_layers.add({&dep->cm}, build_ms, sw.millis());
-        {
-          Scope c(tr, "rt.construct");
-          dep->executor = ramiel::make_executor(
-              kKind, &dep->cm.graph, dep->cm.hyperclusters, &dep->cm.mem_plan);
-        }
-        {
-          Scope r(tr, "rt.first_run");
-          dep->first = dep->executor->run(inputs);
-        }
-        Scope c(tr, "check");
-        return outputs_close(reference, dep->first, &setup_error);
-      },
-      [&] { dep.reset(); }, &setup_ok);
-  if (!setup_ok) result.tally.fail("set-up: " + setup_error);
-
-  const ramiel::CompiledModel& cm = dep->cm;
-  ramiel::Executor& ex = *dep->executor;
+  auto setup = [&] {
+    tr.set_enabled(args.trace);
+    Scope s(tr, "setup");
+    dep = std::make_unique<Deployment>();
+    ramiel::Stopwatch sw;
+    ramiel::Graph g;
+    {
+      Scope b(tr, "models.build");
+      g = ramiel::models::build(kModel);
+    }
+    const double build_ms = sw.millis();
+    sw.reset();
+    {
+      Scope c(tr, "ramiel.compile");
+      dep->cm = ramiel::compile_model(std::move(g), runtime_compile_options());
+      tr.add_passes(dep->cm, c.id());
+    }
+    add_compile_layers({&dep->cm}, build_ms, sw.millis(), &layers);
+    {
+      Scope c(tr, "rt.construct");
+      dep->executor = ramiel::make_executor(
+          kKind, &dep->cm.graph, dep->cm.hyperclusters, &dep->cm.mem_plan);
+    }
+    {
+      Scope r(tr, "rt.first_run");
+      dep->first = dep->executor->run(inputs);
+    }
+    Scope c(tr, "check");
+    return outputs_close(reference, dep->first, &setup_error);
+  };
+  if (!setup()) result.tally.fail("set-up: " + setup_error);
   const std::vector<ramiel::Shape> shapes =
-      args.trace ? runtime_shapes(cm.graph, inputs[0])
+      args.trace ? runtime_shapes(dep->cm.graph, inputs[0])
                  : std::vector<ramiel::Shape>{};
-  RunLayers layers;
+
+  // Closed loop on the standing deployment. Every output must be
+  // bit-identical to that deployment's first. A traced run alternates
+  // untraced and traced runs, so drift in the host's speed lands on both
+  // alike; latencies go to lat[traced].
   ramiel::Profile last_profile;
   double good = 0.0;
   double verified = 0.0;
+  double window_s = 0.0;
+  double heap_fallbacks = 0.0;
   ramiel::obs::Counter* heap_scratch =
       ramiel::obs::registry().counter("ramiel_kernel_scratch_heap_total");
-  const std::uint64_t heap_before = heap_scratch->value();
-  // The timed window: closed loop until the deadline. A traced run
-  // alternates untraced and traced runs, so drift in the host's speed lands
-  // on both alike; latencies go to lat[traced].
   std::vector<double> lat[2];
-  ramiel::Stopwatch window;
-  for (std::int64_t op = 0; window.seconds() < args.seconds; ++op) {
-    const bool traced = args.trace && op % 2 == 1;
-    tr.set_enabled(traced);
-    ramiel::RunOptions opts;
-    opts.trace = traced;
-    ramiel::Profile profile;
-    try {
-      std::vector<TensorMap> out;
-      ramiel::Stopwatch sw;
-      {
-        Scope r(tr, "rt.run", op);
-        out = ex.run(inputs, opts, traced ? &profile : nullptr);
-      }
-      lat[traced].push_back(sw.millis());
-      std::string why;
-      Scope c(tr, "check", op);
-      if (!result.tally.record(outputs_identical(dep->first, out, &why),
-                               why)) {
+  std::int64_t op = 0;
+  auto run_for = [&](double seconds, bool timed) {
+    ramiel::Stopwatch sw;
+    for (; sw.seconds() < seconds; ++op) {
+      const bool traced = timed && args.trace && op % 2 == 1;
+      tr.set_enabled(traced);
+      ramiel::RunOptions opts;
+      opts.trace = traced;
+      ramiel::Profile profile;
+      const std::uint64_t heap_before = heap_scratch->value();
+      try {
+        std::vector<TensorMap> out;
+        ramiel::Stopwatch run;
+        {
+          Scope r(tr, "rt.run", op);
+          out = dep->executor->run(inputs, opts, traced ? &profile : nullptr);
+        }
+        if (timed) lat[traced].push_back(run.millis());
+        std::string why;
+        Scope c(tr, "check", op);
+        if (!result.tally.record(outputs_identical(dep->first, out, &why),
+                                 why) ||
+            !timed) {
+          continue;
+        }
+      } catch (const std::exception& e) {
+        result.tally.fail(std::string("run threw: ") + e.what());
         continue;
       }
-    } catch (const std::exception& e) {
-      result.tally.fail(std::string("run threw: ") + e.what());
-      continue;
+      heap_fallbacks +=
+          static_cast<double>(heap_scratch->value() - heap_before);
+      verified += kBatch;
+      if (lat[traced].back() <= kLimitMs) good += kBatch;
+      if (traced) {
+        observe_run(dep->cm, *dep->executor, shapes, profile, &layers);
+        last_profile = std::move(profile);
+      }
     }
-    verified += kBatch;
-    if (lat[traced].back() <= kLimitMs) good += kBatch;
-    if (traced) {
-      observe_run(cm, ex, shapes, profile, &layers);
-      last_profile = std::move(profile);
-    }
-  }
-  const double window_s = window.seconds();
+    if (timed) window_s += sw.seconds();
+  };
+
+  run_for(kWarmupSeconds, false);
+  bool setup_ok = true;
+  const std::vector<double> setups = sliced_window(
+      kSetupReps, setup, [&] { dep.reset(); },
+      [&](int) { run_for(args.seconds / kSetupReps, true); }, &setup_ok);
+  if (!setup_ok) result.tally.fail("set-up: " + setup_error);
 
   if (!args.trace) {
     EndToEnd e2e;
-    e2e.setup_s = setup_s;
+    e2e.setups_s = setups;
     e2e.latencies_ms = lat[0];
     e2e.window_s = window_s;
     e2e.good_units = good;
@@ -320,6 +307,7 @@ Result run_offline_bert(const Args& args) {
     return result;
   }
 
+  const ramiel::CompiledModel& cm = dep->cm;
   std::vector<double> seq_ms;
   {
     Scope s(tr, "rt.sequential");
@@ -331,15 +319,13 @@ Result run_offline_bert(const Args& args) {
     }
   }
 
-  compile_layers.put(&result);
   layers.put(&result);
-  result.put("rt.seq_ms", median(seq_ms), "ms");
-  result.put("rt.speedup_vs_seq", median(seq_ms) / median(lat[0]), "x");
+  const double timed_runs = static_cast<double>(lat[0].size() + lat[1].size());
+  result.put("rt.seq_ms", median(seq_ms));
+  result.put("rt.speedup_vs_seq", median(seq_ms) / median(lat[0]));
   result.put("tensor.scratch_heap_fallbacks",
-             static_cast<double>(heap_scratch->value() - heap_before) /
-                 static_cast<double>(lat[0].size() + lat[1].size()),
-             "count");
-  result.put("trace.overhead_pct", overhead_pct(lat[0], lat[1]), "%");
+             timed_runs > 0 ? heap_fallbacks / timed_runs : 0.0);
+  result.put("trace.overhead_pct", overhead_pct(lat[0], lat[1]));
   ramiel::prof::AnalyzeOptions ao;
   ao.what_if = false;
   tr.write(std::string(kTraceDir) + "/offline_bert-" +

@@ -9,9 +9,13 @@ Run from the root of a checkout. Builds the benchmark and the repository
 libraries it links from source into .bench_build/ (CMake), runs one workload
 and prints its result object as the last line of standard output: untraced
 runs carry the end-to-end metrics of BENCHMARK.json, traced runs its
-per-layer metrics. `--workload all` runs every workload and prints each
-metric by name with its unit. Exits non-zero when the build fails, an output
-check fails, or the result does not match BENCHMARK.json.
+per-layer metrics. BENCHMARK.json is the one list of metric names and units:
+the workload reports values by name, and this script adds the units and
+reports 0 for a per-layer metric of a layer the workload does not exercise.
+`--workload all` runs every workload and prints each metric by name with its
+unit. Exits non-zero when the build fails, an output check fails, or the
+workload reports a metric BENCHMARK.json does not list or misses an
+end-to-end metric.
 """
 
 import argparse
@@ -24,7 +28,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE = os.path.join(ROOT, "perfbench")
 BUILD = os.path.join(ROOT, ".bench_build")
-RUN_TIMEOUT_S = 170
+# A run measures for --seconds; this covers its warm-up, set-ups and drain.
+RUN_OVERHEAD_S = 120
 BUILD_JOBS = max(1, min(4, os.cpu_count() or 1))
 
 
@@ -47,23 +52,40 @@ def build(targets):
                           cwd=ROOT).returncode == 0
 
 
-def expected_metrics(trace):
+def spec_metrics(trace):
+    """BENCHMARK.json and its metric list for an untraced or traced run."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    key = "per_layer" if trace else "end_to_end"
-    return spec, {m["name"]: m["unit"] for m in spec[key]}
+    return spec, spec["per_layer" if trace else "end_to_end"]
+
+
+def with_units(values, trace):
+    """Turns the workload's {name: value} into the result's metrics, in
+    BENCHMARK.json's order with its units; None if the names do not fit."""
+    _, listed = spec_metrics(trace)
+    names = [m["name"] for m in listed]
+    extra = sorted(set(values) - set(names))
+    missing = [] if trace else sorted(set(names) - set(values))
+    if extra or missing:
+        log(f"result does not match BENCHMARK.json "
+            f"(missing {missing}, not listed {extra})")
+        return None
+    return {m["name"]: {"value": values.get(m["name"], 0), "unit": m["unit"]}
+            for m in listed}
 
 
 def run_workload(workload, seed, seconds, trace):
-    """Runs one workload; returns (exit code, parsed result or None)."""
+    """Runs one workload; returns (exit code, result or None)."""
     cmd = [os.path.join(BUILD, "perfbench"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
+    timeout = seconds + RUN_OVERHEAD_S
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, cwd=ROOT,
-                              timeout=RUN_TIMEOUT_S, text=True)
+                              timeout=timeout, text=True)
     except subprocess.TimeoutExpired:
-        log(f"{workload}: no result within {RUN_TIMEOUT_S} s")
+        log(f"{workload}: no result within {timeout:g} s "
+            f"(--seconds {seconds:g} plus {RUN_OVERHEAD_S} s)")
         return 1, None
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -74,13 +96,11 @@ def run_workload(workload, seed, seconds, trace):
     except json.JSONDecodeError:
         log(f"{workload}: last line is not JSON: {lines[-1]!r}")
         return 1, None
-    _, expected = expected_metrics(trace)
-    got = {name: m.get("unit") for name, m in result.get("metrics", {}).items()}
-    if (set(result) != {"correct", "attempted", "failed", "metrics"}
-            or got != expected):
-        log(f"{workload}: result does not match BENCHMARK.json "
-            f"(missing {sorted(set(expected) - set(got))}, "
-            f"extra {sorted(set(got) - set(expected))})")
+    if set(result) != {"correct", "attempted", "failed", "metrics"}:
+        log(f"{workload}: malformed result {sorted(result)}")
+        return 1, None
+    result["metrics"] = with_units(result["metrics"], trace)
+    if result["metrics"] is None:
         return 1, None
     return proc.returncode, result
 
@@ -113,7 +133,7 @@ def main():
         print(json.dumps(result), flush=True)
         return code
 
-    spec, _ = expected_metrics(args.trace)
+    spec, _ = spec_metrics(args.trace)
     results = {}
     status = 0
     for w in spec["workloads"]:

@@ -66,12 +66,14 @@ void test_due_latency() {
 }
 
 void test_setup_median() {
-  // Median 20 ms, mean 67 ms; a counted teardown would add 50 ms.
+  // Set-ups of 5, 100, 20, 10 and 200 ms: median 20 ms, mean 67 ms. Each
+  // teardown (50 ms) and slice (30 ms) around them must not be counted.
   const int delays_ms[] = {5, 100, 20, 10, 200};
   int call = 0;
   int teardowns = 0;
+  std::vector<int> slices;
   bool ok = true;
-  const double s = median_setup_seconds(
+  const std::vector<double> times = sliced_window(
       5,
       [&] {
         std::this_thread::sleep_for(
@@ -82,17 +84,34 @@ void test_setup_median() {
         ++teardowns;
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       },
+      [&](int i) {
+        slices.push_back(i);
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      },
       &ok);
   expect(ok, "set-ups all verified");
-  expect(s >= 0.020 && s < 0.060,
+  expect(times.size() == 5, "one time per set-up");
+  for (int i = 0; i < 5 && i < static_cast<int>(times.size()); ++i) {
+    expect(times[i] >= delays_ms[i] / 1e3 && times[i] < delays_ms[i] / 1e3 + 0.03,
+           "set-up " + std::to_string(i) + " timed alone, got " +
+               std::to_string(times[i]));
+  }
+  expect(teardowns == 5, "each set-up is preceded by a teardown");
+  expect(slices == std::vector<int>({0, 1, 2, 3, 4}),
+         "each set-up is followed by its slice");
+
+  EndToEnd e2e;
+  e2e.setups_s = times;
+  Result result;
+  put_end_to_end(e2e, &result);
+  const double s = result.metrics.front().second;
+  expect(result.metrics.front().first == "setup_s" && s >= 0.020 && s < 0.050,
          "setup_s is the median set-up (20 ms), got " + std::to_string(s));
-  expect(teardowns == 4, "each set-up but the last is torn down");
 
   call = 0;
-  const double s2 = median_setup_seconds(
-      3, [&] { return call++ != 1; }, [] {}, &ok);
+  sliced_window(
+      3, [&] { return call++ != 1; }, [] {}, [](int) {}, &ok);
   expect(!ok, "a set-up whose first output fails verification is reported");
-  expect(s2 >= 0.0, "median of failed set-ups is still a time");
 }
 
 void test_self_time() {
@@ -142,11 +161,12 @@ void test_corrupted_output_counts_as_failure() {
 
   Result result;
   result.tally = tally;
-  result.put("p50_ms", 1.5, "ms");
+  result.put("p50_ms", 1.5);
   const std::string line = result_json(result);
   expect(line.find("\"correct\": false") != std::string::npos &&
              line.find("\"attempted\": 4") != std::string::npos &&
-             line.find("\"failed\": 2") != std::string::npos,
+             line.find("\"failed\": 2") != std::string::npos &&
+             line.find("\"p50_ms\": 1.5") != std::string::npos,
          "the result line reports the failure: " + line);
 
   // A tiny perturbation inside the test tolerance still passes the

@@ -6,10 +6,13 @@
 // which oversubscribes them and made the figures swing by half between
 // runs). The rate keeps the pool below saturation and the quotas are above
 // it, so nothing is refused. Latency is charged from each request's due time:
-// (send - due) + Response::latency_ms. Responses are collected only after the
-// window, so no collector thread competes with the generator.
+// (send - due) + Response::latency_ms. The generator itself checks the
+// responses that have arrived whenever it wakes to send, so no collector
+// thread competes with it and answered outputs are not kept.
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -36,10 +39,6 @@ constexpr double kRatePerTenant = 60.0;
 // Goodput latency limit, above that commit's p99.
 constexpr double kLimitMs = 50.0;
 constexpr int kSamplesPerTenant = 8;
-constexpr int kSetupReps = 5;
-// Open-loop warm-up before each timed window; its requests are verified but
-// not timed (the first seconds of a process run measurably slower).
-constexpr double kWarmupSeconds = 3.0;
 // Grace period for the responses of the last arrivals.
 constexpr double kDrainSeconds = 30.0;
 
@@ -118,10 +117,29 @@ struct Window {
   double offered = 0.0;
 };
 
+/// The fleet's cumulative counters summed over tenants; a slice's share is
+/// the difference of two snapshots.
 struct Totals {
   double batches = 0, slots = 0, samples = 0, exec_ms = 0;
   double busy_ms = 0, slack_ms = 0, bytes = 0, worker_exec_ms = 0;
   double rejected_quota = 0, rejected_full = 0, aged = 0;
+
+  template <class F>
+  Totals zip(const Totals& o, F f) const {
+    return {f(batches, o.batches),
+            f(slots, o.slots),
+            f(samples, o.samples),
+            f(exec_ms, o.exec_ms),
+            f(busy_ms, o.busy_ms),
+            f(slack_ms, o.slack_ms),
+            f(bytes, o.bytes),
+            f(worker_exec_ms, o.worker_exec_ms),
+            f(rejected_quota, o.rejected_quota),
+            f(rejected_full, o.rejected_full),
+            f(aged, o.aged)};
+  }
+  Totals operator-(const Totals& o) const { return zip(o, std::minus<>()); }
+  Totals operator+(const Totals& o) const { return zip(o, std::plus<>()); }
 };
 
 Totals totals(fleet::FleetServer& f) {
@@ -151,14 +169,19 @@ Result run_serve_fleet(const Args& args) {
   Tracer tr(args.trace);
   ramiel::Rng rng(args.seed);
 
+  // Payloads and references are built once; the graph they came from is
+  // dropped and the high-water mark reset, so peak_rss_mb is the fleet's.
   TenantData data[kNumTenants];
-  const ramiel::Graph model = ramiel::models::build(kModel);
-  for (int t = 0; t < kNumTenants; ++t) {
-    data[t].samples =
-        ramiel::make_example_inputs(model, kSamplesPerTenant, rng);
-    data[t].reference =
-        ramiel::SequentialExecutor(&model).run(data[t].samples);
+  {
+    const ramiel::Graph model = ramiel::models::build(kModel);
+    for (int t = 0; t < kNumTenants; ++t) {
+      data[t].samples =
+          ramiel::make_example_inputs(model, kSamplesPerTenant, rng);
+      data[t].reference =
+          ramiel::SequentialExecutor(&model).run(data[t].samples);
+    }
   }
+  reset_peak_rss();
   auto check = [&](int tenant, int sample, const ramiel::serve::Response& r,
                    std::string* why) {
     if (!r.ok) {
@@ -179,7 +202,7 @@ Result run_serve_fleet(const Args& args) {
     build_ms += sw.millis();
     return g;
   };
-  CompileLayers compile_layers;
+  Samples layers;
   // Builds a fleet and waits for one verified response per tenant.
   auto start_fleet = [&](bool trace, std::unique_ptr<fleet::FleetServer>* out,
                          std::string* why) {
@@ -198,7 +221,7 @@ Result run_serve_fleet(const Args& args) {
         compiled.push_back(&cm);
         compile_ms += cm.compile_seconds * 1e3;
       }
-      compile_layers.add(compiled, build_ms, compile_ms);
+      add_compile_layers(compiled, build_ms, compile_ms, &layers);
     }
     Scope s(tr, "fleet.first_response");
     bool ok = true;
@@ -212,57 +235,22 @@ Result run_serve_fleet(const Args& args) {
     return ok;
   };
 
-  std::unique_ptr<fleet::FleetServer> server;
-  bool setup_ok = true;
-  std::string setup_error;
-  const double setup_s = median_setup_seconds(
-      kSetupReps,
-      [&] {
-        Scope s(tr, "setup");
-        return start_fleet(false, &server, &setup_error);
-      },
-      [&] { server.reset(); }, &setup_ok);
-  if (!setup_ok) result.tally.fail("set-up: " + setup_error);
-
   std::int64_t next_op = 0;
   // One open-loop window of `seconds` against `f`.
   auto phase = [&](fleet::FleetServer& f, double seconds) {
     Window w;
     const std::vector<Arrival> plan = schedule(rng, seconds);
     w.offered = static_cast<double>(plan.size());
-    std::vector<Sent> sent;
-    sent.reserve(plan.size());
     const std::int64_t t0 = ramiel::Stopwatch::now_ns() + 5'000'000;
-    for (const Arrival& a : plan) {
-      Sent s;
-      s.arrival = a;
-      s.due_ns = t0 + a.offset_ns;
-      std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
-          std::chrono::nanoseconds(s.due_ns)));
-      s.send_ns = ramiel::Stopwatch::now_ns();
-      s.response = f.submit(kTenants[a.tenant],
-                            data[a.tenant].samples[static_cast<std::size_t>(
-                                a.sample)]);
-      s.submit_us =
-          static_cast<double>(ramiel::Stopwatch::now_ns() - s.send_ns) / 1e3;
-      sent.push_back(std::move(s));
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(kDrainSeconds);
     std::int64_t last_ns = t0;
-    for (Sent& s : sent) {
+    // Checks one arrived response and keeps only its timings.
+    auto collect = [&](Sent& s) {
       const std::int64_t op = next_op++;
-      if (s.response.wait_until(deadline) != std::future_status::ready) {
-        result.tally.fail(std::string(kTenants[s.arrival.tenant]) +
-                          ": no response within the drain period");
-        continue;
-      }
       const ramiel::serve::Response r = s.response.get();
       std::string why;
-      if (!result.tally.record(check(s.arrival.tenant, s.arrival.sample, r,
-                                     &why),
-                               why)) {
-        continue;
+      if (!result.tally.record(
+              check(s.arrival.tenant, s.arrival.sample, r, &why), why)) {
+        return;
       }
       Answered a;
       a.tenant = s.arrival.tenant;
@@ -283,6 +271,38 @@ Result run_serve_fleet(const Args& args) {
         tr.add("fleet.server", s.send_ns, done_ns, req, op);
       }
       w.answered.push_back(a);
+    };
+    std::deque<Sent> pending;  // in send order
+    for (const Arrival& a : plan) {
+      Sent s;
+      s.arrival = a;
+      s.due_ns = t0 + a.offset_ns;
+      std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+          std::chrono::nanoseconds(s.due_ns)));
+      s.send_ns = ramiel::Stopwatch::now_ns();
+      s.response = f.submit(kTenants[a.tenant],
+                            data[a.tenant].samples[static_cast<std::size_t>(
+                                a.sample)]);
+      s.submit_us =
+          static_cast<double>(ramiel::Stopwatch::now_ns() - s.send_ns) / 1e3;
+      pending.push_back(std::move(s));
+      while (!pending.empty() &&
+             pending.front().response.wait_for(std::chrono::seconds(0)) ==
+                 std::future_status::ready) {
+        collect(pending.front());
+        pending.pop_front();
+      }
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(kDrainSeconds);
+    for (Sent& s : pending) {
+      if (s.response.wait_until(deadline) == std::future_status::ready) {
+        collect(s);
+      } else {
+        ++next_op;
+        result.tally.fail(std::string(kTenants[s.arrival.tenant]) +
+                          ": no response within the drain period");
+      }
     }
     w.seconds = static_cast<double>(last_ns - t0) / 1e9;
     return w;
@@ -295,112 +315,114 @@ Result run_serve_fleet(const Args& args) {
     return out;
   };
 
+  // A first fleet serves the warm-up. The window's slices then each start
+  // on a freshly set-up fleet; in a traced run every second one records
+  // batch spans and the request spans around it, and the others are the
+  // untraced baseline for trace.overhead_pct.
+  std::unique_ptr<fleet::FleetServer> server;
+  std::string setup_error;
+  tr.set_enabled(false);
+  if (!start_fleet(false, &server, &setup_error)) {
+    result.tally.fail("set-up: " + setup_error);
+  }
+  phase(*server, kWarmupSeconds);
+
+  std::vector<double> plain_ms;  // untraced slices of a traced run
+  std::vector<Answered> answered;
+  double window_s = 0.0, offered = 0.0, good = 0.0;
+  Totals traced_totals;
+  std::string fleet_trace = "null";
+  int slice_count = 0;
+  bool setup_ok = true;
+  const std::vector<double> setups = sliced_window(
+      kSetupReps,
+      [&] {
+        const bool traced = args.trace && slice_count++ % 2 == 1;
+        tr.set_enabled(args.trace);
+        Scope s(tr, "setup");
+        return start_fleet(traced, &server, &setup_error);
+      },
+      [&] { server.reset(); },
+      [&](int slice) {
+        const bool traced = args.trace && slice % 2 == 1;
+        tr.set_enabled(traced);
+        const Totals before = totals(*server);
+        const Window w = phase(*server, args.seconds / kSetupReps);
+        if (args.trace && !traced) {
+          const std::vector<double> lat = latencies(w.answered, -1);
+          plain_ms.insert(plain_ms.end(), lat.begin(), lat.end());
+          return;
+        }
+        answered.insert(answered.end(), w.answered.begin(), w.answered.end());
+        window_s += w.seconds;
+        offered += w.offered;
+        good += w.good;
+        if (traced) {
+          traced_totals = traced_totals + (totals(*server) - before);
+          ramiel::obs::Timeline timeline;
+          server->append_trace(timeline);
+          fleet_trace = timeline.to_chrome_json();
+        }
+      },
+      &setup_ok);
+  if (!setup_ok) result.tally.fail("set-up: " + setup_error);
+  server.reset();
+
   if (!args.trace) {
-    phase(*server, kWarmupSeconds);
-    const Window w = phase(*server, args.seconds);
     EndToEnd e2e;
-    e2e.setup_s = setup_s;
-    e2e.latencies_ms = latencies(w.answered, -1);
-    e2e.window_s = w.seconds;
-    e2e.good_units = w.good;
-    e2e.verified_units = static_cast<double>(w.answered.size());
+    e2e.setups_s = setups;
+    e2e.latencies_ms = latencies(answered, -1);
+    e2e.window_s = window_s;
+    e2e.good_units = good;
+    e2e.verified_units = static_cast<double>(answered.size());
     put_end_to_end(e2e, &result);
     return result;
   }
 
-  // Traced run: a second fleet with batch tracing takes turns with the
-  // untraced one, slice by slice, so drift in the host's speed lands on both
-  // alike. Spans are recorded for the traced fleet only.
-  constexpr int kSlices = 4;
-  std::unique_ptr<fleet::FleetServer> traced_server;
-  std::string why;
-  if (!start_fleet(true, &traced_server, &why)) {
-    result.tally.fail("set-up: " + why);
-  }
-  tr.set_enabled(false);
-  phase(*server, kWarmupSeconds);
-  phase(*traced_server, kWarmupSeconds);
-  const Totals before = totals(*traced_server);
-  std::vector<double> plain_ms;
-  std::vector<Answered> answered;
-  double window_s = 0.0, offered = 0.0;
-  for (int slice = 0; slice < kSlices; ++slice) {
-    const bool traced = slice % 2 == 1;
-    tr.set_enabled(traced);
-    const Window w =
-        phase(traced ? *traced_server : *server, args.seconds / kSlices);
-    if (!traced) {
-      const std::vector<double> lat = latencies(w.answered, -1);
-      plain_ms.insert(plain_ms.end(), lat.begin(), lat.end());
-      continue;
-    }
-    answered.insert(answered.end(), w.answered.begin(), w.answered.end());
-    window_s += w.seconds;
-    offered += w.offered;
-  }
-  const Totals after = totals(*traced_server);
-  server.reset();
-  server = std::move(traced_server);
-
-  compile_layers.put(&result);
+  layers.put(&result);
   std::vector<double> late, server_ms, submit_us;
   for (const Answered& a : answered) {
     late.push_back(a.late_ms);
     server_ms.push_back(a.server_ms);
     submit_us.push_back(a.submit_us);
   }
-  result.put("loadgen.offered", offered, "count");
-  result.put("loadgen.late_p99_ms", percentile(late, 0.99), "ms");
-  result.put("fleet.submit_us_p50", median(submit_us), "us");
-  result.put("fleet.server_p50_ms", median(server_ms), "ms");
+  result.put("loadgen.offered", offered);
+  result.put("loadgen.late_p99_ms", percentile(late, 0.99));
+  result.put("fleet.submit_us_p50", median(submit_us));
+  result.put("fleet.server_p50_ms", median(server_ms));
   std::vector<double> served_share;
   for (int t = 0; t < kNumTenants; ++t) {
     const std::vector<double> lat = latencies(answered, t);
     const std::string name = kTenants[t];
-    result.put("fleet." + name + "_p50_ms", percentile(lat, 0.5), "ms");
-    result.put("fleet." + name + "_p90_ms", percentile(lat, 0.9), "ms");
+    result.put("fleet." + name + "_p50_ms", percentile(lat, 0.5));
+    result.put("fleet." + name + "_p90_ms", percentile(lat, 0.9));
     served_share.push_back(static_cast<double>(lat.size()) /
                            (offered / kNumTenants));
   }
-  result.put("fleet.jain", fleet::jain_fairness(served_share), "ratio");
-  result.put("fleet.rejected_quota",
-             after.rejected_quota - before.rejected_quota, "count");
-  result.put("fleet.rejected_full", after.rejected_full - before.rejected_full,
-             "count");
-  result.put("fleet.aged", after.aged - before.aged, "count");
-  const double batches = after.batches - before.batches;
-  const double exec_ms = after.exec_ms - before.exec_ms;
-  const double slots = after.slots - before.slots;
-  const double exec_per_batch = batches > 0 ? exec_ms / batches : 0.0;
+  result.put("fleet.jain", fleet::jain_fairness(served_share));
+  const Totals& t = traced_totals;
+  result.put("fleet.rejected_quota", t.rejected_quota);
+  result.put("fleet.rejected_full", t.rejected_full);
+  result.put("fleet.aged", t.aged);
+  const double exec_per_batch = t.batches > 0 ? t.exec_ms / t.batches : 0.0;
   // The shared pool's static runtime, per executed batch.
-  const double per_batch = batches > 0 ? 1.0 / batches : 0.0;
-  result.put("rt.busy_ms", (after.busy_ms - before.busy_ms) * per_batch, "ms");
-  result.put("rt.recv_wait_ms",
-             (after.slack_ms - before.slack_ms) * per_batch, "ms");
-  result.put("rt.bytes_sent_kb",
-             (after.bytes - before.bytes) * per_batch / 1024.0, "KiB");
-  const double worker_ms = after.worker_exec_ms - before.worker_exec_ms;
+  const double per_batch = t.batches > 0 ? 1.0 / t.batches : 0.0;
+  result.put("rt.busy_ms", t.busy_ms * per_batch);
+  result.put("rt.recv_wait_ms", t.slack_ms * per_batch);
+  result.put("rt.bytes_sent_kb", t.bytes * per_batch / 1024.0);
   result.put("rt.utilization",
-             worker_ms > 0 ? (after.busy_ms - before.busy_ms) / worker_ms : 0.0,
-             "ratio");
-  result.put("serve.batch_fill",
-             slots > 0 ? (after.samples - before.samples) / slots : 0.0,
-             "ratio");
-  result.put("serve.exec_ms_per_batch", exec_per_batch, "ms");
-  result.put("serve.batches_per_s", window_s > 0 ? batches / window_s : 0.0,
-             "1/s");
+             t.worker_exec_ms > 0 ? t.busy_ms / t.worker_exec_ms : 0.0);
+  result.put("serve.batch_fill", t.slots > 0 ? t.samples / t.slots : 0.0);
+  result.put("serve.exec_ms_per_batch", exec_per_batch);
+  result.put("serve.batches_per_s", window_s > 0 ? t.batches / window_s : 0.0);
   result.put("serve.pool_busy_ratio",
-             window_s > 0 ? exec_ms / (window_s * 1e3) : 0.0, "ratio");
-  result.put("serve.wait_ms", mean(server_ms) - exec_per_batch, "ms");
+             window_s > 0 ? t.exec_ms / (window_s * 1e3) : 0.0);
+  result.put("serve.wait_ms", mean(server_ms) - exec_per_batch);
   result.put("trace.overhead_pct",
-             overhead_pct(plain_ms, latencies(answered, -1)), "%");
-
-  ramiel::obs::Timeline timeline;
-  server->append_trace(timeline);
-  server.reset();
+             overhead_pct(plain_ms, latencies(answered, -1)));
   tr.write(std::string(kTraceDir) + "/serve_fleet-" +
                std::to_string(args.seed) + ".json",
-           args, {{"fleet_trace", timeline.to_chrome_json()}});
+           args, {{"fleet_trace", fleet_trace}});
   return result;
 }
 
