@@ -217,14 +217,6 @@ ramiel::PipelineOptions zoo_compile_options() {
   return o;
 }
 
-ramiel::PipelineOptions runtime_compile_options() {
-  ramiel::PipelineOptions o;
-  o.batch = 4;
-  o.generate_code = false;
-  o.mem_planning = true;
-  return o;
-}
-
 double pass_ms(const ramiel::CompiledModel& cm, const std::string& pass) {
   double ms = 0.0;
   for (const auto& r : cm.pass_reports) {

@@ -112,11 +112,6 @@ bool outputs_identical(const std::vector<TensorMap>& ref,
 /// hyperclustering at batch 4, memory planning and code generation.
 ramiel::PipelineOptions zoo_compile_options();
 
-/// The runtime workloads' options: exactly what the fleet registry compiles
-/// with (batch 4, memory plan, no graph rewrites, no codegen), so offline and
-/// served programs are compiled alike.
-ramiel::PipelineOptions runtime_compile_options();
-
 /// Per-pass wall time of one compile, keyed by PassReport::pass.
 double pass_ms(const ramiel::CompiledModel& cm, const std::string& pass);
 double pass_sum_ms(const ramiel::CompiledModel& cm);
