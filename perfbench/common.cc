@@ -435,7 +435,6 @@ std::string result_json(const Result& result) {
 void put_end_to_end(const EndToEnd& e2e, Result* result) {
   result->put("setup_s", median(e2e.setups_s));
   result->put("p50_ms", percentile(e2e.latencies_ms, 0.50));
-  result->put("p90_ms", percentile(e2e.latencies_ms, 0.90));
   const double window = e2e.window_s > 0.0 ? e2e.window_s : 1.0;
   result->put("throughput", e2e.verified_units / window);
   result->put("goodput", e2e.good_units / window);

@@ -165,6 +165,7 @@ Result run_compile_zoo(const Args& args) {
   for (std::size_t m = 0; m < names.size(); ++m) {
     result.put("ramiel.compile_" + names[m] + "_ms", median(model_ms[m]));
   }
+  result.put("latency.p90_ms", percentile(lat[0], 0.90));
   result.put("trace.overhead_pct", overhead_pct(lat[0], lat[1]));
   tr.write(std::string(kTraceDir) + "/compile_zoo-" +
                std::to_string(args.seed) + ".json",

@@ -338,6 +338,7 @@ Result run_offline_bert(const Args& args) {
   result.put("rt.speedup_vs_seq", median(seq_ms) / median(lat[0]));
   result.put("tensor.scratch_heap_fallbacks",
              timed_runs > 0 ? heap_fallbacks / timed_runs : 0.0);
+  result.put("latency.p90_ms", percentile(lat[0], 0.90));
   result.put("trace.overhead_pct", overhead_pct(lat[0], lat[1]));
   ramiel::prof::AnalyzeOptions ao;
   ao.what_if = false;

@@ -418,6 +418,7 @@ Result run_serve_fleet(const Args& args) {
   result.put("serve.pool_busy_ratio",
              window_s > 0 ? t.exec_ms / (window_s * 1e3) : 0.0);
   result.put("serve.wait_ms", mean(server_ms) - exec_per_batch);
+  result.put("latency.p90_ms", percentile(plain_ms, 0.90));
   result.put("trace.overhead_pct",
              overhead_pct(plain_ms, latencies(answered, -1)));
   tr.write(std::string(kTraceDir) + "/serve_fleet-" +
