@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the tensor kernels that dominate
-// the cost profiles (conv2d, matmul, pooling) plus the channel primitives
-// the cluster runtime is built on. Useful for spotting kernel regressions
-// that would silently skew every simulated table.
+// the cost profiles (conv2d, matmul, pooling, BERT's broadcast and layout
+// ops) plus the channel primitives the cluster runtime is built on. Useful
+// for spotting kernel regressions that would silently skew every simulated
+// table.
 //
 // Every GEMM/conv benchmark is registered twice — `<name>/.../scalar` pins
 // the portable reference loops, `<name>/.../vector` the packed cache-blocked
@@ -382,6 +383,50 @@ void BM_Softmax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Softmax);
+
+// ---------------------------------------------------------------------------
+// BERT-base non-GEMM ops at sequence 96, hidden 128, 4 heads: the bias add,
+// LayerNorm's variance square and mean, and the head split. These run on
+// the strided-run loops (broadcast binary ops, transpose, reduce_mean).
+// ---------------------------------------------------------------------------
+
+void BM_BertBiasAdd(benchmark::State& state) {
+  Rng rng(11);
+  Tensor x = Tensor::random(Shape{1, 96, 128}, rng);
+  Tensor bias = Tensor::random(Shape{128}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(add(x, bias));
+  }
+}
+BENCHMARK(BM_BertBiasAdd);
+
+void BM_BertPowSquare(benchmark::State& state) {
+  Rng rng(12);
+  Tensor x = Tensor::random(Shape{1, 96, 128}, rng);
+  Tensor two = Tensor::scalar(2.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pow_op(x, two));
+  }
+}
+BENCHMARK(BM_BertPowSquare);
+
+void BM_BertReduceMean(benchmark::State& state) {
+  Rng rng(13);
+  Tensor x = Tensor::random(Shape{1, 96, 128}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reduce_mean(x, {-1}));
+  }
+}
+BENCHMARK(BM_BertReduceMean);
+
+void BM_BertTransposeHeads(benchmark::State& state) {
+  Rng rng(14);
+  Tensor x = Tensor::random(Shape{1, 96, 4, 32}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(transpose(x, {0, 2, 1, 3}));
+  }
+}
+BENCHMARK(BM_BertTransposeHeads);
 
 void BM_InboxPutGet(benchmark::State& state) {
   Inbox box;

@@ -20,7 +20,7 @@ std::optional<Shape> broadcast(const Shape& a, const Shape& b) {
     std::int64_t da = i < a.rank() ? a.dim(a.rank() - 1 - i) : 1;
     std::int64_t db = i < b.rank() ? b.dim(b.rank() - 1 - i) : 1;
     if (da != db && da != 1 && db != 1) return std::nullopt;
-    dims[static_cast<std::size_t>(rank - 1 - i)] = std::max(da, db);
+    dims[static_cast<std::size_t>(rank - 1 - i)] = da == 1 ? db : da;
   }
   return Shape(std::move(dims));
 }
@@ -168,6 +168,8 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
       std::int64_t begin = n.attrs.get_int("begin");
       std::int64_t end = n.attrs.get_int("end");
       const std::int64_t step = n.attrs.get_int("step", 1);
+      RAMIEL_CHECK(step >= 1, str_cat("Slice node '", n.name,
+                                      "': step must be >= 1, got ", step));
       const std::int64_t dim = is.dim(ax);
       if (begin < 0) begin += dim;
       if (end < 0) end += dim;
@@ -194,9 +196,17 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
       const Shape& is = in_shape(0);
       const auto& perm = n.attrs.get_ints("perm");
       if (static_cast<int>(perm.size()) != is.rank()) return {};
+      std::vector<bool> seen(perm.size(), false);
       std::vector<std::int64_t> dims;
       dims.reserve(perm.size());
-      for (std::int64_t p : perm) dims.push_back(is.dim(static_cast<int>(p)));
+      for (std::int64_t p : perm) {
+        RAMIEL_CHECK(p >= 0 && p < is.rank() &&
+                         !seen[static_cast<std::size_t>(p)],
+                     str_cat("Transpose node '", n.name,
+                             "': perm must be a permutation of [0, rank)"));
+        seen[static_cast<std::size_t>(p)] = true;
+        dims.push_back(is.dim(static_cast<int>(p)));
+      }
       return {Shape(std::move(dims))};
     }
     case OpKind::kReshape: {

@@ -14,7 +14,9 @@ namespace ramiel {
 
 /// Infers shapes for all node outputs where possible. Graph inputs and
 /// initializers must already carry shapes. Returns the number of values
-/// whose shape was newly determined.
+/// whose shape was newly determined. Throws Error on attributes no kernel
+/// could run (a Slice step below 1, a Transpose perm that is not a
+/// permutation).
 int infer_shapes(Graph& graph);
 
 /// Throws ValidationError if any live node output still has an undetermined

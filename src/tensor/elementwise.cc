@@ -1,8 +1,10 @@
+#include <array>
 #include <cmath>
 
 #include "support/check.h"
 #include "support/string_util.h"
 #include "tensor/ops.h"
+#include "tensor/strided_loop.h"
 
 namespace ramiel {
 namespace {
@@ -29,60 +31,55 @@ Shape broadcast_shape(const Shape& a, const Shape& b) {
     RAMIEL_CHECK(da == db || da == 1 || db == 1,
                  str_cat("cannot broadcast ", a.to_string(), " with ",
                          b.to_string()));
-    dims[static_cast<std::size_t>(rank - 1 - i)] = std::max(da, db);
+    dims[static_cast<std::size_t>(rank - 1 - i)] = da == 1 ? db : da;
   }
   return Shape(std::move(dims));
 }
 
+// Broadcast binary op over the strided-run loop: the output is written
+// sequentially and each run's inner loop takes one of four forms, both
+// inputs contiguous, either one a loop-invariant scalar, or strided.
 template <typename F>
 Tensor binary(const Tensor& a, const Tensor& b, F f) {
-  // Fast path: identical shapes.
-  if (a.shape() == b.shape()) {
-    Tensor out(a.shape());
-    auto da = a.data();
-    auto db = b.data();
-    auto dst = out.mutable_data();
-    for (std::size_t i = 0; i < da.size(); ++i) dst[i] = f(da[i], db[i]);
-    return out;
-  }
   Shape os = broadcast_shape(a.shape(), b.shape());
   Tensor out(os);
   const int rank = os.rank();
-  auto ostrides = os.strides();
-  // Effective strides for each input: 0 where broadcast.
-  auto eff = [&](const Shape& s) {
-    std::vector<std::int64_t> st(static_cast<std::size_t>(rank), 0);
-    auto real = s.strides();
+  // Per output dim, each input's element stride (0 where it is broadcast).
+  std::vector<std::array<std::int64_t, 2>> strides(
+      static_cast<std::size_t>(rank), {0, 0});
+  auto fill = [&](const Shape& s, std::size_t k) {
+    const auto real = s.strides();
     for (int i = 0; i < s.rank(); ++i) {
-      int oi = rank - s.rank() + i;
-      st[static_cast<std::size_t>(oi)] =
-          s.dim(i) == 1 ? 0 : real[static_cast<std::size_t>(i)];
+      if (s.dim(i) == 1) continue;
+      strides[static_cast<std::size_t>(rank - s.rank() + i)][k] =
+          real[static_cast<std::size_t>(i)];
     }
-    return st;
   };
-  auto sa = eff(a.shape());
-  auto sb = eff(b.shape());
-  auto da = a.data();
-  auto db = b.data();
-  auto dst = out.mutable_data();
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(rank), 0);
-  const std::int64_t n = os.numel();
-  std::int64_t offa = 0, offb = 0;
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    dst[static_cast<std::size_t>(flat)] =
-        f(da[static_cast<std::size_t>(offa)], db[static_cast<std::size_t>(offb)]);
-    // Odometer increment.
-    for (int d = rank - 1; d >= 0; --d) {
-      auto ud = static_cast<std::size_t>(d);
-      ++idx[ud];
-      offa += sa[ud];
-      offb += sb[ud];
-      if (idx[ud] < os.dim(d)) break;
-      offa -= sa[ud] * os.dim(d);
-      offb -= sb[ud] * os.dim(d);
-      idx[ud] = 0;
+  fill(a.shape(), 0);
+  fill(b.shape(), 1);
+  const auto loop = strided::collapse(os.dims(), strides);
+  const std::int64_t n = loop.run();
+  const std::int64_t sa = loop.run_strides()[0];
+  const std::int64_t sb = loop.run_strides()[1];
+  const float* pa = a.data().data();
+  const float* pb = b.data().data();
+  float* o = out.mutable_data().data();
+  strided::for_each_run(loop, [&](const std::array<std::int64_t, 2>& off) {
+    const float* x = pa + off[0];
+    const float* y = pb + off[1];
+    if (sa == 1 && sb == 1) {
+      for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
+    } else if (sa == 0 && sb == 1) {
+      const float xv = *x;
+      for (std::int64_t i = 0; i < n; ++i) o[i] = f(xv, y[i]);
+    } else if (sa == 1 && sb == 0) {
+      const float yv = *y;
+      for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], yv);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i * sa], y[i * sb]);
     }
-  }
+    o += n;
+  });
   return out;
 }
 
@@ -149,6 +146,11 @@ Tensor div_op(const Tensor& a, const Tensor& b) {
 }
 
 Tensor pow_op(const Tensor& a, const Tensor& b) {
+  // A constant exponent of 2 (LayerNorm's variance) is a plain square:
+  // correctly rounded, where powf may differ from it in the last bit.
+  if (b.numel() == 1 && b.data()[0] == 2.0f) {
+    return binary(a, b, [](float x, float) { return x * x; });
+  }
   return binary(a, b, [](float x, float y) { return std::pow(x, y); });
 }
 

@@ -1,7 +1,9 @@
-#include <algorithm>
+#include <array>
+#include <utility>
 
 #include "support/check.h"
 #include "tensor/ops.h"
+#include "tensor/strided_loop.h"
 
 namespace ramiel {
 
@@ -24,26 +26,33 @@ Tensor reduce_mean(const Tensor& x, const std::vector<int>& axes) {
   }
   Shape os(std::move(out_dims));
   Tensor out = Tensor::zeros(os);
-  auto in = x.data();
-  auto dst = out.mutable_data();
 
-  const auto in_strides = xs.strides();
+  // Walk the input in row-major order; input dim d advances the output by
+  // its stride there, 0 along reduced dims. Each output thus sums its inputs
+  // in input order starting from +0.0f. A kept innermost run is contiguous
+  // in the output (every dim after it has extent 1).
   const auto out_strides = os.strides();
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(xs.rank()), 0);
-  const std::int64_t n = xs.numel();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    std::int64_t oflat = 0;
-    for (int d = 0; d < xs.rank(); ++d) {
-      auto ud = static_cast<std::size_t>(d);
-      if (!reduced[ud]) oflat += idx[ud] * out_strides[ud];
-    }
-    dst[static_cast<std::size_t>(oflat)] += in[static_cast<std::size_t>(flat)];
-    for (int d = xs.rank() - 1; d >= 0; --d) {
-      auto ud = static_cast<std::size_t>(d);
-      if (++idx[ud] < xs.dim(d)) break;
-      idx[ud] = 0;
-    }
+  std::vector<std::array<std::int64_t, 1>> strides(
+      static_cast<std::size_t>(xs.rank()));
+  for (std::size_t d = 0; d < strides.size(); ++d) {
+    strides[d] = {reduced[d] ? 0 : out_strides[d]};
   }
+  const auto loop = strided::collapse(xs.dims(), strides);
+  const std::int64_t n = loop.run();
+  const bool reduced_run = loop.run_strides()[0] == 0;
+  const float* p = x.data().data();
+  auto dst = out.mutable_data();
+  strided::for_each_run(loop, [&](const std::array<std::int64_t, 1>& off) {
+    float* o = dst.data() + off[0];
+    if (reduced_run) {
+      float acc = *o;
+      for (std::int64_t i = 0; i < n; ++i) acc += p[i];
+      *o = acc;
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) o[i] += p[i];
+    }
+    p += n;
+  });
   const float inv = 1.0f / static_cast<float>(reduce_count);
   for (float& v : dst) v *= inv;
   return out;

@@ -1,9 +1,11 @@
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "support/check.h"
 #include "support/string_util.h"
 #include "tensor/ops.h"
+#include "tensor/strided_loop.h"
 
 namespace ramiel {
 
@@ -130,24 +132,27 @@ Tensor transpose(const Tensor& x, const std::vector<int>& perm) {
   Shape os(std::move(out_dims));
   Tensor out{os};
 
+  // Walk the output in row-major order; output dim d reads the input along
+  // perm[d], so dims that stay adjacent in the input merge into one run.
   const auto in_strides = xs.strides();
-  const auto out_strides = os.strides();
-  auto src = x.data();
-  auto dst = out.mutable_data();
-  const std::int64_t n = xs.numel();
-  std::vector<std::int64_t> idx(perm.size(), 0);  // index in *output* space
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    std::int64_t src_off = 0;
-    for (std::size_t d = 0; d < perm.size(); ++d) {
-      src_off += idx[d] * in_strides[static_cast<std::size_t>(perm[d])];
-    }
-    dst[static_cast<std::size_t>(flat)] = src[static_cast<std::size_t>(src_off)];
-    for (int d = static_cast<int>(perm.size()) - 1; d >= 0; --d) {
-      auto ud = static_cast<std::size_t>(d);
-      if (++idx[ud] < os.dim(d)) break;
-      idx[ud] = 0;
-    }
+  std::vector<std::array<std::int64_t, 1>> strides(perm.size());
+  for (std::size_t d = 0; d < perm.size(); ++d) {
+    strides[d] = {in_strides[static_cast<std::size_t>(perm[d])]};
   }
+  const auto loop = strided::collapse(os.dims(), strides);
+  const std::int64_t n = loop.run();
+  const std::int64_t s = loop.run_strides()[0];
+  const float* src = x.data().data();
+  float* o = out.mutable_data().data();
+  strided::for_each_run(loop, [&](const std::array<std::int64_t, 1>& off) {
+    const float* p = src + off[0];
+    if (s == 1) {
+      std::copy(p, p + n, o);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) o[i] = p[i * s];
+    }
+    o += n;
+  });
   return out;
 }
 

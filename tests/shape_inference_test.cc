@@ -1,7 +1,11 @@
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
 #include "graph/shape_inference.h"
+#include "onnx/model_io.h"
+#include "ramiel/pipeline.h"
 #include "support/check.h"
 #include "support/string_util.h"
 #include "test_util.h"
@@ -155,6 +159,46 @@ TEST(ShapeInference, GatherShapes) {
 TEST(ShapeInference, ReturnsNumberFilled) {
   Graph g = testing::make_chain_graph();  // already inferred by helper
   EXPECT_EQ(infer_shapes(g), 0);          // second run fills nothing new
+}
+
+TEST(ShapeInference, BroadcastZeroAgainstOne) {
+  Single s(OpKind::kAdd, {Shape{0, 3}, Shape{1, 3}});
+  EXPECT_EQ(s.out(), Shape({0, 3}));
+}
+
+/// Writes a one-node text model to a temp file and loads it back through
+/// model_io, as `ramiel analyze file.rml` does.
+Graph load_one_node_model(const std::string& file, const std::string& node) {
+  const std::string path = ::testing::TempDir() + file;
+  std::ofstream(path) << "ramiel-onnx-lite v1\nmodel \"m\"\n"
+                      << "input \"x\" [2, 8]\n"
+                      << node << "\noutput \"y\"\n";
+  return load_model_file(path);
+}
+
+TEST(ShapeInference, SliceStepZeroIsAnErrorNotACrash) {
+  const std::string node =
+      "node Slice \"s\" in(\"x\") out(\"y\") "
+      "attrs(axis=1, begin=0, end=4, step=0)";
+  Graph g = load_one_node_model("slice_step0.rml", node);
+  EXPECT_THROW(infer_shapes(g), Error);
+  EXPECT_THROW(compile_model(load_one_node_model("slice_step0.rml", node)),
+               Error);
+}
+
+TEST(ShapeInference, TransposeRejectsNonPermutation) {
+  for (const char* perm : {"[-1, 0]", "[1, 1]", "[0, 2]"}) {
+    const std::string node =
+        std::string("node Transpose \"t\" in(\"x\") out(\"y\") attrs(perm=") +
+        perm + ")";
+    Graph g = load_one_node_model("transpose_bad_perm.rml", node);
+    EXPECT_THROW(infer_shapes(g), Error) << perm;
+  }
+  Graph ok = load_one_node_model(
+      "transpose_ok.rml",
+      "node Transpose \"t\" in(\"x\") out(\"y\") attrs(perm=[1, 0])");
+  infer_shapes(ok);
+  EXPECT_EQ(ok.value(ok.find_value("y")).shape, Shape({8, 2}));
 }
 
 }  // namespace
