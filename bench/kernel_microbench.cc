@@ -428,6 +428,32 @@ void BM_BertTransposeHeads(benchmark::State& state) {
 }
 BENCHMARK(BM_BertTransposeHeads);
 
+// ---------------------------------------------------------------------------
+// BERT MatMuls as the hyperclustered runtime runs them: one product per
+// (node, sample) task at sequence 96, hidden 128, FFN 512 and 4 heads of
+// 32. At these sizes the per-tile work around the microkernel (packing,
+// write-back) costs as much as the FMA loop.
+// ---------------------------------------------------------------------------
+
+void BM_BertMatMul(benchmark::State& state, const Shape& a_shape,
+                   const Shape& b_shape) {
+  Rng rng(15);
+  Tensor a = Tensor::random(a_shape, rng);
+  Tensor b = Tensor::random(b_shape, rng);
+  const std::int64_t flops = 2 * a.numel() * b_shape.dim(-1);  // 2*batch*MNK
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matmul(a, b));
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      static_cast<double>(flops) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+BENCHMARK_CAPTURE(BM_BertMatMul, proj, Shape{96, 128}, Shape{128, 128});
+BENCHMARK_CAPTURE(BM_BertMatMul, ff1, Shape{96, 128}, Shape{128, 512});
+BENCHMARK_CAPTURE(BM_BertMatMul, ff2, Shape{96, 512}, Shape{512, 128});
+BENCHMARK_CAPTURE(BM_BertMatMul, qk, Shape{1, 4, 96, 32}, Shape{1, 4, 32, 96});
+BENCHMARK_CAPTURE(BM_BertMatMul, pv, Shape{1, 4, 96, 96}, Shape{1, 4, 96, 32});
+
 void BM_InboxPutGet(benchmark::State& state) {
   Inbox box;
   Tensor payload = Tensor::zeros(Shape{64, 64});

@@ -5,6 +5,7 @@
 
 #include "support/check.h"
 #include "support/string_util.h"
+#include "tensor/ops.h"
 
 namespace ramiel {
 namespace {
@@ -34,6 +35,12 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
   auto in_known = [&](std::size_t i) {
     return i < n.inputs.size() && known(g.value(n.inputs[i]));
   };
+  // Window extents, strides and dilations divide or scale the output
+  // extent; anything below 1 is a malformed model, not a shape.
+  auto require_positive = [&](const char* attr, std::int64_t v) {
+    RAMIEL_CHECK(v >= 1, str_cat(op_kind_name(n.kind), " node '", n.name,
+                                 "': ", attr, " must be >= 1, got ", v));
+  };
   auto in_const = [&](std::size_t i) -> const Tensor* {
     if (i >= n.inputs.size()) return nullptr;
     const Value& v = g.value(n.inputs[i]);
@@ -55,6 +62,10 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
       const std::int64_t pad = n.attrs.get_int("pad", 0);
       const std::int64_t dil = n.attrs.get_int("dilation", 1);
       const std::int64_t R = ws.dim(2), S = ws.dim(3);
+      require_positive("stride", stride);
+      require_positive("dilation", dil);
+      require_positive("kernel height", R);
+      require_positive("kernel width", S);
       const std::int64_t OH = (is.dim(2) + 2 * pad - dil * (R - 1) - 1) / stride + 1;
       const std::int64_t OW = (is.dim(3) + 2 * pad - dil * (S - 1) - 1) / stride + 1;
       return {Shape{is.dim(0), ws.dim(0), OH, OW}};
@@ -67,6 +78,8 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
       const std::int64_t k = n.attrs.get_int("kernel");
       const std::int64_t stride = n.attrs.get_int("stride", k);
       const std::int64_t pad = n.attrs.get_int("pad", 0);
+      require_positive("kernel", k);
+      require_positive("stride", stride);
       const std::int64_t OH = (is.dim(2) + 2 * pad - k) / stride + 1;
       const std::int64_t OW = (is.dim(3) + 2 * pad - k) / stride + 1;
       return {Shape{is.dim(0), is.dim(1), OH, OW}};
@@ -106,7 +119,14 @@ std::vector<Shape> infer_node(const Graph& g, const Node& n) {
       const bool tb = n.attrs.get_int("trans_b", 0) != 0;
       const Shape& a = in_shape(0);
       const Shape& b = in_shape(1);
-      return {Shape{ta ? a.dim(1) : a.dim(0), tb ? b.dim(0) : b.dim(1)}};
+      const Shape out{ta ? a.dim(1) : a.dim(0), tb ? b.dim(0) : b.dim(1)};
+      if (in_known(2)) {
+        RAMIEL_CHECK(gemm_bias_broadcasts(in_shape(2), out.dim(0), out.dim(1)),
+                     str_cat("Gemm node '", n.name, "': bias ",
+                             in_shape(2).to_string(), " does not broadcast to ",
+                             out.to_string()));
+      }
+      return {out};
     }
     case OpKind::kAdd:
     case OpKind::kSub:

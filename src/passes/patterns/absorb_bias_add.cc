@@ -88,11 +88,19 @@ class AbsorbBiasAdd final : public Pattern {
     // The bias epilogue applies before the activation; a producer that
     // already fused an activation cannot take a post-activation Add.
     if (prod.attrs.has("act")) return false;
-    if (prod.inputs.size() == 3 && !g.value(prod.inputs[2]).is_constant()) {
-      return false;
-    }
     const std::int64_t channels = out_channels(g, prod);
     if (channels <= 0) return false;
+    // An existing bias is summed per channel. A conv bias always is ([K]);
+    // a Gemm bias may also vary along M ([M,1], [M,N]) and is left alone.
+    if (prod.inputs.size() == 3) {
+      const Value& old = g.value(prod.inputs[2]);
+      if (!old.is_constant()) return false;
+      if (prod.kind == OpKind::kGemm &&
+          !per_channel_broadcast(old.const_data->shape(), channels,
+                                 prod.kind)) {
+        return false;
+      }
+    }
     return per_channel_broadcast(g.value(c).shape, channels, prod.kind);
   }
 

@@ -164,6 +164,12 @@ Tensor conv2d(const Tensor& input, const Tensor& weight,
   ConvDims d;
   d.N = is.dim(0), d.C = is.dim(1), d.H = is.dim(2), d.W = is.dim(3);
   d.K = ws.dim(0), d.Cg = ws.dim(1), d.R = ws.dim(2), d.S = ws.dim(3);
+  RAMIEL_CHECK(p.stride_h >= 1 && p.stride_w >= 1 && p.dilation_h >= 1 &&
+                   p.dilation_w >= 1 && d.R >= 1 && d.S >= 1,
+               str_cat("conv2d stride, dilation and kernel must be >= 1, got "
+                       "stride ", p.stride_h, "x", p.stride_w, ", dilation ",
+                       p.dilation_h, "x", p.dilation_w, ", kernel ", d.R, "x",
+                       d.S));
   RAMIEL_CHECK(p.groups >= 1 && d.C % p.groups == 0 && d.K % p.groups == 0,
                "conv2d group count must divide channels");
   RAMIEL_CHECK(d.Cg == d.C / p.groups,

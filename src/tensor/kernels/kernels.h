@@ -68,8 +68,9 @@ enum class Activation { kNone, kRelu, kSigmoid };
 
 /// Fused write-back transform: C = act(C_acc + bias). The bias term for
 /// element (m, n) is bias[m * bias_stride_m + n * bias_stride_n]; a
-/// per-column bias (ONNX Gemm) uses {0, 1}, a per-channel conv bias uses
-/// {1, 0}, a scalar bias {0, 0}. bias == nullptr means no bias.
+/// per-column bias uses {0, 1}, a per-row bias (conv channels, a Gemm
+/// [M,1] bias) {1, 0}, a scalar bias {0, 0}, a full [M,N] bias {N, 1}.
+/// bias == nullptr means no bias.
 struct Epilogue {
   const float* bias = nullptr;
   std::int64_t bias_stride_m = 0;

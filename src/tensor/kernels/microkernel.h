@@ -1,16 +1,22 @@
 // Internal contract between the blocked SGEMM driver and its microkernels.
 //
-// A microkernel computes one MR x NR register tile:
+// A microkernel computes one full MR x NR register tile
 //
 //   acc[MR][NR] = sum_{k < kc} a_panel[k][MR] (x) b_panel[k][NR]
 //
 // over panels packed by the driver (a_panel: k-major with MR consecutive
 // row elements per k; b_panel: k-major with NR consecutive column elements
-// per k). It always computes the full tile — the driver pads panels with
-// zeros at the M/N edges and masks the write-back — and always *overwrites*
-// acc, leaving accumulation across KC blocks, bias and activation to the
-// driver's merge step. That keeps the hot loop free of branches and every
-// epilogue decision in one portable place.
+// per k), and writes it straight from registers into C (row-major, leading
+// dimension ldc) as a TileWriteback describes (BLIS-style):
+//
+//   not last:  C = acc  (first)  or  C += acc
+//   last:      v = (first ? 0 : C) + acc;  v += bias;  C = relu ? max(v, 0) : v
+//
+// in exactly that operation order, so the result is bit-identical to
+// storing acc and merging it element by element. The kernel always writes
+// the full tile; the driver hands it a local MR x NR tile instead of C
+// (plain store: first, not last) for ragged M/N edges, Sigmoid, and bias
+// layouts outside the two forms below, then merges that tile itself.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +35,28 @@ inline constexpr std::int64_t kMC = 72;
 inline constexpr std::int64_t kKC = 256;
 inline constexpr std::int64_t kNC = 2048;
 
-/// acc is a 64-byte-aligned MR x NR row-major buffer, always fully written.
+/// How a microkernel folds its register tile into C. The bias is read only
+/// on the last KC block and takes one of two forms: per column (`bias[j]`
+/// for tile column j, `bias_per_col`), or per row / scalar
+/// (`bias[r * bias_rs]` for tile row r; bias_rs == 0 is a scalar). A null
+/// bias adds +0.0f, as the element-wise merge does.
+struct TileWriteback {
+  bool first = true;  // first KC block: C holds no partial sum yet
+  bool last = true;   // last KC block: add bias, apply Relu
+  const float* bias = nullptr;
+  std::int64_t bias_rs = 0;
+  bool bias_per_col = false;
+  bool relu = false;
+};
+
+/// C points at the tile's (0, 0) element; no alignment is required.
 using MicroKernelFn = void (*)(std::int64_t kc, const float* a_panel,
-                               const float* b_panel, float* acc);
+                               const float* b_panel, float* c,
+                               std::int64_t ldc, const TileWriteback& wb);
 
 void microkernel_scalar(std::int64_t kc, const float* a_panel,
-                        const float* b_panel, float* acc);
+                        const float* b_panel, float* c, std::int64_t ldc,
+                        const TileWriteback& wb);
 
 /// Compiled with AVX2+FMA codegen in its own TU; only ever called after a
 /// runtime CPUID check. Null on targets where the compiler can't emit AVX2.

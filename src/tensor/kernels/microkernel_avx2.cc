@@ -11,9 +11,35 @@
 namespace ramiel::kernels {
 namespace {
 
+// Folds one row's two accumulators into C (see TileWriteback for the
+// operation order). b0/b1 are the row's bias lanes, zero when there is none.
+inline void store_row(float* c, __m256 v0, __m256 v1, const TileWriteback& wb,
+                      __m256 b0, __m256 b1) {
+  const __m256 zero = _mm256_setzero_ps();
+  if (!wb.first) {
+    v0 = _mm256_add_ps(_mm256_loadu_ps(c), v0);
+    v1 = _mm256_add_ps(_mm256_loadu_ps(c + 8), v1);
+  } else if (wb.last) {
+    v0 = _mm256_add_ps(zero, v0);
+    v1 = _mm256_add_ps(zero, v1);
+  }
+  if (wb.last) {
+    v0 = _mm256_add_ps(v0, b0);
+    v1 = _mm256_add_ps(v1, b1);
+    if (wb.relu) {
+      // maxps returns its second operand for NaN and for +-0 pairs, so this
+      // is `v > 0 ? v : 0` lane for lane.
+      v0 = _mm256_max_ps(v0, zero);
+      v1 = _mm256_max_ps(v1, zero);
+    }
+  }
+  _mm256_storeu_ps(c, v0);
+  _mm256_storeu_ps(c + 8, v1);
+}
+
 // 6x16 register tile: two 8-lane accumulators per row.
 void ukr_avx2(std::int64_t kc, const float* a_panel, const float* b_panel,
-              float* acc) {
+              float* c, std::int64_t ldc, const TileWriteback& wb) {
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -70,18 +96,28 @@ void ukr_avx2(std::int64_t kc, const float* a_panel, const float* b_panel,
   }
 #undef RAMIEL_UKR_STEP
 
-  _mm256_store_ps(acc + 0 * kNR, c00);
-  _mm256_store_ps(acc + 0 * kNR + 8, c01);
-  _mm256_store_ps(acc + 1 * kNR, c10);
-  _mm256_store_ps(acc + 1 * kNR + 8, c11);
-  _mm256_store_ps(acc + 2 * kNR, c20);
-  _mm256_store_ps(acc + 2 * kNR + 8, c21);
-  _mm256_store_ps(acc + 3 * kNR, c30);
-  _mm256_store_ps(acc + 3 * kNR + 8, c31);
-  _mm256_store_ps(acc + 4 * kNR, c40);
-  _mm256_store_ps(acc + 4 * kNR + 8, c41);
-  _mm256_store_ps(acc + 5 * kNR, c50);
-  _mm256_store_ps(acc + 5 * kNR + 8, c51);
+  // Bias lanes: a per-column bias loads once, a per-row/scalar one is
+  // broadcast per row; zero when there is none or this is not the last block.
+  const bool has_bias = wb.last && wb.bias != nullptr;
+  __m256 col0 = _mm256_setzero_ps(), col1 = _mm256_setzero_ps();
+  if (has_bias && wb.bias_per_col) {
+    col0 = _mm256_loadu_ps(wb.bias);
+    col1 = _mm256_loadu_ps(wb.bias + 8);
+  }
+  const auto row = [&](std::int64_t r, __m256 v0, __m256 v1) {
+    if (has_bias && !wb.bias_per_col) {
+      const __m256 rb = _mm256_broadcast_ss(wb.bias + r * wb.bias_rs);
+      store_row(c + r * ldc, v0, v1, wb, rb, rb);
+    } else {
+      store_row(c + r * ldc, v0, v1, wb, col0, col1);
+    }
+  };
+  row(0, c00, c01);
+  row(1, c10, c11);
+  row(2, c20, c21);
+  row(3, c30, c31);
+  row(4, c40, c41);
+  row(5, c50, c51);
 }
 
 }  // namespace

@@ -5,20 +5,37 @@ namespace ramiel::kernels {
 // Portable microkernel over the packed panels. The fixed-trip inner loops
 // over an accumulator array auto-vectorize to whatever the baseline target
 // offers (SSE2 on x86-64), which keeps the packed driver profitable even
-// without the explicit AVX2 kernel.
+// without the explicit AVX2 kernel. The write-back follows TileWriteback's
+// operation order element for element.
 void microkernel_scalar(std::int64_t kc, const float* a_panel,
-                        const float* b_panel, float* acc) {
-  float c[kMR][kNR] = {};
+                        const float* b_panel, float* c, std::int64_t ldc,
+                        const TileWriteback& wb) {
+  float acc[kMR][kNR] = {};
   for (std::int64_t k = 0; k < kc; ++k) {
     const float* a = a_panel + k * kMR;
     const float* b = b_panel + k * kNR;
     for (std::int64_t r = 0; r < kMR; ++r) {
       const float av = a[r];
-      for (std::int64_t j = 0; j < kNR; ++j) c[r][j] += av * b[j];
+      for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += av * b[j];
     }
   }
   for (std::int64_t r = 0; r < kMR; ++r) {
-    for (std::int64_t j = 0; j < kNR; ++j) acc[r * kNR + j] = c[r][j];
+    float* dst = c + r * ldc;
+    for (std::int64_t j = 0; j < kNR; ++j) {
+      float v = acc[r][j];
+      if (!wb.first) {
+        v = dst[j] + v;
+      } else if (wb.last) {
+        v = 0.0f + v;
+      }
+      if (wb.last) {
+        v += wb.bias == nullptr ? 0.0f
+             : wb.bias_per_col  ? wb.bias[j]
+                                : wb.bias[r * wb.bias_rs];
+        if (wb.relu) v = v > 0.0f ? v : 0.0f;
+      }
+      dst[j] = v;
+    }
   }
 }
 

@@ -8,22 +8,29 @@
 //       pack B[kc x nc] into NR-wide k-major panels   (parallel over panels)
 //       for each MC row tile:                         (parallel over tiles)
 //         pack A[mc x kc] into MR-wide k-major panels (per-lane scratch)
-//         for each NR panel x MR subtile: microkernel -> merge into C
+//         for each NR panel x MR subtile: microkernel -> C
 //
-// The merge step owns accumulation across KC blocks and the fused epilogue
-// (bias + activation on the last block), so the microkernel stays a pure
-// register-tile FMA loop. Intra-op threads split over cache-blocked row
-// tiles — each lane packs its own A tiles into its own scratch slice, and
-// the two dispatch_parallel_for calls per (stripe, block) act as barriers
-// so no lane reads a B panel that is still being packed.
+// The microkernel writes each full register tile straight into C, owning
+// accumulation across KC blocks and, on the last block, the bias add and
+// Relu (see TileWriteback in microkernel.h). Ragged M/N edge tiles,
+// Sigmoid and full [M,N] biases instead land in a local MR x NR tile that
+// merge_tile folds into C element by element, in the same operation order,
+// so both routes give bit-identical results. Intra-op threads split over
+// cache-blocked row tiles — each lane packs its own A tiles into its own
+// scratch slice, and the two dispatch_parallel_for calls per (stripe,
+// block) act as barriers so no lane reads a B panel that is still being
+// packed.
 //
 // Storage dtypes (sgemm_dt): f16/bf16 operands are widened to f32 inside
 // the panel packers — the microkernel and all accumulation stay fp32 — and
-// a non-f32 C is staged per NC stripe in an fp32 scratch strip that is
-// narrowed once after the stripe's last KC block, so rounding to storage
-// precision happens exactly once per output element.
+// a non-f32 C is staged per NC stripe in an fp32 scratch strip that the
+// microkernel writes like any f32 C and that is narrowed once after the
+// stripe's last KC block, so rounding to storage precision happens exactly
+// once per output element.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -124,31 +131,66 @@ void sgemm_scalar(std::int64_t M, std::int64_t N, std::int64_t K,
 // Packed/blocked vector path
 // ---------------------------------------------------------------------------
 
-/// Packs A[m0 .. m0+mc, k0 .. k0+kc] into MR-wide k-major panels, zero-
-/// padding the ragged last row tile so the microkernel never branches.
+/// Packs A[m0 .. m0+mc, k0 .. k0+kc] into MR-wide k-major panels. Full row
+/// tiles interleave without a per-element branch; the ragged last tile is
+/// zero-padded so the microkernel never branches.
 template <typename Load>
 void pack_a(float* dst, const void* A, std::int64_t rs_a, std::int64_t cs_a,
             std::int64_t m0, std::int64_t mc, std::int64_t k0,
             std::int64_t kc) {
-  const std::int64_t tiles = ceil_div(mc, kMR);
-  for (std::int64_t i = 0; i < tiles; ++i) {
+  const std::int64_t full = mc / kMR;
+  for (std::int64_t i = 0; i < full; ++i) {
     float* tile = dst + i * kMR * kc;
-    for (std::int64_t k = 0; k < kc; ++k) {
-      for (std::int64_t r = 0; r < kMR; ++r) {
-        const std::int64_t row = i * kMR + r;
-        tile[k * kMR + r] =
-            row < mc ? Load::at(A, (m0 + row) * rs_a + (k0 + k) * cs_a)
-                     : 0.0f;
+    const std::int64_t src = (m0 + i * kMR) * rs_a + k0 * cs_a;
+    if (std::is_same_v<Load, LoadF32> && cs_a == 1) {
+      const float* a = static_cast<const float*>(A) + src;
+      for (std::int64_t k = 0; k < kc; ++k) {
+        for (std::int64_t r = 0; r < kMR; ++r) {
+          tile[k * kMR + r] = a[r * rs_a + k];
+        }
       }
+    } else {
+      for (std::int64_t k = 0; k < kc; ++k) {
+        for (std::int64_t r = 0; r < kMR; ++r) {
+          tile[k * kMR + r] = Load::at(A, src + r * rs_a + k * cs_a);
+        }
+      }
+    }
+  }
+  if (full * kMR == mc) return;
+  float* tile = dst + full * kMR * kc;
+  for (std::int64_t k = 0; k < kc; ++k) {
+    for (std::int64_t r = 0; r < kMR; ++r) {
+      const std::int64_t row = full * kMR + r;
+      tile[k * kMR + r] =
+          row < mc ? Load::at(A, (m0 + row) * rs_a + (k0 + k) * cs_a) : 0.0f;
     }
   }
 }
 
-/// Packs one NR-wide column panel of B[k0 .. k0+kc, n0 .. n0+nvalid).
+/// Packs one NR-wide column panel of B[k0 .. k0+kc, n0 .. n0+nvalid). A full
+/// f32 panel with unit column stride is one NR-float copy per k row.
 template <typename Load>
 void pack_b_panel(float* dst, const void* B, std::int64_t rs_b,
                   std::int64_t cs_b, std::int64_t k0, std::int64_t kc,
                   std::int64_t n0, std::int64_t nvalid) {
+  if (nvalid >= kNR) {
+    if (std::is_same_v<Load, LoadF32> && cs_b == 1) {
+      const float* b = static_cast<const float*>(B) + k0 * rs_b + n0;
+      for (std::int64_t k = 0; k < kc; ++k) {
+        std::memcpy(dst + k * kNR, b + k * rs_b, kNR * sizeof(float));
+      }
+      return;
+    }
+    for (std::int64_t k = 0; k < kc; ++k) {
+      const std::int64_t src = (k0 + k) * rs_b + n0 * cs_b;
+      float* row = dst + k * kNR;
+      for (std::int64_t j = 0; j < kNR; ++j) {
+        row[j] = Load::at(B, src + j * cs_b);
+      }
+    }
+    return;
+  }
   for (std::int64_t k = 0; k < kc; ++k) {
     const std::int64_t src = (k0 + k) * rs_b + n0 * cs_b;
     float* row = dst + k * kNR;
@@ -235,10 +277,12 @@ PackBFn pack_b_for(DType dt, std::int64_t cs_b) {
   return nullptr;
 }
 
-/// Folds one microkernel tile into C: accumulate across KC blocks, apply
-/// the epilogue on the last block, mask the M/N edges. `bias_n0` is the
-/// *global* output column of dst column 0 — it differs from n0 when C is a
-/// staged stripe addressed with stripe-local columns.
+/// Folds one locally stored microkernel tile into C: accumulate across KC
+/// blocks, apply the epilogue on the last block, mask the M/N edges. The
+/// microkernels' direct write-back does the same for full tiles with the
+/// epilogues it implements; this is the route for everything else.
+/// `bias_n0` is the *global* output column of dst column 0 — it differs
+/// from n0 when C is a staged stripe addressed with stripe-local columns.
 void merge_tile(float* C, std::int64_t ldc, std::int64_t m0, std::int64_t n0,
                 std::int64_t rows, std::int64_t cols, const float* acc,
                 bool first, bool last, const Epilogue& ep,
@@ -271,6 +315,21 @@ void sgemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
   const PackAFn do_pack_a = pack_a_for(a_dt, cs_a);
   const PackBFn do_pack_b = pack_b_for(b_dt, cs_b);
   const bool stage_c = c_dt != DType::kF32;
+
+  // The microkernel writes full tiles back itself when it implements the
+  // epilogue: no activation or Relu, with no bias, a per-column bias or a
+  // per-row/scalar one. Other tiles go through a local tile + merge_tile.
+  const bool bias_cols = ep.bias_stride_m == 0 && ep.bias_stride_n == 1;
+  const bool direct =
+      ep.act != Activation::kSigmoid &&
+      (ep.bias == nullptr || bias_cols || ep.bias_stride_n == 0);
+  TileWriteback wb_base;
+  wb_base.relu = ep.act == Activation::kRelu;
+  if (ep.bias != nullptr) {
+    wb_base.bias_rs = ep.bias_stride_m;
+    wb_base.bias_per_col = bias_cols;
+  }
+  const TileWriteback local_store{/*first=*/true, /*last=*/false};
 
   const std::int64_t mtiles_total = ceil_div(M, kMC);
   const std::int64_t lanes =
@@ -320,6 +379,9 @@ void sgemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
       dispatch_parallel_for(
           ctx, parts, part_cost, [&](std::int64_t plo, std::int64_t phi) {
             alignas(64) float acc[kMR * kNR];
+            TileWriteback tile_wb = wb_base;
+            tile_wb.first = first;
+            tile_wb.last = last;
             for (std::int64_t p = plo; p < phi; ++p) {
               float* ap = ap0 + p * ap_floats;
               const std::int64_t t_begin = p * mtiles_total / parts;
@@ -331,13 +393,23 @@ void sgemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
                 do_pack_a(ap, A, rs_a, cs_a, m0, mc, k0, kc);
                 for (std::int64_t j = 0; j < npan; ++j) {
                   const float* bpj = bp + j * kc * kNR;
-                  const std::int64_t cols =
-                      std::min(kNR, nc - j * kNR);
+                  const std::int64_t cols = std::min(kNR, nc - j * kNR);
                   for (std::int64_t i = 0; i < subtiles; ++i) {
-                    ukr(kc, ap + i * kMR * kc, bpj, acc);
-                    merge_tile(cdst, ldc_dst, m0 + i * kMR, j * kNR,
-                               std::min(kMR, mc - i * kMR), cols, acc, first,
-                               last, ep, n0 + j * kNR);
+                    const std::int64_t mi = m0 + i * kMR;
+                    const std::int64_t rows = std::min(kMR, mc - i * kMR);
+                    const float* api = ap + i * kMR * kc;
+                    if (direct && rows == kMR && cols == kNR) {
+                      if (ep.bias != nullptr) {
+                        tile_wb.bias = ep.bias + mi * ep.bias_stride_m +
+                                       (n0 + j * kNR) * ep.bias_stride_n;
+                      }
+                      ukr(kc, api, bpj, cdst + mi * ldc_dst + j * kNR,
+                          ldc_dst, tile_wb);
+                    } else {
+                      ukr(kc, api, bpj, acc, kNR, local_store);
+                      merge_tile(cdst, ldc_dst, mi, j * kNR, rows, cols, acc,
+                                 first, last, ep, n0 + j * kNR);
+                    }
                   }
                 }
               }

@@ -121,6 +121,13 @@ Tensor matmul(const Tensor& a, const Tensor& b, const OpContext& ctx,
   return out;
 }
 
+bool gemm_bias_broadcasts(const Shape& bias, std::int64_t M, std::int64_t N) {
+  if (bias.rank() > 2) return false;
+  const std::int64_t bm = bias.rank() == 2 ? bias.dim(0) : 1;
+  const std::int64_t bn = bias.rank() >= 1 ? bias.dim(-1) : 1;
+  return (bm == 1 || bm == M) && (bn == 1 || bn == N);
+}
+
 Tensor gemm(const Tensor& a, const Tensor& b, const std::optional<Tensor>& bias,
             bool trans_a, bool trans_b, kernels::Activation act,
             const OpContext& ctx, DType out_dtype, float act_absmax) {
@@ -145,15 +152,19 @@ Tensor gemm(const Tensor& a, const Tensor& b, const std::optional<Tensor>& bias,
   }
 
   Tensor out(Shape{M, N}, out_dtype);
-  const std::int64_t bias_n = bias ? bias->numel() : 0;
-  RAMIEL_CHECK(!bias || bias_n == N || bias_n == 1,
-               "gemm bias must broadcast over rows");
-
   kernels::Epilogue ep;
   ep.act = act;
   if (bias) {
+    const Shape& cs = bias->shape();
+    RAMIEL_CHECK(gemm_bias_broadcasts(cs, M, N),
+                 str_cat("gemm bias ", cs.to_string(),
+                         " does not broadcast to [", M, ", ", N, "]"));
+    // Right-aligned: a rank-1 bias is the column axis.
+    const std::int64_t bm = cs.rank() == 2 ? cs.dim(0) : 1;
+    const std::int64_t bn = cs.rank() >= 1 ? cs.dim(-1) : 1;
     ep.bias = bias->data().data();
-    ep.bias_stride_n = bias_n == 1 ? 0 : 1;
+    ep.bias_stride_m = bm == 1 ? 0 : bn;
+    ep.bias_stride_n = bn == 1 ? 0 : 1;
   }
   // Transposition is just a stride swap; packing reads through it.
   const std::int64_t rs_a = trans_a ? 1 : K;

@@ -86,8 +86,9 @@ Tensor matmul(const Tensor& a, const Tensor& b,
               DType out_dtype = DType::kF32, float act_absmax = -1.0f);
 
 /// GEMM: a [M,K] (optionally transposed), b [K,N] (optionally transposed),
-/// plus optional bias broadcast over rows, plus an optional activation fused
-/// into the write-back. Matches ONNX Gemm (with act == kNone). Storage
+/// plus an optional bias broadcast to [M,N] (see gemm_bias_broadcasts), plus
+/// an optional activation fused into the write-back. Matches ONNX Gemm
+/// (with act == kNone and alpha == beta == 1). Storage
 /// dtypes as in matmul (i8 `b` carries QuantMeta on its output-channel
 /// axis, i.e. axis 1, or 0 when trans_b).
 Tensor gemm(const Tensor& a, const Tensor& b, const std::optional<Tensor>& bias,
@@ -95,6 +96,11 @@ Tensor gemm(const Tensor& a, const Tensor& b, const std::optional<Tensor>& bias,
             kernels::Activation act = kernels::Activation::kNone,
             const OpContext& ctx = OpContext::serial(),
             DType out_dtype = DType::kF32, float act_absmax = -1.0f);
+
+/// True when a Gemm bias of shape `bias` broadcasts to the [M, N] output
+/// under ONNX unidirectional broadcasting: rank <= 2 and each dim either 1
+/// or the matching output dim ([N], [1,N], [M,1], [M,N], scalars).
+bool gemm_bias_broadcasts(const Shape& bias, std::int64_t M, std::int64_t N);
 
 // ---------------------------------------------------------------------------
 // Elementwise

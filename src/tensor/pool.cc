@@ -1,6 +1,7 @@
 #include <limits>
 
 #include "support/check.h"
+#include "support/string_util.h"
 #include "tensor/ops.h"
 
 namespace ramiel {
@@ -12,6 +13,11 @@ struct PoolDims {
 
 PoolDims pool_dims(const Shape& is, const Pool2dParams& p) {
   RAMIEL_CHECK(is.rank() == 4, "pooling input must be NCHW");
+  RAMIEL_CHECK(p.kernel_h >= 1 && p.kernel_w >= 1 && p.stride_h >= 1 &&
+                   p.stride_w >= 1,
+               str_cat("pooling kernel and stride must be >= 1, got kernel ",
+                       p.kernel_h, "x", p.kernel_w, ", stride ", p.stride_h,
+                       "x", p.stride_w));
   PoolDims d{};
   d.N = is.dim(0);
   d.C = is.dim(1);

@@ -65,6 +65,20 @@ TEST(Conv2d, IdentityKernelPassesThrough) {
   expect_tensors_close(out, x.reshaped(Shape{1, 1, 2, 2}));
 }
 
+TEST(Conv2d, RejectsStrideDilationOrKernelBelowOne) {
+  Tensor x = Tensor::full(Shape{1, 1, 4, 4}, 1.0f);
+  Tensor w = Tensor::full(Shape{1, 1, 1, 1}, 1.0f);
+  Conv2dParams stride0;
+  stride0.stride_w = 0;
+  EXPECT_THROW(conv2d(x, w, std::nullopt, stride0), Error);
+  Conv2dParams dilation0;
+  dilation0.dilation_h = 0;
+  EXPECT_THROW(conv2d(x, w, std::nullopt, dilation0), Error);
+  EXPECT_THROW(conv2d(x, Tensor::zeros(Shape{1, 1, 0, 1}), std::nullopt,
+                      Conv2dParams{}),
+               Error);
+}
+
 TEST(Conv2d, KnownSmallCase) {
   // 2x2 average-style kernel (all 0.25) over a 3x3 input, valid padding.
   Tensor x(Shape{1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});

@@ -2,6 +2,7 @@
 
 #include "support/check.h"
 #include "support/rng.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -112,6 +113,52 @@ TEST(Gemm, ScalarBiasBroadcast) {
   Tensor bias = Tensor::vec({100});
   Tensor out = gemm(a, b, bias);
   expect_tensors_close(out, Tensor(Shape{2, 2}, {101, 102, 103, 104}));
+}
+
+// ONNX Gemm broadcasts C unidirectionally to [M, N]. M == N here, so a
+// bias classified by element count alone would be ambiguous.
+TEST(Gemm, BiasBroadcastsByShape) {
+  const Tensor a = Tensor::zeros(Shape{3, 2});
+  const Tensor b = Tensor::zeros(Shape{2, 3});
+  const struct {
+    Tensor bias;
+    std::vector<float> want;
+  } cases[] = {
+      {Tensor::vec({1, 2, 3}), {1, 2, 3, 1, 2, 3, 1, 2, 3}},
+      {Tensor(Shape{1, 3}, {1, 2, 3}), {1, 2, 3, 1, 2, 3, 1, 2, 3}},
+      {Tensor(Shape{3, 1}, {1, 2, 3}), {1, 1, 1, 2, 2, 2, 3, 3, 3}},
+      {Tensor(Shape{3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9}),
+       {1, 2, 3, 4, 5, 6, 7, 8, 9}},
+      {Tensor::scalar(4), {4, 4, 4, 4, 4, 4, 4, 4, 4}},
+      {Tensor(Shape{1, 1}, {4}), {4, 4, 4, 4, 4, 4, 4, 4, 4}},
+  };
+  for (kernels::Path path : {kernels::Path::kScalar, kernels::Path::kVector}) {
+    kernels::force_kernel_path(path);
+    for (const auto& c : cases) {
+      expect_tensors_close(gemm(a, b, c.bias), Tensor(Shape{3, 3}, c.want));
+    }
+    // Larger than one register tile, so the vector path runs [M,1] through
+    // the microkernel's write-back and [M,N] through its merge route.
+    Rng rng(22);
+    const Tensor x = Tensor::random(Shape{13, 5}, rng);
+    const Tensor w = Tensor::random(Shape{5, 17}, rng);
+    const Tensor rows = Tensor::random(Shape{13, 1}, rng);
+    const Tensor full = Tensor::random(Shape{13, 17}, rng);
+    const Tensor plain = gemm(x, w, std::nullopt);
+    expect_tensors_close(gemm(x, w, rows), add(plain, rows), 1e-6f, 1e-6f);
+    expect_tensors_close(gemm(x, w, full), add(plain, full), 1e-6f, 1e-6f);
+  }
+  kernels::force_kernel_path(std::nullopt);
+}
+
+TEST(Gemm, RejectsBiasThatDoesNotBroadcast) {
+  const Tensor a = Tensor::zeros(Shape{3, 2});
+  const Tensor b = Tensor::zeros(Shape{2, 4});
+  for (const Tensor& bias :
+       {Tensor::vec({1, 2, 3}), Tensor::zeros(Shape{4, 3}),
+        Tensor::zeros(Shape{2, 4}), Tensor::zeros(Shape{1, 3, 4})}) {
+    EXPECT_THROW(gemm(a, b, bias), Error) << bias.shape().to_string();
+  }
 }
 
 TEST(Embedding, GathersRows) {

@@ -429,6 +429,34 @@ TEST(PatternRules, SharedConvOutputBlocksAbsorption) {
   g.validate();
 }
 
+TEST(PatternRules, PerRowGemmBiasBlocksAbsorption) {
+  // A square Gemm with an [M,1] bias: summing it into a per-column bias
+  // would swap rows for columns, so the Add must stay.
+  Graph reference("t");
+  Rng rng(10);
+  ValueId in = reference.add_value("x", Shape{3, 3});
+  reference.mark_input(in);
+  ValueId w = reference.add_initializer("w", Tensor::random(Shape{3, 3}, rng));
+  ValueId b = reference.add_initializer("b", Tensor(Shape{3, 1}, {1, 2, 3}));
+  NodeId gemm = reference.add_node(OpKind::kGemm, "gemm", {in, w, b});
+  ValueId c = reference.add_initializer("c", Tensor::vec({10, 20, 30}));
+  NodeId add = reference.add_node(OpKind::kAdd, "add",
+                                  {reference.node(gemm).outputs[0], c});
+  NodeId t = reference.add_node(OpKind::kTanh, "t",
+                                {reference.node(add).outputs[0]});
+  reference.mark_output(reference.node(t).outputs[0]);
+  infer_shapes(reference);
+  Graph g = reference;
+
+  PatternRunStats stats = run_patterns(g, only("absorb-bias-add"));
+  EXPECT_EQ(stats.count("absorb-bias-add"), 0);
+  EXPECT_FALSE(g.node(add).dead);
+  auto inputs = make_example_inputs(reference, 1, rng);
+  auto want = SequentialExecutor(&reference).run(inputs);
+  auto got = SequentialExecutor(&g).run(inputs);
+  EXPECT_LT(normalized_diff(want[0], got[0]), 1e-6);
+}
+
 TEST(PatternRules, LegacyWrappersStillReportCounts) {
   Graph g = conv_bn_graph(true, /*tail_relu=*/true, /*tail_tanh=*/true);
   EXPECT_EQ(fold_batch_norms(g), 1);

@@ -18,6 +18,16 @@ TEST(MaxPool, BasicTwoByTwo) {
                        Tensor(Shape{1, 1, 2, 2}, {6, 8, 14, 16}));
 }
 
+TEST(MaxPool, RejectsKernelOrStrideBelowOne) {
+  Tensor x = Tensor::full(Shape{1, 1, 4, 4}, 1.0f);
+  Pool2dParams stride0;
+  stride0.stride_h = 0;
+  EXPECT_THROW(max_pool2d(x, stride0), Error);
+  Pool2dParams kernel0;
+  kernel0.kernel_w = 0;
+  EXPECT_THROW(avg_pool2d(x, kernel0), Error);
+}
+
 TEST(MaxPool, PaddingIsNeutral) {
   // Padding contributes -inf; max over the window ignores it.
   Tensor x(Shape{1, 1, 2, 2}, {-5, -6, -7, -8});

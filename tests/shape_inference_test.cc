@@ -167,11 +167,13 @@ TEST(ShapeInference, BroadcastZeroAgainstOne) {
 }
 
 /// Writes a one-node text model to a temp file and loads it back through
-/// model_io, as `ramiel analyze file.rml` does.
-Graph load_one_node_model(const std::string& file, const std::string& node) {
+/// model_io, as `ramiel analyze file.rml` does. `decls` declares the node's
+/// inputs and initializers.
+Graph load_one_node_model(const std::string& file, const std::string& node,
+                          const std::string& decls = "input \"x\" [2, 8]") {
   const std::string path = ::testing::TempDir() + file;
   std::ofstream(path) << "ramiel-onnx-lite v1\nmodel \"m\"\n"
-                      << "input \"x\" [2, 8]\n"
+                      << decls << "\n"
                       << node << "\noutput \"y\"\n";
   return load_model_file(path);
 }
@@ -199,6 +201,46 @@ TEST(ShapeInference, TransposeRejectsNonPermutation) {
       "node Transpose \"t\" in(\"x\") out(\"y\") attrs(perm=[1, 0])");
   infer_shapes(ok);
   EXPECT_EQ(ok.value(ok.find_value("y")).shape, Shape({8, 2}));
+}
+
+TEST(ShapeInference, WindowAttrsBelowOneAreErrorsNotCrashes) {
+  const std::string image = "input \"x\" [1, 2, 8, 8]";
+  const struct {
+    const char* file;
+    const char* node;
+    std::string decls;
+  } cases[] = {
+      {"maxpool_stride0.rml",
+       "node MaxPool \"p\" in(\"x\") out(\"y\") attrs(kernel=2, stride=0)",
+       image},
+      {"avgpool_kernel0.rml",
+       "node AveragePool \"p\" in(\"x\") out(\"y\") attrs(kernel=0)", image},
+      {"conv_stride0.rml",
+       "node Conv \"c\" in(\"x\", \"w\") out(\"y\") attrs(stride=0)",
+       "input \"x\" [1, 1, 8, 8]\ninit \"w\" [1, 1, 1, 1] { 1 }"},
+      {"conv_dilation0.rml",
+       "node Conv \"c\" in(\"x\", \"w\") out(\"y\") attrs(dilation=0)",
+       "input \"x\" [1, 1, 8, 8]\ninit \"w\" [1, 1, 1, 1] { 1 }"},
+  };
+  for (const auto& c : cases) {
+    Graph g = load_one_node_model(c.file, c.node, c.decls);
+    EXPECT_THROW(infer_shapes(g), Error) << c.file;
+    EXPECT_THROW(compile_model(load_one_node_model(c.file, c.node, c.decls)),
+                 Error)
+        << c.file;
+  }
+}
+
+TEST(ShapeInference, GemmBiasMustBroadcastToTheOutput) {
+  for (const Shape& bias : {Shape{3}, Shape{1, 3}, Shape{2, 1}, Shape{2, 3},
+                            Shape{1}, Shape{1, 1}}) {
+    Single s(OpKind::kGemm, {Shape{2, 4}, Shape{4, 3}, bias});
+    EXPECT_EQ(s.out(), Shape({2, 3})) << bias.to_string();
+  }
+  for (const Shape& bias : {Shape{2}, Shape{3, 2}, Shape{2, 2}, Shape{1, 2, 3}}) {
+    EXPECT_THROW(Single(OpKind::kGemm, {Shape{2, 4}, Shape{4, 3}, bias}), Error)
+        << bias.to_string();
+  }
 }
 
 }  // namespace
