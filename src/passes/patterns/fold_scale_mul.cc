@@ -70,6 +70,13 @@ class FoldScaleMul final : public Pattern {
     }
     const std::int64_t channels = out_channels(g, prod);
     if (channels <= 0) return false;
+    // The bias is rebuilt per channel below. A conv bias always is ([K]);
+    // a Gemm bias may also vary along M ([M,1], [M,N]) and is left alone.
+    if (prod.kind == OpKind::kGemm && prod.inputs.size() == 3 &&
+        !per_channel_broadcast(g.value(prod.inputs[2]).shape, channels,
+                               prod.kind)) {
+      return false;
+    }
     return per_channel_broadcast(g.value(c).shape, channels, prod.kind);
   }
 

@@ -13,10 +13,13 @@
 //   last:      v = (first ? 0 : C) + acc;  v += bias;  C = relu ? max(v, 0) : v
 //
 // in exactly that operation order, so the result is bit-identical to
-// storing acc and merging it element by element. The kernel always writes
-// the full tile; the driver hands it a local MR x NR tile instead of C
-// (plain store: first, not last) for ragged M/N edges, Sigmoid, and bias
-// layouts outside the two forms below, then merges that tile itself.
+// storing acc and merging it element by element. A kernel whose acc can
+// never be -0.0 may skip the `0 + acc` (it is then the identity); an FMA
+// chain can reach -0.0 through underflow, so the AVX2 kernel keeps it.
+// The kernel always writes the full tile; the driver hands it a local
+// MR x NR tile instead of C (plain store: first, not last) for ragged M/N
+// edges, Sigmoid, and bias layouts outside the two forms below, then merges
+// that tile itself.
 #pragma once
 
 #include <cstdint>

@@ -13,6 +13,9 @@ namespace {
 
 // Folds one row's two accumulators into C (see TileWriteback for the
 // operation order). b0/b1 are the row's bias lanes, zero when there is none.
+// The `0 + acc` step of a first-and-last block is not a no-op here: an FMA
+// whose exact result is a negative value below the smallest subnormal
+// rounds to -0.0, and 0 + -0.0 is +0.0, which a -0.0 bias then keeps.
 inline void store_row(float* c, __m256 v0, __m256 v1, const TileWriteback& wb,
                       __m256 b0, __m256 b1) {
   const __m256 zero = _mm256_setzero_ps();

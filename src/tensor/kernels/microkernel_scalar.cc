@@ -6,7 +6,11 @@ namespace ramiel::kernels {
 // over an accumulator array auto-vectorize to whatever the baseline target
 // offers (SSE2 on x86-64), which keeps the packed driver profitable even
 // without the explicit AVX2 kernel. The write-back follows TileWriteback's
-// operation order element for element.
+// operation order element for element, except that it skips the `0 + acc`
+// of a first-and-last block: a mul+add chain from +0.0f never yields -0.0
+// (a product that rounds to -0.0 is added to +0.0f or to a nonzero value),
+// so that add cannot change a bit. On x86-64 this TU builds at the baseline
+// ISA, which has no FMA for the compiler to contract the chain into.
 void microkernel_scalar(std::int64_t kc, const float* a_panel,
                         const float* b_panel, float* c, std::int64_t ldc,
                         const TileWriteback& wb) {
@@ -23,11 +27,7 @@ void microkernel_scalar(std::int64_t kc, const float* a_panel,
     float* dst = c + r * ldc;
     for (std::int64_t j = 0; j < kNR; ++j) {
       float v = acc[r][j];
-      if (!wb.first) {
-        v = dst[j] + v;
-      } else if (wb.last) {
-        v = 0.0f + v;
-      }
+      if (!wb.first) v = dst[j] + v;
       if (wb.last) {
         v += wb.bias == nullptr ? 0.0f
              : wb.bias_per_col  ? wb.bias[j]

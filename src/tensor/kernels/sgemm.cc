@@ -131,39 +131,36 @@ void sgemm_scalar(std::int64_t M, std::int64_t N, std::int64_t K,
 // Packed/blocked vector path
 // ---------------------------------------------------------------------------
 
-/// Packs A[m0 .. m0+mc, k0 .. k0+kc] into MR-wide k-major panels. Full row
-/// tiles interleave without a per-element branch; the ragged last tile is
-/// zero-padded so the microkernel never branches.
+/// Packs A[m0 .. m0+mc, k0 .. k0+kc] into MR-wide k-major panels, zero-
+/// padding the ragged last row tile so the microkernel never branches. Full
+/// f32 row tiles with unit k-stride interleave without a per-element branch.
 template <typename Load>
 void pack_a(float* dst, const void* A, std::int64_t rs_a, std::int64_t cs_a,
             std::int64_t m0, std::int64_t mc, std::int64_t k0,
             std::int64_t kc) {
-  const std::int64_t full = mc / kMR;
-  for (std::int64_t i = 0; i < full; ++i) {
-    float* tile = dst + i * kMR * kc;
-    const std::int64_t src = (m0 + i * kMR) * rs_a + k0 * cs_a;
-    if (std::is_same_v<Load, LoadF32> && cs_a == 1) {
-      const float* a = static_cast<const float*>(A) + src;
+  std::int64_t i = 0;
+  if (std::is_same_v<Load, LoadF32> && cs_a == 1) {
+    for (; (i + 1) * kMR <= mc; ++i) {
+      float* tile = dst + i * kMR * kc;
+      const float* a =
+          static_cast<const float*>(A) + (m0 + i * kMR) * rs_a + k0;
       for (std::int64_t k = 0; k < kc; ++k) {
         for (std::int64_t r = 0; r < kMR; ++r) {
           tile[k * kMR + r] = a[r * rs_a + k];
         }
       }
-    } else {
-      for (std::int64_t k = 0; k < kc; ++k) {
-        for (std::int64_t r = 0; r < kMR; ++r) {
-          tile[k * kMR + r] = Load::at(A, src + r * rs_a + k * cs_a);
-        }
-      }
     }
   }
-  if (full * kMR == mc) return;
-  float* tile = dst + full * kMR * kc;
-  for (std::int64_t k = 0; k < kc; ++k) {
-    for (std::int64_t r = 0; r < kMR; ++r) {
-      const std::int64_t row = full * kMR + r;
-      tile[k * kMR + r] =
-          row < mc ? Load::at(A, (m0 + row) * rs_a + (k0 + k) * cs_a) : 0.0f;
+  const std::int64_t tiles = ceil_div(mc, kMR);
+  for (; i < tiles; ++i) {
+    float* tile = dst + i * kMR * kc;
+    for (std::int64_t k = 0; k < kc; ++k) {
+      for (std::int64_t r = 0; r < kMR; ++r) {
+        const std::int64_t row = i * kMR + r;
+        tile[k * kMR + r] =
+            row < mc ? Load::at(A, (m0 + row) * rs_a + (k0 + k) * cs_a)
+                     : 0.0f;
+      }
     }
   }
 }
@@ -174,20 +171,10 @@ template <typename Load>
 void pack_b_panel(float* dst, const void* B, std::int64_t rs_b,
                   std::int64_t cs_b, std::int64_t k0, std::int64_t kc,
                   std::int64_t n0, std::int64_t nvalid) {
-  if (nvalid >= kNR) {
-    if (std::is_same_v<Load, LoadF32> && cs_b == 1) {
-      const float* b = static_cast<const float*>(B) + k0 * rs_b + n0;
-      for (std::int64_t k = 0; k < kc; ++k) {
-        std::memcpy(dst + k * kNR, b + k * rs_b, kNR * sizeof(float));
-      }
-      return;
-    }
+  if (std::is_same_v<Load, LoadF32> && cs_b == 1 && nvalid >= kNR) {
+    const float* b = static_cast<const float*>(B) + k0 * rs_b + n0;
     for (std::int64_t k = 0; k < kc; ++k) {
-      const std::int64_t src = (k0 + k) * rs_b + n0 * cs_b;
-      float* row = dst + k * kNR;
-      for (std::int64_t j = 0; j < kNR; ++j) {
-        row[j] = Load::at(B, src + j * cs_b);
-      }
+      std::memcpy(dst + k * kNR, b + k * rs_b, kNR * sizeof(float));
     }
     return;
   }

@@ -457,6 +457,40 @@ TEST(PatternRules, PerRowGemmBiasBlocksAbsorption) {
   EXPECT_LT(normalized_diff(want[0], got[0]), 1e-6);
 }
 
+TEST(PatternRules, PerRowGemmBiasBlocksScaleFolding) {
+  // Scaling rebuilds the bias as a per-column vector. A Gemm bias that
+  // varies along M ([M,1] on a square or a wide product, [M,N]) cannot
+  // take that form, so the Mul must stay.
+  for (const Shape& bias_shape : {Shape{3, 1}, Shape{2, 1}, Shape{2, 3}}) {
+    const std::int64_t M = bias_shape.dim(0);
+    Graph reference("t");
+    Rng rng(11);
+    ValueId in = reference.add_value("x", Shape{M, 3});
+    reference.mark_input(in);
+    ValueId w =
+        reference.add_initializer("w", Tensor::random(Shape{3, 3}, rng));
+    ValueId b =
+        reference.add_initializer("b", Tensor::random(bias_shape, rng));
+    NodeId gemm = reference.add_node(OpKind::kGemm, "gemm", {in, w, b});
+    ValueId s = reference.add_initializer("s", Tensor::vec({2, -3, 5}));
+    NodeId mul = reference.add_node(OpKind::kMul, "mul",
+                                    {reference.node(gemm).outputs[0], s});
+    NodeId t = reference.add_node(OpKind::kTanh, "t",
+                                  {reference.node(mul).outputs[0]});
+    reference.mark_output(reference.node(t).outputs[0]);
+    infer_shapes(reference);
+    Graph g = reference;
+
+    PatternRunStats stats = run_patterns(g, only("fold-scale-mul"));
+    EXPECT_EQ(stats.count("fold-scale-mul"), 0) << bias_shape.to_string();
+    EXPECT_FALSE(g.node(mul).dead);
+    auto inputs = make_example_inputs(reference, 1, rng);
+    auto want = SequentialExecutor(&reference).run(inputs);
+    auto got = SequentialExecutor(&g).run(inputs);
+    EXPECT_LT(normalized_diff(want[0], got[0]), 1e-6);
+  }
+}
+
 TEST(PatternRules, LegacyWrappersStillReportCounts) {
   Graph g = conv_bn_graph(true, /*tail_relu=*/true, /*tail_tanh=*/true);
   EXPECT_EQ(fold_batch_norms(g), 1);
