@@ -388,7 +388,18 @@ BENCHMARK(BM_Softmax);
 // BERT-base non-GEMM ops at sequence 96, hidden 128, 4 heads: the bias add,
 // LayerNorm's variance square and mean, and the head split. These run on
 // the strided-run loops (broadcast binary ops, transpose, reduce_mean).
+// GELU's erf over the FF1 output runs on vmath (BM_Softmax above covers the
+// attention softmax, [4, 96, 96] per sample).
 // ---------------------------------------------------------------------------
+
+void BM_BertErf(benchmark::State& state) {
+  Rng rng(15);
+  Tensor x = Tensor::random(Shape{1, 96, 512}, rng, -4.0f, 4.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(erf_op(x));
+  }
+}
+BENCHMARK(BM_BertErf);
 
 void BM_BertBiasAdd(benchmark::State& state) {
   Rng rng(11);

@@ -81,7 +81,13 @@ Shape get_shape(std::istream& is) {
   RAMIEL_CHECK(rank <= 16, "implausible tensor rank in binary model");
   std::vector<std::int64_t> dims;
   dims.reserve(rank);
-  for (std::uint32_t i = 0; i < rank; ++i) dims.push_back(get<std::int64_t>(is));
+  for (std::uint32_t i = 0; i < rank; ++i) {
+    const auto d = get<std::int64_t>(is);
+    if (d < 0) {
+      throw ParseError(str_cat("negative dimension ", d, " in binary model"));
+    }
+    dims.push_back(d);
+  }
   return Shape(std::move(dims));
 }
 

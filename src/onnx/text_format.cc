@@ -197,11 +197,17 @@ class LineParser {
     expect('[');
     std::vector<std::int64_t> dims;
     if (!try_consume(']')) {
-      dims.push_back(integer());
-      while (try_consume(',')) dims.push_back(integer());
+      dims.push_back(dim());
+      while (try_consume(',')) dims.push_back(dim());
       expect(']');
     }
     return Shape(std::move(dims));
+  }
+
+  std::int64_t dim() {
+    const std::int64_t d = integer();
+    if (d < 0) fail(str_cat("negative dimension ", d));
+    return d;
   }
 
   std::vector<float> float_block() {

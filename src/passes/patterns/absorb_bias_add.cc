@@ -22,7 +22,7 @@ ValueId const_operand(const Graph& g, const Node& n) {
   return c0 ? n.inputs[0] : n.inputs[1];
 }
 
-ValueId produced_operand(const Graph& g, const Node& n, ValueId constant) {
+ValueId produced_operand(const Node& n, ValueId constant) {
   return n.inputs[0] == constant ? n.inputs[1] : n.inputs[0];
 }
 
@@ -79,7 +79,7 @@ class AbsorbBiasAdd final : public Pattern {
     if (add.kind != OpKind::kAdd) return false;
     const ValueId c = const_operand(g, add);
     if (c < 0) return false;
-    const Value& x = g.value(produced_operand(g, add, c));
+    const Value& x = g.value(produced_operand(add, c));
     if (x.producer == kNoNode) return false;
     const Node& prod = g.node(x.producer);
     if (prod.kind != OpKind::kConv2d && prod.kind != OpKind::kGemm) {
@@ -108,13 +108,13 @@ class AbsorbBiasAdd final : public Pattern {
                                         NodeId root) const override {
     // Other consumers of the producer output would see the biased value.
     const Node& add = g.node(root);
-    return {produced_operand(g, add, const_operand(g, add))};
+    return {produced_operand(add, const_operand(g, add))};
   }
 
   bool apply(Graph& g, NodeId root) override {
     const Node& add = g.node(root);
     const ValueId c = const_operand(g, add);
-    const NodeId prod_id = g.value(produced_operand(g, add, c)).producer;
+    const NodeId prod_id = g.value(produced_operand(add, c)).producer;
     const Node& prod = g.node(prod_id);
     const std::int64_t channels = out_channels(g, prod);
 

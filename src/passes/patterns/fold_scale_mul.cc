@@ -19,7 +19,7 @@ ValueId const_operand(const Graph& g, const Node& n) {
   return c0 ? n.inputs[0] : n.inputs[1];
 }
 
-ValueId produced_operand(const Graph& g, const Node& n, ValueId constant) {
+ValueId produced_operand(const Node& n, ValueId constant) {
   return n.inputs[0] == constant ? n.inputs[1] : n.inputs[0];
 }
 
@@ -55,7 +55,7 @@ class FoldScaleMul final : public Pattern {
     if (mul.kind != OpKind::kMul) return false;
     const ValueId c = const_operand(g, mul);
     if (c < 0) return false;
-    const Value& x = g.value(produced_operand(g, mul, c));
+    const Value& x = g.value(produced_operand(mul, c));
     if (x.producer == kNoNode) return false;
     const Node& prod = g.node(x.producer);
     if (prod.kind != OpKind::kConv2d && prod.kind != OpKind::kGemm) {
@@ -83,13 +83,13 @@ class FoldScaleMul final : public Pattern {
   std::vector<ValueId> exclusive_values(const Graph& g,
                                         NodeId root) const override {
     const Node& mul = g.node(root);
-    return {produced_operand(g, mul, const_operand(g, mul))};
+    return {produced_operand(mul, const_operand(g, mul))};
   }
 
   bool apply(Graph& g, NodeId root) override {
     const Node& mul = g.node(root);
     const ValueId c = const_operand(g, mul);
-    const NodeId prod_id = g.value(produced_operand(g, mul, c)).producer;
+    const NodeId prod_id = g.value(produced_operand(mul, c)).producer;
     const Node& prod = g.node(prod_id);
     const std::int64_t channels = out_channels(g, prod);
     auto scale_at = [&g, c](std::int64_t k) {

@@ -14,7 +14,7 @@ namespace ramiel {
 template <typename... Args>
 std::string str_cat(Args&&... args) {
   std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
+  if constexpr (sizeof...(Args) > 0) (os << ... << std::forward<Args>(args));
   return os.str();
 }
 

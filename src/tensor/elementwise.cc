@@ -3,6 +3,7 @@
 
 #include "support/check.h"
 #include "support/string_util.h"
+#include "tensor/kernels/vmath.h"
 #include "tensor/ops.h"
 #include "tensor/strided_loop.h"
 
@@ -107,12 +108,16 @@ Tensor tanh_op(const Tensor& x) {
 
 Tensor gelu(const Tensor& x) {
   return unary(x, [](float v) {
-    return 0.5f * v * (1.0f + std::erf(v * 0.70710678f));
+    float e = v * 0.70710678f;
+    kernels::vmath::erf(&e, &e, 1);
+    return 0.5f * v * (1.0f + e);
   });
 }
 
 Tensor erf_op(const Tensor& x) {
-  return unary(x, [](float v) { return std::erf(v); });
+  Tensor out(x.shape());
+  kernels::vmath::erf(x.data().data(), out.mutable_data().data(), x.numel());
+  return out;
 }
 
 Tensor sqrt_op(const Tensor& x) {
@@ -120,7 +125,9 @@ Tensor sqrt_op(const Tensor& x) {
 }
 
 Tensor exp_op(const Tensor& x) {
-  return unary(x, [](float v) { return std::exp(v); });
+  Tensor out(x.shape());
+  kernels::vmath::exp(x.data().data(), out.mutable_data().data(), x.numel());
+  return out;
 }
 
 Tensor neg(const Tensor& x) {

@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <cmath>
 
 #include "support/check.h"
+#include "tensor/kernels/vmath.h"
 #include "tensor/ops.h"
 
 namespace ramiel {
@@ -45,9 +47,10 @@ Tensor layer_norm(const Tensor& x, const Tensor& scale, const Tensor& bias,
   const std::int64_t D = xs.dim(-1);
   RAMIEL_CHECK(scale.numel() == D && bias.numel() == D,
                "layer_norm parameter size must equal last dim");
+  Tensor out(xs);
+  if (xs.numel() == 0) return out;
   const std::int64_t rows = xs.numel() / D;
 
-  Tensor out(xs);
   auto in = x.data();
   auto dst = out.mutable_data();
   auto s = scale.data();
@@ -82,8 +85,15 @@ Tensor softmax(const Tensor& x, int axis) {
   const std::int64_t D = xs.dim(ax);
 
   Tensor out(xs);
+  if (xs.numel() == 0) return out;
   auto in = x.data();
   auto dst = out.mutable_data();
+  if (inner == 1) {
+    kernels::vmath::softmax_rows(in.data(), dst.data(), outer, D);
+    return out;
+  }
+  // Non-last axis: one softmax per column of D values `inner` apart, with
+  // the same exp as the row kernel.
   for (std::int64_t o = 0; o < outer; ++o) {
     for (std::int64_t i = 0; i < inner; ++i) {
       const float* src = in.data() + o * D * inner + i;
@@ -92,7 +102,8 @@ Tensor softmax(const Tensor& x, int axis) {
       for (std::int64_t j = 1; j < D; ++j) mx = std::max(mx, src[j * inner]);
       float sum = 0.0f;
       for (std::int64_t j = 0; j < D; ++j) {
-        const float e = std::exp(src[j * inner] - mx);
+        float e = src[j * inner] - mx;
+        kernels::vmath::exp(&e, &e, 1);
         d[j * inner] = e;
         sum += e;
       }

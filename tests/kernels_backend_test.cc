@@ -16,15 +16,12 @@
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/scratch.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 
 namespace ramiel {
 namespace {
 
-class ScopedPath {
- public:
-  explicit ScopedPath(kernels::Path p) { kernels::force_kernel_path(p); }
-  ~ScopedPath() { kernels::force_kernel_path(std::nullopt); }
-};
+using testing::ScopedPath;
 
 /// max|a - b| / max(1, max|b|) — scale-aware, stable around zeros.
 double normalized_error(const Tensor& a, const Tensor& b) {

@@ -104,6 +104,25 @@ TEST(Softmax, NonLastAxis) {
   expect_tensors_close(out, Tensor::full(Shape{2, 2}, 0.5f));
 }
 
+TEST(Softmax, ZeroExtentReturnsEmpty) {
+  for (const Shape& s : {Shape{2, 0}, Shape{0, 3}, Shape{2, 0, 3}}) {
+    for (int axis : {-1, 1}) {
+      Tensor out = softmax(Tensor(s), axis);
+      EXPECT_EQ(out.shape(), s);
+      EXPECT_EQ(out.numel(), 0);
+    }
+  }
+}
+
+TEST(LayerNorm, ZeroExtentReturnsEmpty) {
+  Tensor out = layer_norm(Tensor(Shape{2, 0}), Tensor(Shape{0}),
+                          Tensor(Shape{0}), 1e-5f);
+  EXPECT_EQ(out.shape(), Shape({2, 0}));
+  Tensor rows = layer_norm(Tensor(Shape{0, 4}), Tensor::full(Shape{4}, 1.0f),
+                           Tensor::zeros(Shape{4}), 1e-5f);
+  EXPECT_EQ(rows.shape(), Shape({0, 4}));
+}
+
 TEST(ReduceMean, SingleAxisKeepdims) {
   Tensor x(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor out = reduce_mean(x, {1});

@@ -167,6 +167,33 @@ TEST(BinaryFormat, RejectsTruncation) {
   EXPECT_THROW(load_model_binary(half), ParseError);
 }
 
+TEST(TextFormat, RejectsNegativeDims) {
+  for (const char* decl : {"input \"x\" [2, -3]", "init \"x\" [-1] { }"}) {
+    const std::string text = std::string("ramiel-onnx-lite v1\nmodel \"m\"\n") +
+                             decl + "\nnode Relu \"r\" in(\"x\") out(\"y\")\n"
+                             "output \"y\"\n";
+    EXPECT_THROW(load_model_text(text), ParseError) << decl;
+  }
+}
+
+TEST(BinaryFormat, RejectsNegativeDims) {
+  Graph g("neg");
+  const ValueId x = g.add_value("x", Shape{2, -3});
+  g.mark_input(x);
+  const NodeId n = g.add_node(OpKind::kRelu, "r", {x}, 1);
+  g.mark_output(g.node(n).outputs[0]);
+  std::stringstream ss;
+  save_model_binary(g, ss);
+  try {
+    load_model_binary(ss);
+    FAIL() << "negative dim accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("negative dimension -3"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ModelFile, DispatchesOnExtension) {
   Graph g = testing::make_diamond_graph();
   save_model_file(g, "/tmp/ramiel_test_model.rml");

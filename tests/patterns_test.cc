@@ -652,7 +652,9 @@ TEST_P(PatternProperty, RandomSubsetPreservesOutputsOnRandomDags) {
   g.validate();
   EXPECT_LE(g.live_node_count(), reference.live_node_count());
   for (const auto& [name, applied] : stats.applied) {
-    if (!o.enable.empty()) EXPECT_TRUE(o.enable.at(name)) << name;
+    if (!o.enable.empty()) {
+      EXPECT_TRUE(o.enable.at(name)) << name;
+    }
     (void)applied;
   }
 

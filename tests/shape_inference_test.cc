@@ -6,6 +6,8 @@
 #include "graph/shape_inference.h"
 #include "onnx/model_io.h"
 #include "ramiel/pipeline.h"
+#include "rt/executor.h"
+#include "rt/inputs.h"
 #include "support/check.h"
 #include "support/string_util.h"
 #include "test_util.h"
@@ -228,6 +230,43 @@ TEST(ShapeInference, WindowAttrsBelowOneAreErrorsNotCrashes) {
     EXPECT_THROW(compile_model(load_one_node_model(c.file, c.node, c.decls)),
                  Error)
         << c.file;
+  }
+}
+
+TEST(ShapeInference, ZeroExtentRowOpsRunToAnEmptyOutput) {
+  const struct {
+    const char* file;
+    const char* node;
+    std::string decls;
+  } cases[] = {
+      {"softmax_empty.rml",
+       "node Softmax \"s\" in(\"x\") out(\"y\") attrs(axis=-1)",
+       "input \"x\" [2, 0]"},
+      {"layernorm_empty.rml",
+       "node LayerNormalization \"l\" in(\"x\", \"g\", \"b\") out(\"y\")",
+       "input \"x\" [2, 0]\ninit \"g\" [0] { }\ninit \"b\" [0] { }"},
+  };
+  for (const auto& c : cases) {
+    Graph g = load_one_node_model(c.file, c.node, c.decls);
+    infer_shapes(g);
+    Rng rng(1);
+    const auto out =
+        SequentialExecutor(&g).run(make_example_inputs(g, 1, rng));
+    ASSERT_EQ(out.size(), 1u) << c.file;
+    EXPECT_EQ(out[0].at("y").shape(), Shape({2, 0})) << c.file;
+  }
+}
+
+TEST(ShapeInference, NegativeDimIsAParseError) {
+  try {
+    load_one_node_model("negative_dim.rml",
+                        "node Relu \"r\" in(\"x\") out(\"y\")",
+                        "input \"x\" [2, -3]");
+    FAIL() << "negative dim accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("negative dimension -3"),
+              std::string::npos)
+        << e.what();
   }
 }
 

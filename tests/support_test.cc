@@ -231,7 +231,7 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch sw;
   // A tiny busy loop; just assert monotonic non-negative readings.
   volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(sw.seconds(), 0.0);
   EXPECT_GE(sw.millis(), sw.seconds());  // ms value >= s value numerically
   const auto t1 = Stopwatch::now_ns();

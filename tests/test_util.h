@@ -1,11 +1,12 @@
 // Shared helpers for the test suite: small hand-built graphs with known
-// structure, and tensor comparison utilities.
+// structure, tensor comparison utilities, and a scoped kernel-path pin.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
 #include "graph/shape_inference.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 
 namespace ramiel::testing {
@@ -64,5 +65,12 @@ inline void expect_tensors_close(const Tensor& a, const Tensor& b,
   ASSERT_EQ(a.shape().dims(), b.shape().dims());
   EXPECT_TRUE(allclose(a, b, atol, rtol));
 }
+
+/// Pins the kernel path for a scope, then returns to env-based selection.
+class ScopedPath {
+ public:
+  explicit ScopedPath(kernels::Path p) { kernels::force_kernel_path(p); }
+  ~ScopedPath() { kernels::force_kernel_path(std::nullopt); }
+};
 
 }  // namespace ramiel::testing
