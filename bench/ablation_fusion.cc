@@ -15,12 +15,12 @@ int main() {
        {"inception_v3", "inception_v4", "retinanet", "nasnet"}) {
     auto plain = bench::prepare(name);
     PipelineOptions o;
-    o.fuse_batch_norms = true;
+    o.pattern_overrides["fold-batch-norms"] = true;
     auto fused = bench::prepare(name, o);
     const double base_seq = bench::seq_ms(plain);
     std::printf("%-14s %9d %9d %9d | %9.2fx %9.2fx\n", name.c_str(),
                 plain.compiled.graph.live_node_count(),
-                fused.compiled.batch_norms_folded,
+                fused.compiled.pattern_stats.count("fold-batch-norms"),
                 fused.compiled.graph.live_node_count(),
                 base_seq / bench::par_ms(plain),
                 base_seq / bench::par_ms(fused));

@@ -2,10 +2,10 @@
 // hypermode, for Squeezenet and BERT — plus the static vs work-stealing
 // executor comparison across the zoo and a synthetically skewed placement.
 //
-// Each configuration compiles the model at that batch size, stands up a
-// persistent serve::Server (bounded queue + dynamic batcher + reused
-// executor), and drives it with a closed-loop client fleet. Reported per
-// config:
+// Each configuration stands up a one-tenant fleet::FleetServer compiled at
+// that batch size (admission -> per-tenant batch fill -> reused executor,
+// the ramiel_serve set-up) and drives it with closed-loop clients.
+// Reported per config:
 //
 //   measured  — sustained req/s, p50/p99 latency and batch-fill ratio of
 //               the real threaded server ON THIS CONTAINER. The container
@@ -45,7 +45,6 @@
 #include "serve/fleet/fleet_server.h"
 #include "serve/fleet/pipeline.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
 #include "sim/cost_profile.h"
 #include "sim/simulator.h"
 #include "support/string_util.h"
@@ -53,6 +52,7 @@
 namespace {
 
 using namespace ramiel;
+using namespace ramiel::serve;
 
 struct Config {
   int batch;
@@ -107,25 +107,44 @@ double sim_rps(const std::string& model, int batch, HyperMode mode) {
   return makespan_ms <= 0.0 ? 0.0 : batch / (makespan_ms / 1e3);
 }
 
+/// Drives the one tenant of `fleet` with a closed loop, shuts the fleet
+/// down and returns the tenant's final stats (and the load report through
+/// `report`). Callers keep the fleet alive through the row's cost
+/// profiling (sim_rps): freeing it first measured bert's kernel costs
+/// ~1.4x slower, likely through allocator state.
+ServerStats serve_closed_loop(serve::fleet::FleetServer& fleet,
+                              const serve::LoadOptions& load,
+                              serve::LoadReport* report = nullptr) {
+  const std::string name = fleet.models().front();
+  serve::SubmitFn submit = [&fleet, name](TensorMap inputs) {
+    return fleet.submit(name, std::move(inputs));
+  };
+  const serve::LoadReport rep = serve::run_closed_loop(
+      submit, fleet.model_entry(name)->compiled.graph, load);
+  if (report != nullptr) *report = rep;
+  fleet.shutdown();
+  return fleet.tenant_stats(name);
+}
+
+/// ramiel_serve's one-tenant config for `model` at batch 4, flush 5 ms.
+serve::fleet::FleetConfig serve_config(const std::string& model) {
+  serve::fleet::FleetConfig config = serve::fleet::single_tenant_config(model);
+  config.models[0].flush_timeout_ms = 5.0;
+  return config;
+}
+
 /// Measured closed-loop serving throughput with the given executor.
-serve::ServerStats measured_serve(const std::string& model,
-                                  ExecutorKind executor, int requests,
-                                  int clients, bool profile = true) {
-  PipelineOptions opts;
-  opts.batch = 4;
-  opts.generate_code = false;
-  CompiledModel cm = compile_model(models::build(model), opts);
-  serve::ServeOptions serve_opts;
-  serve_opts.flush_timeout_ms = 5.0;
-  serve_opts.executor = executor;
-  serve_opts.profile = profile;
-  serve::Server server(std::move(cm), serve_opts);
+ServerStats measured_serve(const std::string& model, ExecutorKind executor,
+                           int requests, int clients, bool profile = true) {
+  serve::fleet::FleetConfig config = serve_config(model);
+  config.models[0].executor = executor;
+  serve::fleet::FleetOptions options = serve::fleet::single_tenant_options();
+  options.profile = profile;
+  serve::fleet::FleetServer fleet(config, options);
   serve::LoadOptions load;
   load.clients = clients;
   load.requests = requests;
-  serve::run_closed_loop(server, load);
-  server.shutdown();
-  return server.stats();
+  return serve_closed_loop(fleet, load);
 }
 
 /// Static-vs-steal executor comparison: measured on this container for two
@@ -139,9 +158,9 @@ void executor_comparison(int requests, int clients) {
   std::printf("%-12s | %9s %9s | measured, batch 4\n", "Model", "static r/s",
               "steal r/s");
   for (const std::string model : {"squeezenet", "bert"}) {
-    const serve::ServerStats st =
+    const ServerStats st =
         measured_serve(model, ExecutorKind::kStatic, requests, clients);
-    const serve::ServerStats sl =
+    const ServerStats sl =
         measured_serve(model, ExecutorKind::kSteal, requests, clients);
     std::printf("%-12s | %9.1f %9.1f |\n", model.c_str(),
                 st.throughput_rps(), sl.throughput_rps());
@@ -222,9 +241,9 @@ void profiler_overhead(int requests, int clients) {
   bench::print_header(
       "Profiler overhead — always-on tail attribution vs profiling off\n"
       "(squeezenet, batch 4, static executor, closed loop)");
-  const serve::ServerStats off = measured_serve(
+  const ServerStats off = measured_serve(
       "squeezenet", ExecutorKind::kStatic, requests, clients, false);
-  const serve::ServerStats on = measured_serve(
+  const ServerStats on = measured_serve(
       "squeezenet", ExecutorKind::kStatic, requests, clients, true);
   const double overhead_pct =
       off.throughput_rps() > 0.0
@@ -287,30 +306,8 @@ void fleet_mixed(double duration_ms) {
   const double bert_quota = 8.0;
   const double bert_rate = 4.0 * bert_quota;
 
-  // Baseline 1 — plain single-model Server, same offered load: what
-  // squeezenet's tail costs without any fleet machinery.
-  double server_p99 = 0.0;
-  {
-    PipelineOptions opts;
-    opts.batch = 4;
-    opts.generate_code = false;
-    serve::ServeOptions serve_opts;
-    serve_opts.flush_timeout_ms = 1.0;
-    serve::Server server(compile_model(models::build("squeezenet"), opts),
-                         serve_opts);
-    serve::OpenLoopOptions open;
-    open.rate_rps = sq_rate;
-    open.duration_ms = duration_ms;
-    open.seed = 1;
-    serve::run_open_loop(server, open);
-    server.shutdown();
-    server_p99 = server.stats().latency.p99_ms;
-  }
-
-  // Baseline 2 — squeezenet alone on the fleet, same offered load: adds
-  // the token bucket, fair dequeue and per-tenant stats. The gap between
-  // the two baselines is the fleet layer's own p99 overhead (the isolation
-  // claim that is measurable on one core; see below).
+  // Baseline — squeezenet alone on the fleet, same offered load: its tail
+  // without a neighbour.
   double solo_p99 = 0.0;
   {
     serve::fleet::FleetConfig config;
@@ -344,7 +341,7 @@ void fleet_mixed(double duration_ms) {
               "rej %", "p99 ms");
   std::vector<double> served;
   for (const std::string name : {"squeezenet", "bert"}) {
-    const serve::ServerStats st = fleet.tenant_stats(name);
+    const ServerStats st = fleet.tenant_stats(name);
     const serve::fleet::TenantCounters c = fleet.tenant_counters(name);
     const double offered = static_cast<double>(
         c.admitted + c.rejected_quota + c.rejected_full + c.rejected_closed);
@@ -371,24 +368,16 @@ void fleet_mixed(double duration_ms) {
   const double jain = serve::fleet::jain_fairness(
       {served[0] / 40.0, served[1] / bert_quota});
   const double mixed_p99 = fleet.tenant_stats("squeezenet").latency.p99_ms;
-  const double overhead_ratio = server_p99 > 0 ? solo_p99 / server_p99 : 0.0;
   const double mixed_ratio = solo_p99 > 0 ? mixed_p99 / solo_p99 : 0.0;
-  // The fleet layer's own tail overhead (solo fleet vs plain Server) is the
-  // isolation bound the admission machinery controls; it must stay within
-  // 20%. The mixed ratio on THIS container additionally pays one in-flight
-  // BERT dispatch of head-of-line blocking — the shared pool is
-  // non-preemptive and the machine has one core, so that wait disappears
-  // only when pool capacity covers the batch tenant (the 12-core testbed),
-  // exactly like the sim 12c columns above.
-  std::printf("squeezenet p99: plain server %.2f ms, fleet solo %.2f ms "
-              "(overhead %.2fx), mixed %.2f ms (%.2fx solo, 1-core HOL)\n"
-              "quota-normalized Jain %.3f\n",
-              server_p99, solo_p99, overhead_ratio, mixed_p99, mixed_ratio,
-              jain);
+  // The mixed ratio additionally pays up to one in-flight BERT dispatch of
+  // head-of-line blocking: the shared pool is non-preemptive, so that wait
+  // disappears only when pool capacity covers the batch tenant (the
+  // 12-core testbed), exactly like the sim 12c columns above.
+  std::printf("squeezenet p99: fleet solo %.2f ms, mixed %.2f ms "
+              "(%.2fx solo, HOL)\nquota-normalized Jain %.3f\n",
+              solo_p99, mixed_p99, mixed_ratio, jain);
   record("fleet_mixed", "squeezenet", "p99 vs solo",
-         {{"server_p99_latency", server_p99},
-          {"solo_p99_latency", solo_p99},
-          {"fleet_overhead_p99_ratio", overhead_ratio},
+         {{"solo_p99_latency", solo_p99},
           {"mixed_p99_ratio", mixed_ratio},
           {"jain_quota_normalized", jain}});
 }
@@ -468,21 +457,15 @@ int main(int argc, char** argv) {
     double rps_b1 = 0.0, rps_b4 = 0.0, sim_b1 = 0.0, sim_b4 = 0.0;
     const char* best_b4 = "";
     for (const Config& cfg : configs) {
-      PipelineOptions opts;
-      opts.batch = cfg.batch;
-      opts.hyper_mode = cfg.mode;
-      opts.generate_code = false;
-      CompiledModel cm = compile_model(models::build(model), opts);
-
-      serve::ServeOptions serve_opts;
-      serve_opts.flush_timeout_ms = 5.0;
-      serve::Server server(std::move(cm), serve_opts);
+      serve::fleet::FleetConfig config = serve_config(model);
+      config.models[0].batch = cfg.batch;
+      config.models[0].hyper = cfg.mode;
+      serve::fleet::FleetServer fleet(config,
+                                      serve::fleet::single_tenant_options());
       serve::LoadOptions load;
       load.clients = clients;
       load.requests = requests;
-      serve::run_closed_loop(server, load);
-      server.shutdown();
-      const serve::ServerStats stats = server.stats();
+      const ServerStats stats = serve_closed_loop(fleet, load);
 
       const double sim = sim_rps(model, cfg.batch, cfg.mode);
       std::printf("%-12s %-14s | %9.1f %8.2f %8.2f %6.2f | %9.1f\n",
@@ -511,20 +494,17 @@ int main(int argc, char** argv) {
 
     // Saturation: queue depth 4, no backoff patience — excess offered load
     // must be rejected promptly while every accepted request completes.
-    PipelineOptions opts;
-    opts.batch = 4;
-    opts.generate_code = false;
-    CompiledModel cm = compile_model(models::build(model), opts);
-    serve::ServeOptions tight;
-    tight.queue_depth = 4;
-    serve::Server server(std::move(cm), tight);
+    serve::fleet::FleetConfig tight =
+        serve::fleet::single_tenant_config(model);
+    tight.models[0].queue_depth = 4;
     serve::LoadOptions burst;
     burst.clients = clients * 2;
     burst.requests = requests / 2;
     burst.reject_backoff_us = 500;
-    serve::LoadReport rep = serve::run_closed_loop(server, burst);
-    server.shutdown();
-    const serve::ServerStats sat = server.stats();
+    serve::fleet::FleetServer fleet(tight,
+                                    serve::fleet::single_tenant_options());
+    serve::LoadReport rep;
+    const ServerStats sat = serve_closed_loop(fleet, burst, &rep);
     std::printf("%-12s saturation (depth 4, %d clients): served %llu, "
                 "rejected %llu, failed %llu — %s\n\n",
                 model.c_str(), clients * 2,

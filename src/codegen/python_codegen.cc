@@ -53,8 +53,9 @@ def recv(queue, buffer, tag):
 
 namespace {
 
-/// Re-expands the fused-epilogue "act" attr (set by fuse_activations) in the
-/// generated PyTorch, which has no fused conv/gemm epilogue to target.
+/// Re-expands the fused-epilogue "act" attr (set by the fuse-activations
+/// pattern) in the generated PyTorch, which has no fused conv/gemm epilogue
+/// to target.
 std::string wrap_fused_activation(const Node& n, std::string expr) {
   if (!n.attrs.has("act")) return expr;
   const std::string& act = n.attrs.get_str("act");

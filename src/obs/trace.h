@@ -3,13 +3,13 @@
 //
 // Every subsystem that measures time stamps events with the same clock
 // (Stopwatch::now_ns, steady_clock), so compile passes, per-task kernel
-// execution, cross-worker message flows and server batch dispatches all
+// execution, cross-worker message flows and fleet batch dispatches all
 // land on one coherent timeline — the slack-analysis view the paper's
 // Fig. 13/14 reasoning implies. Conventions used by the built-in emitters:
 //
 //   pid kCompilerPid (1) — compiler passes (one track)
 //   pid kRuntimePid  (0) — executor workers (tid = worker index)
-//   pid kServerPid   (2) — serving layer (batcher)
+//   pid 3 + i        — fleet tenant i's batch dispatches (fleet_server.h)
 //
 // A Timeline is an accumulation buffer, not a hot-path structure: emitters
 // append events while converting already-collected profiles/reports, then
@@ -31,7 +31,6 @@ namespace ramiel::obs {
 
 inline constexpr int kRuntimePid = 0;
 inline constexpr int kCompilerPid = 1;
-inline constexpr int kServerPid = 2;
 
 class Timeline {
  public:

@@ -1,5 +1,5 @@
-// Relu/Sigmoid -> producer kernel-epilogue fusion (ported from the
-// hard-coded fuse_activations pass). The kernel backend applies the
+// Relu/Sigmoid -> producer kernel-epilogue fusion (the "fuse-activations"
+// pattern; `ramiel --fuse-act` forces it on). The kernel backend applies the
 // activation during the GEMM/conv write-back, so the pre-activation tensor
 // never materializes. Graph-output and single-consumer guards live in the
 // driver (pattern.h).
@@ -51,7 +51,7 @@ class FuseActivations final : public Pattern {
 
 }  // namespace
 
-std::unique_ptr<Pattern> make_fuse_activations() {
+std::unique_ptr<Pattern> make_fuse_activation() {
   return std::make_unique<FuseActivations>();
 }
 

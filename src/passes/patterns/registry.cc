@@ -36,7 +36,7 @@ PatternRegistry& pattern_registry() {
     r->add(make_fold_batch_norms());
     r->add(make_fold_scale_mul());
     r->add(make_absorb_bias_add());
-    r->add(make_fuse_activations());
+    r->add(make_fuse_activation());
     r->add(make_quantize_weights());
     return r;
   }();

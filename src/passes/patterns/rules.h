@@ -34,7 +34,7 @@ std::unique_ptr<Pattern> make_absorb_bias_add();
 
 /// Relu/Sigmoid folds into the preceding Conv2d/Gemm kernel epilogue
 /// (attrs["act"]); the activation node dies.
-std::unique_ptr<Pattern> make_fuse_activations();
+std::unique_ptr<Pattern> make_fuse_activation();
 
 /// Conv/Gemm/MatMul weight initializers rewrite to a low-precision storage
 /// dtype (f16/bf16 cast or per-channel i8 quantization). Default-disabled;

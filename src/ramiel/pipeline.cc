@@ -112,14 +112,12 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
     graph = graph.compacted();
     t.done();
   }
-  // Pattern-rewrite stage. The legacy fuse_batch_norms / fuse_activations
-  // switches select just their pattern; pattern_rewrites enables the whole
-  // registry (default-enabled rules minus overrides), with the legacy
-  // switches force-enabling their rules on top.
-  const bool run_pattern_stage = options.pattern_rewrites ||
-                                 options.fuse_batch_norms ||
-                                 options.fuse_activations;
-  if (run_pattern_stage) {
+  // Pattern-rewrite stage: pattern_rewrites enables the whole registry
+  // (default-enabled rules minus overrides); without it, only the rules
+  // forced on by an override run.
+  bool any_forced = false;
+  for (const auto& [name, on] : options.pattern_overrides) any_forced |= on;
+  if (options.pattern_rewrites || any_forced) {
     patterns::PatternRunOptions popt;
     popt.max_rounds = options.pattern_max_rounds;
     if (!options.pattern_rewrites) {
@@ -130,12 +128,8 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
     for (const auto& [name, on] : options.pattern_overrides) {
       popt.enable[name] = on;
     }
-    if (options.fuse_batch_norms) popt.enable["fold-batch-norms"] = true;
-    if (options.fuse_activations) popt.enable["fuse-activations"] = true;
     PassTimer t("pattern_rewrite", graph, cost, out.pass_reports);
     out.pattern_stats = patterns::run_patterns(graph, popt);
-    out.batch_norms_folded = out.pattern_stats.count("fold-batch-norms");
-    out.activations_fused = out.pattern_stats.count("fuse-activations");
     t.done();
   }
   if (options.cloning) {
@@ -244,8 +238,6 @@ std::string compile_report_json(const CompiledModel& cm) {
   out += ",\"dce_removed\":" + std::to_string(cm.fold_stats.dce_removed);
   out += ",\"clones_created\":" +
          std::to_string(cm.clone_stats.clones_created);
-  out += ",\"batch_norms_folded\":" + std::to_string(cm.batch_norms_folded);
-  out += ",\"activations_fused\":" + std::to_string(cm.activations_fused);
   // Per-pattern applied counts from the pattern-rewrite stage (registry
   // order; only patterns that were enabled appear). Empty "counts" when the
   // stage did not run.

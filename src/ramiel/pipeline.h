@@ -20,7 +20,6 @@
 #include "passes/cloning.h"
 #include "passes/cluster_merging.h"
 #include "passes/constant_folding.h"
-#include "passes/fusion.h"
 #include "passes/hypercluster.h"
 #include "passes/linear_clustering.h"
 #include "passes/patterns/driver.h"
@@ -41,20 +40,13 @@ struct PipelineOptions {
   bool constant_folding = false;
   /// Run restricted task cloning before clustering (§III-D).
   bool cloning = false;
-  /// Fold Conv+BatchNorm pairs (extension: the conclusion's "more powerful
-  /// graph reductions"). Legacy switch: equivalent to enabling only the
-  /// "fold-batch-norms" pattern (or force-enabling it when pattern_rewrites
-  /// is set).
-  bool fuse_batch_norms = false;
-  /// Fold Relu/Sigmoid into the preceding Conv2d/Gemm kernel epilogue so the
-  /// activation runs during the GEMM write-back instead of as its own task.
-  /// Legacy switch for the "fuse-activations" pattern, like fuse_batch_norms.
-  bool fuse_activations = false;
   /// Run the declarative pattern-rewrite stage (src/passes/patterns/): every
   /// registered rule, applied to a fixed point with driver-enforced guards.
   bool pattern_rewrites = false;
-  /// Per-pattern enable overrides by name (true = force on, false = off);
-  /// consulted only when the stage runs. Unknown names raise Error.
+  /// Per-pattern enable overrides by name (true = force on, false = off).
+  /// A `true` entry also runs the stage without pattern_rewrites, with only
+  /// the forced-on rules (e.g. {"fold-batch-norms", true} folds Conv+BN
+  /// pairs and nothing else). Unknown names raise Error.
   std::unordered_map<std::string, bool> pattern_overrides;
   /// Fixed-point bound for the pattern driver.
   int pattern_max_rounds = 8;
@@ -111,8 +103,6 @@ struct CompiledModel {
   CodegenResult code;
   FoldStats fold_stats;
   CloningStats clone_stats;
-  int batch_norms_folded = 0;
-  int activations_fused = 0;
   /// Per-pattern applied counts + rounds from the pattern-rewrite stage
   /// (empty when the stage did not run). Also surfaced in the compile
   /// report's "patterns" block.

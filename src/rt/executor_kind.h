@@ -10,8 +10,8 @@
 //             plain dependency edges. Rebalances skew at run time.
 //   kAuto   — serving-layer policy: pick kSteal when the compile report's
 //             cluster-cost variance says the static placement is skewed
-//             (see serve::ServeOptions). Never a concrete executor;
-//             resolve before calling make_executor().
+//             (resolved by ModelRegistry::add, serve/fleet/registry.h).
+//             Never a concrete executor; resolve before make_executor().
 //
 // Selection plumbing: `--executor static|steal` on ramiel run,
 // `--executor static|steal|auto` on ramiel_serve, RAMIEL_EXECUTOR for both.

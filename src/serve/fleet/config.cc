@@ -1,10 +1,12 @@
 #include "serve/fleet/config.h"
 
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 
 #include "obs/json.h"
 #include "obs/json_read.h"
+#include "support/check.h"
 #include "support/string_util.h"
 
 namespace ramiel::serve::fleet {
@@ -13,6 +15,10 @@ namespace {
 bool fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
   return false;
+}
+
+const char* hyper_name(HyperMode mode) {
+  return mode == HyperMode::kSwitched ? "switched" : "plain";
 }
 
 bool valid_slo_class(const std::string& s) {
@@ -29,6 +35,34 @@ bool read_number(const obs::JsonValue& obj, const char* key, double* out,
     return fail(error, str_cat("member '", key, "' must be a finite number"));
   }
   *out = v->number;
+  return true;
+}
+
+/// Reads an optional integer member: a number with no fractional part that
+/// fits an int. 2.7, 3e9 and 1e300 are errors, not truncations.
+bool read_int(const obs::JsonValue& obj, const char* key, int* out,
+              std::string* error) {
+  double v = 0.0;
+  if (obj.find(key) == nullptr) return true;
+  if (!read_number(obj, key, &v, error)) return false;
+  if (v != std::trunc(v) ||
+      v < static_cast<double>(std::numeric_limits<int>::min()) ||
+      v > static_cast<double>(std::numeric_limits<int>::max())) {
+    return fail(error, str_cat("member '", key, "' must be an integer (got ",
+                               obs::json_number(v), ")"));
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool read_bool(const obs::JsonValue& obj, const char* key, bool* out,
+               std::string* error) {
+  const obs::JsonValue* v = obj.find(key);
+  if (v == nullptr) return true;
+  if (!v->is(obs::JsonValue::Kind::kBool)) {
+    return fail(error, str_cat("member '", key, "' must be true or false"));
+  }
+  *out = v->boolean;
   return true;
 }
 
@@ -52,55 +86,73 @@ bool parse_model(const obs::JsonValue& entry, ModelConfig* out,
   if (out->name.empty()) {
     return fail(error, "models[] entry needs a non-empty 'name'");
   }
-  if (!read_string(entry, "model", &out->model, error)) return false;
-
-  double batch = static_cast<double>(out->batch);
-  double queue_depth = static_cast<double>(out->queue_depth);
-  double stages = static_cast<double>(out->pipeline_stages);
-  if (!read_number(entry, "batch", &batch, error) ||
+  const std::string where = str_cat("model '", out->name, "': ");
+  std::string executor = to_string(out->executor);
+  std::string hyper = hyper_name(out->hyper);
+  std::string dtype = dtype_name(out->dtype);
+  if (!read_string(entry, "model", &out->model, error) ||
+      !read_int(entry, "batch", &out->batch, error) ||
       !read_number(entry, "flush_timeout_ms", &out->flush_timeout_ms,
                    error) ||
+      !read_string(entry, "slo_class", &out->slo_class, error) ||
+      !read_string(entry, "executor", &executor, error) ||
       !read_number(entry, "quota_rps", &out->quota_rps, error) ||
       !read_number(entry, "burst", &out->burst, error) ||
       !read_number(entry, "weight", &out->weight, error) ||
-      !read_number(entry, "queue_depth", &queue_depth, error) ||
-      !read_number(entry, "pipeline_stages", &stages, error)) {
+      !read_int(entry, "queue_depth", &out->queue_depth, error) ||
+      !read_int(entry, "pipeline_stages", &out->pipeline_stages, error) ||
+      !read_bool(entry, "fold", &out->fold, error) ||
+      !read_bool(entry, "clone", &out->clone, error) ||
+      !read_string(entry, "hyper", &hyper, error) ||
+      !read_string(entry, "dtype", &dtype, error) ||
+      !read_string(entry, "calib", &out->calib, error)) {
+    if (error != nullptr) *error = where + *error;
     return false;
   }
-  out->batch = static_cast<int>(batch);
-  out->queue_depth = static_cast<int>(queue_depth);
-  out->pipeline_stages = static_cast<int>(stages);
-  if (out->batch < 1) {
-    return fail(error, str_cat("model '", out->name, "': batch must be >= 1"));
-  }
-  if (out->queue_depth < 1) {
-    return fail(error,
-                str_cat("model '", out->name, "': queue_depth must be >= 1"));
-  }
-  if (out->pipeline_stages < 1) {
-    return fail(error, str_cat("model '", out->name,
-                               "': pipeline_stages must be >= 1"));
-  }
-  if (out->weight <= 0.0) {
-    return fail(error, str_cat("model '", out->name, "': weight must be > 0"));
-  }
-
-  if (!read_string(entry, "slo_class", &out->slo_class, error)) return false;
-  if (!valid_slo_class(out->slo_class)) {
-    return fail(error, str_cat("model '", out->name, "': slo_class '",
-                               out->slo_class,
-                               "' (want interactive|standard|batch)"));
-  }
-  std::string executor = to_string(out->executor);
-  if (!read_string(entry, "executor", &executor, error)) return false;
   if (!parse_executor_kind(executor, &out->executor, /*allow_auto=*/true)) {
-    return fail(error, str_cat("model '", out->name, "': executor '",
-                               executor, "' (want static|steal|auto)"));
+    return fail(error, str_cat(where, "executor '", executor,
+                               "' (want static|steal|auto)"));
+  }
+  if (hyper != "plain" && hyper != "switched") {
+    return fail(error,
+                str_cat(where, "hyper '", hyper, "' (want plain|switched)"));
+  }
+  out->hyper = hyper == "switched" ? HyperMode::kSwitched : HyperMode::kPlain;
+  const auto dt = parse_dtype(dtype);
+  if (!dt) {
+    return fail(error,
+                str_cat(where, "dtype '", dtype, "' (want f32|f16|bf16|i8)"));
+  }
+  out->dtype = *dt;
+  try {
+    out->validate();
+  } catch (const Error& e) {
+    return fail(error, e.what());
   }
   return true;
 }
 
 }  // namespace
+
+void ModelConfig::validate() const {
+  const auto bad = [&](const std::string& what) {
+    throw Error(str_cat("model '", name, "': ", what));
+  };
+  if (name.empty()) throw Error("model config needs a non-empty name");
+  if (batch < 1) bad("batch must be >= 1");
+  if (queue_depth < 1) bad("queue_depth must be >= 1");
+  if (pipeline_stages < 1) bad("pipeline_stages must be >= 1");
+  if (!std::isfinite(flush_timeout_ms) || flush_timeout_ms < 0.0) {
+    bad("flush_timeout_ms must be a finite number >= 0");
+  }
+  if (!std::isfinite(quota_rps)) bad("quota_rps must be finite");
+  if (!std::isfinite(burst)) bad("burst must be finite");
+  if (!std::isfinite(weight) || weight <= 0.0) bad("weight must be > 0");
+  if (!valid_slo_class(slo_class)) {
+    bad(str_cat("slo_class '", slo_class,
+                "' (want interactive|standard|batch)"));
+  }
+}
 
 bool parse_fleet_config(std::string_view json, FleetConfig* out,
                         std::string* error) {
@@ -161,6 +213,11 @@ std::string to_json(const FleetConfig& config) {
     out += ",\"weight\":" + json_number(m.weight);
     out += ",\"queue_depth\":" + std::to_string(m.queue_depth);
     out += ",\"pipeline_stages\":" + std::to_string(m.pipeline_stages);
+    out += std::string(",\"fold\":") + (m.fold ? "true" : "false");
+    out += std::string(",\"clone\":") + (m.clone ? "true" : "false");
+    out += ",\"hyper\":" + json_quote(hyper_name(m.hyper));
+    out += ",\"dtype\":" + json_quote(dtype_name(m.dtype));
+    out += ",\"calib\":" + json_quote(m.calib);
     out += "}";
   }
   out += "]}";

@@ -1,5 +1,8 @@
-// Fleet configuration: which models one multi-tenant server hosts and how
-// much of the machine each tenant is entitled to.
+// Fleet configuration: which models one multi-tenant server hosts, how
+// each is compiled, and how much of the machine each tenant is entitled to.
+// Every tenant's requests take the one serving path: admission -> per-tenant
+// batch fill -> executor; a single-model server (tools/ramiel_serve) is a
+// one-tenant fleet.
 //
 // The JSON shape (tools/ramiel_fleet --config):
 //
@@ -10,27 +13,33 @@
 //       {"name": "squeezenet", "batch": 4, "flush_timeout_ms": 2.0,
 //        "slo_class": "interactive", "executor": "auto",
 //        "quota_rps": 200.0, "burst": 50.0, "weight": 2.0,
-//        "queue_depth": 64, "pipeline_stages": 1},
+//        "queue_depth": 64, "pipeline_stages": 1,
+//        "fold": false, "clone": false, "hyper": "plain",
+//        "dtype": "f32", "calib": ""},
 //       ...
 //     ]
 //   }
 //
 // Parsing is strict RFC 8259 (obs/json_read.h) with typed validation:
-// unknown pool/executor/slo_class strings, non-positive batches and
-// duplicate tenant names are errors, not defaults. to_json() round-trips
-// losslessly (test-enforced), so a fleet's running config can be exported
-// and re-loaded.
+// unknown pool/executor/slo_class/hyper/dtype strings, non-integral or
+// out-of-range integers, non-positive batches and duplicate tenant names
+// are errors, not defaults. to_json() round-trips losslessly
+// (test-enforced), so a fleet's running config can be exported and
+// re-loaded.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "ramiel/pipeline.h"
 #include "rt/executor_kind.h"
+#include "support/dtype.h"
 
 namespace ramiel::serve::fleet {
 
-/// Per-tenant model entry: artifact, batching policy, and machine share.
+/// Per-tenant model entry: artifact and its compile options, batching
+/// policy, and machine share.
 struct ModelConfig {
   /// Tenant name — the submit() key and the {model=...} metric label.
   std::string name;
@@ -38,14 +47,16 @@ struct ModelConfig {
   std::string model;
   /// Serving batch size (the hyperclustering batch).
   int batch = 4;
-  /// Dynamic-batching flush timeout (serve/batcher.h).
+  /// How long a partial batch waits for more requests of this tenant,
+  /// measured from its first request; 0 flushes partial batches at once.
+  /// Under load batches leave full before it fires.
   double flush_timeout_ms = 2.0;
   /// SLO class: "interactive" | "standard" | "batch". Interactive tenants
   /// age twice as fast toward the fairness boost; batch tenants never age.
   std::string slo_class = "standard";
-  /// Runtime choice; kAuto resolves per model via cluster_cost_cv exactly
-  /// like a single-model Server (shared pools force the static runtime —
-  /// the whole point is one set of threads).
+  /// Runtime choice; kAuto resolves per model via cluster_cost_cv in
+  /// ModelRegistry::add (shared pools force the static runtime — the whole
+  /// point is one set of threads).
   ExecutorKind executor = ExecutorKind::kAuto;
   /// Token-bucket refill rate, requests/second. <= 0 = unlimited.
   double quota_rps = 0.0;
@@ -58,6 +69,28 @@ struct ModelConfig {
   /// > 1 splits the clustered program into this many cost-balanced stages
   /// and double-buffers them for cross-batch pipelining (fleet/pipeline.h).
   int pipeline_stages = 1;
+
+  // Compile options (PipelineOptions). The defaults compile the model
+  // as-is: no folding, no cloning, plain hyperclustering, f32.
+  /// Constant propagation + DCE before clustering (§III-C).
+  bool fold = false;
+  /// Restricted task cloning before clustering (§III-D).
+  bool clone = false;
+  /// Hypercluster interleave for batch > 1 (JSON "plain" | "switched").
+  HyperMode hyper = HyperMode::kPlain;
+  /// Storage dtype (JSON "f32" | "f16" | "bf16" | "i8"); non-f32 runs the
+  /// quantize_weights stage.
+  DType dtype = DType::kF32;
+  /// Calibration file written by ramiel_calibrate, consulted by the i8
+  /// lowering ("" = none). Loaded by the registry at compile time.
+  std::string calib;
+
+  /// Throws Error naming the tenant and the first invalid field: an empty
+  /// name, batch / queue_depth / pipeline_stages below 1, a negative or
+  /// non-finite flush timeout, non-finite quota or burst, weight <= 0, or
+  /// an unknown slo_class. parse_fleet_config and ModelRegistry::add both
+  /// call it, so configs built in code fail the same way as JSON ones.
+  void validate() const;
 };
 
 struct FleetConfig {

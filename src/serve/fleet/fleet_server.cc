@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "rt/steal/steal_executor.h"
 #include "support/check.h"
+#include "support/env.h"
 #include "support/stopwatch.h"
 #include "support/string_util.h"
 
@@ -23,6 +24,28 @@ double jain_fairness(const std::vector<double>& allocations) {
   if (allocations.empty() || sum_sq <= 0.0) return 0.0;
   return sum * sum /
          (static_cast<double>(allocations.size()) * sum_sq);
+}
+
+FleetConfig single_tenant_config(const std::string& name) {
+  ModelConfig model;
+  model.name = name;
+  model.queue_depth = env_serve_queue_depth(256);
+  model.executor = env_executor_kind(ExecutorKind::kStatic,
+                                     /*allow_auto=*/true);
+  model.dtype = env_dtype(DType::kF32);
+  FleetConfig config;
+  config.pool = "partitioned";
+  config.models = {model};
+  return config;
+}
+
+FleetOptions single_tenant_options() {
+  FleetOptions options;
+  options.intra_op_threads = env_intra_op_threads(1);
+  options.mem_plan = env_mem_plan_default(true);
+  options.auto_steal_cv = env_auto_steal_cv(0.35);
+  options.profile = true;
+  return options;
 }
 
 TenantOptions FleetServer::admission_options(const ModelConfig& config,
@@ -305,8 +328,11 @@ void FleetServer::serve_one(Tenant& t, Request first) {
   const std::shared_ptr<const ModelEntry> entry = t.entry;
   const int slots = entry->config.batch;
 
-  // Dynamic batch fill from this tenant only, bounded by its flush timeout
-  // (the Server's collect_batch policy, applied per tenant).
+  // Dynamic batch fill from this tenant only: take batch-mates until the
+  // batch is full or the flush timeout, counted from the first request's
+  // dequeue, runs out. Under load the timeout never fires (max
+  // throughput); at low load it bounds the wait for company. A closed
+  // queue still hands out what it holds, so shutdown drains.
   std::vector<Request> batch;
   batch.reserve(static_cast<std::size_t>(slots));
   batch.push_back(std::move(first));
@@ -323,21 +349,27 @@ void FleetServer::serve_one(Tenant& t, Request first) {
     }
     batch.push_back(std::move(r));
   }
+  t.stats->queue_depth_gauge()->set(
+      static_cast<double>(queue_.tenant_depth(t.index)));
 
   const std::int64_t dispatch_ns = Stopwatch::now_ns();
   if (t.runner) {
     dispatch_pipelined(t, *entry, std::move(batch), dispatch_ns);
   } else {
-    dispatch_sync(t, *entry, std::move(batch), dispatch_ns);
+    dispatch_sync(t, entry, std::move(batch), dispatch_ns);
   }
   mirror_aged(t);
 }
 
-void FleetServer::dispatch_sync(Tenant& t, const ModelEntry& entry,
+void FleetServer::dispatch_sync(Tenant& t,
+                                const std::shared_ptr<const ModelEntry>& entry,
                                 std::vector<Request> batch,
                                 std::int64_t dispatch_ns) {
   const int real = static_cast<int>(batch.size());
-  const int slots = entry.config.batch;
+  const int slots = entry->config.batch;
+  // The hypercluster program wants exactly `slots` samples; short batches
+  // are padded with copies of the first sample and the padded outputs are
+  // discarded (batch_fill in the stats is exactly the cost of this).
   std::vector<TensorMap> inputs;
   inputs.reserve(static_cast<std::size_t>(slots));
   for (const Request& r : batch) inputs.push_back(r.inputs);
@@ -345,6 +377,7 @@ void FleetServer::dispatch_sync(Tenant& t, const ModelEntry& entry,
 
   RunOptions run_opts;
   run_opts.intra_op_threads = options_.intra_op_threads;
+  run_opts.trace = options_.profile;
 
   Profile profile;
   try {
@@ -360,6 +393,7 @@ void FleetServer::dispatch_sync(Tenant& t, const ModelEntry& entry,
       outputs = pool->run_program(t.program, inputs, run_opts, &profile);
     }
     t.stats->on_batch(real, slots, profile);
+    if (options_.profile) maybe_keep_exemplar(t, entry, profile, dispatch_ns);
     const std::int64_t done_ns = Stopwatch::now_ns();
     for (int i = 0; i < real; ++i) {
       Request& r = batch[static_cast<std::size_t>(i)];
@@ -374,6 +408,8 @@ void FleetServer::dispatch_sync(Tenant& t, const ModelEntry& entry,
     }
     record_span(t, dispatch_ns, done_ns, real, slots);
   } catch (const std::exception& e) {
+    // One bad request poisons its whole batch (they shared an executor
+    // run); every rider gets the error and the tenant keeps serving.
     t.stats->on_batch(real, slots, profile);
     const std::int64_t done_ns = Stopwatch::now_ns();
     for (Request& r : batch) {
@@ -476,6 +512,50 @@ void FleetServer::record_span(Tenant& t, std::int64_t start_ns,
   if (!options_.trace) return;
   std::lock_guard<std::mutex> lk(t.trace_mu);
   t.spans.push_back(BatchSpan{start_ns, end_ns, real, slots});
+}
+
+void FleetServer::maybe_keep_exemplar(
+    Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
+    const Profile& profile, std::int64_t dispatch_ns) {
+  {
+    // The tenant's dispatch (exec_mu) is the only writer, so this early-out
+    // cannot race another insertion; the lock orders against readers.
+    std::lock_guard<std::mutex> lk(t.trace_mu);
+    if (t.exemplars.size() >= static_cast<std::size_t>(kProfileExemplars) &&
+        profile.wall_ms <= t.exemplars.back().wall_ms) {
+      return;  // faster than every retained exemplar — the common case
+    }
+  }
+  TailExemplar ex;
+  ex.wall_ms = profile.wall_ms;
+  ex.dispatch_ns = dispatch_ns;
+  ex.profile = profile;
+  ex.entry = entry;
+  prof::AnalyzeOptions aopts;
+  aopts.top_ops = 8;
+  aopts.what_if_ops = 2;
+  ex.report = prof::analyze(entry->compiled.graph,
+                            entry->compiled.hyperclusters, profile,
+                            aopts);  // outside the lock: O(tasks) walk
+  std::lock_guard<std::mutex> lk(t.trace_mu);
+  t.exemplars.push_back(std::move(ex));
+  std::sort(t.exemplars.begin(), t.exemplars.end(),
+            [](const TailExemplar& a, const TailExemplar& b) {
+              return a.wall_ms > b.wall_ms;
+            });
+  if (t.exemplars.size() > static_cast<std::size_t>(kProfileExemplars)) {
+    t.exemplars.resize(static_cast<std::size_t>(kProfileExemplars));
+  }
+  // Gauges always describe the worst batch seen so far.
+  prof::publish(t.exemplars.front().report);
+}
+
+std::vector<TailExemplar> FleetServer::tail_exemplars(
+    const std::string& model) const {
+  Tenant* t = find(model);
+  RAMIEL_CHECK(t != nullptr, str_cat("unknown model '", model, "'"));
+  std::lock_guard<std::mutex> lk(t->trace_mu);
+  return t->exemplars;
 }
 
 void FleetServer::shutdown() {
@@ -637,6 +717,7 @@ void FleetServer::append_trace(obs::Timeline& timeline) const {
     std::lock_guard<std::mutex> lk(tenants_mu_);
     for (const auto& t : tenants_) all.push_back(t.get());
   }
+  TailExemplar slowest;  // copied out: the dispatchers keep replacing them
   for (Tenant* t : all) {
     const int pid = kTenantPidBase + t->index;
     timeline.process_name(pid, str_cat("tenant:", t->name));
@@ -650,6 +731,15 @@ void FleetServer::append_trace(obs::Timeline& timeline) const {
            obs::Timeline::Arg{"fill", static_cast<double>(s.real) /
                                           static_cast<double>(s.slots)}});
     }
+    if (!t->exemplars.empty() &&
+        t->exemplars.front().wall_ms > slowest.wall_ms) {
+      slowest = t->exemplars.front();
+    }
+  }
+  if (slowest.entry) {
+    const auto critical = slowest.report.critical_tasks();
+    slowest.profile.to_timeline(slowest.entry->compiled.graph, timeline, 0,
+                                &critical);
   }
 }
 

@@ -1,4 +1,10 @@
 // Multi-tenant fleet server: N models, one admission door, one machine.
+// This is the one serving path; a single-model server (tools/ramiel_serve)
+// is a one-tenant fleet on a partitioned pool.
+//
+// Every request takes the same route: admission (quota + bounded queue) ->
+// per-tenant batch fill (up to the tenant's batch, waiting at most its
+// flush timeout for batch-mates, padding short batches) -> executor.
 //
 // Composition of the fleet subsystem (see the sibling headers for each
 // part's contract):
@@ -57,11 +63,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/prof/critical_path.h"
 #include "serve/fleet/admission.h"
 #include "serve/fleet/config.h"
 #include "serve/fleet/pipeline.h"
 #include "serve/fleet/registry.h"
-#include "serve/server.h"
+#include "serve/request_queue.h"
+#include "serve/stats.h"
 
 namespace ramiel::obs {
 class Timeline;
@@ -70,13 +78,16 @@ class Timeline;
 namespace ramiel::serve::fleet {
 
 /// First Perfetto pid of the per-tenant tracks (tenant i gets pid
-/// kTenantPidBase + i, above the runtime/compiler/server tracks 0..2).
+/// kTenantPidBase + i, above the runtime and compiler tracks).
 inline constexpr int kTenantPidBase = 3;
 
 /// Jain's fairness index over per-tenant allocations: (Σx)² / (n·Σx²).
 /// 1.0 = perfectly even, 1/n = one tenant has everything. Empty or all-zero
 /// input yields 0.
 double jain_fairness(const std::vector<double>& allocations);
+
+/// Slowest batches retained per tenant when FleetOptions::profile is on.
+inline constexpr int kProfileExemplars = 4;
 
 struct FleetOptions {
   /// Kernel threads per worker, every tenant (RunOptions.intra_op_threads).
@@ -87,9 +98,39 @@ struct FleetOptions {
   double auto_steal_cv = 0.35;
   /// Record per-tenant batch-dispatch spans for append_trace().
   bool trace = false;
+  /// Tail attribution: record per-task events for every batch and keep
+  /// each tenant's kProfileExemplars slowest batches with their realized
+  /// critical-path reports (prof::analyze) — which op/cluster caused each
+  /// p99 batch. The executors already read the clock twice per task, so
+  /// recording adds one vector append per task (BENCH_serve.json,
+  /// "profiler_overhead"). Pipelined tenants are not profiled.
+  bool profile = false;
   /// Idle poll granularity of the dispatcher loops.
   double poll_ms = 2.0;
 };
+
+/// One retained slow batch: its recorded profile plus the critical-path
+/// attribution computed when it entered the exemplar set.
+struct TailExemplar {
+  double wall_ms = 0.0;
+  std::int64_t dispatch_ns = 0;
+  Profile profile;
+  prof::CriticalPathReport report;
+  /// The artifact the batch ran (its graph renders the profile).
+  std::shared_ptr<const ModelEntry> entry;
+};
+
+/// The one-tenant fleet tools/ramiel_serve runs: tenant `name` on a
+/// "partitioned" pool, so its static|steal|auto choice is honoured. Starts
+/// from the single-model defaults and their deployment overrides:
+/// RAMIEL_SERVE_QUEUE_DEPTH (256), RAMIEL_EXECUTOR (static; auto allowed),
+/// RAMIEL_DTYPE (f32).
+FleetConfig single_tenant_config(const std::string& name);
+
+/// Options for the same one-tenant fleet: profiling on, plus the overrides
+/// RAMIEL_INTRA_OP_THREADS (1), RAMIEL_MEM_PLAN (arena) and
+/// RAMIEL_AUTO_STEAL_CV (0.35).
+FleetOptions single_tenant_options();
 
 /// One tenant's externally visible state, as returned by report().
 struct TenantReport {
@@ -159,12 +200,20 @@ class FleetServer {
   /// Per-tenant reports, one per live tenant (window percentiles reset).
   std::vector<TenantReport> report();
 
+  /// `model`'s retained slowest batches, slowest first (profile mode;
+  /// empty until its first batch completes or when profiling is off).
+  std::vector<TailExemplar> tail_exemplars(const std::string& model) const;
+
   /// Strict-JSON array of per-tenant stats objects (round-trips through
   /// obs::json_parse; the ramiel_fleet --stats-out document).
   std::string stats_json();
 
   /// Per-tenant batch-dispatch tracks (trace mode): tenant i's spans land
-  /// on pid kTenantPidBase + i named "tenant:<name>".
+  /// on pid kTenantPidBase + i named "tenant:<name>". In profile mode the
+  /// fleet's slowest batch is added on the runtime track: task spans with
+  /// its realized critical path highlighted, message-flow arrows and
+  /// queue-depth counters. Combine with add_compile_trace() for the
+  /// complete compile->serve timeline.
   void append_trace(obs::Timeline& timeline) const;
 
   const std::string& pool() const { return pool_; }
@@ -210,9 +259,9 @@ class FleetServer {
     std::thread dispatcher;  // partitioned mode only
     std::mutex trace_mu;
     std::vector<BatchSpan> spans;
+    std::vector<TailExemplar> exemplars;  // profile mode: slowest first
     /// Final exact-latency window, flushed at shutdown/remove so the last
-    /// partial window is reported instead of an empty one (PR-7 Server
-    /// semantics, per tenant).
+    /// partial window is reported instead of an empty one.
     mutable std::mutex final_mu;
     ServerStats final_window;
     bool final_valid = false;
@@ -228,7 +277,7 @@ class FleetServer {
   /// Fills a batch for `first`'s tenant, dispatches it, fulfils promises
   /// (directly, or via the completion thread for pipelined tenants).
   void serve_one(Tenant& t, Request first);
-  void dispatch_sync(Tenant& t, const ModelEntry& entry,
+  void dispatch_sync(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
                      std::vector<Request> batch, std::int64_t dispatch_ns);
   void dispatch_pipelined(Tenant& t, const ModelEntry& entry,
                           std::vector<Request> batch,
@@ -240,6 +289,9 @@ class FleetServer {
   void mirror_aged(Tenant& t);
   void record_span(Tenant& t, std::int64_t start_ns, std::int64_t end_ns,
                    int real, int slots);
+  void maybe_keep_exemplar(Tenant& t,
+                           const std::shared_ptr<const ModelEntry>& entry,
+                           const Profile& profile, std::int64_t dispatch_ns);
 
   FleetOptions options_;
   std::string pool_;

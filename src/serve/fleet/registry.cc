@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "models/zoo.h"
-#include "support/check.h"
+#include "obs/metrics.h"
 
 namespace ramiel::serve::fleet {
 
@@ -17,14 +17,20 @@ ModelRegistry::ModelRegistry(RegistryOptions options, Loader loader)
 
 std::shared_ptr<const ModelEntry> ModelRegistry::add(
     const ModelConfig& config) {
-  RAMIEL_CHECK(!config.name.empty(), "model config needs a name");
-  RAMIEL_CHECK(config.batch >= 1, "model batch must be >= 1");
+  config.validate();
 
   // Compile outside the lock: a hot add must not stall lookups (the
   // dispatcher resolves handles on every batch).
   const std::string spec = config.model.empty() ? config.name : config.model;
   PipelineOptions pipeline;
   pipeline.batch = config.batch;
+  pipeline.hyper_mode = config.hyper;
+  pipeline.constant_folding = config.fold;
+  pipeline.cloning = config.clone;
+  pipeline.dtype = config.dtype;
+  if (!config.calib.empty()) {
+    pipeline.calibration = load_calibration(config.calib);
+  }
   pipeline.generate_code = false;
   pipeline.mem_planning = options_.mem_plan;
 
@@ -37,6 +43,13 @@ std::shared_ptr<const ModelEntry> ModelRegistry::add(
                           ? ExecutorKind::kSteal
                           : ExecutorKind::kStatic;
   }
+  // Which runtime the model resolved to (0 = static, 1 = steal): lets a
+  // dashboard see how often the auto policy flips to stealing.
+  obs::registry()
+      .gauge("ramiel_serve_executor_steal",
+             "1 when this model runs the work-stealing executor",
+             {{"model", config.name}})
+      ->set(entry->executor == ExecutorKind::kSteal ? 1.0 : 0.0);
 
   std::lock_guard<std::mutex> lk(mu_);
   auto it = entries_.find(config.name);

@@ -2,7 +2,7 @@
 //
 // Each entry is one tenant's compiled model (the full compile_model output)
 // plus its serving config and the resolved executor kind (kAuto decided at
-// load time from cluster_cost_cv, exactly like a single-model Server).
+// load time from cluster_cost_cv; this is the one place it is resolved).
 // Entries are handed out as shared_ptr<const ModelEntry> — a *versioned
 // handle*: add() over an existing name compiles the replacement off to the
 // side and atomically swaps the table pointer with a bumped version, so
@@ -41,8 +41,8 @@ struct ModelEntry {
 };
 
 struct RegistryOptions {
-  /// kAuto threshold on CompiledModel::cluster_cost_cv (same default as
-  /// ServeOptions::auto_steal_cv).
+  /// kAuto threshold on CompiledModel::cluster_cost_cv
+  /// (deployment override in ramiel_serve: RAMIEL_AUTO_STEAL_CV).
   double auto_steal_cv = 0.35;
   /// Compute static memory plans for the loaded artifacts.
   bool mem_plan = true;
@@ -56,7 +56,9 @@ class ModelRegistry {
 
   explicit ModelRegistry(RegistryOptions options = {}, Loader loader = {});
 
-  /// Compiles config.model (or config.name when empty) and publishes it
+  /// Validates the config, compiles config.model (or config.name when
+  /// empty) with its compile options, resolves kAuto, sets the
+  /// ramiel_serve_executor_steal{model} gauge, and publishes the entry
   /// under config.name. An existing name is hot-swapped: the new entry gets
   /// version old+1 and subsequent lookups see it, while handles to the old
   /// version stay alive until released. Compilation runs outside the

@@ -91,12 +91,6 @@ LoadReport run_closed_loop(const SubmitFn& submit, const Graph& graph,
   return report;
 }
 
-LoadReport run_closed_loop(Server& server, const LoadOptions& opts) {
-  return run_closed_loop(
-      [&server](TensorMap inputs) { return server.submit(std::move(inputs)); },
-      server.graph(), opts);
-}
-
 LoadReport run_open_loop(const SubmitFn& submit, const Graph& graph,
                          const OpenLoopOptions& opts) {
   RAMIEL_CHECK(opts.rate_rps > 0.0, "open-loop rate must be > 0");
@@ -159,12 +153,6 @@ LoadReport run_open_loop(const SubmitFn& submit, const Graph& graph,
                             ? 0.0
                             : report.completed / (report.wall_ms / 1e3);
   return report;
-}
-
-LoadReport run_open_loop(Server& server, const OpenLoopOptions& opts) {
-  return run_open_loop(
-      [&server](TensorMap inputs) { return server.submit(std::move(inputs)); },
-      server.graph(), opts);
 }
 
 bool parse_arrival(const std::string& text, ArrivalSpec* out,

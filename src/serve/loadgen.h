@@ -15,22 +15,22 @@
 // matter how badly it is served. Rejected requests are not retried (the
 // arrival process, not the client, decides the rate).
 //
-// Both drivers accept any submit function, so they drive a single-model
-// Server or one tenant of a fleet::FleetServer alike.
+// Both drivers accept any submit function: one tenant of a
+// fleet::FleetServer bound to its name (a single-model server is a
+// one-tenant fleet).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 
-#include "serve/server.h"
+#include "serve/request_queue.h"
 #include "support/rng.h"
 
 namespace ramiel::serve {
 
 /// One tenant's door, as the load generators see it: submit one sample,
-/// get the response future. Server::submit and FleetServer::submit (bound
-/// to a model name) both fit.
+/// get the response future (FleetServer::submit bound to a model name).
 using SubmitFn = std::function<std::future<Response>(TensorMap)>;
 
 struct LoadOptions {
@@ -61,13 +61,10 @@ struct LoadReport {
   double achieved_rps = 0.0;
 };
 
-/// Drives `server` with opts.clients closed-loop clients until
+/// Drives `submit` with opts.clients closed-loop clients until
 /// opts.requests responses have been collected; returns the aggregate
-/// report. Does not shut the server down.
-LoadReport run_closed_loop(Server& server, const LoadOptions& opts);
-
-/// Same closed loop against an arbitrary submit function; `graph` supplies
-/// the input signature the generated payloads must match.
+/// report. `graph` supplies the input signature the generated payloads
+/// must match. Does not shut the server down.
 LoadReport run_closed_loop(const SubmitFn& submit, const Graph& graph,
                            const LoadOptions& opts);
 
@@ -87,7 +84,6 @@ struct OpenLoopOptions {
 /// server's stats). offered in the report counts every arrival fired.
 LoadReport run_open_loop(const SubmitFn& submit, const Graph& graph,
                          const OpenLoopOptions& opts);
-LoadReport run_open_loop(Server& server, const OpenLoopOptions& opts);
 
 /// How a load driver offers traffic: "--arrival closed|poisson:RATE".
 struct ArrivalSpec {

@@ -5,14 +5,13 @@
 #include <fstream>
 
 #include "obs/metrics.h"
-#include "serve/server.h"
 #include "support/stopwatch.h"
 
 namespace ramiel::serve {
 
-MetricsEmitter::MetricsEmitter(const Server* server,
+MetricsEmitter::MetricsEmitter(WindowStatsFn window_stats,
                                MetricsEmitterOptions options)
-    : server_(server), options_(std::move(options)) {
+    : window_stats_(std::move(window_stats)), options_(std::move(options)) {
   if (options_.interval_ms <= 0.0) options_.interval_ms = 1000.0;
   // Truncate any stale JSONL from a previous run: each emitter owns one
   // run's history (appends happen within the run, not across runs).
@@ -55,7 +54,7 @@ void MetricsEmitter::loop() {
 void MetricsEmitter::emit_once() {
   // window_stats: each JSONL line carries the exact-latency window since
   // the previous emit (cumulative counters are unaffected).
-  const ServerStats stats = server_->window_stats();
+  const ServerStats stats = window_stats_();
   const double ts_ms =
       static_cast<double>(Stopwatch::now_ns()) / 1e6;
 

@@ -1,7 +1,8 @@
 // Periodic metrics snapshot emitter for the serving runtime.
 //
 // A sidecar thread that, every interval, (a) appends one JSON object line
-// with the server's ServerStats to a JSONL file — the append-only history a
+// with a window-stats source's ServerStats (one fleet tenant's
+// tenant_window_stats) to a JSONL file — the append-only history a
 // dashboard or regression script tails — and (b) rewrites a Prometheus
 // textfile with the full obs registry (serve series plus the runtime and
 // compiler families), the node-exporter textfile-collector handoff that
@@ -12,15 +13,20 @@
 #pragma once
 
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "serve/stats.h"
 #include "support/env.h"
 
 namespace ramiel::serve {
 
-class Server;
+/// Returns the stats since the previous call: cumulative counters plus the
+/// exact-latency window, which the call resets (and the final window after
+/// shutdown), e.g. FleetServer::tenant_window_stats bound to a tenant.
+using WindowStatsFn = std::function<ServerStats()>;
 
 struct MetricsEmitterOptions {
   /// JSONL history; one ServerStats snapshot object per line. Empty
@@ -37,7 +43,7 @@ struct MetricsEmitterOptions {
 /// short runs (tests, CLI loadgen) always leave complete files behind.
 class MetricsEmitter {
  public:
-  MetricsEmitter(const Server* server, MetricsEmitterOptions options);
+  MetricsEmitter(WindowStatsFn window_stats, MetricsEmitterOptions options);
   ~MetricsEmitter();
 
   MetricsEmitter(const MetricsEmitter&) = delete;
@@ -53,7 +59,7 @@ class MetricsEmitter {
   void loop();
   void emit_once();
 
-  const Server* server_;
+  WindowStatsFn window_stats_;
   MetricsEmitterOptions options_;
 
   mutable std::mutex mu_;

@@ -1,11 +1,12 @@
 // Bounded MPMC request queue with admission control.
 //
-// The front door of the serving runtime: client threads try_push() requests,
-// the dynamic batcher pops them. The queue is *bounded* — once depth hits
-// capacity, try_push refuses instead of growing, so an overloaded server
-// sheds load at the door (callers get an immediate rejection) rather than
-// accumulating unbounded memory and unbounded tail latency. Consumers block;
-// producers never do.
+// Client threads try_push() requests, consumers pop them. The queue is
+// *bounded* — once depth hits capacity, try_push refuses instead of
+// growing, so an overloaded server sheds load at the door (callers get an
+// immediate rejection) rather than accumulating unbounded memory and
+// unbounded tail latency. Consumers block; producers never do. The fleet's
+// FleetQueue (fleet/admission.h) applies the same bound per tenant and
+// shares this header's Request/Response types and PopResult.
 #pragma once
 
 #include <condition_variable>

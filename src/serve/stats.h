@@ -1,6 +1,6 @@
 // Serving metrics.
 //
-// StatsCollector is the server's thread-safe accumulator, rebased onto the
+// StatsCollector is a fleet tenant's thread-safe accumulator, rebased onto the
 // obs metrics registry: every counter/gauge/histogram it maintains is a
 // labeled series (instance="N") in a Registry — by default the process-wide
 // obs::registry() — so a Prometheus scrape or obs JSON export sees exactly
@@ -83,8 +83,8 @@ struct ServerStats {
   std::string to_json(double ts_ms = 0.0) const;
 };
 
-/// Thread-safe accumulator behind Server::stats(). Pass a registry to
-/// isolate series in tests; the default shares obs::registry().
+/// Thread-safe accumulator behind FleetServer::tenant_stats(). Pass a
+/// registry to isolate series in tests; the default shares obs::registry().
 class StatsCollector {
  public:
   explicit StatsCollector(obs::Registry* registry = nullptr);
@@ -103,7 +103,7 @@ class StatsCollector {
   ServerStats window_snapshot() const;
 
   /// Pins uptime at the current instant (idempotent: the first call wins).
-  /// Called by Server::shutdown() after the drain — without it every
+  /// Called by FleetServer::shutdown() after the drain — without it every
   /// post-shutdown snapshot keeps growing uptime_ms, silently decaying the
   /// reported throughput_rps of a finished run.
   void freeze();
@@ -147,8 +147,8 @@ class StatsCollector {
   std::int64_t end_ns_ = 0;  // 0 = still running; set once by freeze()
 
  public:
-  /// Gauge mirroring the server's request-queue depth (set by the server
-  /// on every submit/batch; exposed for scraping as
+  /// Gauge mirroring the tenant's request-queue depth (set by the fleet
+  /// on every batch; exposed for scraping as
   /// ramiel_serve_queue_depth{instance=...}).
   obs::Gauge* queue_depth_gauge() { return queue_depth_; }
 };

@@ -6,7 +6,6 @@
 #include "models/zoo.h"
 #include "models/net_builder.h"
 #include "passes/constant_folding.h"
-#include "passes/fusion.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
 #include "test_util.h"
@@ -143,7 +142,7 @@ TEST(BnFolding, FoldsConvBnPairPreservingOutputs) {
   };
   Graph original = build();
   Graph fused = build();
-  const int folded = fold_batch_norms(fused);
+  const int folded = testing::run_pattern(fused, "fold-batch-norms");
   EXPECT_EQ(folded, 1);
   EXPECT_EQ(fused.live_node_count(), original.live_node_count() - 1);
 
@@ -167,7 +166,7 @@ TEST(BnFolding, SkipsBnWithSharedConvOutput) {
   ValueId other = b.relu(c);
   ValueId sum = b.add(n, other);
   Graph g = b.finish({sum});
-  EXPECT_EQ(fold_batch_norms(g), 0);
+  EXPECT_EQ(testing::run_pattern(g, "fold-batch-norms"), 0);
 }
 
 TEST(BnFolding, FoldsAcrossWholeModels) {
@@ -175,7 +174,7 @@ TEST(BnFolding, FoldsAcrossWholeModels) {
   for (const std::string name : {"inception_v3", "retinanet", "nasnet"}) {
     Graph original = models::build(name);
     Graph fused = models::build(name);
-    const int folded = fold_batch_norms(fused);
+    const int folded = testing::run_pattern(fused, "fold-batch-norms");
     EXPECT_GT(folded, 0) << name;
     EXPECT_EQ(fused.live_node_count(), original.live_node_count() - folded)
         << name;
@@ -195,9 +194,9 @@ TEST(BnFolding, FoldsAcrossWholeModels) {
 
 TEST(BnFolding, IsIdempotent) {
   Graph g = models::build("inception_v3");
-  const int first = fold_batch_norms(g);
+  const int first = testing::run_pattern(g, "fold-batch-norms");
   EXPECT_GT(first, 0);
-  EXPECT_EQ(fold_batch_norms(g), 0);
+  EXPECT_EQ(testing::run_pattern(g, "fold-batch-norms"), 0);
 }
 
 TEST(ActivationFusion, FusesConvReluPreservingOutputs) {
@@ -212,7 +211,7 @@ TEST(ActivationFusion, FusesConvReluPreservingOutputs) {
   };
   Graph original = build();
   Graph fused = build();
-  const int count = fuse_activations(fused);
+  const int count = testing::run_pattern(fused, "fuse-activations");
   EXPECT_EQ(count, 1);
   EXPECT_EQ(fused.live_node_count(), original.live_node_count() - 1);
 
@@ -237,14 +236,14 @@ TEST(ActivationFusion, SkipsActivationWithSharedProducer) {
   ValueId other = b.sigmoid(c);
   ValueId sum = b.add(r, other);
   Graph g = b.finish({sum});
-  EXPECT_EQ(fuse_activations(g), 0);
+  EXPECT_EQ(testing::run_pattern(g, "fuse-activations"), 0);
 }
 
 TEST(ActivationFusion, FusesAcrossWholeModelsPreservingOutputs) {
   for (const std::string name : {"squeezenet", "googlenet", "retinanet"}) {
     Graph original = models::build(name);
     Graph fused = models::build(name);
-    const int count = fuse_activations(fused);
+    const int count = testing::run_pattern(fused, "fuse-activations");
     EXPECT_GT(count, 0) << name;
     EXPECT_EQ(fused.live_node_count(), original.live_node_count() - count)
         << name;
@@ -264,9 +263,9 @@ TEST(ActivationFusion, FusesAcrossWholeModelsPreservingOutputs) {
 
 TEST(ActivationFusion, IsIdempotent) {
   Graph g = models::build("squeezenet");
-  const int first = fuse_activations(g);
+  const int first = testing::run_pattern(g, "fuse-activations");
   EXPECT_GT(first, 0);
-  EXPECT_EQ(fuse_activations(g), 0);
+  EXPECT_EQ(testing::run_pattern(g, "fuse-activations"), 0);
 }
 
 }  // namespace

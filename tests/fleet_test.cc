@@ -14,12 +14,15 @@
 //   - open-loop Poisson load generation and --arrival parsing
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "graph/op_eval.h"
 #include "graph/shape_inference.h"
 #include "models/zoo.h"
 #include "ramiel/pipeline.h"
@@ -775,6 +778,113 @@ TEST(FleetServer, StatsJsonIsStrictAndComplete) {
   EXPECT_NE(doc.find("\"rejected_quota\""), std::string::npos);
 }
 
+/// Writes a ramiel_calibrate-format file ("name<TAB>absmax" per value) for
+/// `g` over `samples`, by evaluating every node in topological order.
+void write_calibration(const Graph& g, const std::vector<TensorMap>& samples,
+                       const std::string& path) {
+  std::unordered_map<std::string, float> ranges;
+  const auto record = [&](const Value& v, const Tensor& t) {
+    float m = 0.0f;
+    for (float f : t.data()) m = std::max(m, std::fabs(f));
+    float& r = ranges[v.name];
+    r = std::max(r, m);
+  };
+  for (const TensorMap& sample : samples) {
+    std::unordered_map<ValueId, Tensor> env;
+    for (const Value& v : g.values()) {
+      if (v.is_constant()) env.emplace(v.id, *v.const_data);
+    }
+    for (ValueId in : g.inputs()) {
+      env.insert_or_assign(in, sample.at(g.value(in).name));
+    }
+    for (NodeId id : g.topo_order()) {
+      const Node& n = g.node(id);
+      std::vector<Tensor> ins;
+      for (ValueId v : n.inputs) ins.push_back(env.at(v));
+      std::vector<Tensor> outs = eval_node(n, ins);
+      for (std::size_t i = 0; i < n.outputs.size(); ++i) {
+        record(g.value(n.outputs[i]), outs[i]);
+        env.insert_or_assign(n.outputs[i], std::move(outs[i]));
+      }
+    }
+  }
+  std::ofstream os(path);
+  for (const auto& [name, absmax] : ranges) {
+    os << name << '\t' << absmax << '\n';
+  }
+}
+
+/// ||got - ref||_2 / max(1, ||ref||_2) — the error the per-dtype
+/// tolerances (quant_test.cc) are stated in.
+double normalized_l2_err(const Tensor& ref, const Tensor& got) {
+  EXPECT_EQ(ref.numel(), got.numel());
+  double num = 0.0, den = 0.0;
+  for (std::int64_t i = 0; i < ref.numel(); ++i) {
+    const double d = static_cast<double>(ref.at(i)) - got.at(i);
+    num += d * d;
+    den += static_cast<double>(ref.at(i)) * ref.at(i);
+  }
+  return std::sqrt(num) / std::max(std::sqrt(den), 1.0);
+}
+
+TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
+  // Calibrate the folded f32 graph on the samples the test serves.
+  PipelineOptions folded_opts;
+  folded_opts.constant_folding = true;
+  folded_opts.generate_code = false;
+  folded_opts.mem_planning = false;
+  CompiledModel folded =
+      compile_model(models::build("squeezenet"), folded_opts);
+  Rng rng(41);
+  const auto inputs = make_example_inputs(folded.graph, 4, rng);
+  const std::string calib =
+      ::testing::TempDir() + "/fleet_test_squeezenet.calib";
+  write_calibration(folded.graph, inputs, calib);
+
+  FleetConfig config = single_tenant_config("squeezenet");
+  ModelConfig& m = config.models[0];
+  m.batch = 4;
+  m.flush_timeout_ms = 2'000.0;  // one full batch
+  m.fold = true;
+  m.hyper = HyperMode::kSwitched;
+  m.dtype = DType::kI8;
+  m.calib = calib;
+  FleetServer server(config, FleetOptions{});
+
+  // The tenant compiled with every option.
+  const CompiledModel& cm = server.model_entry("squeezenet")->compiled;
+  bool folded_pass = false;
+  for (const PassReport& p : cm.pass_reports) {
+    folded_pass = folded_pass || p.pass == "constant_folding";
+  }
+  EXPECT_TRUE(folded_pass);
+  EXPECT_EQ(cm.hyperclusters.worker_of,
+            build_switched_hyperclusters(cm.graph, cm.clustering, 4)
+                .worker_of);
+  EXPECT_GT(cm.quant_stats.weights_quantized, 0);
+  EXPECT_GT(cm.quant_stats.nodes_calibrated, 0) << "calib file consumed";
+
+  // The oracle: f32 SequentialExecutor on the untransformed model.
+  Graph reference = models::build("squeezenet");
+  SequentialExecutor seq(&reference);
+  std::vector<std::future<Response>> futures;
+  for (const TensorMap& sample : inputs) {
+    futures.push_back(server.submit("squeezenet", TensorMap(sample)));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Response r = futures[i].get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.batch_real, 4);
+    const TensorMap want = seq.run({inputs[i]})[0];
+    for (const auto& [key, value] : want) {
+      ASSERT_TRUE(r.outputs.count(key)) << key;
+      EXPECT_LE(normalized_l2_err(value, r.outputs.at(key)), 1e-2)
+          << "sample " << i << " " << key;
+    }
+  }
+  std::remove(calib.c_str());
+}
+
 // --------------------------------------------------------------- config --
 
 TEST(FleetConfigJson, RoundTripsLosslessly) {
@@ -793,6 +903,11 @@ TEST(FleetConfigJson, RoundTripsLosslessly) {
   a.weight = 2.0;
   a.queue_depth = 32;
   a.pipeline_stages = 4;
+  a.fold = true;
+  a.clone = true;
+  a.hyper = HyperMode::kSwitched;
+  a.dtype = DType::kI8;
+  a.calib = "squeezenet.calib";
   ModelConfig b;
   b.name = "bert_tenant";
   b.model = "bert";
@@ -819,6 +934,17 @@ TEST(FleetConfigJson, RoundTripsLosslessly) {
   EXPECT_DOUBLE_EQ(parsed.models[0].weight, a.weight);
   EXPECT_EQ(parsed.models[0].queue_depth, a.queue_depth);
   EXPECT_EQ(parsed.models[0].pipeline_stages, a.pipeline_stages);
+  EXPECT_TRUE(parsed.models[0].fold);
+  EXPECT_TRUE(parsed.models[0].clone);
+  EXPECT_EQ(parsed.models[0].hyper, HyperMode::kSwitched);
+  EXPECT_EQ(parsed.models[0].dtype, DType::kI8);
+  EXPECT_EQ(parsed.models[0].calib, a.calib);
+  // Omitted compile options keep the defaults: the model compiles as-is.
+  EXPECT_FALSE(parsed.models[1].fold);
+  EXPECT_FALSE(parsed.models[1].clone);
+  EXPECT_EQ(parsed.models[1].hyper, HyperMode::kPlain);
+  EXPECT_EQ(parsed.models[1].dtype, DType::kF32);
+  EXPECT_EQ(parsed.models[1].calib, "");
   EXPECT_EQ(parsed.models[1].model, "bert");
   EXPECT_EQ(parsed.models[1].slo_class, "batch");
   // Round-trip closes: re-serialization is byte-identical.
@@ -841,6 +967,71 @@ TEST(FleetConfigJson, RejectsInvalidDocuments) {
   EXPECT_FALSE(parse_fleet_config(
       R"({"models":[{"name":"a","executor":"gpu"}]})", &out, &err));
   EXPECT_FALSE(parse_fleet_config(R"({"models":[]})", &out, &err));
+
+  // Integers must be integral and fit an int: no silent truncation (2.7
+  // would serve batch 2), no wraparound (3e9), no undefined cast (1e300).
+  const auto rejects = [&](const std::string& member,
+                           const std::string& want) {
+    const std::string doc =
+        R"({"models":[{"name":"a",)" + member + "}]}";
+    err.clear();
+    EXPECT_FALSE(parse_fleet_config(doc, &out, &err)) << doc;
+    EXPECT_NE(err.find(want), std::string::npos) << doc << " -> " << err;
+  };
+  rejects(R"("batch":2.7)", "member 'batch' must be an integer");
+  rejects(R"("queue_depth":3e9)", "member 'queue_depth' must be an integer");
+  rejects(R"("pipeline_stages":1e300)",
+          "member 'pipeline_stages' must be an integer");
+  rejects(R"("batch":-2)", "batch must be >= 1");
+  rejects(R"("queue_depth":0)", "queue_depth must be >= 1");
+  rejects(R"("pipeline_stages":0)", "pipeline_stages must be >= 1");
+  rejects(R"("flush_timeout_ms":-1)", "flush_timeout_ms must be");
+  rejects(R"("weight":0)", "weight must be > 0");
+  rejects(R"("hyper":"zigzag")", "hyper 'zigzag'");
+  rejects(R"("dtype":"f64")", "dtype 'f64'");
+  rejects(R"("fold":"yes")", "member 'fold' must be true or false");
+  rejects(R"("clone":1)", "member 'clone' must be true or false");
+  rejects(R"("calib":7)", "member 'calib' must be a string");
+  // Every error names the tenant.
+  rejects(R"("batch":2.7)", "model 'a'");
+  // Integral doubles are integers.
+  ASSERT_TRUE(parse_fleet_config(
+      R"({"models":[{"name":"a","batch":8.0,"queue_depth":1e3}]})", &out,
+      &err))
+      << err;
+  EXPECT_EQ(out.models[0].batch, 8);
+  EXPECT_EQ(out.models[0].queue_depth, 1000);
+}
+
+TEST(ModelRegistry, AddRejectsWhatTheParserRejects) {
+  // Configs built in code go through the same validate() as JSON ones.
+  ModelRegistry registry(RegistryOptions{}, scale_loader());
+  const auto add_error = [&](const ModelConfig& config) {
+    try {
+      registry.add(config);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  ModelConfig config;
+  config.name = "a";
+  config.model = "scale2";
+  config.queue_depth = 0;
+  FleetConfig parsed;
+  std::string parse_error;
+  ASSERT_FALSE(parse_fleet_config(
+      R"({"models":[{"name":"a","queue_depth":0}]})", &parsed, &parse_error));
+  EXPECT_EQ(add_error(config), parse_error);
+
+  config.queue_depth = 64;
+  config.flush_timeout_ms = std::nan("");
+  EXPECT_NE(add_error(config).find("flush_timeout_ms must be"),
+            std::string::npos);
+  config.flush_timeout_ms = 2.0;
+  config.batch = 0;
+  EXPECT_NE(add_error(config).find("batch must be >= 1"), std::string::npos);
+  EXPECT_EQ(registry.size(), 0) << "nothing invalid was published";
 }
 
 // -------------------------------------------------------------- loadgen --
@@ -862,15 +1053,20 @@ TEST(Arrival, ParsesClosedAndPoisson) {
 }
 
 TEST(OpenLoop, OffersIndependentArrivalsAndCollectsAll) {
-  Graph g = scaled_relu_graph("open_loop", 2.0f);
-  CompiledModel cm = compile_model(std::move(g), fast_pipeline(2));
-  Server server(std::move(cm));
+  FleetConfig config = single_tenant_config("open_loop");
+  config.models[0].model = "scale2";
+  config.models[0].batch = 2;
+  FleetServer server(config, FleetOptions{}, scale_loader());
 
   OpenLoopOptions opts;
   opts.rate_rps = 2000.0;
   opts.duration_ms = 200.0;
   opts.seed = 5;
-  const LoadReport report = run_open_loop(server, opts);
+  const LoadReport report = run_open_loop(
+      [&server](TensorMap in) {
+        return server.submit("open_loop", std::move(in));
+      },
+      server.model_entry("open_loop")->compiled.graph, opts);
   server.shutdown();
 
   // Poisson(2000/s x 0.2s) = 400 expected arrivals; 5 sigma ~ 100.

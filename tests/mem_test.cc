@@ -25,7 +25,7 @@
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
-#include "serve/server.h"
+#include "serve/fleet/fleet_server.h"
 #include "strict_json.h"
 #include "support/rng.h"
 #include "test_util.h"
@@ -394,25 +394,26 @@ TEST(MemPlan, ReachesReuseTargetOnMostZooModels) {
 // ----------------------------------------------------------- serving ----
 
 TEST(MemServe, ArenaBackedResponsesOwnStorageAndSurviveLaterBatches) {
-  CompiledModel cm =
-      compile_model(models::build("squeezenet"), planned_options(2));
-  Graph reference_graph = cm.graph;  // server takes ownership of cm
-
-  serve::ServeOptions opts;
+  serve::fleet::FleetConfig config =
+      serve::fleet::single_tenant_config("squeezenet");
+  config.models[0].batch = 2;
+  serve::fleet::FleetOptions opts;
   opts.mem_plan = true;
-  serve::Server server(std::move(cm), opts);
+  serve::fleet::FleetServer server(config, opts);
+  const Graph& graph = server.model_entry("squeezenet")->compiled.graph;
+  ASSERT_FALSE(server.model_entry("squeezenet")->compiled.mem_plan.empty());
 
   Rng rng(7);
-  auto sample = make_example_inputs(server.graph(), 1, rng)[0];
-  SequentialExecutor seq(&server.graph());
+  auto sample = make_example_inputs(graph, 1, rng)[0];
+  SequentialExecutor seq(&graph);
   auto want = seq.run({sample})[0];
 
   // First wave fills the arenas; later waves rewrite them. Early responses
   // must stay valid — they own their bytes.
   std::vector<serve::Response> responses;
   for (int wave = 0; wave < 3; ++wave) {
-    auto f1 = server.submit(sample);
-    auto f2 = server.submit(sample);
+    auto f1 = server.submit("squeezenet", sample);
+    auto f2 = server.submit("squeezenet", sample);
     responses.push_back(f1.get());
     responses.push_back(f2.get());
   }

@@ -27,7 +27,7 @@
 #include "rt/inputs.h"
 #include "rt/profiler.h"
 #include "serve/metrics_emitter.h"
-#include "serve/server.h"
+#include "serve/fleet/fleet_server.h"
 #include "support/check.h"
 #include "strict_json.h"
 #include "test_util.h"
@@ -420,27 +420,32 @@ TEST(RuntimeTrace, MessageFlowAndByteAccounting) {
 
 // ------------------------------------------------------------- serving --
 
-PipelineOptions serve_options(int batch) {
-  PipelineOptions opts;
-  opts.batch = batch;
-  opts.generate_code = false;
-  return opts;
+/// A one-tenant squeezenet fleet at batch 2 — the ramiel_serve set-up.
+serve::fleet::FleetConfig serve_config() {
+  serve::fleet::FleetConfig config =
+      serve::fleet::single_tenant_config("squeezenet");
+  config.models[0].batch = 2;
+  return config;
+}
+
+/// Submits `n` seeded samples to the one tenant and waits for every one.
+void serve_samples(serve::fleet::FleetServer& server, int n, unsigned seed) {
+  Rng rng(seed);
+  const auto inputs = make_example_inputs(
+      server.model_entry("squeezenet")->compiled.graph, n, rng);
+  std::vector<std::future<serve::Response>> futures;
+  for (const TensorMap& sample : inputs) {
+    futures.push_back(server.submit("squeezenet", TensorMap(sample)));
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok);
 }
 
 TEST(ServeObs, ServerStatsJsonStrictlyValid) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_options(2));
-  Rng rng(11);
-  auto inputs = make_example_inputs(cm.graph, 4, rng);
-  serve::Server server(std::move(cm));
-  std::vector<std::future<serve::Response>> futures;
-  for (const TensorMap& sample : inputs) {
-    futures.push_back(server.submit(TensorMap(sample)));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok);
+  serve::fleet::FleetServer server(serve_config());
+  serve_samples(server, 4, 11);
   server.shutdown();
 
-  const serve::ServerStats stats = server.stats();
+  const auto stats = server.tenant_stats("squeezenet");
   const std::string json = stats.to_json(/*ts_ms=*/123.5);
   EXPECT_TRUE(strictly_valid(json));
   EXPECT_NE(json.find("\"served\":4"), std::string::npos);
@@ -449,28 +454,29 @@ TEST(ServeObs, ServerStatsJsonStrictlyValid) {
 }
 
 TEST(ServeObs, UnifiedServeTraceStrictlyValid) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_options(2));
-  serve::ServeOptions opts;
+  serve::fleet::FleetOptions opts;
   opts.trace = true;
-  Rng rng(13);
-  auto inputs = make_example_inputs(cm.graph, 6, rng);
-  serve::Server server(std::move(cm), opts);
-  std::vector<std::future<serve::Response>> futures;
-  for (const TensorMap& sample : inputs) {
-    futures.push_back(server.submit(TensorMap(sample)));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok);
+  opts.profile = true;
+  serve::fleet::FleetServer server(serve_config(), opts);
+  serve_samples(server, 6, 13);
   server.shutdown();
 
-  EXPECT_GT(server.slowest_batch_profile().wall_ms, 0.0);
+  const auto exemplars = server.tail_exemplars("squeezenet");
+  ASSERT_FALSE(exemplars.empty());
+  EXPECT_LE(exemplars.size(),
+            static_cast<std::size_t>(serve::fleet::kProfileExemplars));
+  EXPECT_GT(exemplars.front().wall_ms, 0.0);
+  for (std::size_t i = 1; i < exemplars.size(); ++i) {
+    EXPECT_GE(exemplars[i - 1].wall_ms, exemplars[i].wall_ms)
+        << "exemplars are kept slowest first";
+  }
 
   Timeline tl;
-  add_compile_trace(server.model(), tl);
+  add_compile_trace(server.model_entry("squeezenet")->compiled, tl);
   server.append_trace(tl);
   const std::string json = tl.to_chrome_json();
   EXPECT_TRUE(strictly_valid(json));
-  // All three islands land in one file: compiler passes, the server's
+  // All three islands land in one file: compiler passes, the tenant's
   // batch-dispatch spans, and the slowest batch's task events.
   EXPECT_NE(json.find("\"compiler\""), std::string::npos);
   EXPECT_NE(json.find("\"batch\",\"cat\":\"dispatch\""), std::string::npos);
@@ -478,11 +484,7 @@ TEST(ServeObs, UnifiedServeTraceStrictlyValid) {
 }
 
 TEST(ServeObs, MetricsEmitterWritesJsonlAndPromTextfile) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_options(2));
-  Rng rng(17);
-  auto inputs = make_example_inputs(cm.graph, 4, rng);
-  serve::Server server(std::move(cm));
+  serve::fleet::FleetServer server(serve_config());
 
   const std::string dir = ::testing::TempDir();
   serve::MetricsEmitterOptions emit;
@@ -490,12 +492,9 @@ TEST(ServeObs, MetricsEmitterWritesJsonlAndPromTextfile) {
   emit.prom_path = dir + "/ramiel_obs_test_metrics.prom";
   emit.interval_ms = 5.0;
   {
-    serve::MetricsEmitter emitter(&server, emit);
-    std::vector<std::future<serve::Response>> futures;
-    for (const TensorMap& sample : inputs) {
-      futures.push_back(server.submit(TensorMap(sample)));
-    }
-    for (auto& f : futures) ASSERT_TRUE(f.get().ok);
+    serve::MetricsEmitter emitter(
+        [&server] { return server.tenant_window_stats("squeezenet"); }, emit);
+    serve_samples(server, 4, 17);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     emitter.stop();
     EXPECT_GE(emitter.emits(), 1);

@@ -15,7 +15,6 @@
 #include "graph/shape_inference.h"
 #include "models/zoo.h"
 #include "obs/json_read.h"
-#include "passes/fusion.h"
 #include "passes/patterns/driver.h"
 #include "passes/patterns/registry.h"
 #include "ramiel/pipeline.h"
@@ -26,6 +25,7 @@
 #include "support/check.h"
 #include "support/rng.h"
 #include "support/string_util.h"
+#include "test_util.h"
 
 namespace ramiel {
 namespace {
@@ -166,7 +166,7 @@ TEST(PatternBugfix, BnFoldPreservesGraphOutputInterface) {
   const ValueId out_id = g.outputs()[0];
   const std::string out_name = g.value(out_id).name;
 
-  EXPECT_EQ(fold_batch_norms(g), 0);
+  EXPECT_EQ(testing::run_pattern(g, "fold-batch-norms"), 0);
   ASSERT_EQ(g.outputs().size(), 1u);
   EXPECT_EQ(g.outputs()[0], out_id);
   EXPECT_EQ(g.value(g.outputs()[0]).name, out_name);
@@ -179,7 +179,7 @@ TEST(PatternBugfix, BnFoldBehindTailStillFires) {
   // folding is safe and must still happen — and stay numerically faithful.
   Graph reference = conv_bn_graph(true, /*tail_relu=*/true);
   Graph g = conv_bn_graph(true, /*tail_relu=*/true);
-  EXPECT_EQ(fold_batch_norms(g), 1);
+  EXPECT_EQ(testing::run_pattern(g, "fold-batch-norms"), 1);
   g.validate();
 
   Rng rng(3);
@@ -201,7 +201,7 @@ TEST(PatternBugfix, BnFoldLeavesNoStaleConsumerEntries) {
   ASSERT_NE(old_b, -1);
   ASSERT_EQ(g.value(old_w).consumers.size(), 1u);
 
-  ASSERT_EQ(fold_batch_norms(g), 1);
+  ASSERT_EQ(testing::run_pattern(g, "fold-batch-norms"), 1);
   EXPECT_TRUE(g.value(old_w).consumers.empty());
   EXPECT_TRUE(g.value(old_b).consumers.empty());
   g.validate();  // consumer-hygiene check passes
@@ -493,8 +493,9 @@ TEST(PatternRules, PerRowGemmBiasBlocksScaleFolding) {
 
 TEST(PatternRules, LegacyWrappersStillReportCounts) {
   Graph g = conv_bn_graph(true, /*tail_relu=*/true, /*tail_tanh=*/true);
-  EXPECT_EQ(fold_batch_norms(g), 1);
-  EXPECT_EQ(fuse_activations(g), 1);  // relu fuses into the folded conv
+  EXPECT_EQ(testing::run_pattern(g, "fold-batch-norms"), 1);
+  // The relu fuses into the folded conv.
+  EXPECT_EQ(testing::run_pattern(g, "fuse-activations"), 1);
   EXPECT_EQ(g.live_node_count(), 2);  // fused conv + tanh
 }
 
@@ -506,9 +507,7 @@ TEST(PatternPipeline, ReportCarriesPerPatternCounts) {
   opts.generate_code = false;
   CompiledModel cm = compile_model(models::build("retinanet"), opts);
   EXPECT_GT(cm.pattern_stats.total_applied, 0);
-  EXPECT_EQ(cm.batch_norms_folded,
-            cm.pattern_stats.count("fold-batch-norms"));
-  EXPECT_GT(cm.batch_norms_folded, 0);
+  EXPECT_GT(cm.pattern_stats.count("fold-batch-norms"), 0);
 
   const std::string json = compile_report_json(cm);
   std::string err;
@@ -546,7 +545,6 @@ TEST(PatternPipeline, NoPatternOverrideDisablesOneRule) {
   opts.pattern_overrides["fold-batch-norms"] = false;
   CompiledModel cm = compile_model(models::build("retinanet"), opts);
   EXPECT_EQ(cm.pattern_stats.count("fold-batch-norms"), 0);
-  EXPECT_EQ(cm.batch_norms_folded, 0);
   for (const auto& [name, applied] : cm.pattern_stats.applied) {
     EXPECT_NE(name, "fold-batch-norms");
     (void)applied;
@@ -554,15 +552,27 @@ TEST(PatternPipeline, NoPatternOverrideDisablesOneRule) {
 }
 
 TEST(PatternPipeline, LegacyFlagsStillDriveTheStage) {
+  // --fuse-bn is a forced-on override: without pattern_rewrites the stage
+  // runs that rule alone.
   PipelineOptions opts;
-  opts.fuse_batch_norms = true;
+  opts.pattern_overrides["fold-batch-norms"] = true;
   opts.generate_code = false;
   CompiledModel cm = compile_model(models::build("retinanet"), opts);
-  EXPECT_GT(cm.batch_norms_folded, 0);
-  // Only the legacy-selected rule ran.
-  EXPECT_EQ(cm.pattern_stats.total_applied, cm.batch_norms_folded);
+  const int folded = cm.pattern_stats.count("fold-batch-norms");
+  EXPECT_GT(folded, 0);
+  EXPECT_EQ(cm.pattern_stats.total_applied, folded);
   ASSERT_EQ(cm.pattern_stats.applied.size(), 1u);
   EXPECT_EQ(cm.pattern_stats.applied[0].first, "fold-batch-norms");
+
+  // Overrides that only switch rules off do not start the stage.
+  PipelineOptions off;
+  off.pattern_overrides["fold-batch-norms"] = false;
+  off.generate_code = false;
+  CompiledModel plain = compile_model(models::build("retinanet"), off);
+  EXPECT_EQ(plain.pattern_stats.rounds, 0);
+  for (const PassReport& p : plain.pass_reports) {
+    EXPECT_NE(p.pass, "pattern_rewrite");
+  }
 }
 
 // -- property tests: random DAGs --------------------------------------------

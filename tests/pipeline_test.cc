@@ -115,9 +115,9 @@ TEST(Pipeline, BatchGeneratesHyperclusterSource) {
 TEST(Pipeline, BnFusionStageShrinksGraphAndStaysCorrect) {
   Graph reference = models::build("retinanet");
   PipelineOptions opts;
-  opts.fuse_batch_norms = true;
+  opts.pattern_overrides["fold-batch-norms"] = true;
   CompiledModel cm = compile_model(models::build("retinanet"), opts);
-  EXPECT_GT(cm.batch_norms_folded, 0);
+  EXPECT_GT(cm.pattern_stats.count("fold-batch-norms"), 0);
   EXPECT_LT(cm.graph.live_node_count(), reference.live_node_count());
 
   Rng rng(31);

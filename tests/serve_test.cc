@@ -1,5 +1,12 @@
+// Serving tests (`ctest -L serve`): the bounded request queue, the stats
+// collector, and the single-model server — a one-tenant fleet::FleetServer
+// on a partitioned pool, the set-up tools/ramiel_serve runs. The Batcher
+// cases pin the per-tenant batch-fill policy (full batches leave at once,
+// partial ones after the flush timeout, close drains); the Server cases pin
+// correctness, admission and failure isolation end to end.
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <thread>
 #include <vector>
@@ -9,10 +16,9 @@
 #include "models/zoo.h"
 #include "ramiel/pipeline.h"
 #include "rt/inputs.h"
-#include "serve/batcher.h"
+#include "serve/fleet/fleet_server.h"
 #include "serve/loadgen.h"
 #include "serve/request_queue.h"
-#include "serve/server.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -88,61 +94,103 @@ TEST(RequestQueue, CloseWakesBlockedConsumer) {
 
 // -------------------------------------------------------------- batcher --
 
+using fleet::FleetConfig;
+using fleet::FleetOptions;
+using fleet::FleetServer;
+
+/// One-tenant config named "m" as ramiel_serve builds it.
+FleetConfig one_tenant(const std::string& model, int batch, double flush_ms) {
+  FleetConfig config = fleet::single_tenant_config("m");
+  config.models[0].model = model;
+  config.models[0].batch = batch;
+  config.models[0].flush_timeout_ms = flush_ms;
+  return config;
+}
+
+/// "double": y = 2 * x for x of shape [1, 1] — tags each response with its
+/// request's payload so batch membership is visible.
+Graph doubling_graph(const std::string&) {
+  Graph g("double");
+  ValueId in = g.add_value("x", Shape{1, 1});
+  g.mark_input(in);
+  ValueId k = g.add_initializer("k", Tensor::full(Shape{1, 1}, 2.0f));
+  NodeId m = g.add_node(OpKind::kMul, "m", {in, k});
+  g.mark_output(g.node(m).outputs[0]);
+  infer_shapes(g);
+  return g;
+}
+
+TensorMap payload(float v) {
+  TensorMap m;
+  m.emplace("x", Tensor::full(Shape{1, 1}, v));
+  return m;
+}
+
+float doubled(const Response& r) { return r.outputs.begin()->second.at(0); }
+
 TEST(Batcher, CollectsFullBatchWithoutWaitingOutTheTimeout) {
-  RequestQueue q(8);
+  // A 60 s flush window would hang the test if a full batch waited it out.
+  FleetServer server(one_tenant("double", 4, 60'000.0), FleetOptions{},
+                     doubling_graph);
+  std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.try_push(make_request(static_cast<float>(i))));
+    futures.push_back(server.submit("m", payload(static_cast<float>(i))));
   }
-  BatcherOptions opts;
-  opts.batch = 4;
-  opts.flush_timeout_ms = 60'000.0;  // would hang the test if waited out
-  std::vector<Request> batch;
-  ASSERT_TRUE(collect_batch(q, opts, &batch));
-  ASSERT_EQ(batch.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(request_payload(batch[static_cast<std::size_t>(i)]),
-              static_cast<float>(i));
+    auto& fut = futures[static_cast<std::size_t>(i)];
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    const Response r = fut.get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.batch_real, 4);
+    EXPECT_EQ(r.batch_slots, 4);
+    EXPECT_EQ(doubled(r), 2.0f * static_cast<float>(i));
   }
 }
 
 TEST(Batcher, FlushesPartialBatchAfterTimeout) {
-  RequestQueue q(8);
-  ASSERT_TRUE(q.try_push(make_request(1.0f)));
-  BatcherOptions opts;
-  opts.batch = 4;
-  opts.flush_timeout_ms = 5.0;
-  std::vector<Request> batch;
-  ASSERT_TRUE(collect_batch(q, opts, &batch));
-  EXPECT_EQ(batch.size(), 1u);  // flushed short rather than waiting forever
+  FleetServer server(one_tenant("double", 4, 5.0), FleetOptions{},
+                     doubling_graph);
+  const Response r = server.submit("m", payload(1.0f)).get();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.batch_real, 1);  // flushed short rather than waiting forever
+  EXPECT_EQ(r.batch_slots, 4);
+  EXPECT_GE(r.latency_ms, 5.0);  // ...but only after the flush window
+  EXPECT_EQ(doubled(r), 2.0f);
 }
 
 TEST(Batcher, PicksUpLateArrivalsWithinTheWindow) {
-  RequestQueue q(8);
-  ASSERT_TRUE(q.try_push(make_request(1.0f)));
-  std::thread late([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_TRUE(q.try_push(make_request(2.0f)));
-  });
-  BatcherOptions opts;
-  opts.batch = 2;
-  opts.flush_timeout_ms = 2'000.0;
-  std::vector<Request> batch;
-  ASSERT_TRUE(collect_batch(q, opts, &batch));
-  late.join();
-  EXPECT_EQ(batch.size(), 2u);
+  FleetServer server(one_tenant("double", 2, 2'000.0), FleetOptions{},
+                     doubling_graph);
+  auto first = server.submit("m", payload(1.0f));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  auto late = server.submit("m", payload(2.0f));
+  const Response a = first.get();
+  const Response b = late.get();
+  ASSERT_TRUE(a.ok && b.ok) << a.error << b.error;
+  EXPECT_EQ(a.batch_real, 2);
+  EXPECT_EQ(b.batch_real, 2);
+  EXPECT_EQ(doubled(a), 2.0f);
+  EXPECT_EQ(doubled(b), 4.0f);
 }
 
 TEST(Batcher, ReportsCloseOnlyWhenDrained) {
-  RequestQueue q(8);
-  ASSERT_TRUE(q.try_push(make_request(1.0f)));
-  q.close();
-  BatcherOptions opts;
-  opts.batch = 4;
-  opts.flush_timeout_ms = 1.0;
-  std::vector<Request> batch;
-  ASSERT_TRUE(collect_batch(q, opts, &batch));  // drains the leftover
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_FALSE(collect_batch(q, opts, &batch));  // now reports closed
+  // A request waiting out a 60 s flush window when shutdown() closes the
+  // queue is served at once as a partial batch, not dropped or held for
+  // the timeout; only then does the dispatcher report closed and exit.
+  FleetServer server(one_tenant("double", 4, 60'000.0), FleetOptions{},
+                     doubling_graph);
+  auto fut = server.submit("m", payload(3.0f));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  server.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const Response r = fut.get();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.batch_real, 1);
+  EXPECT_EQ(doubled(r), 6.0f);
+  EXPECT_EQ(server.tenant_stats("m").served, 1u);
 }
 
 // ---------------------------------------------------------------- stats --
@@ -211,15 +259,6 @@ TEST(Stats, WindowSnapshotIsExactAndResets) {
 
 // --------------------------------------------------------------- server --
 
-PipelineOptions serve_pipeline(int batch,
-                               HyperMode mode = HyperMode::kPlain) {
-  PipelineOptions opts;
-  opts.batch = batch;
-  opts.hyper_mode = mode;
-  opts.generate_code = false;
-  return opts;
-}
-
 /// Reference outputs computed by the sequential executor on a second copy
 /// of the model.
 std::vector<TensorMap> reference_outputs(const std::string& model,
@@ -231,14 +270,17 @@ std::vector<TensorMap> reference_outputs(const std::string& model,
   return out;
 }
 
+/// Example inputs matching the tenant's compiled graph.
+std::vector<TensorMap> tenant_inputs(const FleetServer& server, int n,
+                                     unsigned seed) {
+  Rng rng(seed);
+  return make_example_inputs(server.model_entry("m")->compiled.graph, n, rng);
+}
+
 TEST(Server, ServesSingleRequestMatchingSequential) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(1));
-  Rng rng(21);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
-  Server server(std::move(cm));
-  std::future<Response> fut = server.submit(TensorMap(inputs[0]));
-  Response resp = fut.get();
+  FleetServer server(one_tenant("squeezenet", 1, 2.0), FleetOptions{});
+  auto inputs = tenant_inputs(server, 1, 21);
+  Response resp = server.submit("m", TensorMap(inputs[0])).get();
   ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_GT(resp.latency_ms, 0.0);
   auto expected = reference_outputs("squeezenet", inputs);
@@ -251,22 +293,15 @@ TEST(Server, ServesSingleRequestMatchingSequential) {
 
 TEST(Server, BatchedResponsesMatchPerRequestInputs) {
   // 12 distinct requests through a batch-4 server: every response must
-  // correspond to ITS request's input, not a batch-mate's.
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(4));
-  Rng rng(22);
-  auto inputs = make_example_inputs(cm.graph, 12, rng);
+  // correspond to ITS request's input, not a batch-mate's. The generous
+  // flush window makes every batch leave full, so the fill/batches
+  // assertions are exact even when the host deschedules the submitter.
+  FleetServer server(one_tenant("squeezenet", 4, 2'000.0), FleetOptions{});
+  auto inputs = tenant_inputs(server, 12, 22);
   auto expected = reference_outputs("squeezenet", inputs);
-
-  ServeOptions opts;
-  // Generous flush window: all 12 requests are enqueued in microseconds, so
-  // every batch must leave full — makes the fill/batches assertions exact
-  // even when this (single-core) host deschedules the submitting thread.
-  opts.flush_timeout_ms = 2'000.0;
-  Server server(std::move(cm), opts);
   std::vector<std::future<Response>> futures;
   for (const TensorMap& sample : inputs) {
-    futures.push_back(server.submit(TensorMap(sample)));
+    futures.push_back(server.submit("m", TensorMap(sample)));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     Response resp = futures[i].get();
@@ -278,7 +313,7 @@ TEST(Server, BatchedResponsesMatchPerRequestInputs) {
     }
   }
   server.shutdown();
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.tenant_stats("m");
   EXPECT_EQ(stats.served, 12u);
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.batches, 3u);  // 12 requests / batch 4, all full
@@ -288,14 +323,9 @@ TEST(Server, BatchedResponsesMatchPerRequestInputs) {
 TEST(Server, PartialBatchFlushBoundsLatency) {
   // One lonely request into a batch-4 server must come back after the
   // flush timeout — not wait forever for three batch-mates.
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(4));
-  Rng rng(23);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
-  ServeOptions opts;
-  opts.flush_timeout_ms = 10.0;
-  Server server(std::move(cm), opts);
-  std::future<Response> fut = server.submit(TensorMap(inputs[0]));
+  FleetServer server(one_tenant("squeezenet", 4, 10.0), FleetOptions{});
+  auto inputs = tenant_inputs(server, 1, 23);
+  std::future<Response> fut = server.submit("m", TensorMap(inputs[0]));
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
   Response resp = fut.get();
@@ -303,24 +333,21 @@ TEST(Server, PartialBatchFlushBoundsLatency) {
   EXPECT_EQ(resp.batch_real, 1);
   EXPECT_EQ(resp.batch_slots, 4);
   server.shutdown();
-  EXPECT_DOUBLE_EQ(server.stats().batch_fill(), 0.25);
+  EXPECT_DOUBLE_EQ(server.tenant_stats("m").batch_fill(), 0.25);
 }
 
 TEST(Server, SaturationRejectsPromptlyAndKeepsServing) {
   // Offered load far beyond a depth-2 queue: excess submissions resolve
   // immediately with a rejection (bounded queue, no unbounded growth), all
   // accepted requests complete, and the server still serves afterwards.
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(2));
-  Rng rng(24);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
-  ServeOptions opts;
-  opts.queue_depth = 2;
-  Server server(std::move(cm), opts);
+  FleetConfig config = one_tenant("squeezenet", 2, 2.0);
+  config.models[0].queue_depth = 2;
+  FleetServer server(config, FleetOptions{});
+  auto inputs = tenant_inputs(server, 1, 24);
 
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(server.submit(TensorMap(inputs[0])));
+    futures.push_back(server.submit("m", TensorMap(inputs[0])));
   }
   int ok = 0, rejected = 0;
   for (auto& fut : futures) {
@@ -338,36 +365,29 @@ TEST(Server, SaturationRejectsPromptlyAndKeepsServing) {
   EXPECT_GT(ok, 0);        // and accepted work was served
 
   // The server survived saturation: a fresh request still succeeds.
-  Response after = server.submit(TensorMap(inputs[0])).get();
+  Response after = server.submit("m", TensorMap(inputs[0])).get();
   EXPECT_TRUE(after.ok) << after.error;
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.tenant_stats("m");
   EXPECT_EQ(stats.submitted, 65u);
   EXPECT_EQ(stats.served + stats.rejected, stats.submitted);
 }
 
 TEST(Server, SubmitAfterShutdownIsRejectedNotHung) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(2));
-  Rng rng(25);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
-  Server server(std::move(cm));
+  FleetServer server(one_tenant("squeezenet", 2, 2.0), FleetOptions{});
+  auto inputs = tenant_inputs(server, 1, 25);
   server.shutdown();
-  Response resp = server.submit(TensorMap(inputs[0])).get();
+  Response resp = server.submit("m", TensorMap(inputs[0])).get();
   EXPECT_FALSE(resp.ok);
-  EXPECT_NE(resp.error.find("shut down"), std::string::npos);
+  EXPECT_NE(resp.error.find("shut down"), std::string::npos) << resp.error;
 }
 
 TEST(Server, ShutdownDrainsAcceptedRequests) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(4));
-  Rng rng(26);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
-  ServeOptions opts;
-  opts.flush_timeout_ms = 50.0;
-  auto server = std::make_unique<Server>(std::move(cm), opts);
+  auto server = std::make_unique<FleetServer>(
+      one_tenant("squeezenet", 4, 50.0), FleetOptions{});
+  auto inputs = tenant_inputs(*server, 1, 26);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(server->submit(TensorMap(inputs[0])));
+    futures.push_back(server->submit("m", TensorMap(inputs[0])));
   }
   server->shutdown();  // must serve all 6 accepted requests first
   for (auto& fut : futures) {
@@ -378,44 +398,79 @@ TEST(Server, ShutdownDrainsAcceptedRequests) {
 TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
   // A request with a missing graph input fails inside the executor; its
   // batch-mates share the error but the server keeps serving.
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(1));
-  Rng rng(27);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
-  Server server(std::move(cm));
-  Response bad = server.submit(TensorMap{}).get();  // no inputs at all
+  FleetServer server(one_tenant("squeezenet", 1, 2.0), FleetOptions{});
+  auto inputs = tenant_inputs(server, 1, 27);
+  Response bad = server.submit("m", TensorMap{}).get();  // no inputs at all
   EXPECT_FALSE(bad.ok);
   EXPECT_NE(bad.error.find("execution failed"), std::string::npos);
-  Response good = server.submit(TensorMap(inputs[0])).get();
+  Response good = server.submit("m", TensorMap(inputs[0])).get();
   EXPECT_TRUE(good.ok) << good.error;
-  const ServerStats stats = server.stats();
+  const ServerStats stats = server.tenant_stats("m");
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.served, 1u);
 }
 
 TEST(Server, ClosedLoopLoadAllServed) {
-  CompiledModel cm = compile_model(models::build("squeezenet"),
-                                   serve_pipeline(4, HyperMode::kSwitched));
-  Server server(std::move(cm));
+  FleetConfig config = one_tenant("squeezenet", 4, 2.0);
+  config.models[0].hyper = HyperMode::kSwitched;
+  FleetServer server(config, FleetOptions{});
   LoadOptions load;
   load.clients = 4;
   load.requests = 24;
-  const LoadReport report = run_closed_loop(server, load);
+  const LoadReport report = run_closed_loop(
+      [&server](TensorMap in) { return server.submit("m", std::move(in)); },
+      server.model_entry("m")->compiled.graph, load);
   server.shutdown();
   EXPECT_EQ(report.completed, 24);
   EXPECT_EQ(report.failed, 0);
   EXPECT_GT(report.achieved_rps, 0.0);
-  EXPECT_EQ(server.stats().served, 24u);
+  EXPECT_EQ(server.tenant_stats("m").served, 24u);
 }
 
 TEST(Server, EnvOverridesConfigureDefaults) {
+  // Unset, the one-tenant defaults are the single-model server's.
+  for (const char* var :
+       {"RAMIEL_SERVE_QUEUE_DEPTH", "RAMIEL_INTRA_OP_THREADS",
+        "RAMIEL_EXECUTOR", "RAMIEL_DTYPE", "RAMIEL_MEM_PLAN",
+        "RAMIEL_AUTO_STEAL_CV"}) {
+    ::unsetenv(var);
+  }
+  const FleetConfig base = fleet::single_tenant_config("m");
+  const FleetOptions base_opts = fleet::single_tenant_options();
+  EXPECT_EQ(base.pool, "partitioned");
+  ASSERT_EQ(base.models.size(), 1u);
+  EXPECT_EQ(base.models[0].name, "m");
+  EXPECT_EQ(base.models[0].batch, 4);
+  EXPECT_DOUBLE_EQ(base.models[0].flush_timeout_ms, 2.0);
+  EXPECT_EQ(base.models[0].queue_depth, 256);
+  EXPECT_EQ(base.models[0].executor, ExecutorKind::kStatic);
+  EXPECT_EQ(base.models[0].dtype, DType::kF32);
+  EXPECT_EQ(base_opts.intra_op_threads, 1);
+  EXPECT_TRUE(base_opts.mem_plan);
+  EXPECT_DOUBLE_EQ(base_opts.auto_steal_cv, 0.35);
+  EXPECT_TRUE(base_opts.profile);
+
+  // Set, the deployment overrides win.
   ::setenv("RAMIEL_SERVE_QUEUE_DEPTH", "3", 1);
   ::setenv("RAMIEL_INTRA_OP_THREADS", "2", 1);
-  ServeOptions opts;  // defaults read the env at construction
-  ::unsetenv("RAMIEL_SERVE_QUEUE_DEPTH");
-  ::unsetenv("RAMIEL_INTRA_OP_THREADS");
-  EXPECT_EQ(opts.queue_depth, 3);
+  ::setenv("RAMIEL_EXECUTOR", "auto", 1);
+  ::setenv("RAMIEL_DTYPE", "f16", 1);
+  ::setenv("RAMIEL_MEM_PLAN", "off", 1);
+  ::setenv("RAMIEL_AUTO_STEAL_CV", "0.5", 1);
+  const FleetConfig config = fleet::single_tenant_config("m");
+  const FleetOptions opts = fleet::single_tenant_options();
+  for (const char* var :
+       {"RAMIEL_SERVE_QUEUE_DEPTH", "RAMIEL_INTRA_OP_THREADS",
+        "RAMIEL_EXECUTOR", "RAMIEL_DTYPE", "RAMIEL_MEM_PLAN",
+        "RAMIEL_AUTO_STEAL_CV"}) {
+    ::unsetenv(var);
+  }
+  EXPECT_EQ(config.models[0].queue_depth, 3);
+  EXPECT_EQ(config.models[0].executor, ExecutorKind::kAuto);
+  EXPECT_EQ(config.models[0].dtype, DType::kF16);
   EXPECT_EQ(opts.intra_op_threads, 2);
+  EXPECT_FALSE(opts.mem_plan);
+  EXPECT_DOUBLE_EQ(opts.auto_steal_cv, 0.5);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@
 #include "rt/steal/deque.h"
 #include "rt/steal/steal_executor.h"
 #include "rt/steal/task_graph.h"
-#include "serve/server.h"
+#include "serve/fleet/fleet_server.h"
 #include "support/rng.h"
 #include "support/string_util.h"
 #include "test_util.h"
@@ -408,25 +408,30 @@ TEST(ExecutorSeam, AutoPolicyFollowsClusterCostVariance) {
 
   obs::Gauge* gauge = obs::registry().gauge(
       "ramiel_serve_executor_steal",
-      "1 when this server runs the work-stealing executor",
-      {{"model", cm.graph.name()}});
+      "1 when this model runs the work-stealing executor",
+      {{"model", "squeezenet"}});
 
-  serve::ServeOptions low;
-  low.executor = ExecutorKind::kAuto;
+  // A one-tenant fleet (the ramiel_serve set-up) with executor auto: the
+  // registry resolves it against the threshold and publishes the choice.
+  serve::fleet::FleetConfig config =
+      serve::fleet::single_tenant_config("squeezenet");
+  config.models[0].executor = ExecutorKind::kAuto;
+  serve::fleet::FleetOptions low;
   low.auto_steal_cv = 0.0;  // any skew at all -> steal
   {
-    serve::Server server(std::move(cm), low);
-    EXPECT_EQ(server.executor_kind(), ExecutorKind::kSteal);
+    serve::fleet::FleetServer server(config, low);
+    EXPECT_EQ(server.model_entry("squeezenet")->executor,
+              ExecutorKind::kSteal);
+    EXPECT_EQ(server.report()[0].executor, ExecutorKind::kSteal);
     EXPECT_EQ(gauge->value(), 1.0);
   }
 
-  CompiledModel cm2 = compile_model(models::build("squeezenet"), opts);
-  serve::ServeOptions high;
-  high.executor = ExecutorKind::kAuto;
+  serve::fleet::FleetOptions high;
   high.auto_steal_cv = 1e9;  // unreachable -> static
   {
-    serve::Server server(std::move(cm2), high);
-    EXPECT_EQ(server.executor_kind(), ExecutorKind::kStatic);
+    serve::fleet::FleetServer server(config, high);
+    EXPECT_EQ(server.model_entry("squeezenet")->executor,
+              ExecutorKind::kStatic);
     EXPECT_EQ(gauge->value(), 0.0);
   }
 }

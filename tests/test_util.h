@@ -1,11 +1,14 @@
 // Shared helpers for the test suite: small hand-built graphs with known
-// structure, tensor comparison utilities, and a scoped kernel-path pin.
+// structure, tensor comparison utilities, a scoped kernel-path pin, and a
+// single-pattern runner.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
 #include "graph/shape_inference.h"
+#include "passes/patterns/driver.h"
+#include "passes/patterns/registry.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 
@@ -72,5 +75,15 @@ class ScopedPath {
   explicit ScopedPath(kernels::Path p) { kernels::force_kernel_path(p); }
   ~ScopedPath() { kernels::force_kernel_path(std::nullopt); }
 };
+
+/// Runs exactly one registered pattern rule to its fixed point and returns
+/// how many times it applied.
+inline int run_pattern(Graph& graph, const std::string& name) {
+  patterns::PatternRunOptions options;
+  for (const std::string& n : patterns::pattern_registry().names()) {
+    options.enable[n] = n == name;
+  }
+  return patterns::run_patterns(graph, options).count(name);
+}
 
 }  // namespace ramiel::testing

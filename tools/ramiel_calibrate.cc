@@ -68,9 +68,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--clone") {
       options.cloning = true;
     } else if (arg == "--fuse-bn") {
-      options.fuse_batch_norms = true;
+      options.pattern_overrides["fold-batch-norms"] = true;
     } else if (arg == "--fuse-act") {
-      options.fuse_activations = true;
+      options.pattern_overrides["fuse-activations"] = true;
     } else if (arg == "--patterns") {
       options.pattern_rewrites = true;
     } else if (arg == "--batches" && i + 1 < argc) {

@@ -137,6 +137,8 @@ bool parse_mem_plan(const std::string& value, Cli* cli) {
 }
 
 bool parse_flags(int argc, char** argv, int start, Cli* cli) {
+  // --fuse-bn / --fuse-act force their rule on, whatever --no-pattern says.
+  std::vector<std::string> forced_on;
   for (int i = start; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fold") {
@@ -144,9 +146,9 @@ bool parse_flags(int argc, char** argv, int start, Cli* cli) {
     } else if (arg == "--clone") {
       cli->options.cloning = true;
     } else if (arg == "--fuse-bn") {
-      cli->options.fuse_batch_norms = true;
+      forced_on.push_back("fold-batch-norms");
     } else if (arg == "--fuse-act") {
-      cli->options.fuse_activations = true;
+      forced_on.push_back("fuse-activations");
     } else if (arg == "--patterns") {
       cli->options.pattern_rewrites = true;
     } else if (arg == "--no-pattern" && i + 1 < argc) {
@@ -197,6 +199,9 @@ bool parse_flags(int argc, char** argv, int start, Cli* cli) {
       std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
       return false;
     }
+  }
+  for (const std::string& name : forced_on) {
+    cli->options.pattern_overrides[name] = true;
   }
   return true;
 }

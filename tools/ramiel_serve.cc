@@ -1,7 +1,7 @@
-// ramiel_serve — run the persistent inference-serving runtime against one
-// model and drive it with an in-process closed-loop load (the container has
-// no network stack; clients are threads in this process, which is also what
-// the serving bench and tests do).
+// ramiel_serve — serve one model and drive it with in-process load (clients
+// are threads in this process, which is also what the serving bench and
+// tests do). The server is a one-tenant fleet::FleetServer on a
+// partitioned pool: admission -> per-tenant batch fill -> executor.
 //
 //   ramiel_serve <model|path.rml> [flags]
 //     --batch N        serving batch size / hyperclustering batch (default 4)
@@ -33,7 +33,8 @@
 //                      batch dispatch, and the slowest batch's task spans,
 //                      message-flow arrows and inbox-depth counters
 //     --no-profile     disable the always-on tail profiler (exemplar
-//                      sampling of slowest batches + critical-path reports)
+//                      sampling of slowest batches + critical-path reports;
+//                      with --trace-out the slowest batch is still recorded)
 //     --profile-out F  write the retained slow-batch exemplar reports
 //                      (prof::CriticalPathReport JSON, slowest first)
 //     --metrics-out F  append one ServerStats JSON line per interval
@@ -50,16 +51,16 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "models/zoo.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "onnx/model_io.h"
 #include "ramiel/pipeline.h"
+#include "serve/fleet/fleet_server.h"
 #include "serve/loadgen.h"
 #include "serve/metrics_emitter.h"
-#include "serve/server.h"
-#include "support/env.h"
 #include "support/string_util.h"
 
 namespace {
@@ -101,11 +102,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string spec = argv[1];
 
-  PipelineOptions pipeline;
-  pipeline.batch = 4;
-  pipeline.generate_code = false;
-  pipeline.dtype = env_dtype(DType::kF32);
-  serve::ServeOptions serve_opts;
+  serve::fleet::FleetConfig config = serve::fleet::single_tenant_config(spec);
+  serve::fleet::ModelConfig& model = config.models[0];
+  serve::fleet::FleetOptions fleet_opts =
+      serve::fleet::single_tenant_options();
+  bool profile = true;
   serve::LoadOptions load;
   load.clients = 8;
   load.requests = 200;
@@ -117,13 +118,13 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--switched") {
-      pipeline.hyper_mode = HyperMode::kSwitched;
+      model.hyper = HyperMode::kSwitched;
     } else if (arg == "--fold") {
-      pipeline.constant_folding = true;
+      model.fold = true;
     } else if (arg == "--clone") {
-      pipeline.cloning = true;
+      model.clone = true;
     } else if (arg == "--batch" && i + 1 < argc) {
-      pipeline.batch = std::atoi(argv[++i]);
+      model.batch = std::atoi(argv[++i]);
     } else if ((arg == "--dtype" && i + 1 < argc) ||
                arg.rfind("--dtype=", 0) == 0) {
       const std::string value =
@@ -133,26 +134,25 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--dtype expects f32, f16, bf16 or i8\n");
         return usage();
       }
-      pipeline.dtype = *dt;
+      model.dtype = *dt;
     } else if ((arg == "--calib" && i + 1 < argc) ||
                arg.rfind("--calib=", 0) == 0) {
-      const std::string value =
+      model.calib =
           arg == "--calib" ? argv[++i] : arg.substr(arg.find('=') + 1);
-      pipeline.calibration = load_calibration(value);
     } else if (arg == "--threads" && i + 1 < argc) {
-      serve_opts.intra_op_threads = std::atoi(argv[++i]);
+      fleet_opts.intra_op_threads = std::atoi(argv[++i]);
     } else if (arg == "--queue-depth" && i + 1 < argc) {
-      serve_opts.queue_depth = std::atoi(argv[++i]);
+      model.queue_depth = std::atoi(argv[++i]);
     } else if (arg == "--flush-ms" && i + 1 < argc) {
-      serve_opts.flush_timeout_ms = std::atof(argv[++i]);
+      model.flush_timeout_ms = std::atof(argv[++i]);
     } else if ((arg == "--mem-plan" && i + 1 < argc) ||
                arg.rfind("--mem-plan=", 0) == 0) {
       const std::string value =
           arg == "--mem-plan" ? argv[++i] : arg.substr(arg.find('=') + 1);
       if (value == "arena" || value == "on") {
-        serve_opts.mem_plan = true;
+        fleet_opts.mem_plan = true;
       } else if (value == "off") {
-        serve_opts.mem_plan = false;
+        fleet_opts.mem_plan = false;
       } else {
         std::fprintf(stderr, "--mem-plan expects 'off' or 'arena'\n");
         return usage();
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                arg.rfind("--executor=", 0) == 0) {
       const std::string value =
           arg == "--executor" ? argv[++i] : arg.substr(arg.find('=') + 1);
-      if (!parse_executor_kind(value, &serve_opts.executor,
+      if (!parse_executor_kind(value, &model.executor,
                                /*allow_auto=*/true)) {
         std::fprintf(stderr,
                      "--executor expects 'static', 'steal' or 'auto'\n");
@@ -181,9 +181,9 @@ int main(int argc, char** argv) {
       load.think_us = std::atoi(argv[++i]);
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
-      serve_opts.trace = true;
+      fleet_opts.trace = true;
     } else if (arg == "--no-profile") {
-      serve_opts.profile = false;
+      profile = false;
     } else if (arg == "--profile-out" && i + 1 < argc) {
       profile_out = argv[++i];
     } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -195,34 +195,47 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  // The trace shows the slowest batch's task spans, so --trace-out records
+  // them even under --no-profile (which then only skips the attribution).
+  fleet_opts.profile = profile || !trace_out.empty();
 
   try {
     std::printf("compiling %s (batch %d, %s hyperclustering, dtype %s)...\n",
-                spec.c_str(), pipeline.batch,
-                pipeline.hyper_mode == HyperMode::kSwitched ? "switched"
-                                                            : "plain",
-                dtype_name(pipeline.dtype));
-    CompiledModel cm = compile_model(load_any(spec), pipeline);
+                spec.c_str(), model.batch,
+                model.hyper == HyperMode::kSwitched ? "switched" : "plain",
+                dtype_name(model.dtype));
+    // Load once up front: an unknown spec fails before any thread starts,
+    // and the tenant is named after the graph like every metric label.
+    Graph graph = load_any(spec);
+    model.name = graph.name();
+    serve::fleet::FleetServer fleet(
+        config, fleet_opts,
+        [&graph](const std::string&) { return graph; });
+    const std::string& name = model.name;
+    const auto entry = fleet.model_entry(name);
+    const CompiledModel& cm = entry->compiled;
     std::printf("%s: %d clusters, compile %.1f ms\n", cm.graph.name().c_str(),
                 cm.clustering.size(), cm.compile_seconds * 1e3);
-
-    const double cost_cv = cm.cluster_cost_cv;
-    serve::Server server(std::move(cm), serve_opts);
     std::printf(
         "serving: batch %d, queue depth %d, flush %.1f ms, intra-op %d, "
         "mem-plan %s, executor %s%s (cluster-cost cv %.2f); "
         "load: %d clients x %d requests\n\n",
-        server.batch(), serve_opts.queue_depth, serve_opts.flush_timeout_ms,
-        serve_opts.intra_op_threads, serve_opts.mem_plan ? "arena" : "off",
-        to_string(server.executor_kind()),
-        serve_opts.executor == ExecutorKind::kAuto ? " (auto)" : "", cost_cv,
-        load.clients, load.requests);
+        model.batch, model.queue_depth, model.flush_timeout_ms,
+        fleet_opts.intra_op_threads, fleet_opts.mem_plan ? "arena" : "off",
+        to_string(entry->executor),
+        model.executor == ExecutorKind::kAuto ? " (auto)" : "",
+        cm.cluster_cost_cv, load.clients, load.requests);
 
     std::unique_ptr<serve::MetricsEmitter> emitter;
     if (!emitter_opts.jsonl_path.empty() || !emitter_opts.prom_path.empty()) {
-      emitter = std::make_unique<serve::MetricsEmitter>(&server, emitter_opts);
+      emitter = std::make_unique<serve::MetricsEmitter>(
+          [&fleet, &name] { return fleet.tenant_window_stats(name); },
+          emitter_opts);
     }
 
+    const serve::SubmitFn submit = [&fleet, &name](TensorMap inputs) {
+      return fleet.submit(name, std::move(inputs));
+    };
     serve::LoadReport report;
     if (arrival.open_loop) {
       serve::OpenLoopOptions open;
@@ -231,11 +244,11 @@ int main(int argc, char** argv) {
           static_cast<double>(load.requests) / arrival.rate_rps * 1e3;
       std::printf("open loop: poisson arrivals at %.1f req/s for %.1f s\n",
                   open.rate_rps, open.duration_ms / 1e3);
-      report = serve::run_open_loop(server, open);
+      report = serve::run_open_loop(submit, cm.graph, open);
     } else {
-      report = serve::run_closed_loop(server, load);
+      report = serve::run_closed_loop(submit, cm.graph, load);
     }
-    server.shutdown();
+    fleet.shutdown();
     if (emitter) {
       emitter->stop();
       if (!emitter_opts.jsonl_path.empty()) {
@@ -246,25 +259,27 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", emitter_opts.prom_path.c_str());
       }
     }
+    std::vector<serve::fleet::TailExemplar> exemplars =
+        fleet.tail_exemplars(name);
     if (!trace_out.empty()) {
       obs::Timeline timeline;
-      add_compile_trace(server.model(), timeline);
-      server.append_trace(timeline);
+      add_compile_trace(cm, timeline);
+      fleet.append_trace(timeline);
       std::ofstream os(trace_out);
       os << timeline.to_chrome_json();
       std::printf("wrote %s (%zu trace events, slowest batch %.2f ms)\n",
                   trace_out.c_str(), timeline.size(),
-                  server.slowest_batch_profile().wall_ms);
+                  exemplars.empty() ? 0.0 : exemplars.front().wall_ms);
     }
 
-    std::printf("%s\n", server.stats().to_string().c_str());
-    const std::string attribution = server.tail_attribution();
-    if (!attribution.empty()) {
+    if (!profile) exemplars.clear();  // recorded for the trace only
+
+    std::printf("%s\n", fleet.tenant_stats(name).to_string().c_str());
+    if (!exemplars.empty()) {
       std::printf("tail attribution (slowest batch):\n%s\n",
-                  attribution.c_str());
+                  exemplars.front().report.summary().c_str());
     }
     if (!profile_out.empty()) {
-      const auto exemplars = server.tail_exemplars();
       std::string doc = "[";
       for (std::size_t i = 0; i < exemplars.size(); ++i) {
         if (i != 0) doc += ",";
