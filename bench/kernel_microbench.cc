@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the tensor kernels that dominate
 // the cost profiles (conv2d, matmul, pooling, BERT's broadcast and layout
-// ops) plus the channel primitives the cluster runtime is built on. Useful
+// ops) plus the cross-worker hand-off the cluster runtime is built on. Useful
 // for spotting kernel regressions that would silently skew every simulated
 // table.
 //
@@ -14,13 +14,15 @@
 // plus all standard --benchmark_* flags.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "rt/mailbox.h"
+#include "rt/doorbell.h"
 #include "support/rng.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
@@ -465,18 +467,45 @@ BENCHMARK_CAPTURE(BM_BertMatMul, ff2, Shape{96, 512}, Shape{512, 128});
 BENCHMARK_CAPTURE(BM_BertMatMul, qk, Shape{1, 4, 96, 32}, Shape{1, 4, 32, 96});
 BENCHMARK_CAPTURE(BM_BertMatMul, pv, Shape{1, 4, 96, 96}, Shape{1, 4, 96, 32});
 
-void BM_InboxPutGet(benchmark::State& state) {
-  Inbox box;
-  Tensor payload = Tensor::zeros(Shape{64, 64});
-  std::int64_t wait = 0;
-  int key = 0;
+// One dependency release from worker A that wakes worker B: the pinned
+// placement's cross-home hand-off (B sleeps on its Doorbell; A drops B's
+// dependency count to zero and rings). Timed as a ping-pong — B releases A
+// straight back — and each iteration reports half the round trip.
+void BM_CrossWorkerHandoff(benchmark::State& state) {
+  rt::Doorbell bell_a, bell_b;
+  std::atomic<std::int32_t> deps_a{1}, deps_b{1};
+  std::atomic<bool> stop{false};
+  // Sleeps until its count reaches zero, then re-arms and releases `other`.
+  const auto await_release = [&](rt::Doorbell& bell,
+                                 std::atomic<std::int32_t>& deps) {
+    while (true) {
+      const std::uint64_t seen = bell.epoch();
+      if (stop.load(std::memory_order_acquire)) return false;
+      if (deps.load(std::memory_order_acquire) == 0) break;
+      bell.wait(seen);
+    }
+    deps.store(1, std::memory_order_relaxed);
+    return true;
+  };
+  const auto release = [](rt::Doorbell& bell,
+                          std::atomic<std::int32_t>& deps) {
+    if (deps.fetch_sub(1, std::memory_order_acq_rel) == 1) bell.ring();
+  };
+  std::thread b([&] {
+    while (await_release(bell_b, deps_b)) release(bell_a, deps_a);
+  });
   for (auto _ : state) {
-    box.put({key, 0}, payload);
-    benchmark::DoNotOptimize(box.get({key, 0}, &wait));
-    ++key;
+    const auto t0 = std::chrono::steady_clock::now();
+    release(bell_b, deps_b);
+    await_release(bell_a, deps_a);
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() / 2);
   }
+  stop.store(true, std::memory_order_release);
+  bell_b.ring();
+  b.join();
 }
-BENCHMARK(BM_InboxPutGet);
+BENCHMARK(BM_CrossWorkerHandoff)->UseManualTime();
 
 }  // namespace
 }  // namespace ramiel

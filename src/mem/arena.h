@@ -1,8 +1,10 @@
 // Arena runtime for the static memory plan.
 //
-// MemArena is one worker's persistent scratch block, owned by the
-// ParallelExecutor across run() calls and sized to the worker's planned
-// peak. SlotSink is the per-node AllocSink the executor installs around a
+// MemArena is one worker's persistent block, owned by the executor across
+// run() calls: its planned-slot block is sized to the worker's planned peak
+// (ParallelExecutor keeps one per home worker of each hosted program), and
+// its separate scratch block backs kernel pack/im2col buffers (the executor
+// keeps one arena per worker thread for that). SlotSink is the per-node AllocSink the executor installs around a
 // kernel call: it is primed with the arena addresses of the node's planned
 // outputs and hands them to Tensor(Shape) by element count, so kernels
 // write straight into their planned slots without knowing the planner

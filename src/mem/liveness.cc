@@ -13,7 +13,7 @@ bool is_graph_output(const Graph& g, ValueId v) {
 }
 
 /// True when some live consumer of `v` runs on a different worker for this
-/// sample (the value will be shipped through a mailbox).
+/// sample (the value will be read by another worker).
 bool has_remote_consumer(const Graph& g, const Hyperclustering& hc, ValueId v,
                          int worker, int sample) {
   for (NodeId c : g.value(v).consumers) {

@@ -1,7 +1,7 @@
 // Liveness analysis over the scheduled per-worker streams.
 //
 // Walks one (worker, sample) stream in its scheduled program order (the
-// cluster's topological order, the same order ParallelExecutor replays) and
+// cluster's topological order, the same order the pinned placement walks) and
 // computes a first-def/last-use interval for every value the stream's
 // kernels will allocate. Alias-producing ops (Identity, Reshape, Flatten,
 // Squeeze, Unsqueeze — their kernels return a reshaped view of the input
@@ -9,7 +9,7 @@
 // alias class shares one storage slot whose lifetime covers every member's
 // uses. Values with a consumer on another worker are kept live until the
 // run joins (mem::kStepForever) because the receiver reads the sender's
-// buffer through the mailbox at an arbitrary later point.
+// buffer from the shared value table at an arbitrary later point.
 #pragma once
 
 #include <cstdint>

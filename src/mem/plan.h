@@ -20,8 +20,8 @@
 //   - constants and graph inputs — not produced by kernels;
 //   - zero-sized values.
 // Values sent to another worker stay planned but their lifetime extends to
-// the end of the run (kStepForever): the receiver shares the sender's slot
-// through the mailbox and may read it at any point before the run joins.
+// the end of the run (kStepForever): the receiver reads the sender's slot
+// from the executor's shared value table at any point before the run joins.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,8 @@ namespace ramiel::mem {
 inline constexpr std::int64_t kSlotAlign = 64;
 
 /// last_step value for slots that must survive until the run joins
-/// (cross-worker sends: the receiving cluster reads the slot through the
-/// mailbox at an unknowable point in its own stream).
+/// (cross-worker sends: the receiving cluster reads the slot from the shared
+/// value table at an unknowable point in its own stream).
 inline constexpr int kStepForever = std::numeric_limits<int>::max();
 
 /// `bytes` rounded up to the slot alignment.

@@ -1,14 +1,24 @@
-// Small helpers shared by every executor (sequential, static parallel,
-// work-stealing): resolving node inputs that are constants or graph inputs,
-// and collecting graph outputs that never pass through a kernel.
+// Small helpers shared by every executor (sequential, parallel, pipelined):
+// resolving node inputs that are constants or graph inputs, collecting graph
+// outputs that never pass through a kernel, and running a kernel into its
+// planned arena slots.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
 
 #include "graph/graph.h"
+#include "mem/arena.h"
+#include "mem/plan.h"
 #include "rt/executor.h"
 #include "support/check.h"
 #include "support/string_util.h"
+
+namespace ramiel {
+struct OpContext;
+}  // namespace ramiel
 
 namespace ramiel::rt {
 
@@ -49,5 +59,38 @@ inline bool is_graph_output(const Graph& g, ValueId v) {
   return std::find(g.outputs().begin(), g.outputs().end(), v) !=
          g.outputs().end();
 }
+
+/// Arena placement of one planned output of a node: where the SlotSink
+/// should put the kernel's allocation for it.
+struct PlannedOut {
+  ValueId value;
+  std::size_t offset_floats;  // from the worker arena base (slots stay
+                              // 64-byte aligned, so float units are exact
+                              // for every dtype)
+  std::int64_t numel;
+  DType dtype;  // storage dtype the sink matches alongside numel
+  bool in_place;
+};
+
+/// slots[worker][sample][node] = the planned outputs of that task.
+using PlannedSlots = std::vector<
+    std::vector<std::unordered_map<NodeId, std::vector<PlannedOut>>>>;
+
+/// Builds the slot table of a (non-empty) memory plan once, so the hot path
+/// is one lookup per task.
+PlannedSlots planned_slots(const Graph& g, const mem::MemPlan& plan);
+
+/// Runs `n` on `inputs` with `sink` installed and primed with `outs` (the
+/// node's planned outputs, null for none) at `arena_base`, so the kernel's
+/// output allocations land in their arena slots. A planned, non-in-place
+/// output that still shares storage with an input (an op aliasing its input
+/// without being in the planner's alias list) is detached to the heap: its
+/// slot would be reused while the alias class still needs the bytes.
+/// Afterwards sink.taken() counts the allocations served from the arena.
+std::vector<Tensor> eval_planned(const Node& n,
+                                 const std::vector<Tensor>& inputs,
+                                 const OpContext& ctx, mem::SlotSink& sink,
+                                 float* arena_base,
+                                 const std::vector<PlannedOut>* outs);
 
 }  // namespace ramiel::rt

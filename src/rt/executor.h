@@ -4,40 +4,60 @@
 // generates ("a single core non-parallel version of the code"). It runs the
 // whole batch back to back on one thread.
 //
-// ParallelExecutor is the analogue of the generated parallel Python: one
-// worker thread per (hyper)cluster, cross-cluster tensors delivered through
-// keyed inboxes (the queue.put()/queue.get() pairs of Algorithm 4). A plain
-// batch-1 clustering is just a Hyperclustering with batch == 1.
+// ParallelExecutor is the analogue of the generated parallel Python: the
+// hyperclustered program lowered once to a dependency-counted task graph
+// (rt/steal/task_graph.h) — one task per (node, sample), each carrying its
+// `home` hypercluster worker — run on a persistent pool of worker threads
+// with one shared (value, sample) tensor table. Finishing a task decrements
+// its successors' counts; a successor is runnable at zero. A cross-cluster
+// tensor is just a dependency edge into the shared table (the queue.put()/
+// queue.get() pair of Algorithm 4). The placement picks who runs a task:
+//
+//   kStatic (pinned) — the paper's process-per-cluster model. Every task
+//     runs on its home worker, which walks its per-sample streams
+//     cooperatively: it stays on the sample it just ran and switches only
+//     when that sample blocks, sleeping on its Doorbell (rt/doorbell.h)
+//     when none can progress. A release that zeroes a task homed on
+//     another worker rings that worker directly. Cross-home edges are
+//     reported as messages (WorkerProfile::messages_sent/bytes_*, and
+//     MessageEvents/QueueDepthSamples synthesised after a traced run).
+//   kSteal — work stealing: a zeroed successor goes onto the finishing
+//     worker's Chase–Lev deque (rt/steal/deque.h); idle workers steal the
+//     oldest task round robin and park (bounded) on their own Doorbell
+//     when nothing is left; a push rings one sleeping sibling per task.
+//
+// Outputs are bit-identical across placements: every task runs the same
+// kernel on the same inputs with the same intra-op width; only the
+// interleaving differs. With a memory plan, planned outputs land in the
+// home worker's arena slots and each (home, sample) stream keeps its
+// planned order (pinned by construction, by chain edges under steal), so
+// slot-reuse liveness is what the planner assumed. Kernel scratch comes
+// from a per-thread scratch arena.
 //
 // ParallelExecutor is *persistent* (the Taskflow executor pattern): its
-// worker threads are spawned once in the constructor, park between calls,
-// and are reused by every run() — a serving loop dispatching thousands of
-// batches must not pay thread create/join per request. run() may be called
-// any number of times; calls are serialized internally, so a single
-// executor can be shared behind a queue (see src/serve/).
+// worker threads are spawned once, park between calls, and are reused by
+// every run(); calls are serialized internally, so one executor can be
+// shared behind a queue (see src/serve/).
 //
 // Intra-op parallelism: when RunOptions.intra_op_threads > 1, each worker
 // owns a private thread pool of that size for its kernels — exactly how the
 // paper's per-cluster Python processes each carry their own OpenMP pool,
 // including the oversubscription behaviour Table V observes. The pools are
-// also persistent: created on the first run that asks for them and rebuilt
-// only when the requested width changes.
+// persistent and rebuilt only when the requested width changes.
 //
-// Multi-program hosting (the fleet pool, src/serve/fleet/): one
-// ParallelExecutor can host several compiled models' hyperclustered
-// programs on ONE set of persistent worker threads. Each program keeps its
-// own streams, memory plan and arena set — arenas are keyed
-// (program, worker, stream), so every model's MemPlan stays valid — while
-// the threads, inboxes and intra-op pools are shared. run_program(p, ...)
-// dispatches one batch of program p; dispatches are serialized, which is
-// exactly the sharing model: tenants time-slice the same cores instead of
-// oversubscribing them with per-model thread pools. add_program() /
-// remove_program() support hot model loading between dispatches.
+// Multi-program hosting (the fleet pool, src/serve/fleet/): one executor
+// can host several compiled models' programs on ONE set of worker threads
+// (as many as the widest program). Each program keeps its own task graph,
+// memory plan and per-home arenas; the threads, scratch arenas and intra-op
+// pools are shared. run_program(p, ...) dispatches one batch of program p;
+// dispatches are serialized, so tenants time-slice the same cores instead
+// of oversubscribing them. add_program()/remove_program() support hot model
+// loading between dispatches.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,21 +66,20 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "mem/arena.h"
 #include "mem/plan.h"
 #include "passes/hypercluster.h"
 #include "rt/executor_kind.h"
-#include "rt/mailbox.h"
 #include "rt/profiler.h"
+#include "rt/steal/task_graph.h"
 #include "tensor/tensor.h"
-
-namespace ramiel::obs {
-class Gauge;
-}  // namespace ramiel::obs
 
 namespace ramiel {
 
 struct OpContext;
+
+namespace mem {
+class SlotSink;
+}  // namespace mem
 
 /// Named tensors for one batch sample (graph inputs or outputs).
 using TensorMap = std::unordered_map<std::string, Tensor>;
@@ -73,9 +92,8 @@ struct RunOptions {
 };
 
 /// The executor seam: everything the serving layer (and the tools) need
-/// from a batch runtime, implemented by the static per-cluster
-/// ParallelExecutor and by the work-stealing StealExecutor (rt/steal/).
-/// Construct concrete executors directly or via make_executor()
+/// from a batch runtime. ParallelExecutor implements it for both
+/// placements; construct it directly or via make_executor()
 /// (rt/steal/steal_executor.h).
 class Executor {
  public:
@@ -123,22 +141,25 @@ struct ExecutorProgram {
   const mem::MemPlan* mem_plan = nullptr;
 };
 
-/// Multi-worker cluster executor (one persistent thread per hypercluster),
-/// optionally hosting several models' programs on the same threads.
-class ParallelExecutor final : public Executor {
+/// The task-graph executor (one persistent thread per hypercluster of the
+/// widest hosted program), with pinned (kStatic) or stealing (kSteal)
+/// placement.
+class ParallelExecutor : public Executor {
  public:
   /// The graph must outlive the executor. `hc.batch` fixes the batch size
   /// accepted by run(). Worker threads start immediately and park until the
   /// first run(). When `mem_plan` is non-null (and non-empty) the executor
-  /// copies it and backs planned intermediates with persistent per-worker
+  /// copies it and backs planned intermediates with persistent per-home
   /// arenas instead of per-run heap allocations; null runs fully on the
-  /// heap (`--mem-plan=off`).
+  /// heap (`--mem-plan=off`). `placement` must be kStatic or kSteal.
   ParallelExecutor(const Graph* graph, Hyperclustering hc,
-                   const mem::MemPlan* mem_plan = nullptr);
+                   const mem::MemPlan* mem_plan = nullptr,
+                   ExecutorKind placement = ExecutorKind::kStatic);
 
   /// Shared-pool form: hosts every program on one set of worker threads
   /// (thread count = the widest program). Requires at least one program.
-  explicit ParallelExecutor(std::vector<ExecutorProgram> programs);
+  explicit ParallelExecutor(std::vector<ExecutorProgram> programs,
+                            ExecutorKind placement = ExecutorKind::kStatic);
   ~ParallelExecutor() override;
 
   ParallelExecutor(const ParallelExecutor&) = delete;
@@ -171,7 +192,7 @@ class ParallelExecutor final : public Executor {
   /// threads are never shrunk. Ids are not reused.
   void remove_program(int program);
 
-  ExecutorKind kind() const override { return ExecutorKind::kStatic; }
+  ExecutorKind kind() const override { return placement_; }
 
   int num_workers() const override { return program_workers(0); }
 
@@ -194,68 +215,50 @@ class ParallelExecutor final : public Executor {
   /// True when program 0 runs with a (non-empty) memory plan.
   bool mem_plan_enabled() const override;
 
-  /// Bytes currently held by all programs' arenas (0 before the first
-  /// planned run, and always 0 with plans disabled).
+  /// Bytes currently held by all programs' planned-slot arenas (0 before
+  /// the first planned run, and always 0 with plans disabled).
   std::size_t arena_bytes_allocated() const;
 
+  /// Program 0's dependency-counted decomposition (test introspection).
+  const steal::TaskGraph& task_graph() const;
+
  private:
+  struct Program;
+  struct Lane;
   struct RunState;
-
-  /// Arena placement of one planned output of a node: where the SlotSink
-  /// should put the kernel's allocation for it.
-  struct PlannedOut {
-    ValueId value;
-    std::size_t offset_floats;  // from the worker arena base (slots stay
-                                // 64-byte aligned, so float units are exact
-                                // for every dtype)
-    std::int64_t numel;
-    DType dtype;  // storage dtype the sink matches alongside numel
-    bool in_place;
-  };
-
-  /// Everything one hosted model needs: per-worker per-sample streams, the
-  /// memory plan with its arena set, and the precomputed slot tables.
-  struct Program {
-    const Graph* graph = nullptr;
-    Hyperclustering hc;
-    /// streams[worker][sample] = that worker's tasks for that sample, in
-    /// the cluster's topological order (invariant across runs).
-    std::vector<std::vector<std::vector<NodeId>>> streams;
-    /// Static memory plan (empty = disabled) and its runtime arenas, one
-    /// per worker of THIS program.
-    mem::MemPlan plan;
-    std::vector<mem::MemArena> arenas;
-    /// node_slots[worker][sample][node] = planned outputs of that task,
-    /// precomputed from the plan so the hot path is one hash lookup.
-    std::vector<
-        std::vector<std::unordered_map<NodeId, std::vector<PlannedOut>>>>
-        node_slots;
-    bool live = true;
-    int workers() const { return static_cast<int>(hc.workers.size()); }
-  };
 
   int add_program_locked(ExecutorProgram program);
   void ensure_threads(int count);
   void worker_loop(int me);
-  void execute_tasks(int me, Program& prog, RunState& st,
-                     const OpContext& ctx);
+  void run_pinned(int me, RunState& st, const OpContext& ctx,
+                  mem::SlotSink& sink, std::vector<std::size_t>& cursor);
+  void run_stealing(int me, RunState& st, const OpContext& ctx,
+                    mem::SlotSink& sink);
+  void execute_task(int me, std::int32_t t, bool stolen, RunState& st,
+                    const OpContext& ctx, mem::SlotSink& sink);
+  void ring_all();
+  void tally_messages(const Program& prog, RunState& st, Profile* profile);
+
+  const ExecutorKind placement_;
 
   /// Hosted programs; unique_ptr keeps addresses stable while add_program
   /// grows the vector (parked workers dereference entries during runs).
   std::vector<std::unique_ptr<Program>> programs_;
-
-  /// Shared across programs, sized to the widest one. deque: Inbox holds a
-  /// mutex and cannot move when add_program widens the pool.
-  std::deque<Inbox> inboxes_;
-  /// Registry gauges mirroring each inbox's depth (series
-  /// ramiel_rt_inbox_depth{worker="i"}), updated on every put with the
-  /// depth the put already computed — one relaxed atomic store.
-  std::vector<obs::Gauge*> depth_gauges_;
+  /// Per worker thread: steal deque, doorbell and kernel-scratch arena.
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> threads_;
+
+  // Live scheduling state of the run in flight, reset by run_program()
+  // while every worker is parked; sized for the largest hosted program.
+  std::unique_ptr<std::atomic<std::int32_t>[]> deps_;
+  std::size_t deps_capacity_ = 0;
+  std::vector<Tensor> values_;  // (value, sample) -> produced tensor
+  std::atomic<std::int64_t> remaining_{0};  // steal: tasks left in the run
+  std::atomic<bool> abort_{false};
 
   std::mutex run_mu_;  // serializes concurrent run()/add/remove callers
 
-  // Start/finish handshake between run() and the parked workers.
+  // Start/finish handshake between run_program() and the parked workers.
   mutable std::mutex ctl_mu_;
   std::condition_variable start_cv_;  // workers: wait for a new run/shutdown
   std::condition_variable done_cv_;   // run(): wait for all workers to finish

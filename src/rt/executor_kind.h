@@ -1,13 +1,16 @@
 // The executor seam: which runtime executes a compiled model's
 // hyperclustered program.
 //
-//   kStatic — the paper's process-per-cluster model (rt/executor.h): one
-//             pinned worker per hypercluster, cross-cluster tensors through
-//             mailboxes. Predictable placement; load-balances poorly when
-//             cluster costs are skewed.
-//   kSteal  — the dynamic runtime (rt/steal/): fine-grained dependency-
-//             counted tasks on a work-stealing pool, cross-cluster sends as
-//             plain dependency edges. Rebalances skew at run time.
+// Both concrete kinds are placements of the one task-graph executor,
+// ParallelExecutor (rt/executor.h), which runs dependency-counted
+// (node, sample) tasks with cross-cluster tensors as dependency edges:
+//
+//   kStatic — pinned: the paper's process-per-cluster model. Every task runs
+//             on its hypercluster's worker, in that worker's cooperative
+//             stream order. Predictable placement; load-balances poorly
+//             when cluster costs are skewed.
+//   kSteal  — work stealing (rt/steal/): a ready task runs on whichever
+//             worker unlocked or steals it. Rebalances skew at run time.
 //   kAuto   — serving-layer policy: pick kSteal when the compile report's
 //             cluster-cost variance says the static placement is skewed
 //             (resolved by ModelRegistry::add, serve/fleet/registry.h).

@@ -56,7 +56,7 @@ void Profile::to_timeline(const Graph& graph, obs::Timeline& timeline,
                   m.dst_worker, m.recv_ns);
   }
   for (const QueueDepthSample& q : queue_depths) {
-    timeline.counter("inbox depth w" + std::to_string(q.worker),
+    timeline.counter("queue depth w" + std::to_string(q.worker),
                      obs::kRuntimePid, q.ts_ns,
                      static_cast<double>(q.depth));
   }

@@ -30,8 +30,10 @@ struct TaskEvent {
   std::int64_t end_ns = 0;
 };
 
-/// One cross-worker tensor delivery (a mailbox put paired with the get that
-/// consumed it). Collected only when tracing is on.
+/// One cross-worker tensor hand-off of the pinned placement: a cross-home
+/// dependency edge, sent when the producing task ended and received when
+/// the first consuming task on the other worker started. Collected only
+/// when tracing is on.
 struct MessageEvent {
   ValueId value = kNoNode;  // ValueId and NodeId share the -1 sentinel
   int sample = 0;
@@ -42,8 +44,8 @@ struct MessageEvent {
   std::int64_t bytes = 0;     // payload size
 };
 
-/// Sampled depth of one worker's inbox (taken at put/get boundaries while
-/// tracing; rendered as a Perfetto counter track).
+/// Tensors sent to one worker but not yet consumed there, sampled at every
+/// send and receive while tracing (rendered as a Perfetto counter track).
 struct QueueDepthSample {
   int worker = 0;
   std::int64_t ts_ns = 0;
@@ -53,14 +55,15 @@ struct QueueDepthSample {
 /// Per-worker summary.
 struct WorkerProfile {
   std::int64_t busy_ns = 0;        // time inside kernels
-  std::int64_t recv_wait_ns = 0;   // slack: blocked on Inbox::get (static
-                                   // executor) or parked idle (steal)
+  std::int64_t recv_wait_ns = 0;   // slack: asleep waiting for another
+                                   // worker's release (static placement)
+                                   // or parked idle (steal)
   int tasks = 0;
-  int tasks_stolen = 0;            // steal executor: tasks taken from a
-                                   // victim's deque (0 on the static path)
+  int tasks_stolen = 0;            // steal placement: tasks taken from a
+                                   // victim's deque (0 when pinned)
   int messages_sent = 0;
   std::int64_t bytes_sent = 0;     // payload bytes shipped to other workers
-  std::int64_t bytes_received = 0; // payload bytes pulled from the inbox
+  std::int64_t bytes_received = 0; // payload bytes consumed from others
   int allocs_avoided = 0;          // kernel outputs served from the arena
 };
 

@@ -1,12 +1,13 @@
 // Decomposition of a hyperclustered program into a dependency-counted task
-// graph for the work-stealing executor.
+// graph — the one program representation ParallelExecutor runs, under
+// either placement.
 //
-// One task = one (node, sample) pair — the same granularity as HyperTask,
-// but instead of being pinned to a worker's sequential stream, each task
-// carries an atomic dependency count at run time. A completed task
-// decrements its successors; a successor hitting zero is pushed onto the
-// finishing worker's deque. Cross-cluster sends are therefore plain
-// dependency edges — the mailbox hop of the static runtime disappears.
+// One task = one (node, sample) pair — the same granularity as HyperTask —
+// carrying an atomic dependency count at run time. A completed task
+// decrements its successors; a successor hitting zero is runnable (pushed
+// onto the finishing worker's deque under the steal placement, left for
+// its home worker under the pinned one). Cross-cluster sends are therefore
+// plain dependency edges.
 //
 // Every task still records its `home`: the worker the hyperclustering
 // assigned it to. The static memory plan (src/mem/) allocates arena slots
@@ -14,8 +15,9 @@
 // topological order, so when a plan is active the builder adds a chain edge
 // from each task to its stream predecessor (`chain_streams`). That pins
 // every stream to its planned order — slot reuse and in-place liveness stay
-// valid — while the scheduler remains free to run *different* streams on
-// any worker, which is where stealing wins on skew. Without a plan the
+// valid — while the steal scheduler remains free to run *different* streams
+// on any worker, which is where stealing wins on skew. (The pinned placement
+// walks each stream in order anyway; the edges are redundant there.) Without a plan the
 // chain edges are dropped and the full op-level parallelism of the graph is
 // exposed.
 #pragma once

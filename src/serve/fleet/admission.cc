@@ -134,8 +134,8 @@ int FleetQueue::select_locked(std::int64_t now_ns) {
   return best;
 }
 
-RequestQueue::PopResult FleetQueue::pop_for(Request* out, int* tenant,
-                                            std::int64_t timeout_ns) {
+FleetQueue::PopResult FleetQueue::pop_for(Request* out, int* tenant,
+                                          std::int64_t timeout_ns) {
   std::unique_lock<std::mutex> lk(mu_);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::nanoseconds(timeout_ns);
@@ -149,19 +149,18 @@ RequestQueue::PopResult FleetQueue::pop_for(Request* out, int* tenant,
       t.served += 1.0;
       --total_depth_;
       if (tenant != nullptr) *tenant = pick;
-      return RequestQueue::PopResult::kItem;
+      return PopResult::kItem;
     }
-    if (closed_) return RequestQueue::PopResult::kClosed;
+    if (closed_) return PopResult::kClosed;
     if (not_empty_.wait_until(lk, deadline) == std::cv_status::timeout &&
         total_depth_ == 0) {
-      return closed_ ? RequestQueue::PopResult::kClosed
-                     : RequestQueue::PopResult::kTimeout;
+      return closed_ ? PopResult::kClosed : PopResult::kTimeout;
     }
   }
 }
 
-RequestQueue::PopResult FleetQueue::pop_tenant_for(int tenant, Request* out,
-                                                   std::int64_t timeout_ns) {
+FleetQueue::PopResult FleetQueue::pop_tenant_for(int tenant, Request* out,
+                                                 std::int64_t timeout_ns) {
   std::unique_lock<std::mutex> lk(mu_);
   RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
                "no such tenant");
@@ -174,13 +173,12 @@ RequestQueue::PopResult FleetQueue::pop_tenant_for(int tenant, Request* out,
       t.items.pop_front();
       t.served += 1.0;
       --total_depth_;
-      return RequestQueue::PopResult::kItem;
+      return PopResult::kItem;
     }
-    if (closed_ || t.closed) return RequestQueue::PopResult::kClosed;
+    if (closed_ || t.closed) return PopResult::kClosed;
     if (not_empty_.wait_until(lk, deadline) == std::cv_status::timeout &&
         t.items.empty()) {
-      return (closed_ || t.closed) ? RequestQueue::PopResult::kClosed
-                                   : RequestQueue::PopResult::kTimeout;
+      return (closed_ || t.closed) ? PopResult::kClosed : PopResult::kTimeout;
     }
   }
 }

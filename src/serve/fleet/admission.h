@@ -7,9 +7,9 @@
 //      `burst`; an arrival without a token is rejected (kQuota). This is
 //      the *rate* contract: a tenant offering 4x its quota is clipped at
 //      the door no matter how empty the machine is.
-//   2. Bounded queue — request_queue.h's reject-on-full semantics, per
-//      tenant: beyond queue_depth waiting requests, arrivals are shed
-//      (kFull) instead of accumulating unbounded latency.
+//   2. Bounded queue — per tenant, beyond queue_depth waiting requests,
+//      arrivals are shed (kFull) instead of accumulating unbounded latency;
+//      a refused request stays with the caller.
 //
 // Dequeue is weighted fair with priority aging:
 //
@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/request_queue.h"
+#include "serve/request.h"
 
 namespace ramiel::serve::fleet {
 
@@ -105,15 +105,15 @@ class FleetQueue {
   /// request is NOT consumed (caller still owns the promise).
   Admit try_push(int tenant, Request&& request, std::int64_t now_ns);
 
+  enum class PopResult { kItem, kTimeout, kClosed };
+
   /// Fair dequeue across all open tenants; fills *tenant with the source.
   /// kTimeout after timeout_ns without work; kClosed once closed and fully
-  /// drained.
-  RequestQueue::PopResult pop_for(Request* out, int* tenant,
-                                  std::int64_t timeout_ns);
+  /// drained (remaining items are still delivered first).
+  PopResult pop_for(Request* out, int* tenant, std::int64_t timeout_ns);
 
   /// Dequeue from one tenant only (partitioned dispatchers, batch fill).
-  RequestQueue::PopResult pop_tenant_for(int tenant, Request* out,
-                                         std::int64_t timeout_ns);
+  PopResult pop_tenant_for(int tenant, Request* out, std::int64_t timeout_ns);
 
   /// Non-blocking single-tenant pop (batch fill fast path).
   bool try_pop_tenant(int tenant, Request* out);

@@ -295,9 +295,9 @@ void FleetServer::shared_dispatch_loop() {
   while (true) {
     Request first;
     int index = -1;
-    const RequestQueue::PopResult r = queue_.pop_for(&first, &index, poll_ns);
-    if (r == RequestQueue::PopResult::kClosed) return;
-    if (r != RequestQueue::PopResult::kItem) continue;
+    const FleetQueue::PopResult r = queue_.pop_for(&first, &index, poll_ns);
+    if (r == FleetQueue::PopResult::kClosed) return;
+    if (r != FleetQueue::PopResult::kItem) continue;
     serve_one(tenant(index), std::move(first));
   }
 }
@@ -308,10 +308,10 @@ void FleetServer::tenant_dispatch_loop(int index) {
       static_cast<std::int64_t>(options_.poll_ms * 1e6);
   while (true) {
     Request first;
-    const RequestQueue::PopResult r =
+    const FleetQueue::PopResult r =
         queue_.pop_tenant_for(index, &first, poll_ns);
-    if (r == RequestQueue::PopResult::kClosed) return;
-    if (r != RequestQueue::PopResult::kItem) continue;
+    if (r == FleetQueue::PopResult::kClosed) return;
+    if (r != FleetQueue::PopResult::kItem) continue;
     serve_one(t, std::move(first));
   }
 }
@@ -344,7 +344,7 @@ void FleetServer::serve_one(Tenant& t, Request first) {
     if (remaining <= 0) break;
     Request r;
     if (queue_.pop_tenant_for(t.index, &r, remaining) !=
-        RequestQueue::PopResult::kItem) {
+        FleetQueue::PopResult::kItem) {
       break;
     }
     batch.push_back(std::move(r));

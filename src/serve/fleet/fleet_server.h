@@ -27,10 +27,8 @@
 //     time-slice a single persistent worker pool instead of oversubscribing
 //     the machine with per-model thread sets. Dispatches are serialized by
 //     the executor, which is exactly why admission order (fair + aging) is
-//     the thing that decides who waits. A shared pool forces the static
-//     runtime for its tenants: the pool's threads are pinned one-per-
-//     hypercluster-worker, and that static placement is what makes one pool
-//     reusable across programs. Tenants whose auto policy resolved to
+//     the thing that decides who waits. A shared pool runs its tenants on
+//     the pinned (static) placement. Tenants whose auto policy resolved to
 //     `steal` keep that choice in `partitioned` mode.
 //   - "partitioned": the isolation baseline — each tenant gets its own
 //     dispatcher thread and its own executor (static or steal per the
@@ -68,7 +66,7 @@
 #include "serve/fleet/config.h"
 #include "serve/fleet/pipeline.h"
 #include "serve/fleet/registry.h"
-#include "serve/request_queue.h"
+#include "serve/request.h"
 #include "serve/stats.h"
 
 namespace ramiel::obs {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/op_eval.h"
 #include "mem/planner.h"
 #include "obs/metrics.h"
 #include "rt/exec_util.h"
@@ -144,26 +143,7 @@ PipelinedRunner::PipelinedRunner(const Graph* graph,
 
   if (mem_plan) {
     plan_ = mem::plan_memory(*graph_, hc_);
-    node_slots_.resize(static_cast<std::size_t>(s_count));
-    for (int s = 0; s < s_count; ++s) {
-      const mem::WorkerPlan& wp = plan_.workers[static_cast<std::size_t>(s)];
-      auto& per_sample = node_slots_[static_cast<std::size_t>(s)];
-      per_sample.resize(static_cast<std::size_t>(batch_));
-      for (int sample = 0; sample < batch_; ++sample) {
-        const mem::StreamPlan& sp =
-            wp.streams[static_cast<std::size_t>(sample)];
-        const std::int64_t base =
-            wp.stream_base[static_cast<std::size_t>(sample)];
-        for (const mem::ValueSlot& slot : sp.slots) {
-          const NodeId producer = graph_->value(slot.value).producer;
-          per_sample[static_cast<std::size_t>(sample)][producer].push_back(
-              PlannedOut{slot.value,
-                         static_cast<std::size_t>(base + slot.offset) /
-                             sizeof(float),
-                         slot.numel, slot.dtype, slot.in_place});
-        }
-      }
-    }
+    node_slots_ = rt::planned_slots(*graph_, plan_);
   }
 
   arenas_.resize(static_cast<std::size_t>(s_count));
@@ -372,45 +352,18 @@ void PipelinedRunner::execute_stage(int stage, Flight& flight,
         inputs.push_back(it->second);
       }
 
-      const std::vector<PlannedOut>* planned_outs = nullptr;
+      const std::vector<rt::PlannedOut>* planned_outs = nullptr;
       if (planned) {
         const auto& table = node_slots_[static_cast<std::size_t>(stage)]
                                        [static_cast<std::size_t>(sample)];
         auto pit = table.find(task.node);
         if (pit != table.end()) planned_outs = &pit->second;
       }
-
-      std::vector<Tensor> outputs;
-      if (planned) {
-        sink.clear();
-        if (planned_outs != nullptr) {
-          for (const PlannedOut& po : *planned_outs) {
-            sink.add(arena_base + po.offset_floats,
-                     static_cast<std::size_t>(po.numel), po.dtype, po.in_place);
-          }
-        }
-        mem::ScopedAllocSink guard(&sink);
-        outputs = eval_node(n, inputs, ctx);
-      } else {
-        outputs = eval_node(n, inputs, ctx);
-      }
+      std::vector<Tensor> outputs =
+          rt::eval_planned(n, inputs, ctx, sink, arena_base, planned_outs);
 
       for (std::size_t i = 0; i < outputs.size(); ++i) {
         const ValueId ov = n.outputs[i];
-        // Same alias insurance as rt/executor.cc: a planned non-in-place
-        // output must not share storage with a live input.
-        if (planned_outs != nullptr) {
-          for (const PlannedOut& po : *planned_outs) {
-            if (po.value != ov || po.in_place) continue;
-            for (const Tensor& in : inputs) {
-              if (outputs[i].shares_storage_with(in)) {
-                outputs[i] = outputs[i].clone();
-                break;
-              }
-            }
-            break;
-          }
-        }
         if (is_graph_output(g, ov)) {
           // Results outlive the flight; detach arena-backed tensors.
           Tensor out =

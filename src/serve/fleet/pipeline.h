@@ -48,6 +48,7 @@
 #include "mem/arena.h"
 #include "mem/plan.h"
 #include "passes/hypercluster.h"
+#include "rt/exec_util.h"
 #include "rt/executor.h"
 
 namespace ramiel::obs {
@@ -130,16 +131,8 @@ class PipelinedRunner {
   mem::MemPlan plan_;
   /// arenas_[stage][parity]; sized lazily on first use of each parity.
   std::vector<std::vector<mem::MemArena>> arenas_;
-  /// node_slots_[stage][sample][node] = planned outputs (see rt/executor).
-  struct PlannedOut {
-    ValueId value;
-    std::size_t offset_floats;
-    std::int64_t numel;
-    DType dtype;
-    bool in_place;
-  };
-  std::vector<std::vector<std::unordered_map<NodeId, std::vector<PlannedOut>>>>
-      node_slots_;
+  /// node_slots_[stage][sample][node] = planned outputs.
+  rt::PlannedSlots node_slots_;
 
   std::vector<obs::Gauge*> stage_busy_;
   obs::Counter* flights_total_ = nullptr;

@@ -24,7 +24,7 @@
 #include <functional>
 #include <string>
 
-#include "serve/request_queue.h"
+#include "serve/request.h"
 #include "support/rng.h"
 
 namespace ramiel::serve {

@@ -1,12 +1,16 @@
 // Discrete-event simulator for clustered execution on a modeled multicore.
 //
-// Replays the exact schedule the ParallelExecutor's cooperative workers
-// follow — per-sample streams in topological order, round-robin preference,
-// a worker advances whichever sample is runnable and idles only when none
-// is — but in virtual time, with task durations taken from a measured
-// CostProfile and message latencies from the MachineModel. This gives
-// deterministic multicore makespans on any host (this container has one
-// physical core; see DESIGN.md).
+// simulate_parallel replays the pinned (static) placement of the one
+// task-graph executor, ParallelExecutor: every task on its hypercluster's
+// worker, per-sample streams in topological order, a worker advances
+// whichever sample is runnable and idles only when none is — but in virtual
+// time, with task durations taken from a measured CostProfile and message
+// latencies (one per cross-worker edge) from the MachineModel. One
+// difference: the simulator rotates its sample preference after every task
+// (the paper's §III-E interleave), while the runtime stays on a sample
+// until it blocks, for cache locality. This gives deterministic makespans
+// of the paper's 12-core machine on any host (this one has 4 vCPUs; see
+// DESIGN.md).
 #pragma once
 
 #include <vector>
@@ -54,15 +58,14 @@ SimResult simulate_parallel(const Graph& graph, const Hyperclustering& hc,
                             const CostProfile& profile,
                             const SimOptions& options = {});
 
-/// Simulates the work-stealing runtime (rt/steal/) on the same machine
-/// model: the identical task set, but dependency-scheduled greedily onto k
-/// interchangeable workers instead of replaying the static per-cluster
+/// Simulates the steal placement (rt/steal/) on the same machine model: the
+/// identical task set, but dependency-scheduled greedily onto k
+/// interchangeable workers instead of replaying the pinned per-cluster
 /// placement — any idle worker takes the oldest-ready task, the idealization
 /// of Chase–Lev stealing. Cross-worker reads are charged the machine's comm
-/// cost (a shared-memory cache transfer stands in for the static path's
-/// mailbox hop). Comparing this against simulate_parallel on a skewed
-/// clustering is how the bench demonstrates the steal win on a 12-core
-/// machine the container does not have.
+/// cost, as the pinned placement's messages are. Comparing this against
+/// simulate_parallel on a skewed clustering is how the bench demonstrates
+/// the steal win on a 12-core machine this host does not have.
 SimResult simulate_steal(const Graph& graph, const Hyperclustering& hc,
                          const CostProfile& profile,
                          const SimOptions& options = {});

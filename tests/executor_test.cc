@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <thread>
+
 #include "models/zoo.h"
 #include "passes/cluster_merging.h"
 #include "passes/linear_clustering.h"
+#include "rt/doorbell.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
+#include "support/string_util.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -377,6 +384,154 @@ TEST(ParallelExecutor, ValueConsumedByManyNodesInRemoteCluster) {
   for (const auto& w : profile.workers) messages += w.messages_sent;
   EXPECT_EQ(messages, 1);
 }
+
+TEST(Doorbell, WaitReturnsAtOnceOnStaleEpoch) {
+  // A ring between the snapshot and the wait must not be lost.
+  rt::Doorbell bell;
+  const std::uint64_t seen = bell.epoch();
+  bell.ring();
+  EXPECT_NE(bell.epoch(), seen);
+  EXPECT_EQ(bell.wait(seen), 0);
+}
+
+TEST(Doorbell, RingWakesSleepingOwner) {
+  rt::Doorbell bell;
+  const std::uint64_t seen = bell.epoch();
+  std::int64_t blocked_ns = -1;
+  std::atomic<bool> ready{false};
+  std::thread owner([&] {
+    ready.store(true);
+    blocked_ns = bell.wait(seen);
+  });
+  // Ring only once the owner is (about to be) inside wait(), so a slow
+  // thread start cannot turn the wait into an immediate return.
+  while (!ready.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  bell.ring();
+  owner.join();
+  EXPECT_GT(blocked_ns, 0);
+}
+
+TEST(Doorbell, BoundedWaitReturnsWithoutARing) {
+  // The steal placement's park: a missed ring costs one bound, not a hang.
+  rt::Doorbell bell;
+  const std::int64_t blocked_ns =
+      bell.wait(bell.epoch(), std::chrono::microseconds(2000));
+  EXPECT_GE(blocked_ns, 2'000'000);
+  EXPECT_FALSE(bell.sleeping());
+}
+
+// ------------------------------------------------------------ containment --
+
+/// A kernel that throws mid-graph on a cross-cluster path: `bad` multiplies
+/// x by a [4, 3] weight, so it fails for any x that is not [.., 4], while
+/// worker 1 sleeps waiting on `bad`'s output for `tail`. Worker 0 runs a
+/// ~1 ms Sigmoid chain over a second input first, so worker 1 is asleep by
+/// the time the failure has to wake it. A run with a good x succeeds.
+Graph make_fragile_graph(Clustering* clustering) {
+  Graph g("fragile");
+  ValueId in = g.add_value("x", Shape{1, 4});
+  g.mark_input(in);
+  ValueId slow_in = g.add_value("y", Shape{1, 1 << 16});
+  g.mark_input(slow_in);
+  NodeId a = g.add_node(OpKind::kRelu, "a", {in});
+  std::vector<NodeId> worker0 = {a};
+  ValueId slow = slow_in;
+  for (int i = 0; i < 16; ++i) {
+    worker0.push_back(g.add_node(OpKind::kSigmoid, str_cat("slow", i), {slow}));
+    slow = g.node(worker0.back()).outputs[0];
+  }
+  g.mark_output(slow);
+  ValueId w = g.add_initializer("w", Tensor::full(Shape{4, 3}, 0.5f));
+  NodeId bad = g.add_node(OpKind::kMatMul, "bad", {g.node(a).outputs[0], w});
+  worker0.push_back(bad);
+  NodeId side = g.add_node(OpKind::kSigmoid, "side", {g.node(a).outputs[0]});
+  NodeId tail = g.add_node(OpKind::kNeg, "tail", {g.node(bad).outputs[0]});
+  g.mark_output(g.node(side).outputs[0]);
+  g.mark_output(g.node(tail).outputs[0]);
+  // Cluster order is stream order: a, the slow chain, then bad.
+  clustering->clusters.push_back(Cluster{worker0});
+  clustering->clusters.push_back(Cluster{{side, tail}});
+  finalize_clustering(g, *clustering);
+  return g;
+}
+
+void expect_bit_identical(const std::vector<TensorMap>& a,
+                          const std::vector<TensorMap>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size()) << "sample " << s;
+    for (const auto& [key, ta] : a[s]) {
+      ASSERT_TRUE(b[s].count(key)) << key;
+      const Tensor& tb = b[s].at(key);
+      ASSERT_EQ(ta.shape().dims(), tb.shape().dims()) << key;
+      EXPECT_EQ(0, std::memcmp(ta.data().data(), tb.data().data(),
+                               ta.data().size() * sizeof(float)))
+          << "sample " << s << " output " << key;
+    }
+  }
+}
+
+struct ContainmentCase {
+  ExecutorKind placement;
+  bool shared_pool;  // the failing program shares its pool with another
+};
+
+void PrintTo(const ContainmentCase& c, std::ostream* os) {
+  *os << to_string(c.placement)
+      << (c.shared_pool ? ", shared pool" : ", single program");
+}
+
+class Containment : public ::testing::TestWithParam<ContainmentCase> {};
+
+TEST_P(Containment, KernelFailureStaysInItsRun) {
+  const auto [placement, shared] = GetParam();
+  constexpr int kBatch = 2;
+  Clustering fragile_clusters;
+  Graph fragile = make_fragile_graph(&fragile_clusters);
+  const Hyperclustering fragile_hc =
+      build_hyperclusters(fragile, fragile_clusters, kBatch);
+  Graph other = models::build("squeezenet");
+  const Hyperclustering other_hc =
+      build_hyperclusters(other, cluster(other), kBatch);
+
+  Rng rng(17);
+  const auto good = make_example_inputs(fragile, kBatch, rng);
+  auto bad = good;
+  bad[1]["x"] = Tensor::full(Shape{1, 5}, 1.0f);  // sample 1 breaks `bad`
+  const auto other_inputs = make_example_inputs(other, kBatch, rng);
+  const auto other_solo =
+      ParallelExecutor(&other, other_hc, nullptr, placement).run(other_inputs);
+
+  std::vector<ExecutorProgram> programs;
+  programs.push_back(ExecutorProgram{&fragile, fragile_hc, nullptr});
+  if (shared) programs.push_back(ExecutorProgram{&other, other_hc, nullptr});
+  ParallelExecutor pool(std::move(programs), placement);
+
+  // The failing dispatch throws, and promptly: no worker waits forever on
+  // the output the failed task never produced.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(pool.run_program(0, bad), Error);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+
+  // The neighbour's next dispatch is untouched by the failure.
+  if (shared) expect_bit_identical(pool.run_program(1, other_inputs), other_solo);
+
+  // The failing program itself serves its next, good, batch.
+  SequentialExecutor seq(&fragile);
+  expect_outputs_match(seq.run(good), pool.run_program(0, good));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, Containment,
+    ::testing::Values(ContainmentCase{ExecutorKind::kStatic, false},
+                      ContainmentCase{ExecutorKind::kStatic, true},
+                      ContainmentCase{ExecutorKind::kSteal, false},
+                      ContainmentCase{ExecutorKind::kSteal, true}),
+    [](const ::testing::TestParamInfo<ContainmentCase>& info) {
+      return std::string(to_string(info.param.placement)) +
+             (info.param.shared_pool ? "_shared_pool" : "_single_program");
+    });
 
 }  // namespace
 }  // namespace ramiel

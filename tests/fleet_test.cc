@@ -130,8 +130,8 @@ TEST(FleetQueue, ClosedTenantRejectsButDrains) {
   EXPECT_EQ(q.counters(t).rejected_closed, 1u);
   // The queued request stays poppable after close (close-then-drain).
   Request r;
-  EXPECT_EQ(q.pop_tenant_for(t, &r, kMs), RequestQueue::PopResult::kItem);
-  EXPECT_EQ(q.pop_tenant_for(t, &r, kMs), RequestQueue::PopResult::kClosed);
+  EXPECT_EQ(q.pop_tenant_for(t, &r, kMs), FleetQueue::PopResult::kItem);
+  EXPECT_EQ(q.pop_tenant_for(t, &r, kMs), FleetQueue::PopResult::kClosed);
 }
 
 TEST(FleetQueue, WeightedFairDequeueMatchesWeights) {
@@ -153,7 +153,7 @@ TEST(FleetQueue, WeightedFairDequeueMatchesWeights) {
   for (int i = 0; i < 12; ++i) {
     Request r;
     int tenant = -1;
-    ASSERT_EQ(q.pop_for(&r, &tenant, kSec), RequestQueue::PopResult::kItem);
+    ASSERT_EQ(q.pop_for(&r, &tenant, kSec), FleetQueue::PopResult::kItem);
     (tenant == a ? from_a : from_b)++;
   }
   // 3:1 weights → 9:3 split (ties may shift one pop either way).
@@ -183,7 +183,7 @@ TEST(FleetQueue, AgingBeatsWeightSkewSoNobodyStarves) {
 
   Request r;
   int tenant = -1;
-  ASSERT_EQ(q.pop_for(&r, &tenant, kSec), RequestQueue::PopResult::kItem);
+  ASSERT_EQ(q.pop_for(&r, &tenant, kSec), FleetQueue::PopResult::kItem);
   EXPECT_EQ(tenant, b) << "aged head must outrank the 100x-weighted tenant";
   EXPECT_EQ(q.counters(b).aged, 1u);
   EXPECT_EQ(q.counters(a).aged, 0u);
@@ -207,7 +207,7 @@ TEST(FleetQueue, BatchClassNeverAges) {
             FleetQueue::Admit::kOk);
   Request r;
   int tenant = -1;
-  ASSERT_EQ(q.pop_for(&r, &tenant, kSec), RequestQueue::PopResult::kItem);
+  ASSERT_EQ(q.pop_for(&r, &tenant, kSec), FleetQueue::PopResult::kItem);
   // Ancient but aging-exempt: the weighted-fair order decides, and both
   // start at ratio 0 — first tenant wins the tie, not the old request.
   EXPECT_EQ(tenant, a);

@@ -1,4 +1,4 @@
-// Serving tests (`ctest -L serve`): the bounded request queue, the stats
+// Serving tests (`ctest -L serve`): the one-tenant request queue, the stats
 // collector, and the single-model server — a one-tenant fleet::FleetServer
 // on a partitioned pool, the set-up tools/ramiel_serve runs. The Batcher
 // cases pin the per-tenant batch-fill policy (full batches leave at once,
@@ -18,7 +18,6 @@
 #include "rt/inputs.h"
 #include "serve/fleet/fleet_server.h"
 #include "serve/loadgen.h"
-#include "serve/request_queue.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -35,60 +34,84 @@ Request make_request(float payload) {
 float request_payload(const Request& r) { return r.inputs.at("x").at(0); }
 
 // ---------------------------------------------------------------- queue --
+// The single-model server's queue is a one-tenant fleet::FleetQueue.
 
-TEST(RequestQueue, FifoWithinCapacity) {
-  RequestQueue q(4);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(q.try_push(make_request(static_cast<float>(i))));
-  }
-  EXPECT_EQ(q.depth(), 3u);
-  Request out;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.pop(&out));
-    EXPECT_EQ(request_payload(out), static_cast<float>(i));
-  }
-  EXPECT_EQ(q.depth(), 0u);
+using fleet::FleetQueue;
+using fleet::TenantOptions;
+
+constexpr std::int64_t kQueueMs = 1'000'000;
+
+/// A one-tenant queue of the given depth with no quota.
+int one_tenant_queue(FleetQueue& q, std::size_t depth) {
+  TenantOptions options;
+  options.queue_depth = depth;
+  return q.add_tenant("m", options);
 }
 
-TEST(RequestQueue, RejectsWhenFullAndRequestSurvives) {
-  RequestQueue q(2);
-  EXPECT_TRUE(q.try_push(make_request(1.0f)));
-  EXPECT_TRUE(q.try_push(make_request(2.0f)));
+TEST(FleetQueue, OneTenantFifoWithinDepth) {
+  FleetQueue q;
+  const int t = one_tenant_queue(q, 4);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(q.try_push(t, make_request(static_cast<float>(i)), 0),
+              FleetQueue::Admit::kOk);
+  }
+  EXPECT_EQ(q.tenant_depth(t), 3u);
+  Request out;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(q.pop_tenant_for(t, &out, kQueueMs),
+              FleetQueue::PopResult::kItem);
+    EXPECT_EQ(request_payload(out), static_cast<float>(i));
+  }
+  EXPECT_EQ(q.tenant_depth(t), 0u);
+}
+
+TEST(FleetQueue, OneTenantRefusedRequestStaysWithCaller) {
+  FleetQueue q;
+  const int t = one_tenant_queue(q, 2);
+  EXPECT_EQ(q.try_push(t, make_request(1.0f), 0), FleetQueue::Admit::kOk);
+  EXPECT_EQ(q.try_push(t, make_request(2.0f), 0), FleetQueue::Admit::kOk);
   Request extra = make_request(3.0f);
-  EXPECT_FALSE(q.try_push(std::move(extra)));
+  EXPECT_EQ(q.try_push(t, std::move(extra), 0), FleetQueue::Admit::kFull);
   // Admission control must not consume the refused request: the caller
   // still owns it and fulfils its promise with a rejection.
   EXPECT_EQ(request_payload(extra), 3.0f);
   extra.promise.set_value(Response{});  // still usable
 }
 
-TEST(RequestQueue, PopForTimesOutWhenEmpty) {
-  RequestQueue q(2);
+TEST(FleetQueue, OneTenantPopTimesOutWhenEmpty) {
+  FleetQueue q;
+  const int t = one_tenant_queue(q, 2);
   Request out;
-  EXPECT_EQ(q.pop_for(&out, /*timeout_ns=*/2'000'000),
-            RequestQueue::PopResult::kTimeout);
+  EXPECT_EQ(q.pop_tenant_for(t, &out, /*timeout_ns=*/2'000'000),
+            FleetQueue::PopResult::kTimeout);
 }
 
-TEST(RequestQueue, CloseDrainsThenReportsClosed) {
-  RequestQueue q(4);
-  EXPECT_TRUE(q.try_push(make_request(7.0f)));
+TEST(FleetQueue, OneTenantCloseDrainsThenReportsClosed) {
+  FleetQueue q;
+  const int t = one_tenant_queue(q, 4);
+  EXPECT_EQ(q.try_push(t, make_request(7.0f), 0), FleetQueue::Admit::kOk);
   q.close();
-  EXPECT_FALSE(q.try_push(make_request(8.0f)));  // no admission after close
+  // No admission after close.
+  EXPECT_EQ(q.try_push(t, make_request(8.0f), 0), FleetQueue::Admit::kClosed);
   Request out;
-  ASSERT_TRUE(q.pop(&out));  // queued work is still delivered
+  // Queued work is still delivered, then the queue reports closed.
+  ASSERT_EQ(q.pop_tenant_for(t, &out, kQueueMs), FleetQueue::PopResult::kItem);
   EXPECT_EQ(request_payload(out), 7.0f);
-  EXPECT_FALSE(q.pop(&out));  // now closed and drained
-  EXPECT_EQ(q.pop_for(&out, 1'000'000), RequestQueue::PopResult::kClosed);
+  EXPECT_EQ(q.pop_tenant_for(t, &out, kQueueMs),
+            FleetQueue::PopResult::kClosed);
 }
 
-TEST(RequestQueue, CloseWakesBlockedConsumer) {
-  RequestQueue q(2);
+TEST(FleetQueue, OneTenantCloseWakesBlockedConsumer) {
+  FleetQueue q;
+  const int t = one_tenant_queue(q, 2);
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     q.close();
   });
   Request out;
-  EXPECT_FALSE(q.pop(&out));  // returns rather than hanging
+  // Returns once closed rather than sleeping out the 60 s timeout.
+  EXPECT_EQ(q.pop_tenant_for(t, &out, 60'000 * kQueueMs),
+            FleetQueue::PopResult::kClosed);
   closer.join();
 }
 

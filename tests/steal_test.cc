@@ -400,6 +400,19 @@ TEST(ExecutorSeam, FactoryBuildsTheRequestedRuntime) {
   expect_bit_identical(stat->run(inputs), steal->run(inputs));
 }
 
+TEST(ExecutorSeam, FactoryStealIsAStealExecutor) {
+  // Callers (perfbench's offline workload) tell the placements apart with
+  // dynamic_cast, so the factory must build the concrete subclass.
+  Graph g = testing::make_diamond_graph();
+  Hyperclustering hc = cluster(g, 1);
+  auto stat = make_executor(ExecutorKind::kStatic, &g, hc);
+  auto steal = make_executor(ExecutorKind::kSteal, &g, std::move(hc));
+  EXPECT_EQ(dynamic_cast<StealExecutor*>(stat.get()), nullptr);
+  ASSERT_NE(dynamic_cast<StealExecutor*>(steal.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<StealExecutor*>(steal.get())->arena_bytes_allocated(),
+            0u);
+}
+
 TEST(ExecutorSeam, AutoPolicyFollowsClusterCostVariance) {
   PipelineOptions opts;
   opts.generate_code = false;

@@ -19,7 +19,7 @@
 //       outputs agree, and prints simulated multicore timings. --trace-out
 //       writes a unified Chrome trace-event JSON — compile passes on the
 //       compiler track plus the parallel run's task spans, message-flow
-//       arrows and inbox-depth counters — for Perfetto / chrome://tracing
+//       arrows and queue-depth counters — for Perfetto / chrome://tracing
 //       slack inspection; when --profile is also given, spans on the
 //       realized critical path are recolored (cat "task.critical").
 //       --profile runs the critical-path profiler on the parallel run:

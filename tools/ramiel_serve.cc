@@ -31,7 +31,7 @@
 //     --think-us U     per-client think time between requests (default 0)
 //     --trace-out F    unified Chrome trace JSON: compile passes, every
 //                      batch dispatch, and the slowest batch's task spans,
-//                      message-flow arrows and inbox-depth counters
+//                      message-flow arrows and queue-depth counters
 //     --no-profile     disable the always-on tail profiler (exemplar
 //                      sampling of slowest batches + critical-path reports;
 //                      with --trace-out the slowest batch is still recorded)
