@@ -7,7 +7,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rt/steal/steal_executor.h"
 #include "support/check.h"
 #include "support/env.h"
 #include "support/stopwatch.h"
@@ -25,6 +24,18 @@ double jain_fairness(const std::vector<double>& allocations) {
   return sum * sum /
          (static_cast<double>(allocations.size()) * sum_sq);
 }
+
+namespace {
+
+/// Resolves `promise` with a refusal that never reached a runtime.
+void refuse(std::promise<Response>& promise, std::string error) {
+  Response r;
+  r.ok = false;
+  r.error = std::move(error);
+  promise.set_value(std::move(r));
+}
+
+}  // namespace
 
 FleetConfig single_tenant_config(const std::string& name) {
   ModelConfig model;
@@ -96,17 +107,10 @@ FleetServer::FleetServer(const FleetConfig& config, FleetOptions options,
 
 FleetServer::~FleetServer() { shutdown(); }
 
-void FleetServer::ensure_completion_thread() {
-  // Caller holds tenants_mu_.
-  if (!completion_.joinable()) {
-    completion_ = std::thread([this] { completion_loop(); });
-  }
-}
-
 void FleetServer::install_runtime(Tenant& t,
                                   std::shared_ptr<const ModelEntry> entry) {
-  // Caller holds tenants_mu_ (shared_exec_/completion_ access) and, for a
-  // published tenant, its exec_mu.
+  // Caller holds tenants_mu_ (shared_exec_ access) and, for a published
+  // tenant, its exec_mu.
   const ModelConfig& mc = entry->config;
   const CompiledModel& cm = entry->compiled;
   const mem::MemPlan* plan =
@@ -119,32 +123,40 @@ void FleetServer::install_runtime(Tenant& t,
         plan != nullptr, t.name);
     t.pipeline_stages = t.runner->num_stages();
     t.modeled_speedup = t.runner->cut().modeled_speedup();
-    ensure_completion_thread();
-  } else if (pool_ == "shared") {
-    if (!shared_exec_) {
-      std::vector<ExecutorProgram> programs;
-      programs.push_back(ExecutorProgram{&cm.graph, cm.hyperclusters, plan});
-      shared_exec_ = std::make_unique<ParallelExecutor>(std::move(programs));
-      t.program = 0;
-    } else {
-      t.program = shared_exec_->add_program(&cm.graph, cm.hyperclusters, plan);
-    }
+  } else if (pool_ == "partitioned" || !shared_exec_) {
+    // A one-program executor: the tenant's own, or the first shared
+    // tenant's, which every later shared tenant joins.
+    auto exec = std::make_unique<ParallelExecutor>(
+        &cm.graph, cm.hyperclusters, plan, entry->executor);
+    t.pool = exec.get();
+    t.program = 0;
+    (pool_ == "partitioned" ? t.own_pool : shared_exec_) = std::move(exec);
   } else {
-    t.executor = make_executor(entry->executor, &cm.graph, cm.hyperclusters,
-                               plan);
+    t.pool = shared_exec_.get();
+    t.program = shared_exec_->add_program(&cm.graph, cm.hyperclusters, plan);
   }
   t.entry = std::move(entry);
 }
 
-void FleetServer::start_tenant_thread(Tenant& t) {
-  const int index = t.index;
-  t.dispatcher = std::thread([this, index] { tenant_dispatch_loop(index); });
+void FleetServer::retire_runtime(Tenant& t) {
+  t.runner.reset();  // drains in-pipe flights and their callbacks
+  if (t.own_pool) {
+    t.own_pool.reset();
+  } else if (t.pool != nullptr) {
+    t.pool->remove_program(t.program);
+  }
+  t.pool = nullptr;
+  t.program = -1;
 }
 
 void FleetServer::add_model(const ModelConfig& config) {
   // Compile off to the side first: the fleet keeps serving while the
-  // replacement (or the new tenant) is built.
-  std::shared_ptr<const ModelEntry> entry = registry_.add(config);
+  // replacement (or the new tenant) is built. A shared pool runs every
+  // tenant pinned, so it registers them as static: the entry, report(),
+  // stats_json() and the executor gauge then name what actually runs.
+  ModelConfig resolved = config;
+  if (pool_ == "shared") resolved.executor = ExecutorKind::kStatic;
+  std::shared_ptr<const ModelEntry> entry = registry_.add(resolved);
 
   Tenant* existing = find(config.name);
   if (existing != nullptr) {
@@ -155,12 +167,7 @@ void FleetServer::add_model(const ModelConfig& config) {
                  str_cat("model '", config.name, "' was removed"));
     std::shared_ptr<const ModelEntry> old = existing->entry;
     std::lock_guard<std::mutex> lk(tenants_mu_);
-    existing->runner.reset();  // drains any in-pipe flights
-    existing->executor.reset();
-    if (existing->program >= 0) {
-      shared_exec_->remove_program(existing->program);
-      existing->program = -1;
-    }
+    retire_runtime(*existing);
     install_runtime(*existing, std::move(entry));
     queue_.update_tenant(existing->index,
                          admission_options(config, aging_ms_),
@@ -200,7 +207,10 @@ void FleetServer::add_model(const ModelConfig& config) {
     tenants_.push_back(std::move(t));
     published = tenants_.back().get();
   }
-  if (pool_ == "partitioned") start_tenant_thread(*published);
+  if (pool_ == "partitioned") {
+    published->dispatcher = std::thread(
+        [this, index = published->index] { tenant_dispatch_loop(index); });
+  }
 }
 
 bool FleetServer::remove_model(const std::string& model) {
@@ -224,24 +234,12 @@ bool FleetServer::remove_model(const std::string& model) {
     if (t->removed) return true;
     t->removed = true;
     std::lock_guard<std::mutex> lk(tenants_mu_);
-    t->runner.reset();  // drains in-pipe flights
-    t->executor.reset();
-    if (t->program >= 0 && shared_exec_) {
-      shared_exec_->remove_program(t->program);
-      t->program = -1;
-    }
+    retire_runtime(*t);
     retired_.push_back(t->entry);
     index_.erase(model);
   }
   registry_.remove(model);
-  {
-    std::lock_guard<std::mutex> lk(t->final_mu);
-    if (!t->final_valid) {
-      t->final_window = t->stats->window_snapshot();
-      t->final_valid = true;
-      t->stats->freeze();
-    }
-  }
+  t->stats->freeze();
   return true;
 }
 
@@ -254,10 +252,7 @@ std::future<Response> FleetServer::submit(const std::string& model,
 
   Tenant* t = find(model);
   if (t == nullptr) {
-    Response rejection;
-    rejection.ok = false;
-    rejection.error = str_cat("unknown model '", model, "'");
-    request.promise.set_value(std::move(rejection));
+    refuse(request.promise, str_cat("unknown model '", model, "'"));
     return result;
   }
 
@@ -270,22 +265,20 @@ std::future<Response> FleetServer::submit(const std::string& model,
     return result;
   }
   t->stats->on_reject();
-  Response rejection;
-  rejection.ok = false;
   switch (admit) {
     case FleetQueue::Admit::kQuota:
       t->rejected_quota->inc();
-      rejection.error = str_cat("quota exceeded for model '", model, "'");
+      refuse(request.promise,
+             str_cat("quota exceeded for model '", model, "'"));
       break;
     case FleetQueue::Admit::kFull:
       t->rejected_full->inc();
-      rejection.error = str_cat("queue full for model '", model, "'");
+      refuse(request.promise, str_cat("queue full for model '", model, "'"));
       break;
     default:
-      rejection.error = str_cat("model '", model, "' is shut down");
+      refuse(request.promise, str_cat("model '", model, "' is shut down"));
       break;
   }
-  request.promise.set_value(std::move(rejection));
   return result;
 }
 
@@ -319,10 +312,7 @@ void FleetServer::tenant_dispatch_loop(int index) {
 void FleetServer::serve_one(Tenant& t, Request first) {
   std::lock_guard<std::mutex> run_lock(t.exec_mu);
   if (t.removed) {
-    Response rejection;
-    rejection.ok = false;
-    rejection.error = str_cat("model '", t.name, "' was removed");
-    first.promise.set_value(std::move(rejection));
+    refuse(first.promise, str_cat("model '", t.name, "' was removed"));
     return;
   }
   const std::shared_ptr<const ModelEntry> entry = t.entry;
@@ -352,24 +342,19 @@ void FleetServer::serve_one(Tenant& t, Request first) {
   t.stats->queue_depth_gauge()->set(
       static_cast<double>(queue_.tenant_depth(t.index)));
 
-  const std::int64_t dispatch_ns = Stopwatch::now_ns();
-  if (t.runner) {
-    dispatch_pipelined(t, *entry, std::move(batch), dispatch_ns);
-  } else {
-    dispatch_sync(t, entry, std::move(batch), dispatch_ns);
-  }
+  dispatch(t, entry, std::move(batch), Stopwatch::now_ns());
   mirror_aged(t);
 }
 
-void FleetServer::dispatch_sync(Tenant& t,
-                                const std::shared_ptr<const ModelEntry>& entry,
-                                std::vector<Request> batch,
-                                std::int64_t dispatch_ns) {
+void FleetServer::dispatch(Tenant& t,
+                           const std::shared_ptr<const ModelEntry>& entry,
+                           std::vector<Request> batch,
+                           std::int64_t dispatch_ns) {
   const int real = static_cast<int>(batch.size());
   const int slots = entry->config.batch;
-  // The hypercluster program wants exactly `slots` samples; short batches
-  // are padded with copies of the first sample and the padded outputs are
-  // discarded (batch_fill in the stats is exactly the cost of this).
+  // The program wants exactly `slots` samples; short batches are padded
+  // with copies of the first sample and the padded outputs are discarded
+  // (batch_fill in the stats is exactly the cost of this).
   std::vector<TensorMap> inputs;
   inputs.reserve(static_cast<std::size_t>(slots));
   for (const Request& r : batch) inputs.push_back(r.inputs);
@@ -379,123 +364,78 @@ void FleetServer::dispatch_sync(Tenant& t,
   run_opts.intra_op_threads = options_.intra_op_threads;
   run_opts.trace = options_.profile;
 
+  if (t.runner) {
+    // May block on depth-2 backpressure — that is the pipeline's admission
+    // control, and exactly when the overlap with the draining flight
+    // happens. The flight finishes on the runner's last stage thread.
+    auto riders = std::make_shared<std::vector<Request>>(std::move(batch));
+    t.runner->submit(
+        std::move(inputs), run_opts,
+        [this, &t, entry, riders, slots, dispatch_ns](
+            std::vector<TensorMap> outputs, std::exception_ptr error,
+            const Profile& profile) {
+          finish(t, entry, *riders, slots, dispatch_ns, std::move(outputs),
+                 error, profile);
+        });
+    return;
+  }
   Profile profile;
+  std::vector<TensorMap> outputs;
+  std::exception_ptr error;
   try {
-    std::vector<TensorMap> outputs;
-    if (t.executor) {
-      outputs = t.executor->run(inputs, run_opts, &profile);
-    } else {
-      ParallelExecutor* pool;
-      {
-        std::lock_guard<std::mutex> lk(tenants_mu_);
-        pool = shared_exec_.get();
-      }
-      outputs = pool->run_program(t.program, inputs, run_opts, &profile);
-    }
-    t.stats->on_batch(real, slots, profile);
-    if (options_.profile) maybe_keep_exemplar(t, entry, profile, dispatch_ns);
-    const std::int64_t done_ns = Stopwatch::now_ns();
-    for (int i = 0; i < real; ++i) {
-      Request& r = batch[static_cast<std::size_t>(i)];
-      Response resp;
-      resp.ok = true;
-      resp.outputs = std::move(outputs[static_cast<std::size_t>(i)]);
-      resp.latency_ms = static_cast<double>(done_ns - r.enqueue_ns) / 1e6;
-      resp.batch_slots = slots;
-      resp.batch_real = real;
-      t.stats->on_served(resp.latency_ms);
-      r.promise.set_value(std::move(resp));
-    }
-    record_span(t, dispatch_ns, done_ns, real, slots);
-  } catch (const std::exception& e) {
-    // One bad request poisons its whole batch (they shared an executor
-    // run); every rider gets the error and the tenant keeps serving.
-    t.stats->on_batch(real, slots, profile);
-    const std::int64_t done_ns = Stopwatch::now_ns();
-    for (Request& r : batch) {
-      Response resp;
-      resp.ok = false;
-      resp.error = str_cat("execution failed: ", e.what());
-      resp.latency_ms = static_cast<double>(done_ns - r.enqueue_ns) / 1e6;
-      resp.batch_slots = slots;
-      resp.batch_real = real;
-      t.stats->on_failed();
-      r.promise.set_value(std::move(resp));
-    }
+    outputs = t.pool->run_program(t.program, inputs, run_opts, &profile);
+  } catch (...) {
+    error = std::current_exception();
   }
+  finish(t, entry, batch, slots, dispatch_ns, std::move(outputs), error,
+         profile);
 }
 
-void FleetServer::dispatch_pipelined(Tenant& t, const ModelEntry& entry,
-                                     std::vector<Request> batch,
-                                     std::int64_t dispatch_ns) {
-  const int real = static_cast<int>(batch.size());
-  const int slots = entry.config.batch;
-  std::vector<TensorMap> inputs;
-  inputs.reserve(static_cast<std::size_t>(slots));
-  for (const Request& r : batch) inputs.push_back(r.inputs);
-  for (int i = real; i < slots; ++i) inputs.push_back(inputs[0]);
-
-  RunOptions run_opts;
-  run_opts.intra_op_threads = options_.intra_op_threads;
-
-  PendingFlight flight;
-  flight.tenant = t.index;
-  flight.requests = std::move(batch);
-  flight.slots = slots;
-  flight.dispatch_ns = dispatch_ns;
-  // May block on depth-2 backpressure — that is the pipeline's admission
-  // control, and exactly when the overlap with the draining flight happens.
-  flight.future = t.runner->submit(std::move(inputs), run_opts);
-  {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    pending_.push_back(std::move(flight));
+void FleetServer::finish(Tenant& t,
+                         const std::shared_ptr<const ModelEntry>& entry,
+                         std::vector<Request>& riders, int slots,
+                         std::int64_t dispatch_ns,
+                         std::vector<TensorMap> outputs,
+                         std::exception_ptr error, const Profile& profile) {
+  const int real = static_cast<int>(riders.size());
+  t.stats->on_batch(real, slots, profile);
+  // Pipelined flights record no task events, so only executor batches
+  // become tail exemplars.
+  if (!error && options_.profile && !profile.events.empty()) {
+    maybe_keep_exemplar(t, entry, profile, dispatch_ns);
   }
-  pending_cv_.notify_one();
-}
-
-void FleetServer::completion_loop() {
-  while (true) {
-    PendingFlight flight;
-    {
-      std::unique_lock<std::mutex> lk(pending_mu_);
-      pending_cv_.wait(lk,
-                       [&] { return pending_closed_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // closed and drained
-      flight = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    Tenant& t = tenant(flight.tenant);
-    const int real = static_cast<int>(flight.requests.size());
+  // One bad request poisons its whole batch (they shared one run); every
+  // rider gets the error and the tenant keeps serving.
+  std::string failure;
+  if (error) {
     try {
-      std::vector<TensorMap> outputs = flight.future.get();
-      t.stats->on_batch(real, flight.slots, Profile{});
-      const std::int64_t done_ns = Stopwatch::now_ns();
-      for (int i = 0; i < real; ++i) {
-        Request& r = flight.requests[static_cast<std::size_t>(i)];
-        Response resp;
-        resp.ok = true;
-        resp.outputs = std::move(outputs[static_cast<std::size_t>(i)]);
-        resp.latency_ms = static_cast<double>(done_ns - r.enqueue_ns) / 1e6;
-        resp.batch_slots = flight.slots;
-        resp.batch_real = real;
-        t.stats->on_served(resp.latency_ms);
-        r.promise.set_value(std::move(resp));
-      }
-      record_span(t, flight.dispatch_ns, done_ns, real, flight.slots);
+      std::rethrow_exception(error);
     } catch (const std::exception& e) {
-      t.stats->on_batch(real, flight.slots, Profile{});
-      const std::int64_t done_ns = Stopwatch::now_ns();
-      for (Request& r : flight.requests) {
-        Response resp;
-        resp.ok = false;
-        resp.error = str_cat("execution failed: ", e.what());
-        resp.latency_ms = static_cast<double>(done_ns - r.enqueue_ns) / 1e6;
-        resp.batch_slots = flight.slots;
-        resp.batch_real = real;
-        t.stats->on_failed();
-        r.promise.set_value(std::move(resp));
-      }
+      failure = str_cat("execution failed: ", e.what());
+    } catch (...) {
+      failure = "execution failed";
     }
+  }
+  const std::int64_t done_ns = Stopwatch::now_ns();
+  for (int i = 0; i < real; ++i) {
+    Request& r = riders[static_cast<std::size_t>(i)];
+    Response resp;
+    resp.ok = !error;
+    resp.latency_ms = static_cast<double>(done_ns - r.enqueue_ns) / 1e6;
+    resp.batch_slots = slots;
+    resp.batch_real = real;
+    if (error) {
+      resp.error = failure;
+      t.stats->on_failed();
+    } else {
+      resp.outputs = std::move(outputs[static_cast<std::size_t>(i)]);
+      t.stats->on_served(resp.latency_ms);
+    }
+    r.promise.set_value(std::move(resp));
+  }
+  if (!error && options_.trace) {
+    std::lock_guard<std::mutex> lk(t.trace_mu);
+    t.spans.push_back(BatchSpan{dispatch_ns, done_ns, real, slots});
   }
 }
 
@@ -505,13 +445,6 @@ void FleetServer::mirror_aged(Tenant& t) {
     t.aged->inc(c.aged - t.aged_seen);
     t.aged_seen = c.aged;
   }
-}
-
-void FleetServer::record_span(Tenant& t, std::int64_t start_ns,
-                              std::int64_t end_ns, int real, int slots) {
-  if (!options_.trace) return;
-  std::lock_guard<std::mutex> lk(t.trace_mu);
-  t.spans.push_back(BatchSpan{start_ns, end_ns, real, slots});
 }
 
 void FleetServer::maybe_keep_exemplar(
@@ -577,27 +510,13 @@ void FleetServer::shutdown() {
   for (Tenant* t : all) {
     if (t->dispatcher.joinable()) t->dispatcher.join();
   }
-  // Drain the pipelines (runner destructors wait for in-pipe flights), then
-  // let the completion thread finish the already-submitted futures.
+  // Drain the pipelines: runner destructors wait for in-pipe flights and
+  // their completion callbacks.
   for (Tenant* t : all) {
     std::lock_guard<std::mutex> lk(t->exec_mu);
     t->runner.reset();
   }
-  {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    pending_closed_ = true;
-  }
-  pending_cv_.notify_all();
-  if (completion_.joinable()) completion_.join();
-
-  for (Tenant* t : all) {
-    std::lock_guard<std::mutex> lk(t->final_mu);
-    if (!t->final_valid) {
-      t->final_window = t->stats->window_snapshot();
-      t->final_valid = true;
-      t->stats->freeze();
-    }
-  }
+  for (Tenant* t : all) t->stats->freeze();
 }
 
 FleetServer::Tenant* FleetServer::find(const std::string& name) const {
@@ -646,8 +565,6 @@ ServerStats FleetServer::tenant_stats(const std::string& model) const {
 ServerStats FleetServer::tenant_window_stats(const std::string& model) const {
   Tenant* t = find(model);
   RAMIEL_CHECK(t != nullptr, str_cat("unknown model '", model, "'"));
-  std::lock_guard<std::mutex> lk(t->final_mu);
-  if (t->final_valid) return t->final_window;
   return t->stats->window_snapshot();
 }
 
@@ -671,12 +588,7 @@ std::vector<TenantReport> FleetServer::report() {
       r.pipeline_stages = t->pipeline_stages;
       r.modeled_pipeline_speedup = t->modeled_speedup;
     }
-    r.stats = t->stats->snapshot();
-    {
-      std::lock_guard<std::mutex> lk(t->final_mu);
-      r.window =
-          t->final_valid ? t->final_window : t->stats->window_snapshot();
-    }
+    r.stats = t->stats->window_snapshot();
     r.admission = queue_.counters(t->index);
     out.push_back(std::move(r));
   }
@@ -701,9 +613,9 @@ std::string FleetServer::stats_json() {
     doc += ",\"rejected_quota\":" + std::to_string(r.admission.rejected_quota);
     doc += ",\"rejected_full\":" + std::to_string(r.admission.rejected_full);
     doc += ",\"aged\":" + std::to_string(r.admission.aged);
-    doc += ",\"window_p50_ms\":" + json_number(r.window.window_latency.p50_ms);
-    doc += ",\"window_p95_ms\":" + json_number(r.window.window_latency.p95_ms);
-    doc += ",\"window_p99_ms\":" + json_number(r.window.window_latency.p99_ms);
+    doc += ",\"window_p50_ms\":" + json_number(r.stats.window_latency.p50_ms);
+    doc += ",\"window_p95_ms\":" + json_number(r.stats.window_latency.p95_ms);
+    doc += ",\"window_p99_ms\":" + json_number(r.stats.window_latency.p99_ms);
     doc += ",\"stats\":" + r.stats.to_json();
     doc += "}";
   }

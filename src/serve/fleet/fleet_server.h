@@ -14,12 +14,12 @@
 //        ▼
 //   FleetQueue ── weighted-fair + aging dequeue ──▶ dispatch
 //        │                                             │
-//        │   shared pool: ONE multi-program            │ pipeline_stages>1:
-//        │   ParallelExecutor hosts every tenant's     │ the tenant's
-//        │   hyperclustered program on one set of      │ PipelinedRunner
-//        │   worker threads (rt/executor.h)            │ (fleet/pipeline.h)
+//        │   ParallelExecutor::run_program: the        │ pipeline_stages>1:
+//        │   tenant's own executor (partitioned) or    │ PipelinedRunner::
+//        │   the ONE multi-program executor every      │ submit (fleet/
+//        │   tenant shares (shared; rt/executor.h)     │ pipeline.h)
 //        ▼                                             ▼
-//   promises fulfilled, per-tenant StatsCollector + fleet counters updated
+//   finish: promises fulfilled, per-tenant StatsCollector updated, span kept
 //
 // Pool modes:
 //   - "shared": one dispatcher thread runs the fair dequeue and drives one
@@ -28,18 +28,19 @@
 //     the machine with per-model thread sets. Dispatches are serialized by
 //     the executor, which is exactly why admission order (fair + aging) is
 //     the thing that decides who waits. A shared pool runs its tenants on
-//     the pinned (static) placement. Tenants whose auto policy resolved to
-//     `steal` keep that choice in `partitioned` mode.
+//     the pinned (static) placement, so their executor resolves to
+//     `static` whatever the config asks for; `steal` and `auto` take
+//     effect in `partitioned` mode.
 //   - "partitioned": the isolation baseline — each tenant gets its own
-//     dispatcher thread and its own executor (static or steal per the
-//     model's resolved kind). Admission and quotas are shared; the machine
-//     is not.
+//     dispatcher thread and its own one-program executor (static or steal
+//     per the model's resolved kind). Admission and quotas are shared; the
+//     machine is not.
 //
 // Pipelined tenants (pipeline_stages > 1) own a PipelinedRunner whose stage
-// threads double-buffer the program; the dispatcher submits flights
-// asynchronously (depth-2 backpressure) and one fleet-wide completion
-// thread fulfils their promises in dispatch order, so consecutive batches
-// of the same tenant overlap across stages.
+// threads double-buffer the program. The dispatcher submits flights
+// asynchronously (depth-2 backpressure), so consecutive batches of the same
+// tenant overlap across stages; each flight finishes on the runner's last
+// stage thread, through the same finish() an executor batch takes.
 //
 // Hot add/remove: add_model() on a new name registers + starts serving it;
 // on an existing name it compiles the replacement off to the side (a
@@ -50,9 +51,8 @@
 // drain, then retires the program.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -138,8 +138,10 @@ struct TenantReport {
   int pipeline_stages = 1;
   /// StageCut::modeled_speedup() for pipelined tenants, 1.0 otherwise.
   double modeled_pipeline_speedup = 1.0;
-  ServerStats stats;          // full-lifetime snapshot
-  ServerStats window;         // exact-reservoir window since last report()
+  /// Lifetime counters plus the exact-latency window since the previous
+  /// report() (the final window once the tenant is frozen by shutdown or
+  /// remove).
+  ServerStats stats;
   TenantCounters admission;   // token-bucket / bounded-queue accounting
 };
 
@@ -190,9 +192,8 @@ class FleetServer {
 
   TenantCounters tenant_counters(const std::string& model) const;
   ServerStats tenant_stats(const std::string& model) const;
-  /// Exact-percentile window since the previous tenant_window_stats() call
-  /// for this tenant (PR-6 reservoir semantics; final window after
-  /// shutdown).
+  /// Exact-percentile window since the previous tenant_window_stats() or
+  /// report() for this tenant (the final window after shutdown/remove).
   ServerStats tenant_window_stats(const std::string& model) const;
 
   /// Per-tenant reports, one per live tenant (window percentiles reset).
@@ -218,14 +219,6 @@ class FleetServer {
   int num_tenants() const;
 
  private:
-  struct PendingFlight {
-    int tenant = -1;
-    std::vector<Request> requests;  // the real (non-padding) riders
-    int slots = 0;
-    std::int64_t dispatch_ns = 0;
-    std::future<std::vector<TensorMap>> future;
-  };
-
   struct BatchSpan {
     std::int64_t start_ns = 0;
     std::int64_t end_ns = 0;
@@ -236,11 +229,14 @@ class FleetServer {
   struct Tenant {
     std::string name;
     int index = -1;  // FleetQueue tenant index == tenants_ index
-    /// Guarded by exec_mu: the artifact handle and its runtime binding.
+    /// Guarded by exec_mu: the artifact handle and its runtime binding —
+    /// program `program` of `pool` (the tenant's own executor on a
+    /// partitioned pool, the shared one otherwise), or `runner`.
     std::shared_ptr<const ModelEntry> entry;
-    int program = -1;                       // shared pool program id
-    std::unique_ptr<Executor> executor;     // partitioned pool
-    std::unique_ptr<PipelinedRunner> runner;  // pipeline_stages > 1
+    ParallelExecutor* pool = nullptr;
+    int program = -1;
+    std::unique_ptr<ParallelExecutor> own_pool;  // partitioned pool
+    std::unique_ptr<PipelinedRunner> runner;     // pipeline_stages > 1
     /// Cached from the runner's cut (survives shutdown's runner teardown).
     int pipeline_stages = 1;
     double modeled_speedup = 1.0;
@@ -258,11 +254,6 @@ class FleetServer {
     std::mutex trace_mu;
     std::vector<BatchSpan> spans;
     std::vector<TailExemplar> exemplars;  // profile mode: slowest first
-    /// Final exact-latency window, flushed at shutdown/remove so the last
-    /// partial window is reported instead of an empty one.
-    mutable std::mutex final_mu;
-    ServerStats final_window;
-    bool final_valid = false;
   };
 
   static TenantOptions admission_options(const ModelConfig& config,
@@ -271,22 +262,26 @@ class FleetServer {
   Tenant* find(const std::string& name) const;
   Tenant& tenant(int index) const;
   void install_runtime(Tenant& t, std::shared_ptr<const ModelEntry> entry);
-  void start_tenant_thread(Tenant& t);
-  /// Fills a batch for `first`'s tenant, dispatches it, fulfils promises
-  /// (directly, or via the completion thread for pipelined tenants).
+  /// Drains and drops `t`'s runtime binding (caller holds exec_mu and
+  /// tenants_mu_).
+  void retire_runtime(Tenant& t);
+  /// Fills a batch for `first`'s tenant and dispatches it.
   void serve_one(Tenant& t, Request first);
-  void dispatch_sync(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
-                     std::vector<Request> batch, std::int64_t dispatch_ns);
-  void dispatch_pipelined(Tenant& t, const ModelEntry& entry,
-                          std::vector<Request> batch,
-                          std::int64_t dispatch_ns);
+  /// Pads the batch to the tenant's slots, then runs it on the tenant's
+  /// executor or submits it to its runner; either way finish() completes it.
+  void dispatch(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
+                std::vector<Request> batch, std::int64_t dispatch_ns);
+  /// Fans the outputs (or the error) out to the riders, updates the stats
+  /// and records the span. Takes no fleet-wide lock: for pipelined tenants
+  /// it runs on the runner's last stage thread, which hot swap and remove
+  /// drain while holding tenants_mu_ and exec_mu.
+  void finish(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
+              std::vector<Request>& riders, int slots,
+              std::int64_t dispatch_ns, std::vector<TensorMap> outputs,
+              std::exception_ptr error, const Profile& profile);
   void shared_dispatch_loop();
   void tenant_dispatch_loop(int index);
-  void completion_loop();
-  void ensure_completion_thread();
   void mirror_aged(Tenant& t);
-  void record_span(Tenant& t, std::int64_t start_ns, std::int64_t end_ns,
-                   int real, int slots);
   void maybe_keep_exemplar(Tenant& t,
                            const std::shared_ptr<const ModelEntry>& entry,
                            const Profile& profile, std::int64_t dispatch_ns);
@@ -307,12 +302,6 @@ class FleetServer {
   /// Shared pool. Constructed lazily on the first non-pipelined tenant
   /// (a fleet of only pipelined tenants needs no extra pool).
   std::unique_ptr<ParallelExecutor> shared_exec_;
-
-  std::mutex pending_mu_;
-  std::condition_variable pending_cv_;
-  std::deque<PendingFlight> pending_;
-  bool pending_closed_ = false;
-  std::thread completion_;
 
   std::thread shared_dispatcher_;
   bool shutdown_done_ = false;

@@ -1,11 +1,13 @@
 #include "serve/fleet/pipeline.h"
 
 #include <algorithm>
+#include <future>
 
 #include "mem/planner.h"
 #include "obs/metrics.h"
 #include "rt/exec_util.h"
 #include "support/check.h"
+#include "support/stopwatch.h"
 #include "support/string_util.h"
 #include "tensor/thread_pool.h"
 
@@ -106,8 +108,9 @@ struct PipelinedRunner::Flight {
   /// strictly in order, so no locking.
   std::vector<std::unordered_map<ValueId, Tensor>> values;
   std::vector<TensorMap> results;
-  std::promise<std::vector<TensorMap>> promise;
+  Completion done;
   std::exception_ptr error;
+  Profile profile;  // one WorkerProfile per stage
 };
 
 PipelinedRunner::PipelinedRunner(const Graph* graph,
@@ -170,7 +173,7 @@ PipelinedRunner::PipelinedRunner(const Graph* graph,
 PipelinedRunner::~PipelinedRunner() {
   {
     std::unique_lock<std::mutex> lk(mu_);
-    // Drain: every admitted flight completes (and fulfils its promise)
+    // Drain: every admitted flight completes (and runs its callback)
     // before the stage threads are told to exit.
     admit_cv_.wait(lk, [&] { return in_flight_ == 0; });
     shutdown_ = true;
@@ -199,22 +202,18 @@ PipelinedRunner::arena_spans() const {
   return spans;
 }
 
-std::future<std::vector<TensorMap>> PipelinedRunner::submit(
-    std::vector<TensorMap> inputs, const RunOptions& options) {
+void PipelinedRunner::submit(std::vector<TensorMap> inputs,
+                             const RunOptions& options, Completion done) {
   RAMIEL_CHECK(static_cast<int>(inputs.size()) == batch_,
                str_cat("batch size mismatch: pipeline built for batch ",
                        batch_, ", submit() got ", inputs.size()));
   auto flight = std::make_shared<Flight>();
   flight->inputs = std::move(inputs);
   flight->options = options;
+  flight->done = std::move(done);
   flight->values.resize(static_cast<std::size_t>(batch_));
   flight->results.resize(static_cast<std::size_t>(batch_));
-  for (int s = 0; s < batch_; ++s) {
-    collect_static_outputs(*graph_,
-                           flight->inputs[static_cast<std::size_t>(s)],
-                           &flight->results[static_cast<std::size_t>(s)]);
-  }
-  std::future<std::vector<TensorMap>> result = flight->promise.get_future();
+  flight->profile.workers.resize(static_cast<std::size_t>(num_stages()));
   {
     std::unique_lock<std::mutex> lk(mu_);
     // Depth-2 admission: with flights f and f+1 in the pipe, parities 0
@@ -229,12 +228,22 @@ std::future<std::vector<TensorMap>> PipelinedRunner::submit(
     queues_[0].push_back(flight);
   }
   stage_cv_.notify_all();
-  return result;
 }
 
 std::vector<TensorMap> PipelinedRunner::run(
     const std::vector<TensorMap>& inputs, const RunOptions& options) {
-  return submit(std::vector<TensorMap>(inputs), options).get();
+  auto result = std::make_shared<std::promise<std::vector<TensorMap>>>();
+  std::future<std::vector<TensorMap>> outputs = result->get_future();
+  submit(std::vector<TensorMap>(inputs), options,
+         [result](std::vector<TensorMap> out, std::exception_ptr error,
+                  const Profile&) {
+           if (error) {
+             result->set_exception(error);
+           } else {
+             result->set_value(std::move(out));
+           }
+         });
+  return outputs.get();
 }
 
 void PipelinedRunner::stage_loop(int stage) {
@@ -256,6 +265,8 @@ void PipelinedRunner::stage_loop(int stage) {
       queues_[static_cast<std::size_t>(stage)].pop_front();
     }
 
+    const std::int64_t start_ns = Stopwatch::now_ns();
+    if (stage == 0) flight->profile.start_ns = start_ns;
     if (!flight->error) {
       if (flight->options.intra_op_threads != pool_threads) {
         pool.reset();
@@ -270,12 +281,17 @@ void PipelinedRunner::stage_loop(int stage) {
         ctx.threads = pool_threads;
         ctx.pool = pool.get();
       }
+      stage_busy_[static_cast<std::size_t>(stage)]->set(1.0);
       try {
         execute_stage(stage, *flight, ctx);
       } catch (...) {
         flight->error = std::current_exception();
       }
+      stage_busy_[static_cast<std::size_t>(stage)]->set(0.0);
     }
+    const std::int64_t end_ns = Stopwatch::now_ns();
+    flight->profile.workers[static_cast<std::size_t>(stage)].busy_ns =
+        end_ns - start_ns;
 
     if (stage < last) {
       {
@@ -287,23 +303,29 @@ void PipelinedRunner::stage_loop(int stage) {
     }
 
     // Flight complete. Drop every arena-backed tensor BEFORE releasing the
-    // depth slot: the next same-parity flight may grow these arenas.
+    // depth slot: the next same-parity flight may grow these arenas. The
+    // callback runs inside the slot, so the destructor's drain covers it.
     flight->values.clear();
     flight->inputs.clear();
-    std::vector<TensorMap> results = std::move(flight->results);
-    std::exception_ptr error = flight->error;
+    flight->profile.end_ns = end_ns;
+    flight->profile.wall_ms =
+        static_cast<double>(end_ns - flight->profile.start_ns) / 1e6;
     {
+      // Counted before the callback, so whoever it wakes sees the flight
+      // as completed.
       std::lock_guard<std::mutex> lk(mu_);
       ++flights_completed_;
+    }
+    if (!flight->error) flights_total_->inc();
+    flight->done(flight->error ? std::vector<TensorMap>{}
+                               : std::move(flight->results),
+                 flight->error, flight->profile);
+    flight.reset();  // the callback's captures go with the flight
+    {
+      std::lock_guard<std::mutex> lk(mu_);
       --in_flight_;
     }
     admit_cv_.notify_all();
-    if (error) {
-      flight->promise.set_exception(error);
-    } else {
-      flights_total_->inc();
-      flight->promise.set_value(std::move(results));
-    }
   }
 }
 
@@ -325,7 +347,14 @@ void PipelinedRunner::execute_stage(int stage, Flight& flight,
     sink.set_scratch_arena(arena);
   }
 
-  stage_busy_[static_cast<std::size_t>(stage)]->set(1.0);
+  if (stage == 0) {
+    // Constant or pass-through graph outputs; a missing input fails the
+    // flight here rather than the submitting thread.
+    for (int s = 0; s < batch_; ++s) {
+      collect_static_outputs(g, flight.inputs[static_cast<std::size_t>(s)],
+                             &flight.results[static_cast<std::size_t>(s)]);
+    }
+  }
   for (int sample = 0; sample < batch_; ++sample) {
     auto& loc = flight.values[static_cast<std::size_t>(sample)];
     const TensorMap& sample_inputs =
@@ -375,7 +404,6 @@ void PipelinedRunner::execute_stage(int stage, Flight& flight,
       }
     }
   }
-  stage_busy_[static_cast<std::size_t>(stage)]->set(0.0);
 }
 
 }  // namespace ramiel::serve::fleet

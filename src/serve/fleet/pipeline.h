@@ -35,7 +35,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,6 +88,13 @@ StageCut build_stage_cut(const Graph& graph, const Clustering& clustering,
 /// batches (depth 2); run() is the synchronous convenience wrapper.
 class PipelinedRunner {
  public:
+  /// Receives one flight's per-sample outputs (empty when `error` is set)
+  /// and its profile: wall time from stage 0's start to the last stage's
+  /// end, and one WorkerProfile per stage with that stage's busy time.
+  using Completion = std::function<void(std::vector<TensorMap> outputs,
+                                        std::exception_ptr error,
+                                        const Profile& profile)>;
+
   /// The graph must outlive the runner. `label` names the occupancy metric
   /// series ({model=label}).
   PipelinedRunner(const Graph* graph, const Clustering& clustering,
@@ -97,14 +105,17 @@ class PipelinedRunner {
   PipelinedRunner(const PipelinedRunner&) = delete;
   PipelinedRunner& operator=(const PipelinedRunner&) = delete;
 
-  /// Enqueues one batch (size must equal batch()); the future resolves when
-  /// the batch leaves the last stage. At most two flights are in the pipe —
-  /// a third submit blocks until the oldest flight completes. Safe from
-  /// multiple threads.
-  std::future<std::vector<TensorMap>> submit(std::vector<TensorMap> inputs,
-                                             const RunOptions& options = {});
+  /// Enqueues one batch (size must equal batch()). The last stage thread
+  /// calls `done` once the batch leaves the pipe, after the flight's arena
+  /// tensors are dropped and before its depth slot is released, so the
+  /// destructor's drain also waits for every callback. `done` runs on a
+  /// stage thread: it must not block on anything that waits for this
+  /// runner. At most two flights are in the pipe — a third submit blocks
+  /// until the oldest flight completes. Safe from multiple threads.
+  void submit(std::vector<TensorMap> inputs, const RunOptions& options,
+              Completion done);
 
-  /// submit() + get(): no overlap, the bit-identity reference path.
+  /// submit() and wait: no overlap, the bit-identity reference path.
   std::vector<TensorMap> run(const std::vector<TensorMap>& inputs,
                              const RunOptions& options = {});
 

@@ -33,8 +33,8 @@ struct ModelEntry {
   ModelConfig config;
   CompiledModel compiled;
   /// Resolved runtime (never kAuto): steal when cluster_cost_cv exceeds
-  /// the auto threshold, else static. Shared pools override this to static
-  /// at dispatch time (fleet_server.h explains why).
+  /// the auto threshold, else static. A shared pool registers its tenants
+  /// as static, the only placement it runs (fleet_server.h explains why).
   ExecutorKind executor = ExecutorKind::kStatic;
   /// 1 for the first artifact under a name, bumped by each hot swap.
   int version = 1;

@@ -242,7 +242,7 @@ ServerStats StatsCollector::snapshot_impl(bool reset_window) const {
   out.latency = summarize(latencies_);
   out.window_latency = summarize(window_);
   out.window_served = window_count_;
-  if (reset_window) {
+  if (reset_window && end_ns_ == 0) {
     window_.clear();
     window_count_ = 0;
   }

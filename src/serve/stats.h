@@ -100,12 +100,15 @@ class StatsCollector {
 
   /// snapshot(), then resets the per-window latency reservoir so the next
   /// call reports the interval starting now. The metrics emitter's tick.
+  /// After freeze() the window is final: every call returns it unreset.
   ServerStats window_snapshot() const;
 
-  /// Pins uptime at the current instant (idempotent: the first call wins).
-  /// Called by FleetServer::shutdown() after the drain — without it every
-  /// post-shutdown snapshot keeps growing uptime_ms, silently decaying the
-  /// reported throughput_rps of a finished run.
+  /// Pins uptime at the current instant and ends the current window
+  /// (idempotent: the first call wins). Called by FleetServer::shutdown()
+  /// and remove_model() after the drain — without it every later snapshot
+  /// keeps growing uptime_ms, silently decaying the reported
+  /// throughput_rps of a finished run, and the first later window_snapshot
+  /// would consume the last partial window.
   void freeze();
 
   /// The instance label value of this collector's registry series.

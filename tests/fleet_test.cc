@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "graph/op_eval.h"
 #include "graph/shape_inference.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
@@ -39,6 +42,7 @@
 #include "support/check.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
+#include "support/string_util.h"
 #include "test_util.h"
 
 namespace ramiel::serve::fleet {
@@ -442,17 +446,31 @@ TEST(PipelinedRunner, OverlappingSubmitsAllResolveCorrectly) {
 
   PipelinedRunner runner(&cm.graph, cm.clustering, CostModel{}, 3, 1, true,
                          "sq_overlap");
-  std::vector<std::future<std::vector<TensorMap>>> futures;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::vector<TensorMap>> results(4);
+  int completed = 0;
   // Four flights, capacity two: submits 3 and 4 block on depth admission
   // until earlier flights drain — submit from a helper thread.
   std::thread submitter([&] {
     for (int i = 0; i < 4; ++i) {
-      futures.push_back(runner.submit({all[static_cast<std::size_t>(i)]}));
+      runner.submit({all[static_cast<std::size_t>(i)]}, RunOptions{},
+                    [&, i](std::vector<TensorMap> out, std::exception_ptr,
+                           const Profile&) {
+                      std::lock_guard<std::mutex> lk(mu);
+                      results[static_cast<std::size_t>(i)] = std::move(out);
+                      ++completed;
+                      cv.notify_all();
+                    });
     }
   });
   submitter.join();
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return completed == 4; });
+  }
   for (int i = 0; i < 4; ++i) {
-    auto out = futures[static_cast<std::size_t>(i)].get();
+    auto out = results[static_cast<std::size_t>(i)];
     ASSERT_EQ(out.size(), 1u);
     const auto expected = seq.run({all[static_cast<std::size_t>(i)]});
     expect_bit_identical(out[0], expected[0],
@@ -762,6 +780,40 @@ TEST(FleetServer, PipelinedTenantServesCorrectlyAndReportsCut) {
   EXPECT_EQ(reports[0].pipeline_stages, 3);
   EXPECT_GE(reports[0].modeled_pipeline_speedup, 2.0);
   EXPECT_EQ(reports[0].stats.served, 4u);
+  // Each flight reports its wall time and one busy total per stage.
+  EXPECT_EQ(reports[0].stats.num_workers, 3);
+  EXPECT_GT(reports[0].stats.exec_wall_ms, 0.0);
+  EXPECT_GT(reports[0].stats.worker_busy_ms, 0.0);
+}
+
+TEST(FleetServer, SharedPoolReportsThePinnedPlacementItRuns) {
+  // A shared pool runs every tenant pinned, whatever the config asks for;
+  // the report, the stats JSON and the executor gauge must say so. The
+  // partitioned pool honours the request.
+  for (const std::string pool : {"shared", "partitioned"}) {
+    FleetConfig config = two_tenant_config(pool);
+    config.models[0].name = "alpha_" + pool;
+    config.models[0].executor = ExecutorKind::kSteal;
+    FleetServer fleet(config, FleetOptions{}, scale_loader());
+    const ExecutorKind runs =
+        pool == "shared" ? ExecutorKind::kStatic : ExecutorKind::kSteal;
+    const std::string name = config.models[0].name;
+    expect_scaled(fleet.submit(name, scale_input(1.0f)).get(), 1.0f, 2.0f);
+    fleet.shutdown();
+
+    EXPECT_EQ(fleet.model_entry(name)->executor, runs) << pool;
+    EXPECT_EQ(fleet.report()[0].executor, runs) << pool;
+    EXPECT_NE(fleet.stats_json().find(str_cat("\"executor\":\"",
+                                              to_string(runs), "\"")),
+              std::string::npos)
+        << pool;
+    const obs::Gauge* gauge = obs::registry().gauge(
+        "ramiel_serve_executor_steal",
+        "1 when this model runs the work-stealing executor",
+        {{"model", name}});
+    EXPECT_EQ(gauge->value(), runs == ExecutorKind::kSteal ? 1.0 : 0.0)
+        << pool;
+  }
 }
 
 TEST(FleetServer, StatsJsonIsStrictAndComplete) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -419,18 +420,55 @@ TEST(Server, ShutdownDrainsAcceptedRequests) {
 }
 
 TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
-  // A request with a missing graph input fails inside the executor; its
-  // batch-mates share the error but the server keeps serving.
-  FleetServer server(one_tenant("squeezenet", 1, 2.0), FleetOptions{});
-  auto inputs = tenant_inputs(server, 1, 27);
-  Response bad = server.submit("m", TensorMap{}).get();  // no inputs at all
-  EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("execution failed"), std::string::npos);
-  Response good = server.submit("m", TensorMap(inputs[0])).get();
-  EXPECT_TRUE(good.ok) << good.error;
-  const ServerStats stats = server.tenant_stats("m");
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.served, 1u);
+  // A request with no inputs fails inside the runtime: its batch-mate
+  // shares the error, the next batch is served bit-identical to the
+  // sequential executor. Over both pools and both runtimes — the executor
+  // and the stage pipeline, whose flights fail on a stage thread.
+  for (const std::string pool : {"partitioned", "shared"}) {
+    for (const int stages : {1, 3}) {
+      SCOPED_TRACE(pool + " pool, " + std::to_string(stages) + " stage(s)");
+      FleetConfig config = one_tenant("squeezenet", 2, 2'000.0);
+      config.pool = pool;
+      config.models[0].pipeline_stages = stages;
+      FleetServer server(config, FleetOptions{});
+      auto inputs = tenant_inputs(server, 3, 27);
+
+      // The generous flush window makes each pair leave as one batch.
+      auto bad = server.submit("m", TensorMap{});
+      auto mate = server.submit("m", TensorMap(inputs[0]));
+      for (Response r : {bad.get(), mate.get()}) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("execution failed"), std::string::npos)
+            << r.error;
+      }
+
+      auto good1 = server.submit("m", TensorMap(inputs[1]));
+      auto good2 = server.submit("m", TensorMap(inputs[2]));
+      SequentialExecutor seq(&server.model_entry("m")->compiled.graph);
+      int sample = 1;
+      for (Response r : {good1.get(), good2.get()}) {
+        ASSERT_TRUE(r.ok) << r.error;
+        const TensorMap expected =
+            seq.run({inputs[static_cast<std::size_t>(sample++)]})[0];
+        ASSERT_EQ(r.outputs.size(), expected.size());
+        for (const auto& [name, tensor] : expected) {
+          ASSERT_TRUE(r.outputs.count(name)) << name;
+          const Tensor& got = r.outputs.at(name);
+          ASSERT_EQ(got.numel(), tensor.numel()) << name;
+          EXPECT_EQ(std::memcmp(got.data().data(), tensor.data().data(),
+                                sizeof(float) *
+                                    static_cast<std::size_t>(tensor.numel())),
+                    0)
+              << name << " is not bit-identical";
+        }
+      }
+      server.shutdown();
+      const ServerStats stats = server.tenant_stats("m");
+      EXPECT_EQ(stats.failed, 2u);
+      EXPECT_EQ(stats.served, 2u);
+      EXPECT_EQ(stats.batches, 2u);
+    }
+  }
 }
 
 TEST(Server, ClosedLoopLoadAllServed) {

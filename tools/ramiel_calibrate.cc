@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "graph/op_eval.h"
-#include "models/zoo.h"
-#include "onnx/model_io.h"
+#include "load_model.h"
 #include "ramiel/pipeline.h"
 #include "rt/inputs.h"
 #include "support/string_util.h"
@@ -37,18 +36,6 @@ int usage() {
                " [--fold] [--clone] [--fuse-bn] [--fuse-act] [--patterns]"
                " [-o|--out FILE]\n");
   return 2;
-}
-
-Graph load_any(const std::string& spec) {
-  for (const std::string& name : models::model_names()) {
-    if (name == spec) return models::build(name);
-  }
-  if (spec.find('.') == std::string::npos) {
-    throw Error(str_cat("unknown model '", spec, "'; available: ",
-                        join(models::model_names(), ", "),
-                        " (or pass a .rml/.rmb file)"));
-  }
-  return load_model_file(spec);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "graph/dot.h"
+#include "load_model.h"
 #include "models/zoo.h"
 #include "obs/prof/critical_path.h"
 #include "obs/trace.h"
@@ -76,18 +77,6 @@ int usage() {
                " weights (env RAMIEL_DTYPE); --calib supplies activation"
                " ranges recorded by ramiel_calibrate.\n");
   return 2;
-}
-
-Graph load_any(const std::string& spec) {
-  for (const std::string& name : models::model_names()) {
-    if (name == spec) return models::build(name);
-  }
-  if (spec.find('.') == std::string::npos) {
-    throw Error(str_cat("unknown model '", spec, "'; available: ",
-                        join(models::model_names(), ", "),
-                        " (or pass a .rml/.rmb file)"));
-  }
-  return load_model_file(spec);
 }
 
 struct Cli {

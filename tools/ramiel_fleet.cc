@@ -194,8 +194,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.admission.rejected_quota),
                   static_cast<unsigned long long>(r.admission.rejected_full),
                   static_cast<unsigned long long>(r.admission.aged),
-                  r.window.window_latency.p50_ms,
-                  r.window.window_latency.p99_ms);
+                  r.stats.window_latency.p50_ms,
+                  r.stats.window_latency.p99_ms);
       if (r.pipeline_stages > 1) {
         std::printf("%-12s   pipelined: modeled steady-state speedup %.2fx\n",
                     "", r.modeled_pipeline_speedup);

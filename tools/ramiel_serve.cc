@@ -53,10 +53,9 @@
 #include <string>
 #include <vector>
 
-#include "models/zoo.h"
+#include "load_model.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "onnx/model_io.h"
 #include "ramiel/pipeline.h"
 #include "serve/fleet/fleet_server.h"
 #include "serve/loadgen.h"
@@ -82,18 +81,6 @@ int usage() {
                " [--prom-out FILE]\n"
                "                    [--no-profile] [--profile-out FILE]\n");
   return 2;
-}
-
-Graph load_any(const std::string& spec) {
-  for (const std::string& name : models::model_names()) {
-    if (name == spec) return models::build(name);
-  }
-  if (spec.find('.') == std::string::npos) {
-    throw Error(str_cat("unknown model '", spec, "'; available: ",
-                        join(models::model_names(), ", "),
-                        " (or pass a .rml/.rmb file)"));
-  }
-  return load_model_file(spec);
 }
 
 }  // namespace
