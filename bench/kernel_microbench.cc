@@ -377,6 +377,17 @@ void BM_MaxPool(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPool);
 
+// Relu over squeezenet's conv1 output (16 x 40 x 40 for the zoo's 80 x 80
+// input), as a separate pass when patterns do not fuse it into the conv.
+void BM_SqueezenetConv1Relu(benchmark::State& state) {
+  Rng rng(19);
+  Tensor x = Tensor::random(Shape{1, 16, 40, 40}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(relu(x));
+  }
+}
+BENCHMARK(BM_SqueezenetConv1Relu);
+
 void BM_Softmax(benchmark::State& state) {
   Rng rng(6);
   Tensor x = Tensor::random(Shape{4, 96, 96}, rng);
@@ -388,10 +399,12 @@ BENCHMARK(BM_Softmax);
 
 // ---------------------------------------------------------------------------
 // BERT-base non-GEMM ops at sequence 96, hidden 128, 4 heads: the bias add,
-// LayerNorm's variance square and mean, and the head split. These run on
-// the strided-run loops (broadcast binary ops, transpose, reduce_mean).
-// GELU's erf over the FF1 output runs on vmath (BM_Softmax above covers the
-// attention softmax, [4, 96, 96] per sample).
+// LayerNorm's variance square, mean and divide, GELU's multiply, and the
+// head split. These run on the strided-run loops (broadcast binary ops,
+// transpose, reduce_mean), whose run loops have an AVX2 tier
+// (kernels/elementwise_runs.h). GELU's erf over the FF1 output and the fused
+// Gelu run on vmath (BM_Softmax above covers the attention softmax,
+// [4, 96, 96] per sample).
 // ---------------------------------------------------------------------------
 
 void BM_BertErf(benchmark::State& state) {
@@ -431,6 +444,35 @@ void BM_BertReduceMean(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BertReduceMean);
+
+void BM_BertLayerNormDiv(benchmark::State& state) {
+  Rng rng(16);
+  Tensor x = Tensor::random(Shape{1, 96, 128}, rng);
+  Tensor std_dev = Tensor::random(Shape{1, 96, 1}, rng, 0.5f, 2.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(div_op(x, std_dev));
+  }
+}
+BENCHMARK(BM_BertLayerNormDiv);
+
+void BM_BertGeluMul(benchmark::State& state) {
+  Rng rng(17);
+  Tensor x = Tensor::random(Shape{1, 96, 512}, rng);
+  Tensor y = Tensor::random(Shape{1, 96, 512}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mul(x, y));
+  }
+}
+BENCHMARK(BM_BertGeluMul);
+
+void BM_BertGelu(benchmark::State& state) {
+  Rng rng(18);
+  Tensor x = Tensor::random(Shape{1, 96, 512}, rng, -4.0f, 4.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gelu(x));
+  }
+}
+BENCHMARK(BM_BertGelu);
 
 void BM_BertTransposeHeads(benchmark::State& state) {
   Rng rng(14);

@@ -56,7 +56,8 @@ struct ModelConfig {
   std::string slo_class = "standard";
   /// Runtime choice; kAuto resolves per model via cluster_cost_cv in
   /// ModelRegistry::add (shared pools force the static runtime — the whole
-  /// point is one set of threads).
+  /// point is one set of threads — and so does pipeline_stages > 1, whose
+  /// stage threads are pinned).
   ExecutorKind executor = ExecutorKind::kAuto;
   /// Token-bucket refill rate, requests/second. <= 0 = unlimited.
   double quota_rps = 0.0;

@@ -152,10 +152,13 @@ void FleetServer::retire_runtime(Tenant& t) {
 void FleetServer::add_model(const ModelConfig& config) {
   // Compile off to the side first: the fleet keeps serving while the
   // replacement (or the new tenant) is built. A shared pool runs every
-  // tenant pinned, so it registers them as static: the entry, report(),
-  // stats_json() and the executor gauge then name what actually runs.
+  // tenant pinned, and a pipelined tenant runs on its runner's pinned stage
+  // threads, so both register as static: the entry, report(), stats_json()
+  // and the executor gauge then name what actually runs.
   ModelConfig resolved = config;
-  if (pool_ == "shared") resolved.executor = ExecutorKind::kStatic;
+  if (pool_ == "shared" || config.pipeline_stages > 1) {
+    resolved.executor = ExecutorKind::kStatic;
+  }
   std::shared_ptr<const ModelEntry> entry = registry_.add(resolved);
 
   Tenant* existing = find(config.name);

@@ -1,8 +1,10 @@
+#include <algorithm>
 #include <array>
 #include <cmath>
 
 #include "support/check.h"
 #include "support/string_util.h"
+#include "tensor/kernels/elementwise_runs.h"
 #include "tensor/kernels/vmath.h"
 #include "tensor/ops.h"
 #include "tensor/strided_loop.h"
@@ -11,14 +13,21 @@ namespace ramiel {
 namespace {
 
 // Statically dispatched: the functor inlines into the loop (the previous
-// std::function indirection cost a call per element), letting the compiler
-// vectorize cheap ops like relu/neg.
+// std::function indirection cost a call per element). The ops the run-loop
+// tiers cover go through unary_run instead.
 template <typename F>
 Tensor unary(const Tensor& x, F f) {
   Tensor out(x.shape());
   auto in = x.data();
   auto dst = out.mutable_data();
   for (std::size_t i = 0; i < in.size(); ++i) dst[i] = f(in[i]);
+  return out;
+}
+
+Tensor unary_run(const Tensor& x, kernels::ewise::UnaryRun run,
+                 float alpha = 0.0f) {
+  Tensor out(x.shape());
+  run(x.data().data(), out.mutable_data().data(), x.numel(), alpha);
   return out;
 }
 
@@ -38,10 +47,11 @@ Shape broadcast_shape(const Shape& a, const Shape& b) {
 }
 
 // Broadcast binary op over the strided-run loop: the output is written
-// sequentially and each run's inner loop takes one of four forms, both
-// inputs contiguous, either one a loop-invariant scalar, or strided.
-template <typename F>
-Tensor binary(const Tensor& a, const Tensor& b, F f) {
+// sequentially, and `run` (a kernels::ewise::BinaryRun or a callable with
+// its signature) computes each innermost run from the inputs' run starts and
+// element strides there.
+template <typename Run>
+Tensor binary(const Tensor& a, const Tensor& b, Run run) {
   Shape os = broadcast_shape(a.shape(), b.shape());
   Tensor out(os);
   const int rank = os.rank();
@@ -66,19 +76,7 @@ Tensor binary(const Tensor& a, const Tensor& b, F f) {
   const float* pb = b.data().data();
   float* o = out.mutable_data().data();
   strided::for_each_run(loop, [&](const std::array<std::int64_t, 2>& off) {
-    const float* x = pa + off[0];
-    const float* y = pb + off[1];
-    if (sa == 1 && sb == 1) {
-      for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
-    } else if (sa == 0 && sb == 1) {
-      const float xv = *x;
-      for (std::int64_t i = 0; i < n; ++i) o[i] = f(xv, y[i]);
-    } else if (sa == 1 && sb == 0) {
-      const float yv = *y;
-      for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], yv);
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i * sa], y[i * sb]);
-    }
+    run(pa + off[0], sa, pb + off[1], sb, o, n);
     o += n;
   });
   return out;
@@ -87,11 +85,11 @@ Tensor binary(const Tensor& a, const Tensor& b, F f) {
 }  // namespace
 
 Tensor relu(const Tensor& x) {
-  return unary(x, [](float v) { return v > 0.0f ? v : 0.0f; });
+  return unary_run(x, kernels::ewise::active().relu);
 }
 
 Tensor leaky_relu(const Tensor& x, float alpha) {
-  return unary(x, [alpha](float v) { return v > 0.0f ? v : alpha * v; });
+  return unary_run(x, kernels::ewise::active().leaky_relu, alpha);
 }
 
 Tensor sigmoid(const Tensor& x) {
@@ -107,11 +105,31 @@ Tensor tanh_op(const Tensor& x) {
 }
 
 Tensor gelu(const Tensor& x) {
-  return unary(x, [](float v) {
-    float e = v * 0.70710678f;
-    kernels::vmath::erf(&e, &e, 1);
-    return 0.5f * v * (1.0f + e);
-  });
+  // 0.5 v (1 + erf(v / sqrt 2)) a block at a time, each step over the whole
+  // block so the run-loop tier and vmath use their vector lanes:
+  // e = v * c, e = erf(e), e = 1 + e, o = 0.5 * v, o = o * e. Every element
+  // gets the formula's operations in its order. A block reads its inputs
+  // before it writes, so the output may be x's own buffer (the planner's
+  // in-place slot).
+  constexpr std::int64_t kBlock = 512;
+  static constexpr float kRsqrt2 = 0.70710678f;
+  static constexpr float kOne = 1.0f;
+  static constexpr float kHalf = 0.5f;
+  const kernels::ewise::Kernels& k = kernels::ewise::active();
+  Tensor out(x.shape());
+  const float* in = x.data().data();
+  float* dst = out.mutable_data().data();
+  const std::int64_t n = x.numel();
+  float e[kBlock];
+  for (std::int64_t base = 0; base < n; base += kBlock) {
+    const std::int64_t m = std::min(kBlock, n - base);
+    k.mul(in + base, 1, &kRsqrt2, 0, e, m);
+    kernels::vmath::erf(e, e, m);
+    k.add(&kOne, 0, e, 1, e, m);
+    k.mul(&kHalf, 0, in + base, 1, dst + base, m);
+    k.mul(dst + base, 1, e, 1, dst + base, m);
+  }
+  return out;
 }
 
 Tensor erf_op(const Tensor& x) {
@@ -121,7 +139,7 @@ Tensor erf_op(const Tensor& x) {
 }
 
 Tensor sqrt_op(const Tensor& x) {
-  return unary(x, [](float v) { return std::sqrt(v); });
+  return unary_run(x, kernels::ewise::active().sqrt);
 }
 
 Tensor exp_op(const Tensor& x) {
@@ -131,34 +149,40 @@ Tensor exp_op(const Tensor& x) {
 }
 
 Tensor neg(const Tensor& x) {
-  return unary(x, [](float v) { return -v; });
+  return unary_run(x, kernels::ewise::active().neg);
 }
 
 Tensor identity(const Tensor& x) { return x; }
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  return binary(a, b, [](float x, float y) { return x + y; });
+  return binary(a, b, kernels::ewise::active().add);
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
-  return binary(a, b, [](float x, float y) { return x - y; });
+  return binary(a, b, kernels::ewise::active().sub);
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  return binary(a, b, [](float x, float y) { return x * y; });
+  return binary(a, b, kernels::ewise::active().mul);
 }
 
 Tensor div_op(const Tensor& a, const Tensor& b) {
-  return binary(a, b, [](float x, float y) { return x / y; });
+  return binary(a, b, kernels::ewise::active().div);
 }
 
 Tensor pow_op(const Tensor& a, const Tensor& b) {
   // A constant exponent of 2 (LayerNorm's variance) is a plain square:
   // correctly rounded, where powf may differ from it in the last bit.
   if (b.numel() == 1 && b.data()[0] == 2.0f) {
-    return binary(a, b, [](float x, float) { return x * x; });
+    return binary(a, b, kernels::ewise::active().square);
   }
-  return binary(a, b, [](float x, float y) { return std::pow(x, y); });
+  return binary(a, b,
+                [](const float* x, std::int64_t sx, const float* y,
+                   std::int64_t sy, float* o, std::int64_t n) {
+                  for (std::int64_t i = 0; i < n; ++i) {
+                    o[i] = std::pow(x[i * sx], y[i * sy]);
+                  }
+                });
 }
 
 }  // namespace ramiel

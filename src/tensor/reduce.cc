@@ -2,6 +2,7 @@
 #include <utility>
 
 #include "support/check.h"
+#include "tensor/kernels/elementwise_runs.h"
 #include "tensor/ops.h"
 #include "tensor/strided_loop.h"
 
@@ -42,6 +43,15 @@ Tensor reduce_mean(const Tensor& x, const std::vector<int>& axes) {
   const bool reduced_run = loop.run_strides()[0] == 0;
   const float* p = x.data().data();
   auto dst = out.mutable_data();
+  const float inv = 1.0f / static_cast<float>(reduce_count);
+  // The reduced axes are innermost and contiguous (LayerNorm's mean): one
+  // row of n inputs per output, rows adjacent in the output.
+  if (reduced_run && (loop.dims.size() < 2 ||
+                      (loop.dims.size() == 2 && loop.strides[0][0] == 1))) {
+    const std::int64_t rows = loop.dims.size() == 2 ? loop.dims[0] : 1;
+    kernels::ewise::active().row_means(p, dst.data(), rows, n, inv);
+    return out;
+  }
   strided::for_each_run(loop, [&](const std::array<std::int64_t, 1>& off) {
     float* o = dst.data() + off[0];
     if (reduced_run) {
@@ -53,7 +63,6 @@ Tensor reduce_mean(const Tensor& x, const std::vector<int>& axes) {
     }
     p += n;
   });
-  const float inv = 1.0f / static_cast<float>(reduce_count);
   for (float& v : dst) v *= inv;
   return out;
 }

@@ -231,7 +231,10 @@ Tensor Tensor::clone() const {
   t.quant_ = quant_;
   t.owner_ =
       std::make_shared<std::vector<float>>(owner_floats(size_, dtype_));
-  std::memcpy(t.owner_->data(), ptr_, size_ * dtype_size(dtype_));
+  // An empty tensor's data pointers may be null, which memcpy must not get.
+  if (size_ != 0) {
+    std::memcpy(t.owner_->data(), ptr_, size_ * dtype_size(dtype_));
+  }
   t.ptr_ = t.owner_->data();
   t.size_ = size_;
   return t;

@@ -816,6 +816,46 @@ TEST(FleetServer, SharedPoolReportsThePinnedPlacementItRuns) {
   }
 }
 
+TEST(FleetServer, PipelinedTenantReportsThePinnedStagesItRuns) {
+  // A pipelined tenant runs on its runner's pinned stage threads, not on an
+  // executor, so on a partitioned pool it must report static whatever the
+  // config asks for: in the report, the stats JSON and the executor gauge.
+  for (const ExecutorKind asked : {ExecutorKind::kSteal, ExecutorKind::kAuto}) {
+    FleetConfig config;
+    config.pool = "partitioned";
+    ModelConfig m;
+    m.name = str_cat("piped_", to_string(asked));
+    m.model = "squeezenet";
+    m.batch = 2;
+    m.flush_timeout_ms = 1.0;
+    m.pipeline_stages = 3;
+    m.executor = asked;
+    config.models = {m};
+    FleetServer fleet(config, FleetOptions{});
+    Rng rng(37);
+    const CompiledModel& cm = fleet.model_entry(m.name)->compiled;
+    TensorMap input = make_example_inputs(cm.graph, 1, rng)[0];
+    const Response r = fleet.submit(m.name, std::move(input)).get();
+    ASSERT_TRUE(r.ok) << r.error;
+    fleet.shutdown();
+
+    const std::string what = to_string(asked);
+    EXPECT_EQ(fleet.model_entry(m.name)->executor, ExecutorKind::kStatic)
+        << what;
+    ASSERT_EQ(fleet.report().size(), 1u);
+    EXPECT_EQ(fleet.report()[0].pipeline_stages, 3) << what;
+    EXPECT_EQ(fleet.report()[0].executor, ExecutorKind::kStatic) << what;
+    EXPECT_NE(fleet.stats_json().find("\"executor\":\"static\""),
+              std::string::npos)
+        << what;
+    const obs::Gauge* gauge = obs::registry().gauge(
+        "ramiel_serve_executor_steal",
+        "1 when this model runs the work-stealing executor",
+        {{"model", m.name}});
+    EXPECT_EQ(gauge->value(), 0.0) << what;
+  }
+}
+
 TEST(FleetServer, StatsJsonIsStrictAndComplete) {
   FleetServer fleet(two_tenant_config("shared"), FleetOptions{},
                     scale_loader());
