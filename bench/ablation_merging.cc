@@ -19,12 +19,11 @@ int main() {
   std::printf("%-14s | %8s %8s %9s | %8s %8s %9s | %8s\n", "Model", "workers",
               "msgs", "speedup", "workers", "msgs", "speedup", "delta");
   std::printf("%-14s | %27s | %27s |\n", "", "unmerged LC", "merged");
-  CostModel cost;
   for (const std::string& name : models::model_names()) {
     Graph g = models::build(name);
-    Clustering lc = linear_clustering(g, cost);
+    Clustering lc = linear_clustering(g);
     sort_clusters_topologically(g, lc);
-    Clustering merged = merge_clusters(g, cost, lc);
+    Clustering merged = merge_clusters(g, lc);
 
     Rng rng(7);
     CostProfile profile = measure_costs(g, bench::profile_repeats(), rng);

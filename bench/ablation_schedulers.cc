@@ -18,7 +18,6 @@ int main() {
       "(speedup over sequential; compile cost in ms)");
   std::printf("%-14s | %9s %9s | %9s %9s | %9s %11s\n", "Model", "LC", "ct",
               "ListSched", "ct", "IOS-DP", "ct");
-  CostModel cost;
   for (const std::string name :
        {"squeezenet", "googlenet", "inception_v3", "yolo_v5"}) {
     Graph g = models::build(name);
@@ -28,7 +27,7 @@ int main() {
     const double seq = simulate_sequential_ms(g, profile, 1, sim);
 
     Stopwatch t1;
-    Clustering merged = merge_clusters(g, cost, linear_clustering(g, cost));
+    Clustering merged = merge_clusters(g, linear_clustering(g));
     const double lc_ct = t1.millis();
     const double lc_speedup =
         seq / simulate_parallel(g, build_hyperclusters(g, merged, 1), profile,
@@ -36,7 +35,7 @@ int main() {
                   .makespan_ms;
 
     Stopwatch t2;
-    auto ls = list_schedule(g, cost, profile, sim.machine, sim.machine.cores);
+    auto ls = list_schedule(g, profile, sim.machine, sim.machine.cores);
     const double ls_ct = t2.millis();
     const double ls_speedup =
         seq /

@@ -393,14 +393,13 @@ void fleet_pipeline() {
       "(speedup = total cost / bottleneck stage; 1 core per stage)");
   std::printf("%-12s | %6s %9s %9s | stage costs\n", "Model", "stages",
               "bottleneck", "speedup");
-  CostModel cost;
   for (const std::string& model : models::model_names()) {
     PipelineOptions opts;
     opts.batch = 4;
     opts.generate_code = false;
     CompiledModel cm = compile_model(models::build(model), opts);
     const serve::fleet::StageCut cut =
-        serve::fleet::build_stage_cut(cm.graph, cm.clustering, cost, 3);
+        serve::fleet::build_stage_cut(cm.graph, cm.clustering, 3);
     std::int64_t bottleneck = 0, total = 0;
     std::string costs;
     for (std::int64_t c : cut.stage_cost) {

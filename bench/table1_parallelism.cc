@@ -23,10 +23,9 @@ int main() {
   };
   std::printf("%-14s %12s %16s %14s %14s\n", "Model", "#Nodes", "Wt.NodeCost",
               "Wt.CP", "Parallelism");
-  CostModel cost;
   for (const std::string& name : models::model_names()) {
     Graph g = models::build(name);
-    auto rep = analyze_parallelism(g, cost);
+    auto rep = analyze_parallelism(g);
     const auto& p = paper.at(name);
     std::printf("%-14s %5d (%4.0f) %7lld (%5.0f) %6lld (%5.0f) %5.2fx (%.2fx)\n",
                 name.c_str(), rep.num_nodes, p[0],

@@ -19,11 +19,10 @@ int main() {
       {"retinanet", {16, 10}},   {"nasnet", {244, 67}},
   };
   std::printf("%-14s %20s %20s\n", "Model", "Before Merging", "After Merging");
-  CostModel cost;
   for (const std::string& name : models::model_names()) {
     Graph g = models::build(name);
-    Clustering lc = linear_clustering(g, cost);
-    Clustering merged = merge_clusters(g, cost, lc);
+    Clustering lc = linear_clustering(g);
+    Clustering merged = merge_clusters(g, lc);
     const auto& p = paper.at(name);
     std::printf("%-14s %10d (%3d) %13d (%3d)\n", name.c_str(), lc.size(),
                 p.first, merged.size(), p.second);

@@ -17,18 +17,17 @@ int main() {
       {"yolo_v5", {12, 9}}, {"nasnet", {67, 9}}, {"bert", {5, 3}}};
   std::printf("%-10s %22s %22s %18s\n", "Model", "Before ConstProp",
               "After ConstProp", "Nodes removed");
-  CostModel cost;
   for (const std::string name : {"yolo_v5", "nasnet", "bert"}) {
     Graph before = models::build(name);
     Clustering merged_before =
-        merge_clusters(before, cost, linear_clustering(before, cost));
+        merge_clusters(before, linear_clustering(before));
 
     Graph after = models::build(name);
     const int nodes_before = after.live_node_count();
     constant_propagation_dce(after);
     after = after.compacted();
     Clustering merged_after =
-        merge_clusters(after, cost, linear_clustering(after, cost));
+        merge_clusters(after, linear_clustering(after));
 
     const auto& p = paper.at(name);
     std::printf("%-10s %14d (%3d) %14d (%3d) %14d\n", name.c_str(),

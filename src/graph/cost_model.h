@@ -6,7 +6,14 @@
 //    Elementwise operations like Relu are assigned a cost of 1. [...]
 //    We also add a unit cost for each graph edge when computing the CP."
 //
-// Weights are integers so Table-I-style summaries are deterministic.
+// One fixed table of integer weights, so Table-I-style summaries are
+// deterministic. The numbers are calibrated so the Table I parallelism
+// factors of the eight evaluation models land near the paper's:
+//
+//   Conv 7x7 14, 5x5 10, 3x3 6, 1x1 2;  MatMul 200 (transformer-scale, BERT);
+//   Gemm 12 (classifier heads);  pooling/Resize 2;  BatchNorm/LayerNorm/
+//   Softmax 2;  ReduceMean 2;  Embedding 4;  Constant 0;  data movement and
+//   element-wise ops 1;  and kEdgeWeight per edge on the critical path.
 #pragma once
 
 #include <cstdint>
@@ -15,28 +22,13 @@
 
 namespace ramiel {
 
-/// Tunable static weights. Defaults are calibrated so the Table I
-/// parallelism factors of the eight evaluation models land near the paper's.
-struct CostModel {
-  std::int64_t conv_7x7 = 14;
-  std::int64_t conv_5x5 = 10;
-  std::int64_t conv_3x3 = 6;
-  std::int64_t conv_1x1 = 2;
-  std::int64_t matmul = 200;     // transformer-scale matmuls (BERT)
-  std::int64_t gemm = 12;        // classifier-head style GEMMs
-  std::int64_t pool = 2;
-  std::int64_t norm = 2;         // batch/layer norm, softmax
-  std::int64_t reduce = 2;
-  std::int64_t embedding = 4;
-  std::int64_t data_movement = 1;
-  std::int64_t elementwise = 1;
-  std::int64_t edge = 1;         // per-edge overhead on the critical path
+/// Per-edge overhead on the critical path.
+inline constexpr std::int64_t kEdgeWeight = 1;
 
-  /// Static weight of one node.
-  std::int64_t node_weight(const Node& node) const;
+/// Static weight of one node.
+std::int64_t node_weight(const Node& node);
 
-  /// Sum of node_weight over live nodes ("Wt. Cost of Nodes" in Table I).
-  std::int64_t total_weight(const Graph& graph) const;
-};
+/// Sum of node_weight over live nodes ("Wt. Cost of Nodes" in Table I).
+std::int64_t total_weight(const Graph& graph);
 
 }  // namespace ramiel

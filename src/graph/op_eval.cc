@@ -58,22 +58,6 @@ float node_aq_scale(const Node& n) {
              : -1.0f;
 }
 
-/// Ops that forward their input storage unchanged (dtype-polymorphic by
-/// construction — they only touch shape metadata).
-bool is_alias_kind(OpKind k) {
-  switch (k) {
-    case OpKind::kIdentity:
-    case OpKind::kReshape:
-    case OpKind::kFlatten:
-    case OpKind::kSqueeze:
-    case OpKind::kUnsqueeze:
-    case OpKind::kShape:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::vector<Tensor> eval_node_base(const Node& n, const std::vector<Tensor>& in,
                                    const OpContext& ctx) {
   switch (n.kind) {
@@ -280,8 +264,11 @@ std::vector<Tensor> eval_node_base(const Node& n, const std::vector<Tensor>& in,
 //     value's planned arena slot.
 std::vector<Tensor> eval_node(const Node& n, const std::vector<Tensor>& in,
                               const OpContext& ctx) {
+  // Views and Shape are dtype-polymorphic by construction: they only touch
+  // shape metadata.
   if (n.kind == OpKind::kConv2d || n.kind == OpKind::kGemm ||
-      n.kind == OpKind::kMatMul || is_alias_kind(n.kind)) {
+      n.kind == OpKind::kMatMul || op_is_alias(n.kind) ||
+      n.kind == OpKind::kShape) {
     return eval_node_base(n, in, ctx);
   }
   const DType sd = node_sdtype(n);

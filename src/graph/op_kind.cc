@@ -134,6 +134,19 @@ bool op_is_data_movement(OpKind kind) {
   }
 }
 
+bool op_is_alias(OpKind kind) {
+  switch (kind) {
+    case OpKind::kIdentity:
+    case OpKind::kReshape:
+    case OpKind::kFlatten:
+    case OpKind::kSqueeze:
+    case OpKind::kUnsqueeze:
+      return true;
+    default:
+      return false;
+  }
+}
+
 int op_kind_count() { return static_cast<int>(OpKind::kEmbedding) + 1; }
 
 }  // namespace ramiel

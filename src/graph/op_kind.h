@@ -75,6 +75,11 @@ bool op_is_elementwise(OpKind kind);
 /// True for shape/data-movement ops that do no arithmetic.
 bool op_is_data_movement(OpKind kind);
 
+/// True for ops whose kernel returns a view sharing the input's buffer
+/// (Identity, Reshape, Flatten, Squeeze, Unsqueeze), so the output's storage
+/// and dtype are the input's.
+bool op_is_alias(OpKind kind);
+
 /// Number of ops in the enum (for iteration in tests).
 int op_kind_count();
 

@@ -26,19 +26,6 @@ bool has_remote_consumer(const Graph& g, const Hyperclustering& hc, ValueId v,
 
 }  // namespace
 
-bool op_is_alias(OpKind kind) {
-  switch (kind) {
-    case OpKind::kIdentity:
-    case OpKind::kReshape:
-    case OpKind::kFlatten:
-    case OpKind::kSqueeze:
-    case OpKind::kUnsqueeze:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool op_inplace_unary(OpKind kind) {
   switch (kind) {
     case OpKind::kRelu:

@@ -44,9 +44,6 @@ struct StreamLiveness {
   std::unordered_map<ValueId, int> interval_of;
 };
 
-/// True for ops whose kernel returns a view sharing the input's buffer.
-bool op_is_alias(OpKind kind);
-
 /// True for unary elementwise map ops that may safely write their output
 /// over their (dying) input: every element is read exactly once, at the
 /// index it is written.

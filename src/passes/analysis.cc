@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
+#include "graph/cost_model.h"
 #include "support/check.h"
 
 namespace ramiel {
 
-std::vector<std::int64_t> distance_to_end(const Graph& graph,
-                                          const CostModel& cost) {
+std::vector<std::int64_t> distance_to_end(const Graph& graph) {
   std::vector<std::int64_t> dist(graph.nodes().size(), 0);
   const std::vector<NodeId> order = graph.topo_order();
   // Walk in reverse topological order so successors are finalized first.
@@ -15,21 +15,19 @@ std::vector<std::int64_t> distance_to_end(const Graph& graph,
     const NodeId id = *it;
     std::int64_t best = 0;
     for (NodeId s : graph.successors(id)) {
-      best = std::max(best, cost.edge + dist[static_cast<std::size_t>(s)]);
+      best = std::max(best, kEdgeWeight + dist[static_cast<std::size_t>(s)]);
     }
-    dist[static_cast<std::size_t>(id)] =
-        cost.node_weight(graph.node(id)) + best;
+    dist[static_cast<std::size_t>(id)] = node_weight(graph.node(id)) + best;
   }
   return dist;
 }
 
-ParallelismReport analyze_parallelism(const Graph& graph,
-                                      const CostModel& cost) {
+ParallelismReport analyze_parallelism(const Graph& graph) {
   ParallelismReport r;
   r.model = graph.name();
   r.num_nodes = graph.live_node_count();
-  r.total_weight = cost.total_weight(graph);
-  const std::vector<std::int64_t> dist = distance_to_end(graph, cost);
+  r.total_weight = total_weight(graph);
+  const std::vector<std::int64_t> dist = distance_to_end(graph);
   for (const Node& n : graph.nodes()) {
     if (n.dead) continue;
     r.critical_path =
@@ -42,9 +40,8 @@ ParallelismReport analyze_parallelism(const Graph& graph,
   return r;
 }
 
-std::vector<NodeId> critical_path_nodes(const Graph& graph,
-                                        const CostModel& cost) {
-  const std::vector<std::int64_t> dist = distance_to_end(graph, cost);
+std::vector<NodeId> critical_path_nodes(const Graph& graph) {
+  const std::vector<std::int64_t> dist = distance_to_end(graph);
   // Start at the source (a node with no live predecessors) with the largest
   // distance, then repeatedly follow the max-distance successor.
   NodeId cur = kNoNode;

@@ -10,14 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "graph/cost_model.h"
 #include "graph/graph.h"
 
 namespace ramiel {
 
 /// distance_to_end for every node (indexed by node id; dead nodes get 0).
-std::vector<std::int64_t> distance_to_end(const Graph& graph,
-                                          const CostModel& cost);
+std::vector<std::int64_t> distance_to_end(const Graph& graph);
 
 /// The paper's Table I row for one graph.
 struct ParallelismReport {
@@ -29,12 +27,10 @@ struct ParallelismReport {
 };
 
 /// Computes the Table I metrics.
-ParallelismReport analyze_parallelism(const Graph& graph,
-                                      const CostModel& cost);
+ParallelismReport analyze_parallelism(const Graph& graph);
 
 /// Node ids on one critical path (greedy max-distance walk from the most
 /// distant source), in execution order.
-std::vector<NodeId> critical_path_nodes(const Graph& graph,
-                                        const CostModel& cost);
+std::vector<NodeId> critical_path_nodes(const Graph& graph);
 
 }  // namespace ramiel

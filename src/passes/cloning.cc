@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/cost_model.h"
 #include "support/check.h"
 #include "support/string_util.h"
 
@@ -23,8 +24,7 @@ std::vector<int> node_depths(const Graph& g) {
 
 }  // namespace
 
-CloningStats clone_tasks(Graph& graph, const CostModel& cost,
-                         const CloningOptions& options) {
+CloningStats clone_tasks(Graph& graph, const CloningOptions& options) {
   CloningStats stats;
   const std::vector<int> depth = node_depths(graph);
   int max_depth = 0;
@@ -42,7 +42,7 @@ CloningStats clone_tasks(Graph& graph, const CostModel& cost,
   for (const Node& n : graph.nodes()) {
     if (n.dead || n.kind == OpKind::kConstant) continue;
     if (n.outputs.size() != 1) continue;
-    if (cost.node_weight(n) > options.max_weight) continue;
+    if (node_weight(n) > options.max_weight) continue;
     if (depth[static_cast<std::size_t>(n.id)] > depth_cutoff) continue;
     candidates.push_back(n.id);
   }

@@ -8,7 +8,6 @@
 // redundant compute (and potential exponential blow-up) for communication.
 #pragma once
 
-#include "graph/cost_model.h"
 #include "graph/graph.h"
 
 namespace ramiel {
@@ -32,7 +31,6 @@ struct CloningStats {
 
 /// Clones eligible fan-out nodes in place. The original node is kept for
 /// its first consumer; each further consumer gets a fresh copy.
-CloningStats clone_tasks(Graph& graph, const CostModel& cost,
-                         const CloningOptions& options = {});
+CloningStats clone_tasks(Graph& graph, const CloningOptions& options = {});
 
 }  // namespace ramiel

@@ -32,9 +32,9 @@ Span cluster_span(const Cluster& c, const std::vector<std::int64_t>& dist) {
 
 }  // namespace
 
-Clustering merge_clusters_once(const Graph& graph, const CostModel& cost,
-                               const Clustering& clusters, bool* merge_done) {
-  const std::vector<std::int64_t> dist = distance_to_end(graph, cost);
+Clustering merge_clusters_once(const Graph& graph, const Clustering& clusters,
+                               bool* merge_done) {
+  const std::vector<std::int64_t> dist = distance_to_end(graph);
   const int k = clusters.size();
   std::vector<Span> spans;
   spans.reserve(static_cast<std::size_t>(k));
@@ -77,12 +77,11 @@ Clustering merge_clusters_once(const Graph& graph, const CostModel& cost,
   return merged;
 }
 
-Clustering merge_clusters(const Graph& graph, const CostModel& cost,
-                          const Clustering& clusters) {
+Clustering merge_clusters(const Graph& graph, const Clustering& clusters) {
   Clustering current = clusters;
   bool merge_done = true;
   while (merge_done) {
-    current = merge_clusters_once(graph, cost, current, &merge_done);
+    current = merge_clusters_once(graph, current, &merge_done);
   }
   sort_clusters_topologically(graph, current);
   finalize_clustering(graph, current);

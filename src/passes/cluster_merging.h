@@ -8,19 +8,17 @@
 // merge sweep; Algorithm 3 iterates it to a fixed point.
 #pragma once
 
-#include "graph/cost_model.h"
 #include "passes/clustering.h"
 
 namespace ramiel {
 
 /// One sweep of Algorithm 2. Returns the merged clustering and sets
 /// *merge_done when at least one pair was combined.
-Clustering merge_clusters_once(const Graph& graph, const CostModel& cost,
-                               const Clustering& clusters, bool* merge_done);
+Clustering merge_clusters_once(const Graph& graph, const Clustering& clusters,
+                               bool* merge_done);
 
 /// Algorithm 3: iterate merge_clusters_once until no merge happens.
 /// The result is finalized (cluster_of rebuilt, node lists topo-sorted).
-Clustering merge_clusters(const Graph& graph, const CostModel& cost,
-                          const Clustering& clusters);
+Clustering merge_clusters(const Graph& graph, const Clustering& clusters);
 
 }  // namespace ramiel

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/cost_model.h"
 #include "graph/graph.h"
 
 namespace ramiel {

@@ -8,8 +8,8 @@
 
 namespace ramiel {
 
-Clustering linear_clustering(const Graph& graph, const CostModel& cost) {
-  const std::vector<std::int64_t> dist = distance_to_end(graph, cost);
+Clustering linear_clustering(const Graph& graph) {
+  const std::vector<std::int64_t> dist = distance_to_end(graph);
   const std::size_t n = graph.nodes().size();
 
   // Mutable adjacency (the algorithm consumes edges as it walks paths).

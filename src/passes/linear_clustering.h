@@ -8,13 +8,12 @@
 // later combined by the cluster-merging pass (Algorithms 2 & 3).
 #pragma once
 
-#include "graph/cost_model.h"
 #include "passes/clustering.h"
 
 namespace ramiel {
 
 /// Runs Algorithm 1 on the live nodes of `graph`. Clusters come out in the
 /// order their paths were peeled (first cluster = first critical path).
-Clustering linear_clustering(const Graph& graph, const CostModel& cost);
+Clustering linear_clustering(const Graph& graph);
 
 }  // namespace ramiel

@@ -9,6 +9,10 @@
 namespace ramiel::patterns {
 namespace {
 
+/// Fixed-point bound: a round sweeps every enabled pattern over every live
+/// node; the loop stops after the first round with zero rewrites.
+constexpr int kMaxRounds = 8;
+
 /// The model's interface: output value ids and their names, captured before
 /// the run. Any apply() that changes either rebound the interface — the
 /// exact bug class the driver exists to prevent.
@@ -87,7 +91,7 @@ PatternRunStats run_patterns(Graph& g, const PatternRunOptions& options) {
   if (enabled.empty()) return stats;
 
   const OutputSnapshot interface = OutputSnapshot::capture(g);
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     ++stats.rounds;
     int fired = 0;
     for (std::size_t pi = 0; pi < enabled.size(); ++pi) {

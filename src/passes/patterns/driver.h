@@ -1,5 +1,5 @@
 // Fixed-point driver for the pattern registry: re-runs every enabled rule
-// until no rule fires (bounded by max_rounds), enforcing the shared
+// until no rule fires (at most eight rounds), enforcing the shared
 // invariants from pattern.h around every single application. A rule that
 // violates them — rebinding a graph output, leaving a stale consumer
 // entry, breaking structural validity — fails loudly with ValidationError
@@ -20,9 +20,6 @@ struct PatternRunOptions {
   /// Per-pattern enable overrides by name; patterns absent from the map run
   /// iff enabled_by_default(). Unknown names are rejected (Error).
   std::unordered_map<std::string, bool> enable;
-  /// Fixed-point bound: a round sweeps every enabled pattern over every
-  /// live node; the loop stops after the first round with zero rewrites.
-  int max_rounds = 8;
 };
 
 struct PatternRunStats {

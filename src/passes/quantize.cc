@@ -40,22 +40,6 @@ bool is_gemm_like(OpKind k) {
   return k == OpKind::kConv2d || k == OpKind::kGemm || k == OpKind::kMatMul;
 }
 
-/// Ops whose output tensor shares the input's storage (reshaped views), so
-/// its dtype necessarily follows the input's. kShape is NOT an alias for
-/// dtype purposes: its output is fresh dimension data.
-bool is_dtype_alias(OpKind k) {
-  switch (k) {
-    case OpKind::kIdentity:
-    case OpKind::kReshape:
-    case OpKind::kFlatten:
-    case OpKind::kSqueeze:
-    case OpKind::kUnsqueeze:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// The softmax-sensitive region of the graph: everything a Softmax input
 /// depends on up to (and including) the first *weighted* dense producer.
 /// Softmax is the one consumer that amplifies quantization noise instead of
@@ -281,7 +265,7 @@ QuantizeStats quantize_weights(
   while (changed) {
     changed = false;
     for (const Node& n : g.nodes()) {
-      if (n.dead || !is_dtype_alias(n.kind)) continue;
+      if (n.dead || !op_is_alias(n.kind)) continue;
       if (n.inputs.empty() || n.outputs.empty()) continue;
       const auto a = static_cast<std::size_t>(n.inputs[0]);
       const auto b = static_cast<std::size_t>(n.outputs[0]);
@@ -302,7 +286,7 @@ QuantizeStats quantize_weights(
     // Alias producers follow their input's storage at runtime; everyone
     // else reads the attr (gemm-like ops via out_dtype, the rest via the
     // eval_node downcast wrapper).
-    if (!is_dtype_alias(p.kind)) {
+    if (!op_is_alias(p.kind)) {
       p.attrs.set("sdtype", std::string(dtype_name(act_dt)));
     }
   }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <utility>
 
+#include "graph/cost_model.h"
 #include "graph/shape_inference.h"
 #include "mem/planner.h"
 #include "passes/patterns/registry.h"
@@ -38,9 +39,8 @@ int count_live_edges(const Graph& g) {
 /// the quantity the whole compiler optimizes.
 class PassTimer {
  public:
-  PassTimer(std::string name, const Graph& graph, const CostModel& cost,
-            std::vector<PassReport>& out)
-      : graph_(graph), cost_(cost), out_(out) {
+  PassTimer(std::string name, const Graph& graph, std::vector<PassReport>& out)
+      : graph_(graph), out_(out) {
     report_.pass = std::move(name);
     report_.start_ns = Stopwatch::now_ns();
     report_.nodes_before = graph.live_node_count();
@@ -54,14 +54,13 @@ class PassTimer {
         static_cast<double>(report_.end_ns - report_.start_ns) / 1e6;
     report_.nodes_after = graph_.live_node_count();
     report_.edges_after = count_live_edges(graph_);
-    report_.critical_path = analyze_parallelism(graph_, cost_).critical_path;
+    report_.critical_path = analyze_parallelism(graph_).critical_path;
     report_.clusters = clusters;
     out_.push_back(report_);
   }
 
  private:
   const Graph& graph_;
-  const CostModel& cost_;
   std::vector<PassReport>& out_;
   PassReport report_;
 };
@@ -79,14 +78,13 @@ CompileMetrics& compile_metrics() {
 }
 
 /// Coefficient of variation of per-cluster summed node weight.
-double cluster_cost_cv(const Graph& g, const Clustering& clustering,
-                       const CostModel& cost) {
+double cluster_cost_cv(const Graph& g, const Clustering& clustering) {
   const std::size_t k = clustering.clusters.size();
   if (k < 2) return 0.0;
   std::vector<double> costs(k, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     for (NodeId id : clustering.clusters[c].nodes) {
-      costs[c] += static_cast<double>(cost.node_weight(g.node(id)));
+      costs[c] += static_cast<double>(node_weight(g.node(id)));
     }
   }
   double mean = 0.0;
@@ -104,10 +102,9 @@ double cluster_cost_cv(const Graph& g, const Clustering& clustering,
 CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
   Stopwatch sw;
   CompiledModel out;
-  const CostModel& cost = options.cost;
 
   if (options.constant_folding) {
-    PassTimer t("constant_folding", graph, cost, out.pass_reports);
+    PassTimer t("constant_folding", graph, out.pass_reports);
     out.fold_stats = constant_propagation_dce(graph);
     graph = graph.compacted();
     t.done();
@@ -119,7 +116,6 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
   for (const auto& [name, on] : options.pattern_overrides) any_forced |= on;
   if (options.pattern_rewrites || any_forced) {
     patterns::PatternRunOptions popt;
-    popt.max_rounds = options.pattern_max_rounds;
     if (!options.pattern_rewrites) {
       for (const std::string& n : patterns::pattern_registry().names()) {
         popt.enable[n] = false;
@@ -128,45 +124,45 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
     for (const auto& [name, on] : options.pattern_overrides) {
       popt.enable[name] = on;
     }
-    PassTimer t("pattern_rewrite", graph, cost, out.pass_reports);
+    PassTimer t("pattern_rewrite", graph, out.pass_reports);
     out.pattern_stats = patterns::run_patterns(graph, popt);
     t.done();
   }
   if (options.cloning) {
-    PassTimer t("cloning", graph, cost, out.pass_reports);
-    out.clone_stats = clone_tasks(graph, cost, options.cloning_options);
+    PassTimer t("cloning", graph, out.pass_reports);
+    out.clone_stats = clone_tasks(graph);
     t.done();
   }
   if (options.dtype != DType::kF32) {
-    PassTimer t("quantize_weights", graph, cost, out.pass_reports);
+    PassTimer t("quantize_weights", graph, out.pass_reports);
     out.quant_stats = quantize_weights(graph, options.dtype,
                                        options.calibration);
     t.done();
   }
   {
-    PassTimer t("shape_inference", graph, cost, out.pass_reports);
+    PassTimer t("shape_inference", graph, out.pass_reports);
     infer_shapes(graph);
     graph.validate();
     t.done();
   }
 
-  out.analysis = analyze_parallelism(graph, cost);
+  out.analysis = analyze_parallelism(graph);
 
   Clustering lc;
   {
-    PassTimer t("linear_clustering", graph, cost, out.pass_reports);
-    lc = linear_clustering(graph, cost);
+    PassTimer t("linear_clustering", graph, out.pass_reports);
+    lc = linear_clustering(graph);
     out.clusters_before_merge = lc.size();
     t.done(lc.size());
   }
   {
-    PassTimer t("cluster_merging", graph, cost, out.pass_reports);
-    out.clustering = merge_clusters(graph, cost, lc);
+    PassTimer t("cluster_merging", graph, out.pass_reports);
+    out.clustering = merge_clusters(graph, lc);
     t.done(out.clustering.size());
   }
-  out.cluster_cost_cv = cluster_cost_cv(graph, out.clustering, cost);
+  out.cluster_cost_cv = cluster_cost_cv(graph, out.clustering);
   {
-    PassTimer t("hyperclustering", graph, cost, out.pass_reports);
+    PassTimer t("hyperclustering", graph, out.pass_reports);
     out.hyperclusters =
         options.hyper_mode == HyperMode::kSwitched
             ? build_switched_hyperclusters(graph, out.clustering,
@@ -175,13 +171,13 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
     t.done(static_cast<int>(out.hyperclusters.workers.size()));
   }
   if (options.mem_planning) {
-    PassTimer t("mem_planning", graph, cost, out.pass_reports);
+    PassTimer t("mem_planning", graph, out.pass_reports);
     out.mem_plan = mem::plan_memory(graph, out.hyperclusters);
     t.done(static_cast<int>(out.mem_plan.workers.size()));
   }
 
   if (options.generate_code) {
-    PassTimer t("codegen", graph, cost, out.pass_reports);
+    PassTimer t("codegen", graph, out.pass_reports);
     CodegenOptions cg;
     cg.model_name = graph.name();
     cg.weights_path = graph.name() + ".rmb";

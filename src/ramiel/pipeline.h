@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "codegen/python_codegen.h"
-#include "graph/cost_model.h"
 #include "mem/plan.h"
 #include "passes/analysis.h"
 #include "passes/cloning.h"
@@ -48,9 +47,6 @@ struct PipelineOptions {
   /// the forced-on rules (e.g. {"fold-batch-norms", true} folds Conv+BN
   /// pairs and nothing else). Unknown names raise Error.
   std::unordered_map<std::string, bool> pattern_overrides;
-  /// Fixed-point bound for the pattern driver.
-  int pattern_max_rounds = 8;
-  CloningOptions cloning_options;
   /// Storage dtype the model is lowered to (kF32 = no lowering): weights
   /// rewritten by the quantize_weights pass, eligible activations demoted,
   /// the memory plan sized in actual element bytes. Compute stays fp32.
@@ -62,7 +58,6 @@ struct PipelineOptions {
   /// Inference batch size; > 1 triggers hyperclustering (§III-E).
   int batch = 1;
   HyperMode hyper_mode = HyperMode::kPlain;
-  CostModel cost;
   /// Generate the parallel + sequential Python sources (Algorithm 4).
   bool generate_code = true;
   /// Compute the static memory plan for the hyperclustered streams

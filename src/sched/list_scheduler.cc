@@ -8,11 +8,11 @@
 
 namespace ramiel {
 
-ListScheduleResult list_schedule(const Graph& graph, const CostModel& cost,
+ListScheduleResult list_schedule(const Graph& graph,
                                  const CostProfile& profile,
                                  const MachineModel& machine, int workers) {
   RAMIEL_CHECK(workers >= 1, "need at least one worker");
-  const std::vector<std::int64_t> priority = distance_to_end(graph, cost);
+  const std::vector<std::int64_t> priority = distance_to_end(graph);
 
   ListScheduleResult result;
   result.clustering.clusters.resize(static_cast<std::size_t>(workers));

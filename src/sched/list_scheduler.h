@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "graph/cost_model.h"
 #include "graph/graph.h"
 #include "passes/clustering.h"
 #include "sim/cost_profile.h"
@@ -23,7 +22,7 @@ struct ListScheduleResult {
 /// Schedules the graph onto `workers` cores with earliest-finish-time
 /// greedy placement. Priorities come from the static cost model; durations
 /// and message costs from the measured profile + machine model.
-ListScheduleResult list_schedule(const Graph& graph, const CostModel& cost,
+ListScheduleResult list_schedule(const Graph& graph,
                                  const CostProfile& profile,
                                  const MachineModel& machine, int workers);
 

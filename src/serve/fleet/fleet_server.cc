@@ -27,6 +27,9 @@ double jain_fairness(const std::vector<double>& allocations) {
 
 namespace {
 
+/// Idle poll granularity of the dispatcher loops (2 ms).
+constexpr std::int64_t kPollNs = 2'000'000;
+
 /// Resolves `promise` with a refusal that never reached a runtime.
 void refuse(std::promise<Response>& promise, std::string error) {
   Response r;
@@ -119,7 +122,7 @@ void FleetServer::install_runtime(Tenant& t,
   t.modeled_speedup = 1.0;
   if (mc.pipeline_stages > 1) {
     t.runner = std::make_unique<PipelinedRunner>(
-        &cm.graph, cm.clustering, CostModel{}, mc.pipeline_stages, mc.batch,
+        &cm.graph, cm.clustering, mc.pipeline_stages, mc.batch,
         plan != nullptr, t.name);
     t.pipeline_stages = t.runner->num_stages();
     t.modeled_speedup = t.runner->cut().modeled_speedup();
@@ -286,12 +289,10 @@ std::future<Response> FleetServer::submit(const std::string& model,
 }
 
 void FleetServer::shared_dispatch_loop() {
-  const std::int64_t poll_ns =
-      static_cast<std::int64_t>(options_.poll_ms * 1e6);
   while (true) {
     Request first;
     int index = -1;
-    const FleetQueue::PopResult r = queue_.pop_for(&first, &index, poll_ns);
+    const FleetQueue::PopResult r = queue_.pop_for(&first, &index, kPollNs);
     if (r == FleetQueue::PopResult::kClosed) return;
     if (r != FleetQueue::PopResult::kItem) continue;
     serve_one(tenant(index), std::move(first));
@@ -300,12 +301,10 @@ void FleetServer::shared_dispatch_loop() {
 
 void FleetServer::tenant_dispatch_loop(int index) {
   Tenant& t = tenant(index);
-  const std::int64_t poll_ns =
-      static_cast<std::int64_t>(options_.poll_ms * 1e6);
   while (true) {
     Request first;
     const FleetQueue::PopResult r =
-        queue_.pop_tenant_for(index, &first, poll_ns);
+        queue_.pop_tenant_for(index, &first, kPollNs);
     if (r == FleetQueue::PopResult::kClosed) return;
     if (r != FleetQueue::PopResult::kItem) continue;
     serve_one(t, std::move(first));

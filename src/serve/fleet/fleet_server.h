@@ -103,8 +103,6 @@ struct FleetOptions {
   /// recording adds one vector append per task (BENCH_serve.json,
   /// "profiler_overhead"). Pipelined tenants are not profiled.
   bool profile = false;
-  /// Idle poll granularity of the dispatcher loops.
-  double poll_ms = 2.0;
 };
 
 /// One retained slow batch: its recorded profile plus the critical-path

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 
+#include "graph/cost_model.h"
 #include "mem/planner.h"
 #include "obs/metrics.h"
 #include "rt/exec_util.h"
@@ -41,8 +42,7 @@ struct ClusterRun {
 };
 
 std::vector<ClusterRun> cluster_runs(const Graph& graph,
-                                     const Clustering& clustering,
-                                     const CostModel& cost) {
+                                     const Clustering& clustering) {
   std::vector<ClusterRun> runs;
   int prev_cluster = -1;
   bool have_run = false;
@@ -57,7 +57,7 @@ std::vector<ClusterRun> cluster_runs(const Graph& graph,
       prev_cluster = c >= 0 ? c : prev_cluster;
     }
     runs.back().nodes.push_back(id);
-    runs.back().cost += cost.node_weight(n);
+    runs.back().cost += node_weight(n);
   }
   return runs;
 }
@@ -65,9 +65,9 @@ std::vector<ClusterRun> cluster_runs(const Graph& graph,
 }  // namespace
 
 StageCut build_stage_cut(const Graph& graph, const Clustering& clustering,
-                         const CostModel& cost, int stages) {
+                         int stages) {
   RAMIEL_CHECK(stages >= 1, "need at least one stage");
-  const std::vector<ClusterRun> runs = cluster_runs(graph, clustering, cost);
+  const std::vector<ClusterRun> runs = cluster_runs(graph, clustering);
   const int k = static_cast<int>(runs.size());
   const int s_count = std::min(stages, std::max(1, k));
   std::int64_t total = 0;
@@ -115,10 +115,10 @@ struct PipelinedRunner::Flight {
 
 PipelinedRunner::PipelinedRunner(const Graph* graph,
                                  const Clustering& clustering,
-                                 const CostModel& cost, int stages, int batch,
-                                 bool mem_plan, const std::string& label)
+                                 int stages, int batch, bool mem_plan,
+                                 const std::string& label)
     : graph_(graph),
-      cut_(build_stage_cut(*graph, clustering, cost, stages)),
+      cut_(build_stage_cut(*graph, clustering, stages)),
       batch_(batch) {
   RAMIEL_CHECK(batch_ >= 1, "batch must be >= 1");
   const int s_count = cut_.num_stages();

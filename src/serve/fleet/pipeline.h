@@ -45,7 +45,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/cost_model.h"
 #include "mem/arena.h"
 #include "mem/plan.h"
 #include "passes/hypercluster.h"
@@ -82,7 +81,7 @@ struct StageCut {
 /// running prefix first reaches the ideal fraction of total cost). Fewer
 /// stages come back when the program has fewer runs.
 StageCut build_stage_cut(const Graph& graph, const Clustering& clustering,
-                         const CostModel& cost, int stages);
+                         int stages);
 
 /// Runs batches through the stage pipeline. submit() overlaps consecutive
 /// batches (depth 2); run() is the synchronous convenience wrapper.
@@ -98,8 +97,8 @@ class PipelinedRunner {
   /// The graph must outlive the runner. `label` names the occupancy metric
   /// series ({model=label}).
   PipelinedRunner(const Graph* graph, const Clustering& clustering,
-                  const CostModel& cost, int stages, int batch,
-                  bool mem_plan, const std::string& label = "pipeline");
+                  int stages, int batch, bool mem_plan,
+                  const std::string& label = "pipeline");
   ~PipelinedRunner();
 
   PipelinedRunner(const PipelinedRunner&) = delete;

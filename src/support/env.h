@@ -1,5 +1,4 @@
-// Environment-variable helpers for benchmark knobs (e.g. RAMIEL_SCALE to
-// shrink workloads on slow CI machines).
+// Environment-variable helpers for benchmark and ops knobs.
 #pragma once
 
 #include <cstdint>

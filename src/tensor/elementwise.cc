@@ -70,8 +70,12 @@ Tensor binary(const Tensor& a, const Tensor& b, Run run) {
   fill(b.shape(), 1);
   const auto loop = strided::collapse(os.dims(), strides);
   const std::int64_t n = loop.run();
-  const std::int64_t sa = loop.run_strides()[0];
-  const std::int64_t sb = loop.run_strides()[1];
+  // A one-element output collapses to rank 0, strides {0, 0}; every longer
+  // run is contiguous in each operand not broadcast along it.
+  const std::int64_t sa = n <= 1 ? 1 : loop.run_strides()[0];
+  const std::int64_t sb = n <= 1 ? 1 : loop.run_strides()[1];
+  RAMIEL_DCHECK((sa == 1 && (sb == 1 || sb == 0)) || (sa == 0 && sb == 1),
+                "binary run form outside {1,1}, {0,1}, {1,0}");
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* o = out.mutable_data().data();

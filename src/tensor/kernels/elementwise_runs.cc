@@ -36,14 +36,12 @@ void binary_run(const float* x, std::int64_t sx, const float* y,
   const F f;
   if (sx == 1 && sy == 1) {
     for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
-  } else if (sx == 0 && sy == 1) {
+  } else if (sx == 0) {
     const float xv = *x;
     for (std::int64_t i = 0; i < n; ++i) o[i] = f(xv, y[i]);
-  } else if (sx == 1 && sy == 0) {
+  } else {
     const float yv = *y;
     for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], yv);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i * sx], y[i * sy]);
   }
 }
 

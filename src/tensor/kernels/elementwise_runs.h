@@ -34,9 +34,11 @@
 
 namespace ramiel::kernels::ewise {
 
-/// o[i] = op(x[i * sx], y[i * sy]) for i in [0, n). Strides are >= 0; the
-/// forms {1, 1}, {0, 1} and {1, 0} have dedicated loops, any other pair
-/// runs the strided loop. Square ignores y (Pow with a scalar exponent 2).
+/// o[i] = op(x[i * sx], y[i * sy]) for i in [0, n). {sx, sy} is exactly one
+/// of {1, 1}, {0, 1} and {1, 0}: after strided::collapse a run is
+/// contiguous in every operand that is not broadcast along it, and a
+/// one-element output is passed as {1, 1}. Square ignores y (Pow with a
+/// scalar exponent 2).
 using BinaryRun = void (*)(const float* x, std::int64_t sx, const float* y,
                            std::int64_t sy, float* o, std::int64_t n);
 /// o[i] = op(x[i]) for i in [0, n); `alpha` is LeakyRelu's slope.

@@ -17,9 +17,9 @@
 namespace ramiel::kernels::ewise {
 namespace {
 
-// x[0], x[s], ..., x[(m - 1) s] in lanes 0..m-1 (m <= 8), +0 in the rest.
-// The strided form's loads and every tail go through here, so a tail sees
-// the same operation as a full vector.
+// x[0], x[s], ..., x[(m - 1) s] in lanes 0..m-1 (m <= 8), +0 in the rest;
+// s is 1, or 0 for a broadcast operand. Every tail goes through here, so a
+// tail sees the same operation as a full vector.
 inline __m256 load_strided(const float* x, std::int64_t s, std::int64_t m) {
   alignas(32) float buf[8] = {};
   for (std::int64_t k = 0; k < m; ++k) buf[k] = x[k * s];
@@ -49,7 +49,7 @@ struct Square {
   static __m256 f(__m256 x, __m256) { return _mm256_mul_ps(x, x); }
 };
 
-// The portable tier's four run forms, 8 elements per step; each step loads
+// The portable tier's three run forms, 8 elements per step; each step loads
 // its operands before it stores, so o may equal x or y.
 template <typename Op>
 void binary_run(const float* x, std::int64_t sx, const float* y,
@@ -60,20 +60,15 @@ void binary_run(const float* x, std::int64_t sx, const float* y,
       _mm256_storeu_ps(
           o + i, Op::f(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
     }
-  } else if (sx == 0 && sy == 1) {
+  } else if (sx == 0) {
     const __m256 xv = _mm256_set1_ps(*x);
     for (; i + 8 <= n; i += 8) {
       _mm256_storeu_ps(o + i, Op::f(xv, _mm256_loadu_ps(y + i)));
     }
-  } else if (sx == 1 && sy == 0) {
+  } else {
     const __m256 yv = _mm256_set1_ps(*y);
     for (; i + 8 <= n; i += 8) {
       _mm256_storeu_ps(o + i, Op::f(_mm256_loadu_ps(x + i), yv));
-    }
-  } else {
-    for (; i + 8 <= n; i += 8) {
-      _mm256_storeu_ps(o + i, Op::f(load_strided(x + i * sx, sx, 8),
-                                    load_strided(y + i * sy, sy, 8)));
     }
   }
   if (i < n) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "graph/cost_model.h"
 #include "passes/analysis.h"
 #include "support/string_util.h"
 #include "test_util.h"
@@ -9,8 +10,7 @@ namespace {
 
 TEST(DistancePass, ChainAccumulatesWeightsAndEdges) {
   Graph g = testing::make_chain_graph();  // three Relu nodes (weight 1)
-  CostModel cost;
-  auto dist = distance_to_end(g, cost);
+  auto dist = distance_to_end(g);
   // c: 1; b: 1 + (1 + 1) = 3; a: 1 + (1 + 3) = 5.
   EXPECT_EQ(dist[2], 1);
   EXPECT_EQ(dist[1], 3);
@@ -19,8 +19,7 @@ TEST(DistancePass, ChainAccumulatesWeightsAndEdges) {
 
 TEST(DistancePass, DiamondTakesMaxBranch) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  auto dist = distance_to_end(g, cost);
+  auto dist = distance_to_end(g);
   // d=1; b=c=1+(1+1)=3; a=1+(1+3)=5.
   EXPECT_EQ(dist[3], 1);
   EXPECT_EQ(dist[1], 3);
@@ -41,16 +40,14 @@ TEST(DistancePass, HeavyBranchDominates) {
   NodeId join = g.add_node(
       OpKind::kAdd, "join", {g.node(heavy).outputs[0], g.node(light).outputs[0]});
   g.mark_output(g.node(join).outputs[0]);
-  CostModel cost;
-  auto dist = distance_to_end(g, cost);
+  auto dist = distance_to_end(g);
   EXPECT_EQ(dist[static_cast<std::size_t>(a)],
-            1 + 1 + cost.matmul + 1 + 1);  // a + edge + matmul + edge + add
+            1 + 1 + node_weight(g.node(heavy)) + 1 + 1);  // a + edge + matmul + edge + add
 }
 
 TEST(Parallelism, SerialChainIsBelowOne) {
   Graph g = testing::make_chain_graph();
-  CostModel cost;
-  auto rep = analyze_parallelism(g, cost);
+  auto rep = analyze_parallelism(g);
   EXPECT_EQ(rep.num_nodes, 3);
   EXPECT_EQ(rep.total_weight, 3);
   EXPECT_EQ(rep.critical_path, 5);
@@ -73,15 +70,13 @@ TEST(Parallelism, WideForkExceedsOne) {
   NodeId cat = g.add_node(OpKind::kConcat, "cat", branches, 1,
                           Attrs{}.set("axis", 0));
   g.mark_output(g.node(cat).outputs[0]);
-  CostModel cost;
-  auto rep = analyze_parallelism(g, cost);
+  auto rep = analyze_parallelism(g);
   EXPECT_GT(rep.parallelism, 4.0);
 }
 
 TEST(CriticalPath, FollowsMaxDistance) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  auto path = critical_path_nodes(g, cost);
+  auto path = critical_path_nodes(g);
   ASSERT_EQ(path.size(), 3u);  // a -> (b or c) -> d
   EXPECT_EQ(path.front(), 0);
   EXPECT_EQ(path.back(), 3);
@@ -89,21 +84,19 @@ TEST(CriticalPath, FollowsMaxDistance) {
 
 TEST(CriticalPath, LengthMatchesReportedCp) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  auto rep = analyze_parallelism(g, cost);
-  auto path = critical_path_nodes(g, cost);
+  auto rep = analyze_parallelism(g);
+  auto path = critical_path_nodes(g);
   std::int64_t walked = 0;
-  for (NodeId id : path) walked += cost.node_weight(g.node(id));
+  for (NodeId id : path) walked += node_weight(g.node(id));
   walked += static_cast<std::int64_t>(path.size()) - 1;  // edges
   EXPECT_EQ(walked, rep.critical_path);
 }
 
 TEST(Parallelism, DeadNodesExcluded) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  auto before = analyze_parallelism(g, cost);
+  auto before = analyze_parallelism(g);
   g.kill_node(2);  // c
-  auto after = analyze_parallelism(g, cost);
+  auto after = analyze_parallelism(g);
   EXPECT_EQ(after.num_nodes, before.num_nodes - 1);
   EXPECT_LT(after.total_weight, before.total_weight);
 }

@@ -12,10 +12,9 @@ namespace {
 
 TEST(Cloning, ReplicatesFanOutNode) {
   Graph g = testing::make_diamond_graph();  // a feeds b and c
-  CostModel cost;
   CloningOptions opts;
   opts.depth_fraction = 1.0;
-  CloningStats stats = clone_tasks(g, cost, opts);
+  CloningStats stats = clone_tasks(g, opts);
   EXPECT_EQ(stats.nodes_cloned, 1);
   EXPECT_EQ(stats.clones_created, 1);
   // a's output now has a single consumer; the clone feeds the other.
@@ -26,10 +25,9 @@ TEST(Cloning, ReplicatesFanOutNode) {
 TEST(Cloning, PreservesSemantics) {
   Graph original = testing::make_diamond_graph();
   Graph cloned = testing::make_diamond_graph();
-  CostModel cost;
   CloningOptions opts;
   opts.depth_fraction = 1.0;
-  clone_tasks(cloned, cost, opts);
+  clone_tasks(cloned, opts);
 
   Rng rng(5);
   auto inputs = make_example_inputs(original, 1, rng);
@@ -53,10 +51,9 @@ TEST(Cloning, RespectsWeightThreshold) {
   NodeId b2 = g.add_node(OpKind::kSigmoid, "b2", {g.node(m).outputs[0]});
   g.mark_output(g.node(b1).outputs[0]);
   g.mark_output(g.node(b2).outputs[0]);
-  CostModel cost;
   CloningOptions opts;
   opts.depth_fraction = 1.0;
-  CloningStats stats = clone_tasks(g, cost, opts);
+  CloningStats stats = clone_tasks(g, opts);
   EXPECT_EQ(stats.clones_created, 0);
 }
 
@@ -74,13 +71,12 @@ TEST(Cloning, RespectsDepthCutoff) {
   NodeId u2 = g.add_node(OpKind::kRelu, "u2", {g.node(fan).outputs[0]});
   g.mark_output(g.node(u1).outputs[0]);
   g.mark_output(g.node(u2).outputs[0]);
-  CostModel cost;
   CloningOptions shallow;
   shallow.depth_fraction = 0.2;
-  EXPECT_EQ(clone_tasks(g, cost, shallow).clones_created, 0);
+  EXPECT_EQ(clone_tasks(g, shallow).clones_created, 0);
   CloningOptions deep;
   deep.depth_fraction = 1.0;
-  EXPECT_EQ(clone_tasks(g, cost, deep).clones_created, 1);
+  EXPECT_EQ(clone_tasks(g, deep).clones_created, 1);
 }
 
 TEST(Cloning, RespectsCloneBudget) {
@@ -99,11 +95,10 @@ TEST(Cloning, RespectsCloneBudget) {
     outs.push_back(g.node(b).outputs[0]);
   }
   for (ValueId o : outs) g.mark_output(o);
-  CostModel cost;
   CloningOptions opts;
   opts.depth_fraction = 1.0;
   opts.max_clones = 3;
-  CloningStats stats = clone_tasks(g, cost, opts);
+  CloningStats stats = clone_tasks(g, opts);
   EXPECT_EQ(stats.clones_created, 3);
 }
 
@@ -117,18 +112,16 @@ TEST(Cloning, SkipsGraphOutputProducers) {
   g.mark_output(g.node(a).outputs[0]);  // a's output is itself a graph output
   g.mark_output(g.node(u1).outputs[0]);
   g.mark_output(g.node(u2).outputs[0]);
-  CostModel cost;
   CloningOptions opts;
   opts.depth_fraction = 1.0;
-  EXPECT_EQ(clone_tasks(g, cost, opts).clones_created, 0);
+  EXPECT_EQ(clone_tasks(g, opts).clones_created, 0);
 }
 
 TEST(Cloning, InceptionV3GainsClones) {
   // Fig. 7: cloning applies to Inception's shallow fan-out region.
   Graph g = models::build("inception_v3");
   const int before = g.live_node_count();
-  CostModel cost;
-  CloningStats stats = clone_tasks(g, cost);
+  CloningStats stats = clone_tasks(g);
   EXPECT_GT(stats.clones_created, 0);
   EXPECT_EQ(g.live_node_count(), before + stats.clones_created);
   EXPECT_NO_THROW(g.validate());
@@ -137,8 +130,7 @@ TEST(Cloning, InceptionV3GainsClones) {
 TEST(Cloning, ModelSemanticsPreserved) {
   Graph original = models::build("googlenet");
   Graph cloned = models::build("googlenet");
-  CostModel cost;
-  clone_tasks(cloned, cost);
+  clone_tasks(cloned);
   Rng rng(9);
   auto inputs = make_example_inputs(original, 1, rng);
   SequentialExecutor run_a(&original);

@@ -42,51 +42,46 @@ Graph make_two_diamonds() {
 
 TEST(ClusterMerging, MergesDisjointSpans) {
   Graph g = make_two_diamonds();
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
+  Clustering lc = linear_clustering(g);
   EXPECT_EQ(lc.size(), 3);  // CP + two singleton side branches
-  Clustering merged = merge_clusters(g, cost, lc);
+  Clustering merged = merge_clusters(g, lc);
   EXPECT_EQ(merged.size(), 2);  // side branches combined
   expect_partition(g, merged);
 }
 
 TEST(ClusterMerging, DoesNotMergeOverlappingSpans) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
-  Clustering merged = merge_clusters(g, cost, lc);
+  Clustering lc = linear_clustering(g);
+  Clustering merged = merge_clusters(g, lc);
   // The side branch overlaps the critical path in time; no merge possible.
   EXPECT_EQ(merged.size(), 2);
 }
 
 TEST(ClusterMerging, SingleClusterIsFixpoint) {
   Graph g = testing::make_chain_graph();
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
-  Clustering merged = merge_clusters(g, cost, lc);
+  Clustering lc = linear_clustering(g);
+  Clustering merged = merge_clusters(g, lc);
   EXPECT_EQ(merged.size(), 1);
 }
 
 TEST(ClusterMerging, OneSweepSetsFlag) {
   Graph g = make_two_diamonds();
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
+  Clustering lc = linear_clustering(g);
   bool merge_done = false;
-  Clustering once = merge_clusters_once(g, cost, lc, &merge_done);
+  Clustering once = merge_clusters_once(g, lc, &merge_done);
   EXPECT_TRUE(merge_done);
   // And a sweep over an unmergeable clustering reports false.
   Graph d = testing::make_diamond_graph();
-  Clustering dlc = linear_clustering(d, cost);
-  Clustering dm = merge_clusters_once(d, cost, dlc, &merge_done);
+  Clustering dlc = linear_clustering(d);
+  Clustering dm = merge_clusters_once(d, dlc, &merge_done);
   EXPECT_FALSE(merge_done);
   EXPECT_EQ(dm.size(), dlc.size());
 }
 
 TEST(ClusterMerging, ResultIsTopologicallySorted) {
   Graph g = make_two_diamonds();
-  CostModel cost;
   Clustering merged =
-      merge_clusters(g, cost, linear_clustering(g, cost));
+      merge_clusters(g, linear_clustering(g));
   const auto order = g.topo_order();
   std::vector<int> pos(g.nodes().size());
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -103,9 +98,8 @@ TEST(ClusterMerging, ResultIsTopologicallySorted) {
 TEST(ClusterMerging, PaperTable2Squeezenet) {
   // Table II: Squeezenet 9 -> 2.
   Graph g = models::build("squeezenet");
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
-  Clustering merged = merge_clusters(g, cost, lc);
+  Clustering lc = linear_clustering(g);
+  Clustering merged = merge_clusters(g, lc);
   EXPECT_EQ(lc.size(), 9);
   EXPECT_EQ(merged.size(), 2);
   expect_partition(g, merged);
@@ -115,9 +109,8 @@ class MergeOnAllModels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(MergeOnAllModels, ReducesClusterCountAndStaysValid) {
   Graph g = models::build(GetParam());
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
-  Clustering merged = merge_clusters(g, cost, lc);
+  Clustering lc = linear_clustering(g);
+  Clustering merged = merge_clusters(g, lc);
   EXPECT_LE(merged.size(), lc.size());
   EXPECT_GE(merged.size(), 1);
   expect_partition(g, merged);

@@ -121,10 +121,8 @@ TEST(ElementwiseTiers, BinaryRunFormsAndTailsMatchScalar) {
   const ew::Kernels& vec = tier(Path::kVector);
   const ew::Kernels& sca = tier(Path::kScalar);
   Rng rng(1901);
-  // The three contiguous forms, then strided pairs (including broadcast
-  // against a stride other than 1).
-  const std::int64_t forms[][2] = {{1, 1}, {0, 1}, {1, 0}, {2, 1},
-                                   {1, 3}, {0, 2}, {3, 0}, {2, 3}, {0, 0}};
+  // The three run forms of the contract.
+  const std::int64_t forms[][2] = {{1, 1}, {0, 1}, {1, 0}};
   for (const BinaryCase& op : kBinary) {
     for (const auto& form : forms) {
       const std::int64_t sx = form[0], sy = form[1];

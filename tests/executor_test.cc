@@ -19,8 +19,7 @@ namespace ramiel {
 namespace {
 
 Clustering cluster(const Graph& g) {
-  CostModel cost;
-  return merge_clusters(g, cost, linear_clustering(g, cost));
+  return merge_clusters(g, linear_clustering(g));
 }
 
 void expect_outputs_match(const std::vector<TensorMap>& a,

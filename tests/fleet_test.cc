@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/cost_model.h"
 #include "graph/op_eval.h"
 #include "graph/shape_inference.h"
 #include "models/zoo.h"
@@ -270,12 +271,11 @@ void expect_bit_identical(const TensorMap& a, const TensorMap& b,
 }
 
 TEST(StageCut, PropertiesHoldAcrossZoo) {
-  CostModel cost;
   for (const std::string& name : models::model_names()) {
     CompiledModel cm = compile_model(models::build(name), fast_pipeline(1));
     for (int stages : {2, 3, 4}) {
       const StageCut cut =
-          build_stage_cut(cm.graph, cm.clustering, cost, stages);
+          build_stage_cut(cm.graph, cm.clustering, stages);
       ASSERT_GE(cut.num_stages(), 1) << name;
       ASSERT_LE(cut.num_stages(), stages) << name;
       EXPECT_GE(cut.modeled_speedup(), 1.0) << name;
@@ -325,7 +325,7 @@ TEST(StageCut, PropertiesHoldAcrossZoo) {
 
       // Accounting: stage costs sum to the whole program's cost.
       std::int64_t total = 0;
-      for (NodeId id : topo) total += cost.node_weight(cm.graph.node(id));
+      for (NodeId id : topo) total += node_weight(cm.graph.node(id));
       std::int64_t staged = 0;
       for (std::int64_t c : cut.stage_cost) staged += c;
       EXPECT_EQ(staged, total) << name;
@@ -339,7 +339,7 @@ TEST(StageCut, BalancedChainSpeedupApproachesStageCount) {
   // fortiori covered by >= 2x here).
   CompiledModel cm =
       compile_model(models::build("squeezenet"), fast_pipeline(1));
-  const StageCut cut = build_stage_cut(cm.graph, cm.clustering, CostModel{}, 3);
+  const StageCut cut = build_stage_cut(cm.graph, cm.clustering, 3);
   EXPECT_EQ(cut.num_stages(), 3);
   EXPECT_GE(cut.modeled_speedup(), 2.0);
 }
@@ -356,7 +356,7 @@ TEST(PipelinedRunner, BitIdenticalToSequentialAcrossZoo) {
       expected.push_back(seq.run({sample})[0]);
     }
 
-    PipelinedRunner runner(&cm.graph, cm.clustering, CostModel{}, 3, 2,
+    PipelinedRunner runner(&cm.graph, cm.clustering, 3, 2,
                            /*mem_plan=*/true, name);
     // Two flights exercise both arena parities (and any skip edges).
     for (int flight = 0; flight < 2; ++flight) {
@@ -379,7 +379,7 @@ TEST(PipelinedRunner, BitIdenticalToBothParallelExecutors) {
     CompiledModel cm = compile_model(models::build(name), fast_pipeline(2));
     Rng rng(11);
     const auto inputs = make_example_inputs(cm.graph, 2, rng);
-    PipelinedRunner runner(&cm.graph, cm.clustering, CostModel{}, 3, 2,
+    PipelinedRunner runner(&cm.graph, cm.clustering, 3, 2,
                            /*mem_plan=*/true, name + "_x");
     const auto piped = runner.run(inputs);
     for (ExecutorKind kind : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
@@ -400,9 +400,9 @@ TEST(PipelinedRunner, HeapModeMatchesPlannedMode) {
       compile_model(models::build("googlenet"), fast_pipeline(2));
   Rng rng(13);
   const auto inputs = make_example_inputs(cm.graph, 2, rng);
-  PipelinedRunner planned(&cm.graph, cm.clustering, CostModel{}, 3, 2, true,
+  PipelinedRunner planned(&cm.graph, cm.clustering, 3, 2, true,
                           "g_planned");
-  PipelinedRunner heap(&cm.graph, cm.clustering, CostModel{}, 3, 2, false,
+  PipelinedRunner heap(&cm.graph, cm.clustering, 3, 2, false,
                        "g_heap");
   EXPECT_TRUE(planned.mem_plan_enabled());
   EXPECT_FALSE(heap.mem_plan_enabled());
@@ -419,7 +419,7 @@ TEST(PipelinedRunner, DoubleBufferedArenasNeverOverlap) {
       compile_model(models::build("squeezenet"), fast_pipeline(2));
   Rng rng(17);
   const auto inputs = make_example_inputs(cm.graph, 2, rng);
-  PipelinedRunner runner(&cm.graph, cm.clustering, CostModel{}, 4, 2, true,
+  PipelinedRunner runner(&cm.graph, cm.clustering, 4, 2, true,
                          "sq_arenas");
   for (int i = 0; i < 3; ++i) (void)runner.run(inputs);
 
@@ -444,7 +444,7 @@ TEST(PipelinedRunner, OverlappingSubmitsAllResolveCorrectly) {
   const auto all = make_example_inputs(cm.graph, 4, rng);
   SequentialExecutor seq(&cm.graph);
 
-  PipelinedRunner runner(&cm.graph, cm.clustering, CostModel{}, 3, 1, true,
+  PipelinedRunner runner(&cm.graph, cm.clustering, 3, 1, true,
                          "sq_overlap");
   std::mutex mu;
   std::condition_variable cv;
@@ -482,7 +482,7 @@ TEST(PipelinedRunner, OverlappingSubmitsAllResolveCorrectly) {
 TEST(PipelinedRunner, RejectsWrongBatchSize) {
   CompiledModel cm =
       compile_model(models::build("squeezenet"), fast_pipeline(2));
-  PipelinedRunner runner(&cm.graph, cm.clustering, CostModel{}, 2, 2, true,
+  PipelinedRunner runner(&cm.graph, cm.clustering, 2, 2, true,
                          "sq_batchck");
   Rng rng(23);
   const auto one = make_example_inputs(cm.graph, 1, rng);

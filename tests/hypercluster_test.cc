@@ -12,8 +12,7 @@ namespace ramiel {
 namespace {
 
 Clustering cluster(const Graph& g) {
-  CostModel cost;
-  return merge_clusters(g, cost, linear_clustering(g, cost));
+  return merge_clusters(g, linear_clustering(g));
 }
 
 TEST(Hypercluster, Batch1IsClusterIdentity) {

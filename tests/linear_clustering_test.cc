@@ -40,8 +40,7 @@ void expect_paths(const Graph& g, const Clustering& c) {
 
 TEST(LinearClustering, ChainIsOneCluster) {
   Graph g = testing::make_chain_graph();
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
+  Clustering c = linear_clustering(g);
   EXPECT_EQ(c.size(), 1);
   expect_partition(g, c);
   expect_paths(g, c);
@@ -49,8 +48,7 @@ TEST(LinearClustering, ChainIsOneCluster) {
 
 TEST(LinearClustering, DiamondPeelsTwoPaths) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
+  Clustering c = linear_clustering(g);
   // Critical path a->{b or c}->d first, the remaining branch second.
   EXPECT_EQ(c.size(), 2);
   EXPECT_EQ(c.clusters[0].nodes.size(), 3u);
@@ -61,9 +59,8 @@ TEST(LinearClustering, DiamondPeelsTwoPaths) {
 
 TEST(LinearClustering, FirstClusterIsCriticalPath) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
-  auto cp = critical_path_nodes(g, cost);
+  Clustering c = linear_clustering(g);
+  auto cp = critical_path_nodes(g);
   EXPECT_EQ(c.clusters[0].nodes, cp);
 }
 
@@ -81,8 +78,7 @@ TEST(LinearClustering, HeavySideBranchWins) {
   NodeId join = g.add_node(OpKind::kAdd, "join",
                            {g.node(heavy).outputs[0], g.node(light).outputs[0]});
   g.mark_output(g.node(join).outputs[0]);
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
+  Clustering c = linear_clustering(g);
   const auto& first = c.clusters[0].nodes;
   EXPECT_NE(std::find(first.begin(), first.end(), heavy), first.end());
   EXPECT_EQ(std::find(first.begin(), first.end(), light), first.end());
@@ -93,8 +89,7 @@ TEST(LinearClustering, SqueezenetProducesNinePaths) {
   // Table II "Before Merging" for Squeezenet is 9; our reconstruction
   // matches it exactly.
   Graph g = models::build("squeezenet");
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
+  Clustering c = linear_clustering(g);
   EXPECT_EQ(c.size(), 9);
   expect_partition(g, c);
   expect_paths(g, c);
@@ -104,8 +99,7 @@ class LcOnAllModels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LcOnAllModels, ProducesValidLinearPartition) {
   Graph g = models::build(GetParam());
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
+  Clustering c = linear_clustering(g);
   expect_partition(g, c);
   expect_paths(g, c);
   EXPECT_NO_THROW(finalize_clustering(g, c));
@@ -126,8 +120,7 @@ TEST(LinearClustering, SkipsDeadNodes) {
   NodeId dead = h.add_node(OpKind::kTanh, "dead", {h.node(a).outputs[0]});
   h.mark_output(h.node(b).outputs[0]);
   h.kill_node(dead);
-  CostModel cost;
-  Clustering c = linear_clustering(h, cost);
+  Clustering c = linear_clustering(h);
   EXPECT_EQ(c.size(), 1);
   EXPECT_EQ(c.clusters[0].nodes.size(), 2u);
 }
@@ -149,8 +142,7 @@ TEST(FinalizeClustering, RejectsMissingNodes) {
 
 TEST(CrossClusterEdges, CountsBoundaryCrossings) {
   Graph g = testing::make_diamond_graph();
-  CostModel cost;
-  Clustering c = linear_clustering(g, cost);
+  Clustering c = linear_clustering(g);
   // a->side branch and side branch->d cross the two clusters.
   EXPECT_EQ(cross_cluster_edges(g, c), 2);
 }

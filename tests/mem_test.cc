@@ -165,9 +165,9 @@ TEST(MemLiveness, AliasOutputsJoinTheirInputsClassAndEnableInPlace) {
 }
 
 TEST(MemLiveness, InPlacePredicatesCoverTheVerifiedKernelSet) {
-  EXPECT_TRUE(mem::op_is_alias(OpKind::kIdentity));
-  EXPECT_TRUE(mem::op_is_alias(OpKind::kReshape));
-  EXPECT_FALSE(mem::op_is_alias(OpKind::kRelu));
+  EXPECT_TRUE(op_is_alias(OpKind::kIdentity));
+  EXPECT_TRUE(op_is_alias(OpKind::kReshape));
+  EXPECT_FALSE(op_is_alias(OpKind::kRelu));
   EXPECT_TRUE(mem::op_inplace_unary(OpKind::kGelu));
   EXPECT_FALSE(mem::op_inplace_unary(OpKind::kIdentity))
       << "alias kernels allocate nothing; in-place would be meaningless";

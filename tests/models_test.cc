@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/cost_model.h"
 #include "graph/shape_inference.h"
 #include "passes/constant_folding.h"
 #include "models/zoo.h"
 #include "passes/analysis.h"
+#include "ramiel/pipeline.h"
 #include "support/check.h"
 
 namespace ramiel {
@@ -56,8 +56,7 @@ TEST_P(AllModels, ShapesAreStaticAfterFolding) {
 
 TEST_P(AllModels, ParallelismFactorIsPositive) {
   Graph g = models::build(GetParam());
-  CostModel cost;
-  auto rep = analyze_parallelism(g, cost);
+  auto rep = analyze_parallelism(g);
   EXPECT_GT(rep.parallelism, 0.3);
   EXPECT_LT(rep.parallelism, 10.0);
   EXPECT_GT(rep.critical_path, 0);
@@ -94,10 +93,9 @@ TEST(Zoo, ParallelismFactorsNearPaperTable1) {
       {"inception_v3", 1.37, 0.2}, {"inception_v4", 1.32, 0.2},
       {"yolo_v5", 1.18, 0.4},      {"retinanet", 1.2, 0.2},
       {"bert", 1.27, 0.15},        {"nasnet", 3.7, 0.6}};
-  CostModel cost;
   for (const auto& [name, paper, tol] : expected) {
     Graph g = models::build(name);
-    const double mine = analyze_parallelism(g, cost).parallelism;
+    const double mine = analyze_parallelism(g).parallelism;
     EXPECT_NEAR(mine, paper, tol) << name;
   }
 }
@@ -151,6 +149,73 @@ TEST(Zoo, NasnetIsLargestGraph) {
   for (const std::string& name : models::model_names()) {
     if (name == "nasnet") continue;
     EXPECT_GT(nasnet_nodes, models::build(name).live_node_count()) << name;
+  }
+}
+
+
+// The paper tables as the bench programs print them (bench/table1_parallelism,
+// table2_merging, table3_constprop). The §III-A weights, the distance pass,
+// linear clustering and merging all feed these numbers, so any change to one
+// of them shows up here as an exact mismatch.
+CompiledModel compile_for_tables(const std::string& name, bool fold) {
+  PipelineOptions opt;
+  opt.constant_folding = fold;
+  opt.generate_code = false;
+  opt.mem_planning = false;
+  return compile_model(models::build(name), opt);
+}
+
+TEST(PaperTables, TableOneRowsArePinned) {
+  struct Row {
+    const char* model;
+    int nodes;
+    std::int64_t node_cost, critical_path;
+  };
+  const Row rows[] = {
+      {"squeezenet", 66, 133, 158},      {"googlenet", 142, 351, 249},
+      {"inception_v3", 232, 759, 578},   {"inception_v4", 351, 1188, 882},
+      {"yolo_v5", 255, 356, 416},        {"retinanet", 412, 915, 759},
+      {"bert", 857, 19944, 15587},       {"nasnet", 1401, 3953, 1188}};
+  for (const Row& r : rows) {
+    const ParallelismReport rep = compile_for_tables(r.model, false).analysis;
+    EXPECT_EQ(rep.num_nodes, r.nodes) << r.model;
+    EXPECT_EQ(rep.total_weight, r.node_cost) << r.model;
+    EXPECT_EQ(rep.critical_path, r.critical_path) << r.model;
+  }
+}
+
+TEST(PaperTables, TableTwoClusterCountsArePinned) {
+  struct Row {
+    const char* model;
+    int before, after;
+  };
+  const Row rows[] = {{"squeezenet", 9, 2},   {"googlenet", 28, 4},
+                      {"inception_v3", 24, 4}, {"inception_v4", 36, 4},
+                      {"yolo_v5", 56, 18},     {"retinanet", 36, 20},
+                      {"bert", 122, 4},        {"nasnet", 222, 10}};
+  for (const Row& r : rows) {
+    const CompiledModel cm = compile_for_tables(r.model, false);
+    EXPECT_EQ(cm.clusters_before_merge, r.before) << r.model;
+    EXPECT_EQ(cm.clustering.size(), r.after) << r.model;
+  }
+}
+
+TEST(PaperTables, TableThreeConstPropRowsArePinned) {
+  struct Row {
+    const char* model;
+    int clusters_before, clusters_after, nodes_removed;
+  };
+  const Row rows[] = {{"yolo_v5", 18, 9, 51},
+                      {"nasnet", 10, 10, 153},
+                      {"bert", 4, 2, 240}};
+  for (const Row& r : rows) {
+    const CompiledModel plain = compile_for_tables(r.model, false);
+    const CompiledModel folded = compile_for_tables(r.model, true);
+    EXPECT_EQ(plain.clustering.size(), r.clusters_before) << r.model;
+    EXPECT_EQ(folded.clustering.size(), r.clusters_after) << r.model;
+    EXPECT_EQ(plain.graph.live_node_count() - folded.graph.live_node_count(),
+              r.nodes_removed)
+        << r.model;
   }
 }
 

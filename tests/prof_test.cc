@@ -29,8 +29,7 @@ namespace ramiel {
 namespace {
 
 Hyperclustering hypercluster(const Graph& g, int batch = 1) {
-  CostModel cost;
-  Clustering c = merge_clusters(g, cost, linear_clustering(g, cost));
+  Clustering c = merge_clusters(g, linear_clustering(g));
   return build_hyperclusters(g, c, batch);
 }
 

@@ -3,6 +3,7 @@
 // numerically tame (no exp blow-ups). Each seed is one TEST_P instance.
 #include <gtest/gtest.h>
 
+#include "graph/cost_model.h"
 #include "graph/shape_inference.h"
 #include "onnx/model_io.h"
 #include "passes/analysis.h"
@@ -76,21 +77,19 @@ class RandomGraphs : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomGraphs, ClusteringIsAValidLinearPartition) {
   Graph g = random_graph(GetParam());
-  CostModel cost;
-  Clustering lc = linear_clustering(g, cost);
+  Clustering lc = linear_clustering(g);
   EXPECT_NO_THROW(finalize_clustering(g, lc));
-  Clustering merged = merge_clusters(g, cost, lc);
+  Clustering merged = merge_clusters(g, lc);
   EXPECT_NO_THROW(finalize_clustering(g, merged));
   EXPECT_LE(merged.size(), lc.size());
 }
 
 TEST_P(RandomGraphs, DistanceDominatesNodeWeight) {
   Graph g = random_graph(GetParam());
-  CostModel cost;
-  auto dist = distance_to_end(g, cost);
+  auto dist = distance_to_end(g);
   for (const Node& n : g.nodes()) {
     if (n.dead) continue;
-    EXPECT_GE(dist[static_cast<std::size_t>(n.id)], cost.node_weight(n));
+    EXPECT_GE(dist[static_cast<std::size_t>(n.id)], node_weight(n));
     for (NodeId s : g.successors(n.id)) {
       EXPECT_GT(dist[static_cast<std::size_t>(n.id)],
                 dist[static_cast<std::size_t>(s)]);
@@ -100,8 +99,7 @@ TEST_P(RandomGraphs, DistanceDominatesNodeWeight) {
 
 TEST_P(RandomGraphs, ParallelExecutionMatchesSequential) {
   Graph g = random_graph(GetParam());
-  CostModel cost;
-  Clustering merged = merge_clusters(g, cost, linear_clustering(g, cost));
+  Clustering merged = merge_clusters(g, linear_clustering(g));
   Rng rng(GetParam() + 1);
   auto inputs = make_example_inputs(g, 1, rng);
   SequentialExecutor seq(&g);
@@ -116,8 +114,7 @@ TEST_P(RandomGraphs, ParallelExecutionMatchesSequential) {
 
 TEST_P(RandomGraphs, HyperclusterBatchesMatchSequential) {
   Graph g = random_graph(GetParam());
-  CostModel cost;
-  Clustering merged = merge_clusters(g, cost, linear_clustering(g, cost));
+  Clustering merged = merge_clusters(g, linear_clustering(g));
   const int batch = 3;
   Rng rng(GetParam() + 2);
   auto inputs = make_example_inputs(g, batch, rng);
@@ -172,8 +169,7 @@ TEST_P(RandomGraphs, SerializationRoundTripPreservesOutputs) {
 
 TEST_P(RandomGraphs, SimulatorRespectsBounds) {
   Graph g = random_graph(GetParam());
-  CostModel cost;
-  Clustering merged = merge_clusters(g, cost, linear_clustering(g, cost));
+  Clustering merged = merge_clusters(g, linear_clustering(g));
   CostProfile profile;
   profile.node_us.assign(g.nodes().size(), 10.0);
   profile.value_bytes.assign(g.values().size(), 64.0);
@@ -187,7 +183,7 @@ TEST_P(RandomGraphs, SimulatorRespectsBounds) {
   // With zero overheads, parallel makespan is never worse than sequential
   // and never better than the critical path lower bound.
   EXPECT_LE(par.makespan_ms, seq + 1e-9);
-  auto cp_nodes = critical_path_nodes(g, cost);
+  auto cp_nodes = critical_path_nodes(g);
   double cp_lower = 0.0;
   for (NodeId id : cp_nodes) {
     if (g.node(id).kind != OpKind::kConstant) cp_lower += 10.0 / 1e3;

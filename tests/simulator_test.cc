@@ -10,8 +10,7 @@ namespace ramiel {
 namespace {
 
 Clustering cluster(const Graph& g) {
-  CostModel cost;
-  return merge_clusters(g, cost, linear_clustering(g, cost));
+  return merge_clusters(g, linear_clustering(g));
 }
 
 /// Machine model with zero overheads — makespans depend only on kernel

@@ -105,9 +105,8 @@ void expect_bit_identical(const std::vector<TensorMap>& a,
 }
 
 Hyperclustering cluster(const Graph& g, int batch) {
-  CostModel cost;
   return build_hyperclusters(
-      g, merge_clusters(g, cost, linear_clustering(g, cost)), batch);
+      g, merge_clusters(g, linear_clustering(g)), batch);
 }
 
 // ---------------------------------------------------------------------------

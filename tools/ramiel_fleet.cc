@@ -24,6 +24,7 @@
 // per-tenant completions.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -146,42 +147,53 @@ int main(int argc, char** argv) {
     }
 
     // One offering thread per tenant, all racing for the same machine —
-    // that contention is the experiment.
+    // that contention is the experiment. A driver that throws (bad load
+    // flags) keeps its exception for the main thread, which rethrows it once
+    // every driver is joined and the fleet is shut down.
     std::vector<serve::LoadReport> reports(config.models.size());
+    std::vector<std::exception_ptr> errors(config.models.size());
     std::vector<std::thread> drivers;
     for (std::size_t i = 0; i < config.models.size(); ++i) {
       const ModelConfig& mc = config.models[i];
       drivers.emplace_back([&, i, mc] {
-        auto entry = fleet.model_entry(mc.name);
-        serve::SubmitFn submit = [&fleet, name = mc.name](TensorMap in) {
-          return fleet.submit(name, std::move(in));
-        };
-        if (arrival.open_loop) {
-          serve::OpenLoopOptions open;
-          open.rate_rps = arrival.rate_rps > 0.0
-                              ? arrival.rate_rps
-                              : (mc.quota_rps > 0.0 ? mc.quota_rps * 1.5 : 50.0);
-          open.duration_ms = duration_s * 1e3;
-          open.seed = static_cast<unsigned>(i + 1);
-          reports[i] =
-              serve::run_open_loop(submit, entry->compiled.graph, open);
-        } else {
-          serve::LoadOptions closed;
-          closed.clients = clients;
-          // Closed loops measure responses, not time: size the run to the
-          // tenant's quota over the window so each tenant offers its share.
-          closed.requests = std::max(
-              8, static_cast<int>((mc.quota_rps > 0.0 ? mc.quota_rps : 50.0) *
-                                  duration_s));
-          closed.max_consecutive_rejects = 200;
-          closed.seed = static_cast<unsigned>(i + 1);
-          reports[i] =
-              serve::run_closed_loop(submit, entry->compiled.graph, closed);
+        try {
+          auto entry = fleet.model_entry(mc.name);
+          serve::SubmitFn submit = [&fleet, name = mc.name](TensorMap in) {
+            return fleet.submit(name, std::move(in));
+          };
+          if (arrival.open_loop) {
+            serve::OpenLoopOptions open;
+            open.rate_rps =
+                arrival.rate_rps > 0.0
+                    ? arrival.rate_rps
+                    : (mc.quota_rps > 0.0 ? mc.quota_rps * 1.5 : 50.0);
+            open.duration_ms = duration_s * 1e3;
+            open.seed = static_cast<unsigned>(i + 1);
+            reports[i] =
+                serve::run_open_loop(submit, entry->compiled.graph, open);
+          } else {
+            serve::LoadOptions closed;
+            closed.clients = clients;
+            // Closed loops measure responses, not time: size the run to the
+            // tenant's quota over the window so each tenant offers its share.
+            const double rate = mc.quota_rps > 0.0 ? mc.quota_rps : 50.0;
+            closed.requests =
+                std::max(8, static_cast<int>(rate * duration_s));
+            closed.max_consecutive_rejects = 200;
+            closed.seed = static_cast<unsigned>(i + 1);
+            reports[i] =
+                serve::run_closed_loop(submit, entry->compiled.graph, closed);
+          }
+        } catch (...) {
+          errors[i] = std::current_exception();
         }
       });
     }
     for (std::thread& d : drivers) d.join();
     fleet.shutdown();
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
 
     std::printf("\n%-12s %4s %6s %8s %8s %8s %6s %9s %9s\n", "tenant", "ver",
                 "stages", "admitted", "rej_q", "rej_full", "aged", "p50 ms",
