@@ -28,10 +28,16 @@
 // and a synthetically skewed 48:1 clustering where dynamic stealing
 // recovers the parallelism the static placement strands.
 //
+// The pipelining section puts each model's modeled stage-cut speedup next
+// to measured closed-loop req/s of the pipelined tenant and of the plain
+// one; the runs-in-flight section measures one executor's samples/s with 1
+// vs 2 concurrent callers.
+//
 // Knobs: RAMIEL_SERVE_REQUESTS (default 96), RAMIEL_SERVE_CLIENTS (8).
 // --json-out FILE appends every row to FILE as a JSON array, the format
 // committed as BENCH_serve.json to track the trajectory across PRs.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -42,11 +48,15 @@
 #include "graph/shape_inference.h"
 #include "obs/json.h"
 #include "passes/clustering.h"
+#include "rt/executor.h"
+#include "rt/inputs.h"
 #include "serve/fleet/fleet_server.h"
 #include "serve/fleet/pipeline.h"
 #include "serve/loadgen.h"
 #include "sim/cost_profile.h"
 #include "sim/simulator.h"
+#include "support/rng.h"
+#include "support/stopwatch.h"
 #include "support/string_util.h"
 
 namespace {
@@ -382,17 +392,34 @@ void fleet_mixed(double duration_ms) {
           {"jain_quota_normalized", jain}});
 }
 
-/// Cross-batch pipelining: stage cuts and their modeled steady-state
-/// speedups across the zoo. The container exposes one core, so the overlap
-/// cannot materialize here (same convention as the sim 12c columns) — the
-/// modeled number is sequential cost / bottleneck stage cost, the
-/// steady-state throughput ratio on one core per stage.
-void fleet_pipeline() {
+/// Closed-loop req/s of a one-tenant partitioned fleet serving `model` at
+/// batch 4 on the static placement, its program cut into `stages` stages
+/// (1 = the plain hyperclustered program).
+double closed_loop_rps(const std::string& model, int stages, int requests,
+                       int clients) {
+  serve::fleet::FleetConfig config = serve_config(model);
+  config.models[0].batch = 4;
+  config.models[0].executor = ExecutorKind::kStatic;
+  config.models[0].pipeline_stages = stages;
+  serve::fleet::FleetServer fleet(config, serve::fleet::FleetOptions{});
+  serve::LoadOptions load;
+  load.clients = clients;
+  load.requests = requests;
+  return serve_closed_loop(fleet, load).throughput_rps();
+}
+
+/// Cross-batch pipelining: stage cuts, their modeled steady-state speedups
+/// (sequential cost / bottleneck stage cost, the throughput ratio with one
+/// core per stage) and, beside them, measured closed-loop req/s of the
+/// pipelined tenant (3 stages, two batches in flight) and of the same model
+/// unpipelined, both pinned, on this host.
+void fleet_pipeline(int requests, int clients) {
   bench::print_header(
-      "Cross-batch pipelining — cost-balanced stage cuts (modeled)\n"
-      "(speedup = total cost / bottleneck stage; 1 core per stage)");
-  std::printf("%-12s | %6s %9s %9s | stage costs\n", "Model", "stages",
-              "bottleneck", "speedup");
+      "Cross-batch pipelining — cost-balanced stage cuts\n"
+      "(speedup = total cost / bottleneck stage, modeled; r/s = measured\n"
+      " closed loop on this host, batch 4, static placement)");
+  std::printf("%-12s | %6s %9s %9s | %9s %9s | stage costs\n", "Model",
+              "stages", "bottleneck", "speedup", "piped r/s", "plain r/s");
   for (const std::string& model : models::model_names()) {
     PipelineOptions opts;
     opts.batch = 4;
@@ -408,16 +435,104 @@ void fleet_pipeline() {
       if (!costs.empty()) costs += '/';
       costs += std::to_string(c);
     }
-    std::printf("%-12s | %6d %9lld %8.2fx | %s\n", model.c_str(),
-                cut.num_stages(), static_cast<long long>(bottleneck),
-                cut.modeled_speedup(), costs.c_str());
+    const double piped = closed_loop_rps(model, 3, requests, clients);
+    const double plain = closed_loop_rps(model, 1, requests, clients);
+    std::printf("%-12s | %6d %9lld %8.2fx | %9.1f %9.1f | %s\n",
+                model.c_str(), cut.num_stages(),
+                static_cast<long long>(bottleneck), cut.modeled_speedup(),
+                piped, plain, costs.c_str());
     // `speedup` is the gated key on purpose: the cut is deterministic (a
     // static cost model), so any change is a real stage-balance regression.
+    // The measured keys are not gated (no `_rps` suffix): a closed loop of
+    // a few hundred requests varies by more than the gate's 10% between
+    // runs on one host.
     record("fleet_pipeline", model, "3 stages",
            {{"stages", static_cast<double>(cut.num_stages())},
             {"bottleneck_cost", static_cast<double>(bottleneck)},
             {"total_cost", static_cast<double>(total)},
-            {"speedup", cut.modeled_speedup()}});
+            {"speedup", cut.modeled_speedup()},
+            {"pipelined_req_s", piped},
+            {"unpipelined_req_s", plain}});
+  }
+}
+
+/// Samples/s of `callers` threads each running batches back to back on
+/// `exec` for about `window_ms`.
+double samples_per_s(ParallelExecutor& exec,
+                     const std::vector<TensorMap>& inputs, int callers,
+                     double window_ms) {
+  std::atomic<int> runs{0};
+  Stopwatch wall;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < callers; ++c) {
+    threads.emplace_back([&] {
+      while (wall.millis() < window_ms) {
+        (void)exec.run(inputs);
+        runs.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return runs.load() * static_cast<double>(inputs.size()) /
+         (wall.millis() / 1e3);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0.0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// Runs in flight on one executor: samples/s of one batch-4 executor driven
+/// by 1 vs 2 concurrent callers (runs in flight), from kPairs alternating
+/// pairs of 400 ms windows; the ratio is the median of the per-pair ratios.
+void executor_depth() {
+  constexpr int kPairs = 10;
+  constexpr double kWindowMs = 400.0;
+  bench::print_header(
+      "Runs in flight — one executor, 1 vs 2 concurrent callers\n"
+      "(measured samples/s on this host, batch 4, arena plan; medians of "
+      "10 alternating pairs)");
+  std::printf("%-12s %-8s | %10s %10s %7s\n", "Model", "placement",
+              "depth 1", "depth 2", "ratio");
+  for (const std::string model : {"squeezenet", "bert"}) {
+    PipelineOptions opts;
+    opts.batch = 4;
+    opts.generate_code = false;
+    CompiledModel cm = compile_model(models::build(model), opts);
+    Rng rng(7);
+    const auto inputs = make_example_inputs(cm.graph, 4, rng);
+    for (const ExecutorKind placement :
+         {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
+      ParallelExecutor exec(&cm.graph, cm.hyperclusters,
+                            cm.mem_plan.empty() ? nullptr : &cm.mem_plan,
+                            placement);
+      (void)samples_per_s(exec, inputs, 2, 100.0);  // warm both run slots
+      std::vector<double> one, two, ratio;
+      for (int pair = 0; pair < kPairs; ++pair) {
+        // Alternate which depth goes first, so drift cancels.
+        double a = 0.0, b = 0.0;
+        if (pair % 2 == 0) {
+          a = samples_per_s(exec, inputs, 1, kWindowMs);
+          b = samples_per_s(exec, inputs, 2, kWindowMs);
+        } else {
+          b = samples_per_s(exec, inputs, 2, kWindowMs);
+          a = samples_per_s(exec, inputs, 1, kWindowMs);
+        }
+        one.push_back(a);
+        two.push_back(b);
+        ratio.push_back(a > 0 ? b / a : 0.0);
+      }
+      const double r = median(ratio);
+      std::printf("%-12s %-8s | %10.1f %10.1f %6.2fx%s\n", model.c_str(),
+                  to_string(placement), median(one), median(two), r,
+                  r >= 1.6 ? "" : "  (< 1.6x)");
+      record("executor_depth", model,
+             str_cat(to_string(placement), " batch 4"),
+             {{"depth1_samples_s", median(one)},
+              {"depth2_samples_s", median(two)},
+              {"depth2_ratio", r}});
+    }
   }
 }
 
@@ -522,7 +637,8 @@ int main(int argc, char** argv) {
   executor_comparison(requests, clients);
   profiler_overhead(requests, clients);
   fleet_mixed(env_int("RAMIEL_FLEET_DURATION_MS", 3000));
-  fleet_pipeline();
+  fleet_pipeline(requests * 4, clients);
+  executor_depth();
 
   if (!json_out.empty()) {
     write_json(json_out);

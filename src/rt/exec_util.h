@@ -1,4 +1,4 @@
-// Small helpers shared by every executor (sequential, parallel, pipelined):
+// Small helpers shared by the executors (sequential and parallel):
 // resolving node inputs that are constants or graph inputs, collecting graph
 // outputs that never pass through a kernel, and running a kernel into its
 // planned arena slots.

@@ -162,7 +162,7 @@ std::vector<TensorMap> SequentialExecutor::run(
 }
 
 /// One hosted model: its task graph, the pinned placement's walk order and
-/// message edges, and its memory plan with the per-home arenas.
+/// message edges, its memory plan, and the run slots its runs use.
 struct ParallelExecutor::Program {
   const Graph* graph = nullptr;
   Hyperclustering hc;
@@ -170,6 +170,9 @@ struct ParallelExecutor::Program {
   /// streams[home][sample] = that home's task ids for the sample, in the
   /// cluster's topological order (the order the pinned placement walks).
   std::vector<std::vector<std::vector<std::int32_t>>> streams;
+  /// seeds[home] = the task graph's seeds homed there (the steal
+  /// placement's first work for that worker).
+  std::vector<std::vector<std::int32_t>> seeds;
   /// One per (value, sample, consuming home != producing home): the
   /// producer task and the first consuming task in that home's stream —
   /// the pinned placement's messages.
@@ -179,30 +182,57 @@ struct ParallelExecutor::Program {
     ValueId value;
   };
   std::vector<CrossEdge> cross_edges;
-  /// Static memory plan (empty = disabled), its arenas (one per home) and
-  /// each task's planned outputs (null = none; points into `slots`).
+  /// Static memory plan (empty = disabled) and each task's planned outputs
+  /// (null = none; points into `slots`).
   mem::MemPlan plan;
-  std::vector<mem::MemArena> arenas;
   rt::PlannedSlots slots;
   std::vector<const std::vector<rt::PlannedOut>*> task_slots;
+  /// Every run slot made so far and the ones not in flight (guarded by
+  /// mu_). Slots live as long as the executor: a worker may still hold a
+  /// finished run's slot in its copy of the in-flight list.
+  std::vector<std::unique_ptr<RunSlot>> runs;
+  std::vector<RunSlot*> free_runs;
   bool live = true;
   int workers() const { return static_cast<int>(hc.workers.size()); }
 };
 
-/// Per worker thread: its steal deque, its doorbell (pinned placement) and
-/// the scratch arena its kernels' pack/im2col buffers come from.
-struct ParallelExecutor::Lane {
-  steal::WorkDeque deque;
-  rt::Doorbell bell;
-  mem::MemArena scratch;
-};
+/// The state of one run in flight: its own dependency counters, value table
+/// and per-home arenas (sized once, when the slot is made), and the run's
+/// inputs, options, per-worker profiles and completion (reset by each run
+/// that takes the slot, before the run is published).
+struct ParallelExecutor::RunSlot {
+  /// Steal placement: the deque handle of one task of this slot.
+  struct Job {
+    RunSlot* run;
+    std::int32_t task;
+  };
+  /// Pinned placement: one home worker's walk over its streams of the run.
+  /// Only that worker touches it, and it resets itself when it first meets
+  /// a new run id in the slot.
+  struct alignas(64) Cursor {
+    std::uint64_t run = 0;
+    std::vector<std::size_t> pos;  // per sample
+    std::size_t left = 0;          // tasks of this home not yet run
+    int prefer = 0;                // the sample that ran last
+  };
 
-/// Everything one run shares with the workers. Lives on run_program()'s
-/// stack; workers only touch it between the start and done handshakes.
-struct ParallelExecutor::RunState {
   Program* prog = nullptr;
-  const std::vector<TensorMap>* batch_inputs = nullptr;
+  std::unique_ptr<std::atomic<std::int32_t>[]> deps;
+  std::vector<Tensor> values;  // (value, sample) -> produced tensor
+  std::vector<mem::MemArena> arenas;  // one per home
+  std::vector<Job> jobs;              // steal: one per task
+  std::vector<Cursor> cursors;        // pinned: one per home
+  /// Steal: per home, the next unclaimed index into prog->seeds[home].
+  std::unique_ptr<std::atomic<std::int32_t>[]> seed_next;
+
+  std::atomic<std::uint64_t> run_id{0};  // 0 while the slot is free
+  std::atomic<std::int64_t> remaining{0};  // tasks not yet finished
+  std::atomic<bool> abort{false};  // a task failed: the rest only drain
+  std::vector<TensorMap> owned_inputs;  // submit(): the run owns its batch
+  const std::vector<TensorMap>* inputs = nullptr;
   RunOptions options;
+  Completion done;
+  std::int64_t start_ns = 0;
   std::vector<WorkerProfile> wps;
   std::vector<std::vector<TaskEvent>> wevents;
   /// Pinned placement with tracing: [start, end] of every task, from which
@@ -210,6 +240,29 @@ struct ParallelExecutor::RunState {
   std::vector<std::pair<std::int64_t, std::int64_t>> task_ns;
   std::exception_ptr first_error;
   std::mutex error_mu;
+};
+
+/// Per worker thread: its steal deque, its doorbell and the scratch arena
+/// its kernels' pack/im2col buffers come from.
+struct ParallelExecutor::Lane {
+  steal::WorkDeque<const RunSlot::Job*> deque;
+  rt::Doorbell bell;
+  mem::MemArena scratch;
+};
+
+/// One worker thread's private state: its copy of the in-flight list and
+/// the lanes, its intra-op pool and its slot sink.
+struct ParallelExecutor::Worker {
+  int me = 0;
+  std::uint64_t gen = ~std::uint64_t{0};  // active_gen_ of the copy
+  std::vector<RunSlot*> runs;  // in flight, oldest first
+  std::vector<Lane*> lanes;
+  // Persistent intra-op pool: rebuilt only when the requested width
+  // changes (steady-state serving uses one width, so a one-time cost).
+  std::unique_ptr<ThreadPool> pool;
+  OpContext ctx;
+  mem::SlotSink sink;
+  std::int64_t wait_ns = 0;  // time blocked, charged to the next task's run
 };
 
 ParallelExecutor::ParallelExecutor(const Graph* graph, Hyperclustering hc,
@@ -230,16 +283,43 @@ ParallelExecutor::ParallelExecutor(std::vector<ExecutorProgram> programs,
                    placement == ExecutorKind::kSteal,
                "executor placement must be static or steal");
   RAMIEL_CHECK(!programs.empty(), "executor needs at least one program");
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  for (ExecutorProgram& p : programs) add_program_locked(std::move(p));
+  try {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (ExecutorProgram& p : programs) add_program_locked(std::move(p));
+  } catch (...) {
+    // A later program was rejected after an earlier one started workers:
+    // join them, or their std::thread objects would end the process.
+    stop_workers();
+    throw;
+  }
+}
+
+void ParallelExecutor::quiesce(std::unique_lock<std::mutex>& lk) {
+  ++holds_;
+  cv_.wait(lk, [&] { return in_flight_ == 0; });
+}
+
+void ParallelExecutor::resume(std::unique_lock<std::mutex>& lk) {
+  --holds_;
+  lk.unlock();
+  cv_.notify_all();
 }
 
 int ParallelExecutor::add_program(const Graph* graph, Hyperclustering hc,
                                   const mem::MemPlan* mem_plan) {
-  // run_mu_ keeps every worker parked (no run can be in flight), so the
-  // program table, the live state and the thread pool can grow safely.
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  return add_program_locked(ExecutorProgram{graph, std::move(hc), mem_plan});
+  // With no run in flight and mu_ held, no worker reads the program table
+  // or the lane list, so both can grow.
+  std::unique_lock<std::mutex> lk(mu_);
+  quiesce(lk);
+  int id = -1;
+  try {
+    id = add_program_locked(ExecutorProgram{graph, std::move(hc), mem_plan});
+  } catch (...) {
+    resume(lk);
+    throw;
+  }
+  resume(lk);
+  return id;
 }
 
 int ParallelExecutor::add_program_locked(ExecutorProgram program) {
@@ -269,6 +349,12 @@ int ParallelExecutor::add_program_locked(ExecutorProgram program) {
     prog->streams[static_cast<std::size_t>(task.home)]
                  [static_cast<std::size_t>(task.sample)]
                      .push_back(static_cast<std::int32_t>(t));
+  }
+  prog->seeds.resize(static_cast<std::size_t>(k));
+  for (std::int32_t seed : tg.seeds) {
+    prog->seeds[static_cast<std::size_t>(
+                    tg.tasks[static_cast<std::size_t>(seed)].home)]
+        .push_back(seed);
   }
 
   // Cross-home data edges, deduplicated per (value, sample, home); the
@@ -300,7 +386,6 @@ int ParallelExecutor::add_program_locked(ExecutorProgram program) {
     RAMIEL_CHECK(static_cast<int>(program.mem_plan->workers.size()) == k,
                  "memory plan was computed for a different hyperclustering");
     prog->plan = *program.mem_plan;
-    prog->arenas = std::vector<mem::MemArena>(static_cast<std::size_t>(k));
     prog->slots = rt::planned_slots(g, prog->plan);
     prog->task_slots.assign(tg.size(), nullptr);
     for (std::size_t t = 0; t < tg.size(); ++t) {
@@ -328,359 +413,128 @@ int ParallelExecutor::add_program_locked(ExecutorProgram program) {
     }
   }
 
-  if (tg.size() > deps_capacity_) {
-    deps_capacity_ = tg.size();
-    deps_ = std::make_unique<std::atomic<std::int32_t>[]>(deps_capacity_);
-  }
-  values_.resize(std::max(values_.size(),
-                          g.values().size() * static_cast<std::size_t>(batch)));
   programs_.push_back(std::move(prog));
   ensure_threads(k);
   return id;
 }
 
 void ParallelExecutor::ensure_threads(int count) {
-  // Called with run_mu_ held. Lanes are heap-allocated so existing ones
-  // never move while the pool widens.
+  // Called with mu_ held. Lanes are heap-allocated so existing ones never
+  // move while the pool widens; a new worker copies the lane list under
+  // mu_ before it touches any lane.
   const int have = static_cast<int>(threads_.size());
-  if (have >= count) return;
-  for (int w = have; w < count; ++w) lanes_.push_back(std::make_unique<Lane>());
   for (int w = have; w < count; ++w) {
+    lanes_.push_back(std::make_unique<Lane>());
     threads_.emplace_back([this, w] { worker_loop(w); });
   }
-  // Wait until every new thread captured its initial run_seq_: a thread
-  // that read the counter after the next run bumped it would miss that run
-  // and the dispatch would hang short of workers_done_ == thread count.
-  std::unique_lock<std::mutex> lk(ctl_mu_);
-  done_cv_.wait(lk, [&] {
-    return workers_ready_ == static_cast<int>(threads_.size());
-  });
 }
 
 void ParallelExecutor::remove_program(int program) {
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  RAMIEL_CHECK(program >= 0 && program < static_cast<int>(programs_.size()),
-               "no such program");
-  Program& prog = *programs_[static_cast<std::size_t>(program)];
+  std::unique_lock<std::mutex> lk(mu_);
+  Program& prog = program_at(program);
+  quiesce(lk);
   prog.live = false;
-  // Free the retired model's memory; the task graph stays (cheap) so ids
-  // and diagnostics remain stable.
-  prog.arenas.clear();
+  // Free the retired model's memory; the task graph and the run slots stay
+  // (cheap) so ids, diagnostics and workers' stale copies of the in-flight
+  // list stay valid.
+  for (auto& run : prog.runs) run->arenas.clear();
   prog.task_slots.clear();
   prog.slots.clear();
   prog.plan = mem::MemPlan{};
+  resume(lk);
 }
 
+ParallelExecutor::Program& ParallelExecutor::program_at(
+    int program) const {
+  RAMIEL_CHECK(program >= 0 && program < static_cast<int>(programs_.size()),
+               "no such program");
+  return *programs_[static_cast<std::size_t>(program)];
+}
+
+// The accessors lock mu_: add_program may grow the program table under a
+// concurrent caller. Programs themselves never move.
 int ParallelExecutor::num_programs() const {
+  std::lock_guard<std::mutex> lk(mu_);
   return static_cast<int>(programs_.size());
 }
 
 int ParallelExecutor::program_workers(int program) const {
-  RAMIEL_CHECK(program >= 0 && program < static_cast<int>(programs_.size()),
-               "no such program");
-  return programs_[static_cast<std::size_t>(program)]->workers();
+  std::lock_guard<std::mutex> lk(mu_);
+  return program_at(program).workers();
 }
 
 int ParallelExecutor::program_batch(int program) const {
-  RAMIEL_CHECK(program >= 0 && program < static_cast<int>(programs_.size()),
-               "no such program");
-  return programs_[static_cast<std::size_t>(program)]->hc.batch;
+  std::lock_guard<std::mutex> lk(mu_);
+  return program_at(program).hc.batch;
+}
+
+const Hyperclustering& ParallelExecutor::program_hyperclusters(
+    int program) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return program_at(program).hc;
 }
 
 bool ParallelExecutor::mem_plan_enabled() const {
-  return !programs_.front()->plan.empty();
+  std::lock_guard<std::mutex> lk(mu_);
+  return !program_at(0).plan.empty();
 }
 
 const steal::TaskGraph& ParallelExecutor::task_graph() const {
-  return programs_.front()->tg;
+  std::lock_guard<std::mutex> lk(mu_);
+  return program_at(0).tg;
 }
 
 ParallelExecutor::~ParallelExecutor() {
   {
-    std::lock_guard<std::mutex> lk(ctl_mu_);
-    shutdown_ = true;
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return in_flight_ == 0; });
   }
-  start_cv_.notify_all();
+  stop_workers();
+}
+
+void ParallelExecutor::stop_workers() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    shutdown_ = true;
+    active_gen_.fetch_add(1, std::memory_order_release);
+    for (auto& lane : lanes_) lane->bell.ring();
+  }
   for (std::thread& t : threads_) t.join();
 }
 
 std::uint64_t ParallelExecutor::runs_completed() const {
-  std::lock_guard<std::mutex> lk(ctl_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return runs_completed_;
 }
 
 std::size_t ParallelExecutor::arena_bytes_allocated() const {
+  std::lock_guard<std::mutex> lk(mu_);
   std::size_t total = 0;
   for (const auto& prog : programs_) {
-    for (const mem::MemArena& a : prog->arenas) total += a.capacity_bytes();
+    for (const auto& run : prog->runs) {
+      for (const mem::MemArena& a : run->arenas) total += a.capacity_bytes();
+    }
   }
   return total;
 }
 
-void ParallelExecutor::ring_all() {
-  for (auto& lane : lanes_) lane->bell.ring();
+int ParallelExecutor::run_slots(int program) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return static_cast<int>(program_at(program).runs.size());
 }
 
-void ParallelExecutor::worker_loop(int me) {
-  // Persistent per-worker intra-op pool: built on the first run that wants
-  // one, rebuilt only when the requested width changes (steady-state serving
-  // uses one width, so this is a one-time cost).
-  std::unique_ptr<ThreadPool> pool;
-  int pool_threads = 1;
-  mem::SlotSink sink;
-  sink.set_scratch_arena(&lanes_[static_cast<std::size_t>(me)]->scratch);
-  std::vector<std::size_t> cursor;
-  std::uint64_t seen;
-  {
-    // Capture the run counter under the lock before reporting ready:
-    // ensure_threads() holds back until every new thread has done this, so
-    // no dispatch can slip past an unsynchronized-yet worker.
-    std::lock_guard<std::mutex> lk(ctl_mu_);
-    seen = run_seq_;
-    ++workers_ready_;
-  }
-  done_cv_.notify_all();
-
-  while (true) {
-    RunState* st = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(ctl_mu_);
-      start_cv_.wait(lk, [&] { return shutdown_ || run_seq_ != seen; });
-      if (shutdown_) return;
-      seen = run_seq_;
-      st = state_;
-    }
-
-    // Threads beyond this program's width sit the run out (the pool is
-    // sized to the widest hosted program) but still check in below so the
-    // dispatcher's workers_done_ target stays thread-count based.
-    if (me < st->prog->workers()) {
-      if (st->options.intra_op_threads != pool_threads) {
-        pool.reset();
-        if (st->options.intra_op_threads > 1) {
-          pool =
-              std::make_unique<ThreadPool>(st->options.intra_op_threads - 1);
-        }
-        pool_threads = st->options.intra_op_threads;
-      }
-      OpContext ctx;
-      if (pool_threads > 1) {
-        ctx.threads = pool_threads;
-        ctx.pool = pool.get();
-      }
-
-      try {
-        if (placement_ == ExecutorKind::kSteal) {
-          run_stealing(me, *st, ctx, sink);
-        } else {
-          run_pinned(me, *st, ctx, sink, cursor);
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(st->error_mu);
-          if (!st->first_error) st->first_error = std::current_exception();
-        }
-        // Unblock every sibling so the run unwinds instead of deadlocking.
-        abort_.store(true, std::memory_order_release);
-        ring_all();
+std::vector<std::pair<const float*, std::size_t>>
+ParallelExecutor::run_slot_arenas(int program) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::vector<std::pair<const float*, std::size_t>> spans;
+  for (const auto& run : program_at(program).runs) {
+    for (mem::MemArena& a : run->arenas) {
+      if (a.capacity_bytes() > 0) {
+        spans.emplace_back(a.data(), a.capacity_bytes());
       }
     }
-
-    {
-      std::lock_guard<std::mutex> lk(ctl_mu_);
-      ++workers_done_;
-    }
-    done_cv_.notify_one();
   }
-}
-
-// Pinned placement: each worker runs its per-sample streams cooperatively.
-// The next task of the preferred stream runs once its dependency count is
-// zero; otherwise the worker advances whichever sample *is* runnable
-// ("multiple inference samples in flight", §III-E) and only sleeps when no
-// stream can progress. Within a sample every stream is in topological
-// order, so the globally earliest pending task is always runnable on its
-// worker — the schedule cannot deadlock, for plain or switched
-// hyperclusters alike.
-void ParallelExecutor::run_pinned(int me, RunState& st, const OpContext& ctx,
-                                  mem::SlotSink& sink,
-                                  std::vector<std::size_t>& cursor) {
-  const Program& prog = *st.prog;
-  const auto& streams = prog.streams[static_cast<std::size_t>(me)];
-  const int batch = prog.hc.batch;
-  WorkerProfile& wp = st.wps[static_cast<std::size_t>(me)];
-  rt::Doorbell& bell = lanes_[static_cast<std::size_t>(me)]->bell;
-  cursor.assign(static_cast<std::size_t>(batch), 0);
-  std::size_t left = prog.hc.workers[static_cast<std::size_t>(me)].size();
-
-  int prefer = 0;
-  while (left > 0) {
-    // Snapshot the epoch *before* reading abort_ and the dependency counts:
-    // a ring that lands after the snapshot makes wait() return at once, and
-    // one that landed before it publishes (via the acquire on the epoch) the
-    // release or abort that preceded it. The other order can sleep forever.
-    const std::uint64_t seen = bell.epoch();
-    if (abort_.load(std::memory_order_acquire)) return;
-    bool progressed = false;
-    for (int off = 0; off < batch; ++off) {
-      const int s = (prefer + off) % batch;
-      const auto su = static_cast<std::size_t>(s);
-      if (cursor[su] == streams[su].size()) continue;
-      const std::int32_t t = streams[su][cursor[su]];
-      if (deps_[t].load(std::memory_order_acquire) != 0) continue;
-      execute_task(me, t, /*stolen=*/false, st, ctx, sink);
-      ++cursor[su];
-      --left;
-      progressed = true;
-      // Stay on the sample that just ran: consecutive ops of one sample
-      // share hot activations, so switching only when a sample *blocks*
-      // keeps the cache warm while still filling every receive slack
-      // (the paper's §III-E interleave switches at op granularity; on few
-      // cores that costs locality without buying extra overlap).
-      prefer = s;
-      break;
-    }
-    // Nothing runnable: sleep until another worker releases one of ours.
-    if (!progressed) wp.recv_wait_ns += bell.wait(seen);
-  }
-}
-
-// Steal placement: drain the own deque (LIFO), then steal (FIFO, round
-// robin over victims), then park on the own doorbell until new work is
-// pushed or the run ends. Parks are bounded so a lost wakeup degrades to one
-// timeout.
-void ParallelExecutor::run_stealing(int me, RunState& st, const OpContext& ctx,
-                                    mem::SlotSink& sink) {
-  WorkerProfile& wp = st.wps[static_cast<std::size_t>(me)];
-  Lane& lane = *lanes_[static_cast<std::size_t>(me)];
-  const int k = st.prog->workers();
-
-  while (true) {
-    // Snapshot before reading abort_/remaining_, as in run_pinned: the abort
-    // and the last task ring every bell after publishing themselves.
-    const std::uint64_t seen = lane.bell.epoch();
-    if (abort_.load(std::memory_order_acquire)) return;
-
-    std::int32_t task;
-    if (lane.deque.pop(&task)) {
-      execute_task(me, task, /*stolen=*/false, st, ctx, sink);
-      continue;
-    }
-    bool got = false;
-    for (int i = 1; i < k && !got; ++i) {
-      got = lanes_[static_cast<std::size_t>((me + i) % k)]->deque.steal(&task);
-    }
-    if (got) {
-      execute_task(me, task, /*stolen=*/true, st, ctx, sink);
-      continue;
-    }
-
-    if (remaining_.load(std::memory_order_acquire) == 0) return;
-
-    // Nothing runnable anywhere we looked. Re-scan cheaply (a push may have
-    // landed mid-scan), then park.
-    bool maybe = false;
-    for (int w = 0; w < k && !maybe; ++w) {
-      maybe = lanes_[static_cast<std::size_t>(w)]->deque.maybe_nonempty();
-    }
-    if (maybe) continue;
-    wp.recv_wait_ns += lane.bell.wait(seen, std::chrono::microseconds(200));
-  }
-}
-
-void ParallelExecutor::execute_task(int me, std::int32_t t, bool stolen,
-                                    RunState& st, const OpContext& ctx,
-                                    mem::SlotSink& sink) {
-  Program& prog = *st.prog;
-  const Graph& g = *prog.graph;
-  const steal::TaskGraph& tg = prog.tg;
-  const steal::StealTask& task = tg.tasks[static_cast<std::size_t>(t)];
-  const Node& n = g.node(task.node);
-  const int s = task.sample;
-  const auto value_idx = [&](ValueId v) {
-    return static_cast<std::size_t>(v) *
-               static_cast<std::size_t>(prog.hc.batch) +
-           static_cast<std::size_t>(s);
-  };
-  WorkerProfile& wp = st.wps[static_cast<std::size_t>(me)];
-  if (stolen) ++wp.tasks_stolen;
-
-  // Constant nodes are no-ops (consumers read the payload off the value),
-  // but still unlock their successors below.
-  if (n.kind != OpKind::kConstant) {
-    std::vector<Tensor> inputs;
-    inputs.reserve(n.inputs.size());
-    for (ValueId v : n.inputs) {
-      Tensor in;
-      if (!fetch_static_input(
-              g, v, (*st.batch_inputs)[static_cast<std::size_t>(s)], &in)) {
-        // Produced by a predecessor task; the dependency count reaching
-        // zero ordered that write before this read.
-        in = values_[value_idx(v)];
-        RAMIEL_CHECK(in.numel() > 0 || g.value(v).shape.numel() == 0,
-                     str_cat("value '", g.value(v).name,
-                             "' not computed (dependency edge missing)"));
-      }
-      inputs.push_back(std::move(in));
-    }
-
-    const std::vector<rt::PlannedOut>* outs =
-        prog.task_slots.empty() ? nullptr
-                                : prog.task_slots[static_cast<std::size_t>(t)];
-    float* const arena_base =
-        outs != nullptr
-            ? prog.arenas[static_cast<std::size_t>(task.home)].data()
-            : nullptr;
-    const std::int64_t t0 = Stopwatch::now_ns();
-    std::vector<Tensor> outputs =
-        rt::eval_planned(n, inputs, ctx, sink, arena_base, outs);
-    const std::int64_t t1 = Stopwatch::now_ns();
-    wp.busy_ns += t1 - t0;
-    wp.allocs_avoided += sink.taken();
-    if (st.options.trace) {
-      st.wevents[static_cast<std::size_t>(me)].push_back(
-          TaskEvent{task.node, s, me, t0, t1});
-      if (!st.task_ns.empty()) st.task_ns[static_cast<std::size_t>(t)] = {t0, t1};
-    }
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      values_[value_idx(n.outputs[i])] = std::move(outputs[i]);
-    }
-  }
-  ++wp.tasks;
-
-  // Publish, then unlock. The fetch_sub release sequence orders every
-  // producer's value writes before the successor's execution, whichever
-  // thread ends up running it. Steal: a zeroed successor goes onto this
-  // worker's deque (its inputs are hot here). Pinned: it belongs to its
-  // home worker, which is rung when that is another worker.
-  const bool stealing = placement_ == ExecutorKind::kSteal;
-  int pushed = 0;
-  for (std::int32_t i = tg.succ_begin[static_cast<std::size_t>(t)];
-       i < tg.succ_begin[static_cast<std::size_t>(t) + 1]; ++i) {
-    const std::int32_t succ = tg.succ[static_cast<std::size_t>(i)];
-    const std::int32_t left =
-        deps_[succ].fetch_sub(1, std::memory_order_acq_rel);
-    RAMIEL_CHECK(left >= 1, "dependency count underflow (task executed twice?)");
-    if (left != 1) continue;
-    if (stealing) {
-      lanes_[static_cast<std::size_t>(me)]->deque.push(succ);
-      ++pushed;
-    } else {
-      const int home = tg.tasks[static_cast<std::size_t>(succ)].home;
-      if (home != me) lanes_[static_cast<std::size_t>(home)]->bell.ring();
-    }
-  }
-  if (!stealing) return;
-  // One sleeping sibling per pushed task may come and steal it.
-  for (std::size_t w = 0; w < lanes_.size() && pushed > 0; ++w) {
-    if (w != static_cast<std::size_t>(me) && lanes_[w]->bell.sleeping()) {
-      lanes_[w]->bell.ring();
-      --pushed;
-    }
-  }
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    ring_all();  // last task: wake every parked sibling so they exit
-  }
+  return spans;
 }
 
 std::vector<TensorMap> ParallelExecutor::run(
@@ -692,128 +546,499 @@ std::vector<TensorMap> ParallelExecutor::run(
 std::vector<TensorMap> ParallelExecutor::run_program(
     int program, const std::vector<TensorMap>& batch_inputs,
     const RunOptions& options, Profile* profile) {
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  RAMIEL_CHECK(program >= 0 && program < static_cast<int>(programs_.size()),
-               "no such program");
-  Program& prog = *programs_[static_cast<std::size_t>(program)];
-  RAMIEL_CHECK(prog.live,
-               str_cat("program ", program, " has been removed"));
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    std::vector<TensorMap> outputs;
+    std::exception_ptr error;
+  } w;
+  start_run(program, {}, &batch_inputs, options,
+            [&w, profile](std::vector<TensorMap> outputs,
+                          std::exception_ptr error, Profile p) {
+              // Notify under the lock: `w` dies as soon as the caller sees
+              // done.
+              std::lock_guard<std::mutex> lk(w.mu);
+              w.outputs = std::move(outputs);
+              w.error = error;
+              if (profile != nullptr) *profile = std::move(p);
+              w.done = true;
+              w.cv.notify_one();
+            });
+  std::unique_lock<std::mutex> lk(w.mu);
+  w.cv.wait(lk, [&] { return w.done; });
+  if (w.error) std::rethrow_exception(w.error);
+  return std::move(w.outputs);
+}
+
+void ParallelExecutor::submit(int program, std::vector<TensorMap> batch_inputs,
+                              const RunOptions& options, Completion done) {
+  start_run(program, std::move(batch_inputs), nullptr, options,
+            std::move(done));
+}
+
+void ParallelExecutor::start_run(int program, std::vector<TensorMap> owned,
+                                 const std::vector<TensorMap>* inputs,
+                                 const RunOptions& options, Completion done) {
+  const std::vector<TensorMap>& batch_inputs =
+      inputs != nullptr ? *inputs : owned;
+  RunSlot* run = nullptr;
+  std::size_t nthreads = 0;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return holds_ == 0; });
+    Program& prog = program_at(program);
+    RAMIEL_CHECK(prog.live, str_cat("program ", program, " has been removed"));
+    const int batch = prog.hc.batch;
+    RAMIEL_CHECK(static_cast<int>(batch_inputs.size()) == batch,
+                 str_cat("batch size mismatch: executor compiled for batch ",
+                         batch, " (hyperclustering), run() got ",
+                         batch_inputs.size(), " sample",
+                         batch_inputs.size() == 1 ? "" : "s"));
+    run = take_run_slot(prog);
+    ++in_flight_;
+    nthreads = lanes_.size();
+  }
+
+  // Until the publication below, the only worker that can reach the slot
+  // is one whose copy of the in-flight list still holds it from its
+  // previous run, and that one reads nothing but the run id (pinned) or
+  // the seed cursors and the task count (steal).
+  const Program& prog = *run->prog;
+  const steal::TaskGraph& tg = prog.tg;
+  for (std::size_t t = 0; t < tg.size(); ++t) {
+    run->deps[t].store(tg.initial_deps[t], std::memory_order_relaxed);
+  }
+  run->remaining.store(static_cast<std::int64_t>(tg.size()),
+                       std::memory_order_relaxed);
+  run->abort.store(false, std::memory_order_relaxed);
+  run->owned_inputs = std::move(owned);
+  run->inputs = inputs != nullptr ? inputs : &run->owned_inputs;
+  run->options = options;
+  run->done = std::move(done);
+  // Pinned tasks run on their home; stolen ones on any thread.
+  const std::size_t width = placement_ == ExecutorKind::kSteal
+                                ? nthreads
+                                : static_cast<std::size_t>(prog.workers());
+  run->wps.assign(width, WorkerProfile{});
+  run->wevents.resize(width);
+  for (auto& events : run->wevents) events.clear();
+  run->task_ns.clear();
+  if (options.trace && placement_ == ExecutorKind::kStatic) {
+    run->task_ns.resize(tg.size());
+  }
+  run->start_ns = Stopwatch::now_ns();
+
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    // The run id (pinned cursors) and the seed cursors (steal claims) are
+    // released after every field above, so a worker that still holds this
+    // slot in an old copy of the list and acquires either sees the whole
+    // new run.
+    run->run_id.store(++run_seq_, std::memory_order_release);
+    for (int h = 0; h < prog.workers() && run->seed_next; ++h) {
+      run->seed_next[static_cast<std::size_t>(h)].store(
+          0, std::memory_order_release);
+    }
+    active_.push_back(run);
+    active_gen_.fetch_add(1, std::memory_order_release);
+    // Ring after publishing: a worker snapshots its epoch before it reads
+    // active_gen_, so it either sees the run or wakes for it.
+    for (int w = 0; w < prog.workers(); ++w) {
+      lanes_[static_cast<std::size_t>(w)]->bell.ring();
+    }
+  }
+  // No task will finish the run: complete it here.
+  if (tg.size() == 0) finish_run(*run);
+}
+
+ParallelExecutor::RunSlot* ParallelExecutor::take_run_slot(Program& prog) {
+  if (prog.free_runs.empty()) {
+    // A new slot, sized once for its program. Only overlapping runs get
+    // here: a caller that waits for each run reuses the first slot.
+    auto slot = std::make_unique<RunSlot>();
+    const int k = prog.workers();
+    const std::size_t tasks = prog.tg.size();
+    slot->prog = &prog;
+    slot->deps = std::make_unique<std::atomic<std::int32_t>[]>(tasks);
+    slot->values.resize(prog.graph->values().size() *
+                        static_cast<std::size_t>(prog.hc.batch));
+    if (!prog.plan.empty()) {
+      slot->arenas = std::vector<mem::MemArena>(static_cast<std::size_t>(k));
+      for (int w = 0; w < k; ++w) {
+        slot->arenas[static_cast<std::size_t>(w)].ensure(
+            static_cast<std::size_t>(
+                prog.plan.workers[static_cast<std::size_t>(w)].arena_bytes));
+      }
+    }
+    if (placement_ == ExecutorKind::kSteal) {
+      slot->jobs.resize(tasks);
+      for (std::size_t t = 0; t < tasks; ++t) {
+        slot->jobs[t] = RunSlot::Job{slot.get(), static_cast<std::int32_t>(t)};
+      }
+      slot->seed_next = std::make_unique<std::atomic<std::int32_t>[]>(
+          static_cast<std::size_t>(k));
+    } else {
+      slot->cursors.resize(static_cast<std::size_t>(k));
+    }
+    prog.free_runs.push_back(slot.get());
+    prog.runs.push_back(std::move(slot));
+  }
+  RunSlot* run = prog.free_runs.back();
+  prog.free_runs.pop_back();
+  return run;
+}
+
+void ParallelExecutor::worker_loop(int me) {
+  Worker w;
+  w.me = me;
+  // Copies the in-flight list and the lanes; false once shut down.
+  const auto refresh = [&] {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (shutdown_) return false;
+    w.gen = active_gen_.load(std::memory_order_relaxed);
+    w.runs.clear();
+    for (RunSlot* run : active_) {
+      // A pinned worker only has streams in programs at least as wide as
+      // its index; under stealing every worker helps every run.
+      if (placement_ == ExecutorKind::kSteal || me < run->prog->workers()) {
+        w.runs.push_back(run);
+      }
+    }
+    w.lanes.clear();
+    for (auto& lane : lanes_) w.lanes.push_back(lane.get());
+    return true;
+  };
+  if (!refresh()) return;
+  Lane& lane = *w.lanes[static_cast<std::size_t>(me)];
+  w.sink.set_scratch_arena(&lane.scratch);
+
+  while (true) {
+    // Snapshot the epoch *before* reading active_gen_ and the dependency
+    // counts: a ring that lands after the snapshot makes wait() return at
+    // once, and one that landed before it publishes (via the acquire on the
+    // epoch) the run or release that preceded it. The other order can sleep
+    // forever.
+    const std::uint64_t seen = lane.bell.epoch();
+    if (active_gen_.load(std::memory_order_acquire) != w.gen && !refresh()) {
+      return;
+    }
+    const Step step = placement_ == ExecutorKind::kSteal ? step_stealing(w)
+                                                         : step_pinned(w);
+    if (step == Step::kProgress) continue;
+    if (step == Step::kIdle) {
+      // No run in flight needs this worker: sleep until a run or a push
+      // rings.
+      (void)lane.bell.wait(seen);
+      continue;
+    }
+    // Work is pending but none runnable. Pinned: sleep until another worker
+    // releases one of ours. Steal: park, bounded, so a lost wakeup degrades
+    // to one timeout.
+    w.wait_ns += placement_ == ExecutorKind::kSteal
+                     ? lane.bell.wait(seen, std::chrono::microseconds(200))
+                     : lane.bell.wait(seen);
+  }
+}
+
+// Pinned placement: each worker runs its (run, sample) streams
+// cooperatively, oldest run first. The next task of a stream runs once its
+// dependency count is zero; otherwise the worker advances whichever stream
+// *is* runnable ("multiple inference samples in flight", §III-E) and only
+// sleeps when no stream of any run can progress. Within a sample every
+// stream is in topological order, so the globally earliest pending task of
+// each run is always runnable on its worker — the schedule cannot deadlock,
+// for plain or switched hyperclusters alike.
+ParallelExecutor::Step ParallelExecutor::step_pinned(Worker& w) {
+  Step step = Step::kIdle;
+  const auto me = static_cast<std::size_t>(w.me);
+  for (RunSlot* run : w.runs) {
+    const std::uint64_t id = run->run_id.load(std::memory_order_acquire);
+    if (id == 0) continue;  // finished; this copy of the list is stale
+    const Program& prog = *run->prog;
+    const auto& streams = prog.streams[me];
+    const int batch = prog.hc.batch;
+    RunSlot::Cursor& c = run->cursors[me];
+    if (c.run != id) {
+      c.run = id;
+      c.pos.assign(static_cast<std::size_t>(batch), 0);
+      c.left = prog.hc.workers[me].size();
+      c.prefer = 0;
+    }
+    // A run with none of this worker's tasks left cannot be reused under
+    // it: the slot only frees once every task ran.
+    if (c.left == 0) continue;
+    step = Step::kBlocked;
+    for (int off = 0; off < batch; ++off) {
+      const auto s = static_cast<std::size_t>((c.prefer + off) % batch);
+      if (c.pos[s] == streams[s].size()) continue;
+      const std::int32_t t = streams[s][c.pos[s]];
+      if (run->deps[t].load(std::memory_order_acquire) != 0) continue;
+      // Advance before running: the task may finish the run and free the
+      // slot.
+      ++c.pos[s];
+      --c.left;
+      // Stay on the sample that just ran: consecutive ops of one sample
+      // share hot activations, so switching only when a sample *blocks*
+      // keeps the cache warm while still filling every receive slack (the
+      // paper's §III-E interleave switches at op granularity; on few cores
+      // that costs locality without buying extra overlap).
+      c.prefer = static_cast<int>(s);
+      run_task(w, *run, t, /*stolen=*/false);
+      return Step::kProgress;
+    }
+  }
+  return step;
+}
+
+// Steal placement: drain the own deque (LIFO), then claim the own home's
+// seeds of the oldest run, then steal (FIFO, round robin over victims), then
+// claim another home's seeds.
+ParallelExecutor::Step ParallelExecutor::step_stealing(Worker& w) {
+  const auto me = static_cast<std::size_t>(w.me);
+  const RunSlot::Job* job = nullptr;
+  if (w.lanes[me]->deque.pop(&job)) {
+    run_task(w, *job->run, job->task, /*stolen=*/false);
+    return Step::kProgress;
+  }
+  // Seeds are claimed through per-home cursors; a claimed seed counts as
+  // stolen when it is homed elsewhere.
+  const auto claim_seed = [&](bool own) {
+    for (RunSlot* run : w.runs) {
+      const int k = run->prog->workers();
+      for (int i = 0; i < k; ++i) {
+        const int home = (w.me + i) % k;
+        if ((home == w.me) != own) continue;
+        const auto& seeds = run->prog->seeds[static_cast<std::size_t>(home)];
+        const auto size = static_cast<std::int32_t>(seeds.size());
+        std::atomic<std::int32_t>& next =
+            run->seed_next[static_cast<std::size_t>(home)];
+        if (next.load(std::memory_order_acquire) >= size) continue;
+        const std::int32_t n = next.fetch_add(1, std::memory_order_acq_rel);
+        if (n >= size) continue;
+        run_task(w, *run, seeds[static_cast<std::size_t>(n)], !own);
+        return true;
+      }
+    }
+    return false;
+  };
+  if (claim_seed(/*own=*/true)) return Step::kProgress;
+  const std::size_t n = w.lanes.size();
+  for (std::size_t i = 1; i < n; ++i) {
+    if (w.lanes[(me + i) % n]->deque.steal(&job)) {
+      run_task(w, *job->run, job->task, /*stolen=*/true);
+      return Step::kProgress;
+    }
+  }
+  if (claim_seed(/*own=*/false)) return Step::kProgress;
+
+  bool pending = false;
+  for (RunSlot* run : w.runs) {
+    pending = pending || run->remaining.load(std::memory_order_acquire) > 0;
+  }
+  if (!pending) return Step::kIdle;
+  // Nothing runnable anywhere we looked. Re-scan cheaply (a push may have
+  // landed mid-scan) before parking.
+  for (Lane* lane : w.lanes) {
+    if (lane->deque.maybe_nonempty()) return Step::kProgress;
+  }
+  return Step::kBlocked;
+}
+
+void ParallelExecutor::run_task(Worker& w, RunSlot& run, std::int32_t t,
+                                bool stolen) {
+  const auto me = static_cast<std::size_t>(w.me);
+  WorkerProfile& wp = run.wps[me];
+  wp.recv_wait_ns += w.wait_ns;
+  w.wait_ns = 0;
+  if (stolen) ++wp.tasks_stolen;
+  // After a failure the run's remaining tasks only drain: they release
+  // their successors without running a kernel, so the run still completes
+  // through its task count and no worker waits on a value never produced.
+  if (!run.abort.load(std::memory_order_acquire)) {
+    try {
+      execute_task(w, run, t);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lk(run.error_mu);
+        if (!run.first_error) run.first_error = std::current_exception();
+      }
+      run.abort.store(true, std::memory_order_release);
+    }
+  }
+  ++wp.tasks;
+
+  // Unlock the successors. The fetch_sub release sequence orders every
+  // producer's value writes (and the abort flag) before the successor's
+  // execution, whichever thread ends up running it. Steal: a zeroed
+  // successor goes onto this worker's deque (its inputs are hot here).
+  // Pinned: it belongs to its home worker, which is rung when that is
+  // another worker.
+  const steal::TaskGraph& tg = run.prog->tg;
+  const bool stealing = placement_ == ExecutorKind::kSteal;
+  int pushed = 0;
+  for (std::int32_t i = tg.succ_begin[static_cast<std::size_t>(t)];
+       i < tg.succ_begin[static_cast<std::size_t>(t) + 1]; ++i) {
+    const std::int32_t succ = tg.succ[static_cast<std::size_t>(i)];
+    const std::int32_t left =
+        run.deps[succ].fetch_sub(1, std::memory_order_acq_rel);
+    RAMIEL_CHECK(left >= 1, "dependency count underflow (task executed twice?)");
+    if (left != 1) continue;
+    if (stealing) {
+      w.lanes[me]->deque.push(&run.jobs[static_cast<std::size_t>(succ)]);
+      ++pushed;
+    } else {
+      const auto home = static_cast<std::size_t>(
+          tg.tasks[static_cast<std::size_t>(succ)].home);
+      if (home != me) w.lanes[home]->bell.ring();
+    }
+  }
+  // One sleeping sibling per pushed task may come and steal it.
+  for (std::size_t v = 0; v < w.lanes.size() && pushed > 0; ++v) {
+    if (v != me && w.lanes[v]->bell.sleeping()) {
+      w.lanes[v]->bell.ring();
+      --pushed;
+    }
+  }
+  if (run.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    finish_run(run);
+  }
+}
+
+void ParallelExecutor::execute_task(Worker& w, RunSlot& run, std::int32_t t) {
+  const Program& prog = *run.prog;
+  const Graph& g = *prog.graph;
+  const steal::StealTask& task = prog.tg.tasks[static_cast<std::size_t>(t)];
+  const Node& n = g.node(task.node);
+  // Constant nodes are no-ops (consumers read the payload off the value),
+  // but still unlock their successors.
+  if (n.kind == OpKind::kConstant) return;
+  const int s = task.sample;
+  const auto value_idx = [&](ValueId v) {
+    return static_cast<std::size_t>(v) *
+               static_cast<std::size_t>(prog.hc.batch) +
+           static_cast<std::size_t>(s);
+  };
+  WorkerProfile& wp = run.wps[static_cast<std::size_t>(w.me)];
+
+  const int width = std::max(1, run.options.intra_op_threads);
+  if (width != w.ctx.threads) {
+    w.pool.reset();
+    w.ctx = OpContext{};
+    if (width > 1) {
+      w.pool = std::make_unique<ThreadPool>(width - 1);
+      w.ctx.threads = width;
+      w.ctx.pool = w.pool.get();
+    }
+  }
+
+  std::vector<Tensor> inputs;
+  inputs.reserve(n.inputs.size());
+  for (ValueId v : n.inputs) {
+    Tensor in;
+    if (!fetch_static_input(g, v, (*run.inputs)[static_cast<std::size_t>(s)],
+                            &in)) {
+      // Produced by a predecessor task; the dependency count reaching zero
+      // ordered that write before this read.
+      in = run.values[value_idx(v)];
+      RAMIEL_CHECK(in.numel() > 0 || g.value(v).shape.numel() == 0,
+                   str_cat("value '", g.value(v).name,
+                           "' not computed (dependency edge missing)"));
+    }
+    inputs.push_back(std::move(in));
+  }
+
+  const std::vector<rt::PlannedOut>* outs =
+      prog.task_slots.empty() ? nullptr
+                              : prog.task_slots[static_cast<std::size_t>(t)];
+  float* const arena_base =
+      outs != nullptr ? run.arenas[static_cast<std::size_t>(task.home)].data()
+                      : nullptr;
+  const std::int64_t t0 = Stopwatch::now_ns();
+  std::vector<Tensor> outputs =
+      rt::eval_planned(n, inputs, w.ctx, w.sink, arena_base, outs);
+  const std::int64_t t1 = Stopwatch::now_ns();
+  wp.busy_ns += t1 - t0;
+  wp.allocs_avoided += w.sink.taken();
+  if (run.options.trace) {
+    run.wevents[static_cast<std::size_t>(w.me)].push_back(
+        TaskEvent{task.node, s, w.me, t0, t1});
+    if (!run.task_ns.empty()) run.task_ns[static_cast<std::size_t>(t)] = {t0, t1};
+  }
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    run.values[value_idx(n.outputs[i])] = std::move(outputs[i]);
+  }
+}
+
+// Runs on the thread that finished the run's last task: every other task's
+// writes are ordered before it by the remaining-count release sequence.
+void ParallelExecutor::finish_run(RunSlot& run) {
+  Program& prog = *run.prog;
   const Graph& g = *prog.graph;
   const int batch = prog.hc.batch;
-  RAMIEL_CHECK(static_cast<int>(batch_inputs.size()) == batch,
-               str_cat("batch size mismatch: executor compiled for batch ",
-                       batch, " (hyperclustering), run() got ",
-                       batch_inputs.size(), " sample",
-                       batch_inputs.size() == 1 ? "" : "s"));
-  const int k = prog.workers();
-  const steal::TaskGraph& tg = prog.tg;
-  // add_program (the only thing that grows the pool) also takes run_mu_,
-  // so the thread count is stable for the whole dispatch.
-  const int nthreads = static_cast<int>(threads_.size());
-
-  // Every worker is parked, so the scheduling state can be reset without
-  // racing; the ctl_mu_ handshake below publishes it to the workers. This
-  // also clears whatever a failed previous run left behind.
-  for (std::size_t t = 0; t < tg.size(); ++t) {
-    deps_[t].store(tg.initial_deps[t], std::memory_order_relaxed);
-  }
-  abort_.store(false, std::memory_order_relaxed);
-  if (placement_ == ExecutorKind::kSteal) {
-    for (auto& lane : lanes_) lane->deque.reset_capacity(tg.size());
-    remaining_.store(static_cast<std::int64_t>(tg.size()),
-                     std::memory_order_relaxed);
-    for (std::int32_t seed : tg.seeds) {
-      lanes_[static_cast<std::size_t>(
-                 tg.tasks[static_cast<std::size_t>(seed)].home)]
-          ->deque.push(seed);
-    }
-  }
-
-  // Size the arenas while no tensor can point into them (same parked-worker
-  // argument).
-  if (!prog.plan.empty()) {
-    std::uint64_t grows = 0;
-    for (int w = 0; w < k; ++w) {
-      if (prog.arenas[static_cast<std::size_t>(w)].ensure(
-              static_cast<std::size_t>(
-                  prog.plan.workers[static_cast<std::size_t>(w)]
-                      .arena_bytes))) {
-        ++grows;
+  const std::int64_t end_ns = Stopwatch::now_ns();
+  const double wall_ms = static_cast<double>(end_ns - run.start_ns) / 1e6;
+  std::exception_ptr error = run.first_error;
+  std::vector<TensorMap> results;
+  Profile profile;
+  if (!error) {
+    try {
+      // Collect graph outputs. Arena-backed tensors must not outlive the
+      // run (the slot's next run rewrites them) — detach them here.
+      results.resize(static_cast<std::size_t>(batch));
+      for (int s = 0; s < batch; ++s) {
+        const auto su = static_cast<std::size_t>(s);
+        collect_static_outputs(g, (*run.inputs)[su], &results[su]);
+        for (ValueId ov : g.outputs()) {
+          const Value& val = g.value(ov);
+          if (val.is_constant() || val.producer == kNoNode ||
+              g.node(val.producer).dead) {
+            continue;  // collected statically above
+          }
+          const Tensor& produced =
+              run.values[static_cast<std::size_t>(ov) *
+                             static_cast<std::size_t>(batch) +
+                         su];
+          results[su].emplace(
+              val.name, produced.owns_storage() ? produced : produced.clone());
+        }
       }
+      tally_messages(run, profile);
+      record_run_metrics(run.wps, wall_ms);
+      profile.wall_ms = wall_ms;
+      profile.start_ns = run.start_ns;
+      profile.end_ns = end_ns;
+      for (const auto& events : run.wevents) {
+        profile.events.insert(profile.events.end(), events.begin(),
+                              events.end());
+      }
+      profile.workers = run.wps;
+    } catch (...) {
+      error = std::current_exception();
+      results.clear();
     }
-    if (grows > 0) rt_metrics().arena_grows->inc(grows);
   }
-
-  RunState st;
-  st.prog = &prog;
-  st.batch_inputs = &batch_inputs;
-  st.options = options;
-  st.wps.resize(static_cast<std::size_t>(k));
-  st.wevents.resize(static_cast<std::size_t>(k));
-  if (options.trace && placement_ == ExecutorKind::kStatic) {
-    st.task_ns.resize(tg.size());
-  }
-
-  Stopwatch wall;
-  const std::int64_t run_t0 = Stopwatch::now_ns();
+  std::fill(run.values.begin(), run.values.end(), Tensor());
+  run.owned_inputs.clear();
+  run.inputs = nullptr;
+  run.first_error = nullptr;
+  Completion done = std::move(run.done);
+  run.done = nullptr;
   {
-    std::lock_guard<std::mutex> lk(ctl_mu_);
-    state_ = &st;
-    workers_done_ = 0;
-    ++run_seq_;
-  }
-  start_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lk(ctl_mu_);
-    done_cv_.wait(lk, [&] { return workers_done_ == nthreads; });
-    state_ = nullptr;
+    std::lock_guard<std::mutex> lk(mu_);
+    active_.erase(std::find(active_.begin(), active_.end(), &run));
+    active_gen_.fetch_add(1, std::memory_order_release);
+    run.run_id.store(0, std::memory_order_relaxed);
+    prog.free_runs.push_back(&run);
     ++runs_completed_;
   }
-  const std::int64_t run_t1 = Stopwatch::now_ns();
-  const double wall_ms = wall.millis();
-
-  const std::size_t used = g.values().size() * static_cast<std::size_t>(batch);
-  if (st.first_error) {
-    // Drop arena-backed leftovers before the next run may resize arenas.
-    std::fill(values_.begin(), values_.begin() + used, Tensor());
-    std::rethrow_exception(st.first_error);
+  done(std::move(results), error, std::move(profile));
+  done = nullptr;  // the completion's captures go before the drain count
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    --in_flight_;
   }
-
-  // Collect graph outputs. Arena-backed tensors must not outlive the run
-  // (their slots are rewritten by the next one) — detach them here.
-  std::vector<TensorMap> results(static_cast<std::size_t>(batch));
-  for (int s = 0; s < batch; ++s) {
-    collect_static_outputs(g, batch_inputs[static_cast<std::size_t>(s)],
-                           &results[static_cast<std::size_t>(s)]);
-    for (ValueId ov : g.outputs()) {
-      const Value& val = g.value(ov);
-      if (val.is_constant() || val.producer == kNoNode ||
-          g.node(val.producer).dead) {
-        continue;  // collected statically above
-      }
-      const Tensor& produced =
-          values_[static_cast<std::size_t>(ov) *
-                      static_cast<std::size_t>(batch) +
-                  static_cast<std::size_t>(s)];
-      results[static_cast<std::size_t>(s)].emplace(
-          val.name, produced.owns_storage() ? produced : produced.clone());
-    }
-  }
-
-  tally_messages(prog, st, profile);
-  std::fill(values_.begin(), values_.begin() + used, Tensor());
-  record_run_metrics(st.wps, wall_ms);
-  if (profile != nullptr) {
-    profile->wall_ms = wall_ms;
-    profile->start_ns = run_t0;
-    profile->end_ns = run_t1;
-    profile->events.clear();
-    for (auto& ev : st.wevents) {
-      profile->events.insert(profile->events.end(), ev.begin(), ev.end());
-    }
-    profile->workers = std::move(st.wps);
-  }
-  return results;
+  cv_.notify_all();
 }
 
 // Pinned placement: the cross-home edges are the paper's queue messages.
@@ -822,37 +1047,33 @@ std::vector<TensorMap> ParallelExecutor::run_program(
 // producer's end, receive = the first consumer's start on the other home)
 // and every send/receive a QueueDepthSample of the receiving worker's
 // sent-but-unconsumed count. The steal placement has no messages.
-void ParallelExecutor::tally_messages(const Program& prog, RunState& st,
-                                      Profile* profile) {
-  if (profile != nullptr) {
-    profile->messages.clear();
-    profile->queue_depths.clear();
-  }
+void ParallelExecutor::tally_messages(RunSlot& run, Profile& profile) {
   if (placement_ != ExecutorKind::kStatic) return;
+  const Program& prog = *run.prog;
   const steal::TaskGraph& tg = prog.tg;
-  const bool trace = profile != nullptr && !st.task_ns.empty();
+  const bool trace = !run.task_ns.empty();
   // (receiving worker, stamp, 0 = send / 1 = receive)
   std::vector<std::tuple<int, std::int64_t, int>> depth_events;
   for (const Program::CrossEdge& e : prog.cross_edges) {
     const steal::StealTask& src = tg.tasks[static_cast<std::size_t>(e.producer)];
     const steal::StealTask& dst = tg.tasks[static_cast<std::size_t>(e.consumer)];
     const std::int64_t bytes =
-        values_[static_cast<std::size_t>(e.value) *
-                    static_cast<std::size_t>(prog.hc.batch) +
-                static_cast<std::size_t>(src.sample)]
+        run.values[static_cast<std::size_t>(e.value) *
+                       static_cast<std::size_t>(prog.hc.batch) +
+                   static_cast<std::size_t>(src.sample)]
             .byte_size();
-    WorkerProfile& from = st.wps[static_cast<std::size_t>(src.home)];
+    WorkerProfile& from = run.wps[static_cast<std::size_t>(src.home)];
     ++from.messages_sent;
     from.bytes_sent += bytes;
-    st.wps[static_cast<std::size_t>(dst.home)].bytes_received += bytes;
+    run.wps[static_cast<std::size_t>(dst.home)].bytes_received += bytes;
     if (!trace) continue;
     const std::int64_t send_ns =
-        st.task_ns[static_cast<std::size_t>(e.producer)].second;
+        run.task_ns[static_cast<std::size_t>(e.producer)].second;
     const std::int64_t recv_ns =
-        st.task_ns[static_cast<std::size_t>(e.consumer)].first;
-    profile->messages.push_back(MessageEvent{e.value, src.sample, src.home,
-                                             dst.home, send_ns, recv_ns,
-                                             bytes});
+        run.task_ns[static_cast<std::size_t>(e.consumer)].first;
+    profile.messages.push_back(MessageEvent{e.value, src.sample, src.home,
+                                            dst.home, send_ns, recv_ns,
+                                            bytes});
     depth_events.emplace_back(dst.home, send_ns, 0);
     depth_events.emplace_back(dst.home, recv_ns, 1);
   }
@@ -867,7 +1088,7 @@ void ParallelExecutor::tally_messages(const Program& prog, RunState& st,
       depth = 0;
     }
     depth += recv != 0 ? -1 : 1;
-    profile->queue_depths.push_back(QueueDepthSample{w, ts, depth});
+    profile.queue_depths.push_back(QueueDepthSample{w, ts, depth});
   }
 }
 

@@ -35,9 +35,19 @@
 // from a per-thread scratch arena.
 //
 // ParallelExecutor is *persistent* (the Taskflow executor pattern): its
-// worker threads are spawned once, park between calls, and are reused by
-// every run(); calls are serialized internally, so one executor can be
-// shared behind a queue (see src/serve/).
+// worker threads are spawned once, park on their doorbells between runs, and
+// are reused by every run. Several runs may be in flight at once, the way
+// Taskflow runs many topologies on one executor: each run takes a run slot
+// of its program — its own dependency counters, value table and per-home
+// arenas — from a pool that grows on demand, so a caller that never overlaps
+// runs only ever uses one. Under the pinned placement a worker picks over
+// the (run, sample) streams of every run in flight, preferring the oldest
+// run; under the steal placement the deques carry tasks of every run. A run
+// completes when its last task finished: that thread collects the outputs,
+// tallies the messages, records the metrics and calls the run's completion.
+// submit() is that path; run()/run_program() submit and wait on it. A
+// failing run fails only itself: its remaining tasks drain without running
+// kernels, and the runs beside it finish normally.
 //
 // Intra-op parallelism: when RunOptions.intra_op_threads > 1, each worker
 // owns a private thread pool of that size for its kernels — exactly how the
@@ -48,16 +58,18 @@
 // Multi-program hosting (the fleet pool, src/serve/fleet/): one executor
 // can host several compiled models' programs on ONE set of worker threads
 // (as many as the widest program). Each program keeps its own task graph,
-// memory plan and per-home arenas; the threads, scratch arenas and intra-op
-// pools are shared. run_program(p, ...) dispatches one batch of program p;
-// dispatches are serialized, so tenants time-slice the same cores instead
-// of oversubscribing them. add_program()/remove_program() support hot model
-// loading between dispatches.
+// memory plan and run slots; the threads, scratch arenas and intra-op pools
+// are shared. run_program(p, ...) runs one batch of program p.
+// add_program()/remove_program() support hot model loading: they wait for
+// the runs in flight to drain and hold new ones back while they change the
+// program table.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -100,7 +112,8 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Runs one batch (size fixed by the hyperclustering); returns per-sample
-  /// graph outputs. Safe to call repeatedly and from multiple threads.
+  /// graph outputs. Safe to call repeatedly and from multiple threads
+  /// (concurrent calls overlap).
   virtual std::vector<TensorMap> run(const std::vector<TensorMap>& inputs,
                                      const RunOptions& options = {},
                                      Profile* profile = nullptr) = 0;
@@ -146,6 +159,14 @@ struct ExecutorProgram {
 /// placement.
 class ParallelExecutor : public Executor {
  public:
+  /// Receives one run's per-sample outputs (empty when `error` is set) and
+  /// its profile. Runs on the worker thread that finished the run: it must
+  /// not throw, and must not wait for this executor (no run(), no
+  /// add_program(), no destruction) — the executor waits for it instead.
+  using Completion = std::function<void(std::vector<TensorMap> outputs,
+                                        std::exception_ptr error,
+                                        Profile profile)>;
+
   /// The graph must outlive the executor. `hc.batch` fixes the batch size
   /// accepted by run(). Worker threads start immediately and park until the
   /// first run(). When `mem_plan` is non-null (and non-empty) the executor
@@ -160,6 +181,8 @@ class ParallelExecutor : public Executor {
   /// (thread count = the widest program). Requires at least one program.
   explicit ParallelExecutor(std::vector<ExecutorProgram> programs,
                             ExecutorKind placement = ExecutorKind::kStatic);
+  /// Drains the runs in flight (their completions included), then joins
+  /// the workers.
   ~ParallelExecutor() override;
 
   ParallelExecutor(const ParallelExecutor&) = delete;
@@ -168,28 +191,33 @@ class ParallelExecutor : public Executor {
   /// Runs one batch of program 0 (batch_inputs.size() must equal that
   /// program's hyperclustering batch — checked up front). Returns
   /// per-sample graph outputs. Reuses the persistent workers; safe to call
-  /// repeatedly and from multiple threads (calls are serialized).
+  /// repeatedly and from multiple threads (their runs overlap).
   std::vector<TensorMap> run(const std::vector<TensorMap>& batch_inputs,
                              const RunOptions& options = {},
                              Profile* profile = nullptr) override;
 
-  /// Runs one batch of program `program`. Dispatches across programs share
-  /// the worker threads and are serialized against each other.
+  /// Runs one batch of program `program`: submit() and wait.
   std::vector<TensorMap> run_program(int program,
                                      const std::vector<TensorMap>& batch_inputs,
                                      const RunOptions& options = {},
                                      Profile* profile = nullptr);
 
+  /// Starts one batch of program `program` and returns; `done` receives the
+  /// outputs or the error. A bad program id or batch size throws here,
+  /// before anything runs. Waits only while add_program()/remove_program()
+  /// hold new runs back.
+  void submit(int program, std::vector<TensorMap> batch_inputs,
+              const RunOptions& options, Completion done);
+
   /// Hot-loads another program onto the pool (spawning extra worker threads
   /// if it is wider than any current program). Returns its program id.
-  /// Safe to call while other programs are being dispatched.
+  /// Waits for the runs in flight to drain.
   int add_program(const Graph* graph, Hyperclustering hc,
                   const mem::MemPlan* mem_plan = nullptr);
 
-  /// Retires a program: frees its arenas and rejects future dispatches.
-  /// The caller must ensure no dispatch of it is in flight (the fleet
-  /// registry drops entries only after their last batch completed). Worker
-  /// threads are never shrunk. Ids are not reused.
+  /// Retires a program: waits for the runs in flight to drain, frees its
+  /// arenas and rejects future runs of it. Worker threads are never
+  /// shrunk. Ids are not reused.
   void remove_program(int program);
 
   ExecutorKind kind() const override { return placement_; }
@@ -205,11 +233,14 @@ class ParallelExecutor : public Executor {
   /// Batch size of one hosted program.
   int program_batch(int program) const;
 
+  /// The hyperclustering one hosted program runs (its profile's workers).
+  const Hyperclustering& program_hyperclusters(int program) const;
+
   /// Hosted program slots, including retired ones (ids are stable).
   int num_programs() const;
 
-  /// Number of run() calls completed (success or failure) — lets tests
-  /// confirm thread reuse rather than re-creation.
+  /// Number of runs completed (success or failure) — lets tests confirm
+  /// thread reuse rather than re-creation.
   std::uint64_t runs_completed() const override;
 
   /// True when program 0 runs with a (non-empty) memory plan.
@@ -219,55 +250,76 @@ class ParallelExecutor : public Executor {
   /// the first planned run, and always 0 with plans disabled).
   std::size_t arena_bytes_allocated() const;
 
+  /// Run slots program `program` has made so far (test introspection: a
+  /// caller that never overlaps runs makes one).
+  int run_slots(int program) const;
+
+  /// (base, capacity) of every planned-slot arena of program `program`'s
+  /// run slots (test introspection: slots in flight at once must not
+  /// overlap).
+  std::vector<std::pair<const float*, std::size_t>> run_slot_arenas(
+      int program) const;
+
   /// Program 0's dependency-counted decomposition (test introspection).
   const steal::TaskGraph& task_graph() const;
 
  private:
   struct Program;
+  struct RunSlot;
   struct Lane;
-  struct RunState;
+  struct Worker;
+  /// What a worker's scan over the runs in flight found.
+  enum class Step {
+    kProgress,  // ran a task (or saw work appear): scan again
+    kBlocked,   // a run still needs this worker, nothing runnable yet
+    kIdle,      // no run in flight needs this worker
+  };
 
+  /// Program `program` (caller holds mu_ or is the constructor).
+  Program& program_at(int program) const;
   int add_program_locked(ExecutorProgram program);
   void ensure_threads(int count);
+  /// Tells every worker to exit and joins it (no run may be in flight).
+  void stop_workers();
+  /// Waits (holding back new runs) until no run is in flight; resume()
+  /// lets them in again and unlocks.
+  void quiesce(std::unique_lock<std::mutex>& lk);
+  void resume(std::unique_lock<std::mutex>& lk);
+  /// A free run slot of `prog`, made on demand (caller holds mu_).
+  RunSlot* take_run_slot(Program& prog);
+  void start_run(int program, std::vector<TensorMap> owned,
+                 const std::vector<TensorMap>* inputs,
+                 const RunOptions& options, Completion done);
   void worker_loop(int me);
-  void run_pinned(int me, RunState& st, const OpContext& ctx,
-                  mem::SlotSink& sink, std::vector<std::size_t>& cursor);
-  void run_stealing(int me, RunState& st, const OpContext& ctx,
-                    mem::SlotSink& sink);
-  void execute_task(int me, std::int32_t t, bool stolen, RunState& st,
-                    const OpContext& ctx, mem::SlotSink& sink);
-  void ring_all();
-  void tally_messages(const Program& prog, RunState& st, Profile* profile);
+  Step step_pinned(Worker& w);
+  Step step_stealing(Worker& w);
+  void run_task(Worker& w, RunSlot& run, std::int32_t t, bool stolen);
+  void execute_task(Worker& w, RunSlot& run, std::int32_t t);
+  void finish_run(RunSlot& run);
+  void tally_messages(RunSlot& run, Profile& profile);
 
   const ExecutorKind placement_;
 
+  // mu_ guards the program table's growth, the lane list, run admission
+  // and the in-flight list. Workers copy `active_` and the lanes into their
+  // own state whenever `active_gen_` moved, so they never read the vectors.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;  // in_flight_ dropped or holds_ released
   /// Hosted programs; unique_ptr keeps addresses stable while add_program
-  /// grows the vector (parked workers dereference entries during runs).
+  /// grows the vector (run slots point at their program).
   std::vector<std::unique_ptr<Program>> programs_;
   /// Per worker thread: steal deque, doorbell and kernel-scratch arena.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> threads_;
-
-  // Live scheduling state of the run in flight, reset by run_program()
-  // while every worker is parked; sized for the largest hosted program.
-  std::unique_ptr<std::atomic<std::int32_t>[]> deps_;
-  std::size_t deps_capacity_ = 0;
-  std::vector<Tensor> values_;  // (value, sample) -> produced tensor
-  std::atomic<std::int64_t> remaining_{0};  // steal: tasks left in the run
-  std::atomic<bool> abort_{false};
-
-  std::mutex run_mu_;  // serializes concurrent run()/add/remove callers
-
-  // Start/finish handshake between run_program() and the parked workers.
-  mutable std::mutex ctl_mu_;
-  std::condition_variable start_cv_;  // workers: wait for a new run/shutdown
-  std::condition_variable done_cv_;   // run(): wait for all workers to finish
-  std::uint64_t run_seq_ = 0;         // bumped per run
+  std::vector<RunSlot*> active_;  // runs in flight, oldest first
+  std::atomic<std::uint64_t> active_gen_{0};
+  int in_flight_ = 0;  // started runs whose completion has not returned
+  int holds_ = 0;      // add/remove_program calls holding new runs back
+  std::uint64_t run_seq_ = 0;
   std::uint64_t runs_completed_ = 0;
-  int workers_done_ = 0;
-  int workers_ready_ = 0;  // threads that captured their initial run_seq_
   bool shutdown_ = false;
-  RunState* state_ = nullptr;  // non-null only while a run is in flight
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace ramiel

@@ -57,7 +57,7 @@ struct ModelConfig {
   /// Runtime choice; kAuto resolves per model via cluster_cost_cv in
   /// ModelRegistry::add (shared pools force the static runtime — the whole
   /// point is one set of threads — and so does pipeline_stages > 1, whose
-  /// stage threads are pinned).
+  /// stages run pinned, one worker each).
   ExecutorKind executor = ExecutorKind::kAuto;
   /// Token-bucket refill rate, requests/second. <= 0 = unlimited.
   double quota_rps = 0.0;
@@ -68,7 +68,8 @@ struct ModelConfig {
   /// Bounded per-tenant queue depth (reject-on-full beyond it).
   int queue_depth = 64;
   /// > 1 splits the clustered program into this many cost-balanced stages
-  /// and double-buffers them for cross-batch pipelining (fleet/pipeline.h).
+  /// (fleet/pipeline.h) run on the tenant's own executor with two batches
+  /// in flight, so consecutive batches overlap across stages.
   int pipeline_stages = 1;
 
   // Compile options (PipelineOptions). The defaults compile the model

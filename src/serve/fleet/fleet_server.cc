@@ -4,9 +4,11 @@
 #include <chrono>
 #include <utility>
 
+#include "mem/planner.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/fleet/pipeline.h"
 #include "support/check.h"
 #include "support/env.h"
 #include "support/stopwatch.h"
@@ -29,6 +31,11 @@ namespace {
 
 /// Idle poll granularity of the dispatcher loops (2 ms).
 constexpr std::int64_t kPollNs = 2'000'000;
+
+/// Batches a pipelined tenant keeps in flight: one filling the early
+/// stages while the previous one drains the later ones. Every other tenant
+/// finishes each batch before it dispatches the next.
+constexpr int kPipelinedInFlight = 2;
 
 /// Resolves `promise` with a refusal that never reached a runtime.
 void refuse(std::promise<Response>& promise, std::string error) {
@@ -121,11 +128,21 @@ void FleetServer::install_runtime(Tenant& t,
   t.pipeline_stages = 1;
   t.modeled_speedup = 1.0;
   if (mc.pipeline_stages > 1) {
-    t.runner = std::make_unique<PipelinedRunner>(
-        &cm.graph, cm.clustering, mc.pipeline_stages, mc.batch,
-        plan != nullptr, t.name);
-    t.pipeline_stages = t.runner->num_stages();
-    t.modeled_speedup = t.runner->cut().modeled_speedup();
+    // The stage cut runs as its own pinned program, one worker per stage
+    // (the thread count of the cut), planned like any hyperclustering:
+    // cross-stage values are cross-worker sends to the planner.
+    const StageCut cut =
+        build_stage_cut(cm.graph, cm.clustering, mc.pipeline_stages);
+    Hyperclustering hc = stage_hyperclusters(cm.graph, cut, mc.batch);
+    const mem::MemPlan stage_plan =
+        plan != nullptr ? mem::plan_memory(cm.graph, hc) : mem::MemPlan{};
+    t.own_pool = std::make_unique<ParallelExecutor>(
+        &cm.graph, std::move(hc), plan != nullptr ? &stage_plan : nullptr,
+        ExecutorKind::kStatic);
+    t.pool = t.own_pool.get();
+    t.program = 0;
+    t.pipeline_stages = cut.num_stages();
+    t.modeled_speedup = cut.modeled_speedup();
   } else if (pool_ == "partitioned" || !shared_exec_) {
     // A one-program executor: the tenant's own, or the first shared
     // tenant's, which every later shared tenant joins.
@@ -142,7 +159,7 @@ void FleetServer::install_runtime(Tenant& t,
 }
 
 void FleetServer::retire_runtime(Tenant& t) {
-  t.runner.reset();  // drains in-pipe flights and their callbacks
+  // Either way the tenant's runs in flight and their finish() drain first.
   if (t.own_pool) {
     t.own_pool.reset();
   } else if (t.pool != nullptr) {
@@ -155,8 +172,8 @@ void FleetServer::retire_runtime(Tenant& t) {
 void FleetServer::add_model(const ModelConfig& config) {
   // Compile off to the side first: the fleet keeps serving while the
   // replacement (or the new tenant) is built. A shared pool runs every
-  // tenant pinned, and a pipelined tenant runs on its runner's pinned stage
-  // threads, so both register as static: the entry, report(), stats_json()
+  // tenant pinned, and a pipelined tenant runs its stage cut pinned, so
+  // both register as static: the entry, report(), stats_json()
   // and the executor gauge then name what actually runs.
   ModelConfig resolved = config;
   if (pool_ == "shared" || config.pipeline_stages > 1) {
@@ -366,45 +383,43 @@ void FleetServer::dispatch(Tenant& t,
   run_opts.intra_op_threads = options_.intra_op_threads;
   run_opts.trace = options_.profile;
 
-  if (t.runner) {
-    // May block on depth-2 backpressure — that is the pipeline's admission
-    // control, and exactly when the overlap with the draining flight
-    // happens. The flight finishes on the runner's last stage thread.
-    auto riders = std::make_shared<std::vector<Request>>(std::move(batch));
-    t.runner->submit(
-        std::move(inputs), run_opts,
-        [this, &t, entry, riders, slots, dispatch_ns](
-            std::vector<TensorMap> outputs, std::exception_ptr error,
-            const Profile& profile) {
-          finish(t, entry, *riders, slots, dispatch_ns, std::move(outputs),
-                 error, profile);
-        });
-    return;
+  auto riders = std::make_shared<std::vector<Request>>(std::move(batch));
+  const Hyperclustering* hc = &t.pool->program_hyperclusters(t.program);
+  {
+    std::lock_guard<std::mutex> lk(t.flight_mu);
+    ++t.in_flight;
   }
-  Profile profile;
-  std::vector<TensorMap> outputs;
-  std::exception_ptr error;
   try {
-    outputs = t.pool->run_program(t.program, inputs, run_opts, &profile);
+    t.pool->submit(t.program, std::move(inputs), run_opts,
+                   [this, &t, entry, hc, riders, slots, dispatch_ns](
+                       std::vector<TensorMap> outputs,
+                       std::exception_ptr error, Profile profile) {
+                     finish(t, entry, *hc, *riders, slots, dispatch_ns,
+                            std::move(outputs), error, profile);
+                   });
   } catch (...) {
-    error = std::current_exception();
+    finish(t, entry, *hc, *riders, slots, dispatch_ns, {},
+           std::current_exception(), Profile{});
   }
-  finish(t, entry, batch, slots, dispatch_ns, std::move(outputs), error,
-         profile);
+  // The in-flight bound is the tenant's backpressure: a pipelined tenant
+  // returns to fill its next batch while this one drains, everyone else
+  // waits for it here.
+  const int bound = t.pipeline_stages > 1 ? kPipelinedInFlight : 1;
+  std::unique_lock<std::mutex> lk(t.flight_mu);
+  t.flight_cv.wait(lk, [&] { return t.in_flight < bound; });
 }
 
 void FleetServer::finish(Tenant& t,
                          const std::shared_ptr<const ModelEntry>& entry,
+                         const Hyperclustering& hc,
                          std::vector<Request>& riders, int slots,
                          std::int64_t dispatch_ns,
                          std::vector<TensorMap> outputs,
                          std::exception_ptr error, const Profile& profile) {
   const int real = static_cast<int>(riders.size());
   t.stats->on_batch(real, slots, profile);
-  // Pipelined flights record no task events, so only executor batches
-  // become tail exemplars.
-  if (!error && options_.profile && !profile.events.empty()) {
-    maybe_keep_exemplar(t, entry, profile, dispatch_ns);
+  if (!error && options_.profile) {
+    maybe_keep_exemplar(t, entry, hc, profile, dispatch_ns);
   }
   // One bad request poisons its whole batch (they shared one run); every
   // rider gets the error and the tenant keeps serving.
@@ -439,6 +454,11 @@ void FleetServer::finish(Tenant& t,
     std::lock_guard<std::mutex> lk(t.trace_mu);
     t.spans.push_back(BatchSpan{dispatch_ns, done_ns, real, slots});
   }
+  // Notify under the lock: once shutdown sees the count drop, the fleet may
+  // be destroyed, condition variable included.
+  std::lock_guard<std::mutex> lk(t.flight_mu);
+  --t.in_flight;
+  t.flight_cv.notify_all();
 }
 
 void FleetServer::mirror_aged(Tenant& t) {
@@ -451,10 +471,12 @@ void FleetServer::mirror_aged(Tenant& t) {
 
 void FleetServer::maybe_keep_exemplar(
     Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
-    const Profile& profile, std::int64_t dispatch_ns) {
+    const Hyperclustering& hc, const Profile& profile,
+    std::int64_t dispatch_ns) {
   {
-    // The tenant's dispatch (exec_mu) is the only writer, so this early-out
-    // cannot race another insertion; the lock orders against readers.
+    // A racing insertion (a pipelined tenant finishes two batches at once)
+    // only makes this early-out conservative; the insertion below re-sorts
+    // and trims under the lock.
     std::lock_guard<std::mutex> lk(t.trace_mu);
     if (t.exemplars.size() >= static_cast<std::size_t>(kProfileExemplars) &&
         profile.wall_ms <= t.exemplars.back().wall_ms) {
@@ -469,8 +491,7 @@ void FleetServer::maybe_keep_exemplar(
   prof::AnalyzeOptions aopts;
   aopts.top_ops = 8;
   aopts.what_if_ops = 2;
-  ex.report = prof::analyze(entry->compiled.graph,
-                            entry->compiled.hyperclusters, profile,
+  ex.report = prof::analyze(entry->compiled.graph, hc, profile,
                             aopts);  // outside the lock: O(tasks) walk
   std::lock_guard<std::mutex> lk(t.trace_mu);
   t.exemplars.push_back(std::move(ex));
@@ -512,11 +533,11 @@ void FleetServer::shutdown() {
   for (Tenant* t : all) {
     if (t->dispatcher.joinable()) t->dispatcher.join();
   }
-  // Drain the pipelines: runner destructors wait for in-pipe flights and
-  // their completion callbacks.
+  // A pipelined tenant's dispatcher leaves up to one batch in flight; wait
+  // for its finish().
   for (Tenant* t : all) {
-    std::lock_guard<std::mutex> lk(t->exec_mu);
-    t->runner.reset();
+    std::unique_lock<std::mutex> lk(t->flight_mu);
+    t->flight_cv.wait(lk, [&] { return t->in_flight == 0; });
   }
   for (Tenant* t : all) t->stats->freeze();
 }

@@ -13,21 +13,23 @@
 //        │ per-tenant token bucket + bounded queue     (fleet/admission.h)
 //        ▼
 //   FleetQueue ── weighted-fair + aging dequeue ──▶ dispatch
-//        │                                             │
-//        │   ParallelExecutor::run_program: the        │ pipeline_stages>1:
-//        │   tenant's own executor (partitioned) or    │ PipelinedRunner::
-//        │   the ONE multi-program executor every      │ submit (fleet/
-//        │   tenant shares (shared; rt/executor.h)     │ pipeline.h)
-//        ▼                                             ▼
-//   finish: promises fulfilled, per-tenant StatsCollector updated, span kept
+//        │
+//        │   ParallelExecutor::submit (rt/executor.h) on the tenant's own
+//        │   executor (partitioned, or a pipelined tenant's stage cut) or
+//        │   on the ONE multi-program executor the shared tenants share;
+//        │   then wait until the tenant is under its in-flight bound
+//        ▼
+//   finish (the run's completion): promises fulfilled, per-tenant
+//   StatsCollector updated, span and tail exemplar kept
 //
 // Pool modes:
 //   - "shared": one dispatcher thread runs the fair dequeue and drives one
 //     ParallelExecutor that hosts all tenants' programs — tenants
 //     time-slice a single persistent worker pool instead of oversubscribing
-//     the machine with per-model thread sets. Dispatches are serialized by
-//     the executor, which is exactly why admission order (fair + aging) is
-//     the thing that decides who waits. A shared pool runs its tenants on
+//     the machine with per-model thread sets. The dispatcher waits for each
+//     batch before it dequeues the next (in-flight bound 1), which is
+//     exactly why admission order (fair + aging) is the thing that decides
+//     who waits. A shared pool runs its tenants on
 //     the pinned (static) placement, so their executor resolves to
 //     `static` whatever the config asks for; `steal` and `auto` take
 //     effect in `partitioned` mode.
@@ -36,11 +38,13 @@
 //     per the model's resolved kind). Admission and quotas are shared; the
 //     machine is not.
 //
-// Pipelined tenants (pipeline_stages > 1) own a PipelinedRunner whose stage
-// threads double-buffer the program. The dispatcher submits flights
-// asynchronously (depth-2 backpressure), so consecutive batches of the same
-// tenant overlap across stages; each flight finishes on the runner's last
-// stage thread, through the same finish() an executor batch takes.
+// Pipelined tenants (pipeline_stages > 1) run their stage cut
+// (fleet/pipeline.h) on their own pinned one-program executor, one worker
+// per stage, in either pool mode. Their in-flight bound is 2: the
+// dispatcher fills and submits the next batch while the previous one drains
+// the later stages, so consecutive batches overlap across stages, each in
+// its own run slot. Every batch finishes on the executor thread that ran
+// its last task, through the same finish().
 //
 // Hot add/remove: add_model() on a new name registers + starts serving it;
 // on an existing name it compiles the replacement off to the side (a
@@ -51,6 +55,7 @@
 // drain, then retires the program.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <future>
@@ -63,8 +68,8 @@
 
 #include "obs/prof/critical_path.h"
 #include "serve/fleet/admission.h"
+#include "rt/executor.h"
 #include "serve/fleet/config.h"
-#include "serve/fleet/pipeline.h"
 #include "serve/fleet/registry.h"
 #include "serve/request.h"
 #include "serve/stats.h"
@@ -99,9 +104,9 @@ struct FleetOptions {
   /// Tail attribution: record per-task events for every batch and keep
   /// each tenant's kProfileExemplars slowest batches with their realized
   /// critical-path reports (prof::analyze) — which op/cluster caused each
-  /// p99 batch. The executors already read the clock twice per task, so
-  /// recording adds one vector append per task (BENCH_serve.json,
-  /// "profiler_overhead"). Pipelined tenants are not profiled.
+  /// p99 batch (for a pipelined tenant, which stage). The executors already
+  /// read the clock twice per task, so recording adds one vector append per
+  /// task (BENCH_serve.json, "profiler_overhead").
   bool profile = false;
 };
 
@@ -229,15 +234,19 @@ class FleetServer {
     int index = -1;  // FleetQueue tenant index == tenants_ index
     /// Guarded by exec_mu: the artifact handle and its runtime binding —
     /// program `program` of `pool` (the tenant's own executor on a
-    /// partitioned pool, the shared one otherwise), or `runner`.
+    /// partitioned pool or for a pipelined tenant, the shared one
+    /// otherwise).
     std::shared_ptr<const ModelEntry> entry;
     ParallelExecutor* pool = nullptr;
     int program = -1;
-    std::unique_ptr<ParallelExecutor> own_pool;  // partitioned pool
-    std::unique_ptr<PipelinedRunner> runner;     // pipeline_stages > 1
-    /// Cached from the runner's cut (survives shutdown's runner teardown).
+    std::unique_ptr<ParallelExecutor> own_pool;
+    /// From the stage cut (1 and 1.0 when not pipelined).
     int pipeline_stages = 1;
     double modeled_speedup = 1.0;
+    /// Batches submitted whose finish() has not returned.
+    std::mutex flight_mu;
+    std::condition_variable flight_cv;
+    int in_flight = 0;
     std::unique_ptr<StatsCollector> stats;
     obs::Counter* admitted = nullptr;
     obs::Counter* rejected_quota = nullptr;
@@ -265,24 +274,27 @@ class FleetServer {
   void retire_runtime(Tenant& t);
   /// Fills a batch for `first`'s tenant and dispatches it.
   void serve_one(Tenant& t, Request first);
-  /// Pads the batch to the tenant's slots, then runs it on the tenant's
-  /// executor or submits it to its runner; either way finish() completes it.
+  /// Pads the batch to the tenant's slots, submits it to the tenant's
+  /// executor with finish() as its completion, then waits until the tenant
+  /// is under its in-flight bound.
   void dispatch(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
                 std::vector<Request> batch, std::int64_t dispatch_ns);
-  /// Fans the outputs (or the error) out to the riders, updates the stats
-  /// and records the span. Takes no fleet-wide lock: for pipelined tenants
-  /// it runs on the runner's last stage thread, which hot swap and remove
-  /// drain while holding tenants_mu_ and exec_mu.
+  /// Fans the outputs (or the error) out to the riders, updates the stats,
+  /// records the span and ends the batch's flight. `hc` is the program the
+  /// batch ran. Takes no fleet-wide lock: it runs on an executor thread,
+  /// which hot swap and remove drain while holding tenants_mu_ and exec_mu.
   void finish(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
-              std::vector<Request>& riders, int slots,
-              std::int64_t dispatch_ns, std::vector<TensorMap> outputs,
-              std::exception_ptr error, const Profile& profile);
+              const Hyperclustering& hc, std::vector<Request>& riders,
+              int slots, std::int64_t dispatch_ns,
+              std::vector<TensorMap> outputs, std::exception_ptr error,
+              const Profile& profile);
   void shared_dispatch_loop();
   void tenant_dispatch_loop(int index);
   void mirror_aged(Tenant& t);
   void maybe_keep_exemplar(Tenant& t,
                            const std::shared_ptr<const ModelEntry>& entry,
-                           const Profile& profile, std::int64_t dispatch_ns);
+                           const Hyperclustering& hc, const Profile& profile,
+                           std::int64_t dispatch_ns);
 
   FleetOptions options_;
   std::string pool_;
@@ -298,7 +310,7 @@ class FleetServer {
   std::vector<std::shared_ptr<const ModelEntry>> retired_;
 
   /// Shared pool. Constructed lazily on the first non-pipelined tenant
-  /// (a fleet of only pipelined tenants needs no extra pool).
+  /// (a fleet of only pipelined tenants needs no shared pool).
   std::unique_ptr<ParallelExecutor> shared_exec_;
 
   std::thread shared_dispatcher_;

@@ -2,12 +2,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "models/zoo.h"
 #include "passes/cluster_merging.h"
 #include "passes/linear_clustering.h"
+#include "ramiel/pipeline.h"
 #include "rt/doorbell.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
@@ -530,6 +534,182 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ContainmentCase>& info) {
       return std::string(to_string(info.param.placement)) +
              (info.param.shared_pool ? "_shared_pool" : "_single_program");
+    });
+
+TEST(ParallelExecutor, RejectsALaterProgramWithoutLeakingWorkers) {
+  // The first program starts worker threads; the second carries a memory
+  // plan for another hyperclustering. The constructor must throw (joining
+  // the workers it started), not end the process.
+  Graph g = models::build("squeezenet");
+  const Hyperclustering hc = build_hyperclusters(g, cluster(g), 1);
+  mem::MemPlan wrong;
+  wrong.workers.resize(static_cast<std::size_t>(hc.workers.size()) + 1);
+  std::vector<ExecutorProgram> programs;
+  programs.push_back(ExecutorProgram{&g, hc, nullptr});
+  programs.push_back(ExecutorProgram{&g, hc, &wrong});
+  EXPECT_THROW(ParallelExecutor(std::move(programs)), Error);
+}
+
+// ---------------------------------------------------------- runs in flight --
+
+/// One async run's outcome, filled by its completion.
+struct Outcome {
+  std::vector<TensorMap> outputs;
+  std::exception_ptr error;
+};
+
+/// Submits every batch before waiting for any; returns each run's outcome.
+std::vector<Outcome> submit_all(
+    ParallelExecutor& exec, const std::vector<std::vector<TensorMap>>& batches) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Outcome> outcomes(batches.size());
+  std::size_t completed = 0;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    exec.submit(0, batches[i], RunOptions{},
+                [&, i](std::vector<TensorMap> out, std::exception_ptr error,
+                       Profile) {
+                  std::lock_guard<std::mutex> lk(mu);
+                  outcomes[i].outputs = std::move(out);
+                  outcomes[i].error = error;
+                  ++completed;
+                  cv.notify_all();
+                });
+  }
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&] { return completed == batches.size(); });
+  return outcomes;
+}
+
+class RunsInFlight : public ::testing::TestWithParam<ExecutorKind> {};
+
+TEST_P(RunsInFlight, FailingRunFailsAloneBesideAGoodRun) {
+  // A run that throws (missing input) while good runs of the same program
+  // are in flight: only it fails, the good ones stay bit-identical to the
+  // oracle, and the next run is clean.
+  Graph g = models::build("squeezenet");
+  const Hyperclustering hc = build_hyperclusters(g, cluster(g), 2);
+  ParallelExecutor exec(&g, hc, nullptr, GetParam());
+  Rng rng(51);
+  const auto good = make_example_inputs(g, 2, rng);
+  const std::vector<TensorMap> missing(2);
+  const auto want = SequentialExecutor(&g).run(good);
+
+  // Back-to-back submits overlap unless the host stalls this thread for a
+  // whole run; retry until three slots were in flight together.
+  for (int round = 0; round < 20 && exec.run_slots(0) < 3; ++round) {
+    const auto outcomes = submit_all(exec, {good, missing, good});
+    ASSERT_FALSE(outcomes[0].error);
+    ASSERT_TRUE(outcomes[1].error);
+    ASSERT_FALSE(outcomes[2].error);
+    expect_bit_identical(outcomes[0].outputs, want);
+    expect_bit_identical(outcomes[2].outputs, want);
+  }
+  EXPECT_EQ(exec.run_slots(0), 3) << "the runs never overlapped";
+  expect_bit_identical(exec.run(good), want);
+}
+
+TEST_P(RunsInFlight, DestructionDrainsAsyncRunsAndCallsEachCompletionOnce) {
+  Graph g = models::build("squeezenet");
+  const Hyperclustering hc = build_hyperclusters(g, cluster(g), 2);
+  Rng rng(53);
+  const auto inputs = make_example_inputs(g, 2, rng);
+  constexpr int kRuns = 6;
+  std::vector<std::atomic<int>> calls(kRuns);
+  std::vector<std::atomic<int>> served(kRuns);
+  {
+    ParallelExecutor exec(&g, hc, nullptr, GetParam());
+    for (int i = 0; i < kRuns; ++i) {
+      exec.submit(0, inputs, RunOptions{},
+                  [&calls, &served, i](std::vector<TensorMap> out,
+                                       std::exception_ptr error, Profile) {
+                    calls[static_cast<std::size_t>(i)].fetch_add(1);
+                    if (!error && out.size() == 2u) {
+                      served[static_cast<std::size_t>(i)].fetch_add(1);
+                    }
+                  });
+    }
+  }  // destroyed with the runs still in flight
+  for (int i = 0; i < kRuns; ++i) {
+    EXPECT_EQ(calls[static_cast<std::size_t>(i)].load(), 1) << "run " << i;
+    EXPECT_EQ(served[static_cast<std::size_t>(i)].load(), 1) << "run " << i;
+  }
+}
+
+TEST_P(RunsInFlight, AddProgramUnderConcurrentRunProgramCallers) {
+  // Hot-loading wider programs (the pool grows from 2 to 4 threads) while
+  // two callers keep running program 0: every output stays bit-identical.
+  Graph a = models::build("squeezenet");
+  Graph b = models::build("googlenet");
+  const Hyperclustering hc_a = build_hyperclusters(a, cluster(a), 2);
+  const Hyperclustering hc_b = build_hyperclusters(b, cluster(b), 2);
+  Rng rng(57);
+  const auto in_a = make_example_inputs(a, 2, rng);
+  const auto in_b = make_example_inputs(b, 2, rng);
+  const auto want_a = SequentialExecutor(&a).run(in_a);
+  const auto want_b = SequentialExecutor(&b).run(in_b);
+
+  std::vector<ExecutorProgram> programs;
+  programs.push_back(ExecutorProgram{&a, hc_a, nullptr});
+  ParallelExecutor pool(std::move(programs), GetParam());
+  std::atomic<bool> stop{false};
+  std::atomic<int> runs{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&] {
+      while (!stop.load()) {
+        expect_bit_identical(pool.run_program(0, in_a), want_a);
+        runs.fetch_add(1);
+      }
+    });
+  }
+  for (int i = 0; i < 3; ++i) {
+    const int id = pool.add_program(&b, hc_b, nullptr);
+    expect_bit_identical(pool.run_program(id, in_b), want_b);
+  }
+  while (runs.load() < 4) std::this_thread::yield();
+  stop.store(true);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(pool.num_programs(), 4);
+}
+
+TEST_P(RunsInFlight, ZooBitIdenticalAcrossMemPlanAndDepth) {
+  // The gate matrix: every zoo model x {arena, heap} x runs in flight
+  // {1, 2, 4}, each run on its own inputs, against the sequential oracle.
+  PipelineOptions opts;
+  opts.batch = 2;
+  opts.generate_code = false;
+  for (const std::string& name : models::model_names()) {
+    SCOPED_TRACE(name);
+    const CompiledModel cm = compile_model(models::build(name), opts);
+    Rng rng(59);
+    std::vector<std::vector<TensorMap>> batches;
+    std::vector<std::vector<TensorMap>> want;
+    for (int i = 0; i < 4; ++i) {
+      batches.push_back(make_example_inputs(cm.graph, 2, rng));
+      want.push_back(SequentialExecutor(&cm.graph).run(batches.back()));
+    }
+    for (const bool planned : {true, false}) {
+      ParallelExecutor exec(&cm.graph, cm.hyperclusters,
+                            planned ? &cm.mem_plan : nullptr, GetParam());
+      for (const std::size_t depth : {1u, 2u, 4u}) {
+        const auto outcomes = submit_all(
+            exec, std::vector<std::vector<TensorMap>>(
+                      batches.begin(), batches.begin() + depth));
+        for (std::size_t i = 0; i < depth; ++i) {
+          ASSERT_FALSE(outcomes[i].error) << "depth " << depth;
+          expect_bit_identical(outcomes[i].outputs, want[i]);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, RunsInFlight,
+    ::testing::Values(ExecutorKind::kStatic, ExecutorKind::kSteal),
+    [](const ::testing::TestParamInfo<ExecutorKind>& info) {
+      return std::string(to_string(info.param));
     });
 
 }  // namespace

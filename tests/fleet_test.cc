@@ -5,9 +5,11 @@
 //     and aging starvation-freedom under 100:1 weight skew
 //   - build_stage_cut properties across the zoo (coverage, topological
 //     contiguity, cluster-boundary cuts, modeled speedup)
-//   - pipelined execution bit-identical to the sequential executor on all
-//     zoo models, and to both parallel executors
-//   - double-buffered stage arenas never overlap (property test)
+//   - the stage cut, run as a pinned program with several batches in
+//     flight, bit-identical to the sequential executor on all zoo models
+//     and to both parallel executors
+//   - the arenas of run slots in flight at once never overlap (property
+//     test)
 //   - ModelRegistry versioning; FleetServer end-to-end on both pool modes,
 //     hot swap and remove under traffic, per-tenant accounting
 //   - strict-JSON round-trips of the fleet config and per-tenant stats
@@ -27,6 +29,7 @@
 #include "graph/cost_model.h"
 #include "graph/op_eval.h"
 #include "graph/shape_inference.h"
+#include "mem/planner.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "ramiel/pipeline.h"
@@ -344,87 +347,128 @@ TEST(StageCut, BalancedChainSpeedupApproachesStageCount) {
   EXPECT_GE(cut.modeled_speedup(), 2.0);
 }
 
-TEST(PipelinedRunner, BitIdenticalToSequentialAcrossZoo) {
+/// A pipelined tenant's runtime: the stage cut as a pinned one-program
+/// executor (worker s = stage s), planned like any hyperclustering.
+std::unique_ptr<ParallelExecutor> stage_executor(const CompiledModel& cm,
+                                                 int stages, int batch,
+                                                 bool mem_plan) {
+  const StageCut cut = build_stage_cut(cm.graph, cm.clustering, stages);
+  Hyperclustering hc = stage_hyperclusters(cm.graph, cut, batch);
+  const mem::MemPlan plan =
+      mem_plan ? mem::plan_memory(cm.graph, hc) : mem::MemPlan{};
+  return std::make_unique<ParallelExecutor>(
+      &cm.graph, std::move(hc), mem_plan ? &plan : nullptr,
+      ExecutorKind::kStatic);
+}
+
+/// Submits every batch before waiting for any (all in flight at once, as
+/// far as the host lets them overlap); returns each batch's outputs.
+std::vector<std::vector<TensorMap>> run_in_flight(
+    ParallelExecutor& exec, const std::vector<std::vector<TensorMap>>& batches,
+    const std::string& what) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::vector<TensorMap>> outputs(batches.size());
+  std::size_t completed = 0;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    exec.submit(0, batches[i], RunOptions{},
+                [&, i](std::vector<TensorMap> out, std::exception_ptr error,
+                       Profile) {
+                  EXPECT_FALSE(error) << what << " batch " << i;
+                  std::lock_guard<std::mutex> lk(mu);
+                  outputs[i] = std::move(out);
+                  ++completed;
+                  cv.notify_all();
+                });
+  }
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&] { return completed == batches.size(); });
+  return outputs;
+}
+
+TEST(StageCutProgram, BitIdenticalToSequentialAcrossZoo) {
   for (const std::string& name : models::model_names()) {
     CompiledModel cm = compile_model(models::build(name), fast_pipeline(2));
     Rng rng(7);
-    const auto inputs = make_example_inputs(cm.graph, 2, rng);
+    // Two different batches, in flight together, each in its own run slot.
+    const std::vector<std::vector<TensorMap>> batches = {
+        make_example_inputs(cm.graph, 2, rng),
+        make_example_inputs(cm.graph, 2, rng)};
 
     SequentialExecutor seq(&cm.graph);
-    std::vector<TensorMap> expected;
-    for (const TensorMap& sample : inputs) {
-      expected.push_back(seq.run({sample})[0]);
-    }
-
-    PipelinedRunner runner(&cm.graph, cm.clustering, 3, 2,
-                           /*mem_plan=*/true, name);
-    // Two flights exercise both arena parities (and any skip edges).
-    for (int flight = 0; flight < 2; ++flight) {
-      const auto out = runner.run(inputs);
-      ASSERT_EQ(out.size(), 2u) << name;
+    auto exec = stage_executor(cm, 3, 2, /*mem_plan=*/true);
+    const auto out = run_in_flight(*exec, batches, name);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_EQ(out[b].size(), 2u) << name;
+      const auto expected = seq.run(batches[b]);
       for (int s = 0; s < 2; ++s) {
-        expect_bit_identical(
-            out[static_cast<std::size_t>(s)],
-            expected[static_cast<std::size_t>(s)],
-            name + " flight " + std::to_string(flight));
+        expect_bit_identical(out[b][static_cast<std::size_t>(s)],
+                             expected[static_cast<std::size_t>(s)],
+                             name + " batch " + std::to_string(b));
       }
     }
-    EXPECT_EQ(runner.flights_completed(), 2u) << name;
+    EXPECT_EQ(exec->runs_completed(), 2u) << name;
   }
 }
 
-TEST(PipelinedRunner, BitIdenticalToBothParallelExecutors) {
+TEST(StageCutProgram, BitIdenticalToBothParallelExecutors) {
   for (const std::string& name : {std::string("squeezenet"),
                                   std::string("bert")}) {
     CompiledModel cm = compile_model(models::build(name), fast_pipeline(2));
     Rng rng(11);
     const auto inputs = make_example_inputs(cm.graph, 2, rng);
-    PipelinedRunner runner(&cm.graph, cm.clustering, 3, 2,
-                           /*mem_plan=*/true, name + "_x");
-    const auto piped = runner.run(inputs);
+    auto staged = stage_executor(cm, 3, 2, /*mem_plan=*/true);
+    const auto piped = run_in_flight(*staged, {inputs, inputs}, name);
     for (ExecutorKind kind : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
       auto exec = make_executor(kind, &cm.graph, cm.hyperclusters,
                                 cm.mem_plan.empty() ? nullptr : &cm.mem_plan);
       const auto out = exec->run(inputs);
-      for (int s = 0; s < 2; ++s) {
-        expect_bit_identical(piped[static_cast<std::size_t>(s)],
-                             out[static_cast<std::size_t>(s)],
-                             name + " vs " + to_string(kind));
+      for (const auto& batch : piped) {
+        for (int s = 0; s < 2; ++s) {
+          expect_bit_identical(batch[static_cast<std::size_t>(s)],
+                               out[static_cast<std::size_t>(s)],
+                               name + " vs " + to_string(kind));
+        }
       }
     }
   }
 }
 
-TEST(PipelinedRunner, HeapModeMatchesPlannedMode) {
+TEST(StageCutProgram, HeapModeMatchesPlannedMode) {
   CompiledModel cm =
       compile_model(models::build("googlenet"), fast_pipeline(2));
   Rng rng(13);
   const auto inputs = make_example_inputs(cm.graph, 2, rng);
-  PipelinedRunner planned(&cm.graph, cm.clustering, 3, 2, true,
-                          "g_planned");
-  PipelinedRunner heap(&cm.graph, cm.clustering, 3, 2, false,
-                       "g_heap");
-  EXPECT_TRUE(planned.mem_plan_enabled());
-  EXPECT_FALSE(heap.mem_plan_enabled());
-  const auto a = planned.run(inputs);
-  const auto b = heap.run(inputs);
-  for (int s = 0; s < 2; ++s) {
-    expect_bit_identical(a[static_cast<std::size_t>(s)],
-                         b[static_cast<std::size_t>(s)], "planned vs heap");
+  auto planned = stage_executor(cm, 3, 2, /*mem_plan=*/true);
+  auto heap = stage_executor(cm, 3, 2, /*mem_plan=*/false);
+  EXPECT_TRUE(planned->mem_plan_enabled());
+  EXPECT_FALSE(heap->mem_plan_enabled());
+  const auto a = run_in_flight(*planned, {inputs, inputs}, "planned");
+  const auto b = run_in_flight(*heap, {inputs, inputs}, "heap");
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (int s = 0; s < 2; ++s) {
+      expect_bit_identical(a[r][static_cast<std::size_t>(s)],
+                           b[r][static_cast<std::size_t>(s)],
+                           "planned vs heap");
+    }
   }
 }
 
-TEST(PipelinedRunner, DoubleBufferedArenasNeverOverlap) {
+TEST(StageCutProgram, InFlightRunSlotsNeverShareArenas) {
   CompiledModel cm =
       compile_model(models::build("squeezenet"), fast_pipeline(2));
   Rng rng(17);
   const auto inputs = make_example_inputs(cm.graph, 2, rng);
-  PipelinedRunner runner(&cm.graph, cm.clustering, 4, 2, true,
-                         "sq_arenas");
-  for (int i = 0; i < 3; ++i) (void)runner.run(inputs);
+  auto exec = stage_executor(cm, 4, 2, /*mem_plan=*/true);
+  // Two back-to-back submits overlap unless the host stalls this thread
+  // for a whole run; retry a few times before declaring the slot pool dead.
+  for (int attempt = 0; attempt < 20 && exec->run_slots(0) < 2; ++attempt) {
+    (void)run_in_flight(*exec, {inputs, inputs}, "overlap");
+  }
+  ASSERT_GE(exec->run_slots(0), 2) << "two runs never overlapped";
 
-  const auto spans = runner.arena_spans();
-  ASSERT_GE(spans.size(), 2u) << "both parities should have materialized";
+  const auto spans = exec->run_slot_arenas(0);
+  ASSERT_GE(spans.size(), 2u);
   for (std::size_t i = 0; i < spans.size(); ++i) {
     for (std::size_t j = i + 1; j < spans.size(); ++j) {
       const char* a_lo = reinterpret_cast<const char*>(spans[i].first);
@@ -437,56 +481,43 @@ TEST(PipelinedRunner, DoubleBufferedArenasNeverOverlap) {
   }
 }
 
-TEST(PipelinedRunner, OverlappingSubmitsAllResolveCorrectly) {
+TEST(StageCutProgram, OverlappingSubmitsAllResolveCorrectly) {
   CompiledModel cm =
       compile_model(models::build("squeezenet"), fast_pipeline(1));
   Rng rng(19);
   const auto all = make_example_inputs(cm.graph, 4, rng);
   SequentialExecutor seq(&cm.graph);
 
-  PipelinedRunner runner(&cm.graph, cm.clustering, 3, 1, true,
-                         "sq_overlap");
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::vector<TensorMap>> results(4);
-  int completed = 0;
-  // Four flights, capacity two: submits 3 and 4 block on depth admission
-  // until earlier flights drain — submit from a helper thread.
-  std::thread submitter([&] {
-    for (int i = 0; i < 4; ++i) {
-      runner.submit({all[static_cast<std::size_t>(i)]}, RunOptions{},
-                    [&, i](std::vector<TensorMap> out, std::exception_ptr,
-                           const Profile&) {
-                      std::lock_guard<std::mutex> lk(mu);
-                      results[static_cast<std::size_t>(i)] = std::move(out);
-                      ++completed;
-                      cv.notify_all();
-                    });
-    }
-  });
+  auto exec = stage_executor(cm, 3, 1, /*mem_plan=*/true);
+  std::vector<std::vector<TensorMap>> batches;
+  for (const TensorMap& sample : all) batches.push_back({sample});
+  // Four runs in flight from a helper thread; every one resolves with its
+  // own sample's outputs.
+  std::vector<std::vector<TensorMap>> results;
+  std::thread submitter(
+      [&] { results = run_in_flight(*exec, batches, "overlap"); });
   submitter.join();
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return completed == 4; });
-  }
   for (int i = 0; i < 4; ++i) {
-    auto out = results[static_cast<std::size_t>(i)];
+    const auto& out = results[static_cast<std::size_t>(i)];
     ASSERT_EQ(out.size(), 1u);
     const auto expected = seq.run({all[static_cast<std::size_t>(i)]});
-    expect_bit_identical(out[0], expected[0],
-                         "flight " + std::to_string(i));
+    expect_bit_identical(out[0], expected[0], "run " + std::to_string(i));
   }
-  EXPECT_EQ(runner.flights_completed(), 4u);
+  EXPECT_EQ(exec->runs_completed(), 4u);
 }
 
-TEST(PipelinedRunner, RejectsWrongBatchSize) {
+TEST(StageCutProgram, RejectsWrongBatchSize) {
   CompiledModel cm =
       compile_model(models::build("squeezenet"), fast_pipeline(2));
-  PipelinedRunner runner(&cm.graph, cm.clustering, 2, 2, true,
-                         "sq_batchck");
+  auto exec = stage_executor(cm, 2, 2, /*mem_plan=*/true);
   Rng rng(23);
   const auto one = make_example_inputs(cm.graph, 1, rng);
-  EXPECT_THROW((void)runner.run(one), Error);
+  EXPECT_THROW((void)exec->run(one), Error);
+  EXPECT_THROW(exec->submit(0, one, RunOptions{},
+                            [](std::vector<TensorMap>, std::exception_ptr,
+                               Profile) { ADD_FAILURE() << "ran"; }),
+               Error);
+  EXPECT_EQ(exec->runs_completed(), 0u);
 }
 
 // ----------------------------------------------------- shared-pool rt ----
@@ -746,44 +777,83 @@ TEST(FleetServer, RemoveModelDrainsThenRejects) {
 }
 
 TEST(FleetServer, PipelinedTenantServesCorrectlyAndReportsCut) {
-  FleetConfig config;
-  config.pool = "partitioned";
-  ModelConfig m;
-  m.name = "squeezenet";
-  m.batch = 2;
-  m.flush_timeout_ms = 1.0;
-  m.pipeline_stages = 3;
-  config.models = {m};
-  FleetServer fleet(config, FleetOptions{});
-
   CompiledModel reference =
       compile_model(models::build("squeezenet"), fast_pipeline(2));
   Rng rng(31);
   const auto inputs = make_example_inputs(reference.graph, 4, rng);
   SequentialExecutor seq(&reference.graph);
 
+  // A pipelined tenant runs on its own executor in either pool mode.
+  for (const std::string pool : {"partitioned", "shared"}) {
+    FleetConfig config;
+    config.pool = pool;
+    ModelConfig m;
+    m.name = "squeezenet";
+    m.batch = 2;
+    m.flush_timeout_ms = 1.0;
+    m.pipeline_stages = 3;
+    config.models = {m};
+    FleetServer fleet(config, FleetOptions{});
+
+    std::vector<std::future<Response>> futures;
+    for (const TensorMap& sample : inputs) {
+      futures.push_back(fleet.submit("squeezenet", TensorMap(sample)));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      Response r = futures[i].get();
+      ASSERT_TRUE(r.ok) << r.error;
+      const auto expected = seq.run({inputs[i]});
+      expect_bit_identical(r.outputs, expected[0],
+                           pool + " pipelined tenant sample " +
+                               std::to_string(i));
+    }
+    fleet.shutdown();
+
+    const auto reports = fleet.report();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].pipeline_stages, 3) << pool;
+    EXPECT_GE(reports[0].modeled_pipeline_speedup, 2.0) << pool;
+    EXPECT_EQ(reports[0].stats.served, 4u) << pool;
+    // Each batch reports its wall time and one busy total per stage.
+    EXPECT_EQ(reports[0].stats.num_workers, 3) << pool;
+    EXPECT_GT(reports[0].stats.exec_wall_ms, 0.0) << pool;
+    EXPECT_GT(reports[0].stats.worker_busy_ms, 0.0) << pool;
+  }
+}
+
+TEST(FleetServer, PipelinedTenantKeepsTailExemplarsPerStage) {
+  FleetConfig config;
+  config.pool = "partitioned";
+  ModelConfig m;
+  m.name = "squeezenet";
+  m.batch = 4;
+  m.flush_timeout_ms = 1.0;
+  m.pipeline_stages = 3;
+  config.models = {m};
+  FleetOptions options;
+  options.profile = true;
+  FleetServer fleet(config, options);
+
+  Rng rng(41);
+  const CompiledModel& cm = fleet.model_entry("squeezenet")->compiled;
   std::vector<std::future<Response>> futures;
-  for (const TensorMap& sample : inputs) {
+  for (const TensorMap& sample : make_example_inputs(cm.graph, 8, rng)) {
     futures.push_back(fleet.submit("squeezenet", TensorMap(sample)));
   }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    Response r = futures[i].get();
-    ASSERT_TRUE(r.ok) << r.error;
-    const auto expected = seq.run({inputs[i]});
-    expect_bit_identical(r.outputs, expected[0],
-                         "pipelined tenant sample " + std::to_string(i));
-  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok);
   fleet.shutdown();
 
-  const auto reports = fleet.report();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].pipeline_stages, 3);
-  EXPECT_GE(reports[0].modeled_pipeline_speedup, 2.0);
-  EXPECT_EQ(reports[0].stats.served, 4u);
-  // Each flight reports its wall time and one busy total per stage.
-  EXPECT_EQ(reports[0].stats.num_workers, 3);
-  EXPECT_GT(reports[0].stats.exec_wall_ms, 0.0);
-  EXPECT_GT(reports[0].stats.worker_busy_ms, 0.0);
+  // The slowest batches are kept with their per-task profile: one worker
+  // per stage, and a critical path through the stages.
+  const std::vector<TailExemplar> tail = fleet.tail_exemplars("squeezenet");
+  ASSERT_FALSE(tail.empty());
+  for (const TailExemplar& ex : tail) {
+    EXPECT_EQ(ex.profile.workers.size(), 3u);
+    EXPECT_FALSE(ex.profile.events.empty());
+    EXPECT_TRUE(ex.report.valid);
+    EXPECT_EQ(ex.report.workers, 3);
+    EXPECT_FALSE(ex.report.path.empty());
+  }
 }
 
 TEST(FleetServer, SharedPoolReportsThePinnedPlacementItRuns) {
@@ -817,9 +887,9 @@ TEST(FleetServer, SharedPoolReportsThePinnedPlacementItRuns) {
 }
 
 TEST(FleetServer, PipelinedTenantReportsThePinnedStagesItRuns) {
-  // A pipelined tenant runs on its runner's pinned stage threads, not on an
-  // executor, so on a partitioned pool it must report static whatever the
-  // config asks for: in the report, the stats JSON and the executor gauge.
+  // A pipelined tenant runs its stage cut on a pinned executor, so on a
+  // partitioned pool it must report static whatever the config asks for:
+  // in the report, the stats JSON and the executor gauge.
   for (const ExecutorKind asked : {ExecutorKind::kSteal, ExecutorKind::kAuto}) {
     FleetConfig config;
     config.pool = "partitioned";

@@ -114,7 +114,6 @@ Hyperclustering cluster(const Graph& g, int batch) {
 
 TEST(WorkDeque, OwnerPopsLifoThiefStealsFifo) {
   steal::WorkDeque d;
-  d.reset_capacity(8);
   d.push(1);
   d.push(2);
   d.push(3);
@@ -133,8 +132,8 @@ TEST(WorkDeque, OwnerPopsLifoThiefStealsFifo) {
 TEST(WorkDeque, ConcurrentPopAndStealDeliverEachTaskExactlyOnce) {
   constexpr std::int32_t kTasks = 20000;
   constexpr int kThieves = 3;
+  // No capacity up front: the ring grows under the thieves' feet.
   steal::WorkDeque d;
-  d.reset_capacity(kTasks);
 
   std::vector<std::atomic<int>> seen(kTasks);
   for (auto& s : seen) s.store(0);

@@ -63,6 +63,9 @@ TEST(ThreadPool, SubmitRunsTask) {
   std::mutex mu;
   std::condition_variable cv;
   pool.submit([&] {
+    // Under the lock: the test returns (destroying cv) as soon as it sees
+    // `ran`, which must not race with this notify.
+    std::lock_guard<std::mutex> lk(mu);
     ran.store(true);
     cv.notify_all();
   });
