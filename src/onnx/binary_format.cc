@@ -14,6 +14,7 @@
 //   shape  = u32 rank + i64 dims
 //   tensor = shape + f32 data (numel)
 //   attr tags: 0 = i64, 1 = f64, 2 = str, 3 = i64 list (u32 count + i64s)
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -67,13 +68,27 @@ T get(std::istream& is) {
   return v;
 }
 
+/// Reads `count` items of T. The buffer grows with the bytes actually read,
+/// so a corrupt count cannot allocate more than the stream holds.
+template <typename T>
+std::vector<T> get_array(std::istream& is, std::uint64_t count) {
+  constexpr std::uint64_t kChunk = (1u << 20) / sizeof(T);
+  std::vector<T> out;
+  while (out.size() < count) {
+    const std::size_t at = out.size();
+    out.resize(at + std::min<std::uint64_t>(kChunk, count - at));
+    is.read(reinterpret_cast<char*>(out.data() + at),
+            static_cast<std::streamsize>((out.size() - at) * sizeof(T)));
+    if (!is) throw ParseError("unexpected end of binary model");
+  }
+  return out;
+}
+
 std::string get_str(std::istream& is) {
   const std::uint32_t len = get<std::uint32_t>(is);
   RAMIEL_CHECK(len < (1u << 28), "implausible string length in binary model");
-  std::string s(len, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  if (!is) throw ParseError("unexpected end of binary model");
-  return s;
+  const std::vector<char> bytes = get_array<char>(is, len);
+  return std::string(bytes.begin(), bytes.end());
 }
 
 Shape get_shape(std::istream& is) {
@@ -88,17 +103,18 @@ Shape get_shape(std::istream& is) {
     }
     dims.push_back(d);
   }
-  return Shape(std::move(dims));
+  Shape shape(std::move(dims));
+  if (!shape.within_element_limit()) {
+    throw ParseError("shape has more than 2^40 elements in binary model");
+  }
+  return shape;
 }
 
 Tensor get_tensor(std::istream& is) {
   Shape s = get_shape(is);
   const std::int64_t n = s.numel();
   RAMIEL_CHECK(n >= 0 && n < (1ll << 32), "implausible tensor size");
-  std::vector<float> data(static_cast<std::size_t>(n));
-  is.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size() * sizeof(float)));
-  if (!is) throw ParseError("unexpected end of binary model");
+  std::vector<float> data = get_array<float>(is, static_cast<std::uint64_t>(n));
   return Tensor(std::move(s), std::move(data));
 }
 
@@ -233,12 +249,7 @@ Graph load_model_binary(std::istream& is) {
         case 2: attrs.set(key, get_str(is)); break;
         case 3: {
           const std::uint32_t count = get<std::uint32_t>(is);
-          std::vector<std::int64_t> list;
-          list.reserve(count);
-          for (std::uint32_t k = 0; k < count; ++k) {
-            list.push_back(get<std::int64_t>(is));
-          }
-          attrs.set(key, std::move(list));
+          attrs.set(key, get_array<std::int64_t>(is, count));
           break;
         }
         default:

@@ -155,7 +155,19 @@ class LineParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected integer");
-    return std::stoll(std::string(s_.substr(start, pos_ - start)));
+    return convert(std::string(s_.substr(start, pos_ - start)),
+                   [](const std::string& t) { return std::stoll(t); });
+  }
+
+  /// std::stoll/std::stod on one token: a malformed or out-of-range number
+  /// is a ParseError at this line, not a std::logic_error.
+  template <typename Parse>
+  auto convert(const std::string& tok, Parse parse) -> decltype(parse(tok)) {
+    try {
+      return parse(tok);
+    } catch (const std::logic_error&) {
+      fail(str_cat("bad number '", tok, "'"));
+    }
   }
 
   /// Number token; returns true if it was a float (had '.' or exponent).
@@ -179,9 +191,9 @@ class LineParser {
     if (pos_ == start) fail("expected number");
     const std::string tok(s_.substr(start, pos_ - start));
     if (is_float) {
-      *d = std::stod(tok);
+      *d = convert(tok, [](const std::string& t) { return std::stod(t); });
     } else {
-      *i = std::stoll(tok);
+      *i = convert(tok, [](const std::string& t) { return std::stoll(t); });
     }
     return is_float;
   }
@@ -201,7 +213,11 @@ class LineParser {
       while (try_consume(',')) dims.push_back(dim());
       expect(']');
     }
-    return Shape(std::move(dims));
+    Shape shape(std::move(dims));
+    if (!shape.within_element_limit()) {
+      fail("shape has more than 2^40 elements");
+    }
+    return shape;
   }
 
   std::int64_t dim() {

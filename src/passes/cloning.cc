@@ -66,6 +66,14 @@ CloningStats clone_tasks(Graph& graph, const CloningOptions& options) {
     for (std::size_t ci = 1; ci < consumers.size(); ++ci) {
       if (stats.clones_created >= options.max_clones) break;
       const NodeId consumer = consumers[ci];
+      // A node that reads `out` twice is listed twice: its first entry
+      // rewires every read (and the node behind consumers[0] keeps the
+      // original).
+      const std::vector<ValueId>& reads = graph.node(consumer).inputs;
+      if (consumer == consumers[0] ||
+          std::find(reads.begin(), reads.end(), out) == reads.end()) {
+        continue;
+      }
       NodeId clone = graph.add_node(
           n.kind, str_cat(n.name, "_clone", stats.clones_created), n.inputs,
           1, n.attrs);
@@ -74,11 +82,12 @@ CloningStats clone_tasks(Graph& graph, const CloningOptions& options) {
       // Rewire this consumer's matching inputs to the clone's output.
       Node& cn = graph.node(consumer);
       for (ValueId& in : cn.inputs) {
-        if (in == out) in = clone_out;
+        if (in != out) continue;
+        in = clone_out;
+        graph.value(clone_out).consumers.push_back(consumer);
       }
       auto& cons = graph.value(out).consumers;
       cons.erase(std::remove(cons.begin(), cons.end(), consumer), cons.end());
-      graph.value(clone_out).consumers.push_back(consumer);
       ++stats.clones_created;
       cloned_any = true;
     }

@@ -203,12 +203,20 @@ std::unordered_map<std::string, float> load_calibration(
                str_cat("cannot read calibration file '", path, "'"));
   std::unordered_map<std::string, float> out;
   std::string line;
-  while (std::getline(is, line)) {
+  for (int lineno = 1; std::getline(is, line); ++lineno) {
     const std::size_t tab = line.rfind('\t');
     if (tab == std::string::npos || tab == 0) continue;
     char* end = nullptr;
     const float v = std::strtof(line.c_str() + tab + 1, &end);
     if (end == line.c_str() + tab + 1) continue;
+    // strtof accepts "inf", "nan" and negatives. An infinite or NaN range
+    // turns the quantized outputs into NaN (which a fused Relu then hides
+    // as zeros); a negative one silently falls back to dynamic scaling.
+    if (!std::isfinite(v) || v < 0.0f) {
+      throw Error(str_cat(path, ":", lineno, ": calibration absmax must be "
+                          "finite and >= 0, got '", line.substr(tab + 1),
+                          "'"));
+    }
     out[line.substr(0, tab)] = v;
   }
   return out;

@@ -118,7 +118,8 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options = {});
 
 /// Parses a calibration file written by ramiel_calibrate — one
 /// "name<TAB>absmax" line per value — into PipelineOptions::calibration.
-/// Throws Error when the file cannot be read; malformed lines are skipped.
+/// Throws Error when the file cannot be read or a range is not a finite
+/// value >= 0 (naming the file and line); malformed lines are skipped.
 std::unordered_map<std::string, float> load_calibration(
     const std::string& path);
 

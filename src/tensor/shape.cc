@@ -18,6 +18,16 @@ std::int64_t Shape::numel() const {
   return n;
 }
 
+bool Shape::within_element_limit() const {
+  std::int64_t n = 1;
+  for (std::int64_t d : dims_) {
+    if (d == 0) continue;  // a zero would hide the dims after it
+    if (n > kMaxElements / d) return false;
+    n *= d;
+  }
+  return true;
+}
+
 std::vector<std::int64_t> Shape::strides() const {
   std::vector<std::int64_t> s(dims_.size());
   std::int64_t acc = 1;

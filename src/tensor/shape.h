@@ -29,6 +29,15 @@ class Shape {
   std::vector<std::int64_t>& dims() { return dims_; }
   const std::vector<std::int64_t>& dims() const { return dims_; }
 
+  /// The most elements a shape read from a model file may describe. No
+  /// model this runtime can hold comes near it, and past it the counts
+  /// taken from a shape (numel, strides, inner/outer products) overflow.
+  static constexpr std::int64_t kMaxElements = std::int64_t{1} << 40;
+
+  /// True when the product of the nonzero extents is at most kMaxElements,
+  /// so every product over a subset of the dims fits. Extents must be >= 0.
+  bool within_element_limit() const;
+
   /// Row-major strides (in elements) for this shape.
   std::vector<std::int64_t> strides() const;
 

@@ -245,8 +245,12 @@ bool allclose(const Tensor& a, const Tensor& b, float atol, float rtol) {
   auto da = a.data();
   auto db = b.data();
   for (std::size_t i = 0; i < da.size(); ++i) {
-    float tol = atol + rtol * std::fabs(db[i]);
-    if (std::fabs(da[i] - db[i]) > tol) return false;
+    if (da[i] == db[i]) continue;  // equal infinities included
+    // A NaN, or an infinity the other side does not match, is never close.
+    if (!std::isfinite(da[i]) || !std::isfinite(db[i])) return false;
+    if (std::fabs(da[i] - db[i]) > atol + rtol * std::fabs(db[i])) {
+      return false;
+    }
   }
   return true;
 }

@@ -208,7 +208,8 @@ class Tensor {
 };
 
 /// True when shapes match and elements differ by at most `atol` + `rtol`*|b|.
-/// f32 tensors only (compare low-precision tensors after cast/dequantize).
+/// A NaN, or an unmatched infinity, is never close. f32 tensors only
+/// (compare low-precision tensors after cast/dequantize).
 bool allclose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-5f);
 

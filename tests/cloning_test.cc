@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "graph/shape_inference.h"
 #include "models/zoo.h"
+#include "oracle.h"
 #include "passes/cloning.h"
-#include "rt/executor.h"
-#include "rt/inputs.h"
 #include "support/string_util.h"
 #include "test_util.h"
 
@@ -29,15 +29,29 @@ TEST(Cloning, PreservesSemantics) {
   opts.depth_fraction = 1.0;
   clone_tasks(cloned, opts);
 
-  Rng rng(5);
-  auto inputs = make_example_inputs(original, 1, rng);
-  SequentialExecutor run_a(&original);
-  SequentialExecutor run_b(&cloned);
-  auto a = run_a.run(inputs);
-  auto b = run_b.run(inputs);
-  for (const auto& [key, value] : a[0]) {
-    EXPECT_TRUE(allclose(value, b[0].at(key), 1e-5f, 1e-5f));
-  }
+  oracle::check_rewrite(original, cloned, oracle::kSmallRewrite);
+}
+
+TEST(Cloning, NodeReadingTheValueTwiceGetsOneClone) {
+  // in -> a -> {Add(a, a), Neg(a)}: a's consumer list names the Add twice,
+  // once per read. The Add gets one clone feeding both of its reads.
+  Graph g("double_read");
+  ValueId in = g.add_value("x", Shape{1, 4});
+  g.mark_input(in);
+  NodeId a = g.add_node(OpKind::kRelu, "a", {in});
+  const ValueId av = g.node(a).outputs[0];
+  NodeId neg = g.add_node(OpKind::kNeg, "neg", {av});
+  NodeId sum = g.add_node(OpKind::kAdd, "sum", {av, av});
+  NodeId join = g.add_node(OpKind::kAdd, "join", {g.node(neg).outputs[0],
+                                                  g.node(sum).outputs[0]});
+  g.mark_output(g.node(join).outputs[0]);
+  infer_shapes(g);
+  const Graph original = g;
+  CloningOptions opts;
+  opts.depth_fraction = 1.0;
+  EXPECT_EQ(clone_tasks(g, opts).clones_created, 1);  // validates the graph
+  EXPECT_EQ(g.value(av).consumers, std::vector<NodeId>{neg});
+  oracle::check_rewrite(original, g, oracle::kSmallRewrite);
 }
 
 TEST(Cloning, RespectsWeightThreshold) {
@@ -131,15 +145,7 @@ TEST(Cloning, ModelSemanticsPreserved) {
   Graph original = models::build("googlenet");
   Graph cloned = models::build("googlenet");
   clone_tasks(cloned);
-  Rng rng(9);
-  auto inputs = make_example_inputs(original, 1, rng);
-  SequentialExecutor run_a(&original);
-  SequentialExecutor run_b(&cloned);
-  auto a = run_a.run(inputs);
-  auto b = run_b.run(inputs);
-  for (const auto& [key, value] : a[0]) {
-    EXPECT_TRUE(allclose(value, b[0].at(key), 1e-4f, 1e-3f)) << key;
-  }
+  oracle::check_rewrite(original, cloned, oracle::kZooRewrite);
 }
 
 }  // namespace

@@ -1,4 +1,3 @@
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -10,14 +9,6 @@
 
 namespace ramiel {
 namespace {
-
-void expect_partition(const Graph& g, const Clustering& c) {
-  std::set<NodeId> seen;
-  for (const Cluster& cl : c.clusters) {
-    for (NodeId id : cl.nodes) EXPECT_TRUE(seen.insert(id).second);
-  }
-  EXPECT_EQ(static_cast<int>(seen.size()), g.live_node_count());
-}
 
 /// Two sequential fork-joins: a -> {b,c} -> d -> {e,f} -> g. The two side
 /// branches (c and f) have disjoint spans and should merge.
@@ -46,7 +37,7 @@ TEST(ClusterMerging, MergesDisjointSpans) {
   EXPECT_EQ(lc.size(), 3);  // CP + two singleton side branches
   Clustering merged = merge_clusters(g, lc);
   EXPECT_EQ(merged.size(), 2);  // side branches combined
-  expect_partition(g, merged);
+  testing::expect_partition(g, merged);
 }
 
 TEST(ClusterMerging, DoesNotMergeOverlappingSpans) {
@@ -102,7 +93,7 @@ TEST(ClusterMerging, PaperTable2Squeezenet) {
   Clustering merged = merge_clusters(g, lc);
   EXPECT_EQ(lc.size(), 9);
   EXPECT_EQ(merged.size(), 2);
-  expect_partition(g, merged);
+  testing::expect_partition(g, merged);
 }
 
 class MergeOnAllModels : public ::testing::TestWithParam<std::string> {};
@@ -113,7 +104,7 @@ TEST_P(MergeOnAllModels, ReducesClusterCountAndStaysValid) {
   Clustering merged = merge_clusters(g, lc);
   EXPECT_LE(merged.size(), lc.size());
   EXPECT_GE(merged.size(), 1);
-  expect_partition(g, merged);
+  testing::expect_partition(g, merged);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, MergeOnAllModels,

@@ -2,16 +2,11 @@
 
 #include "codegen/python_codegen.h"
 #include "models/zoo.h"
-#include "passes/cluster_merging.h"
 #include "passes/linear_clustering.h"
 #include "test_util.h"
 
 namespace ramiel {
 namespace {
-
-Clustering cluster(const Graph& g) {
-  return merge_clusters(g, linear_clustering(g));
-}
 
 int count_occurrences(const std::string& haystack, const std::string& needle) {
   int count = 0;
@@ -25,7 +20,7 @@ int count_occurrences(const std::string& haystack, const std::string& needle) {
 
 TEST(Codegen, EmitsOneFunctionPerCluster) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   EXPECT_EQ(count_occurrences(r.parallel_source, "def cluster_"), c.size());
   EXPECT_NE(r.parallel_source.find("def main("), std::string::npos);
@@ -33,7 +28,7 @@ TEST(Codegen, EmitsOneFunctionPerCluster) {
 
 TEST(Codegen, CrossClusterEdgesBecomeTaggedPutsAndRecvs) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   // Two crossings: a->side and side->d (Algorithm 4's queue.put/recv pairs).
   EXPECT_EQ(count_occurrences(r.parallel_source, ".put(("), 2);
@@ -44,7 +39,7 @@ TEST(Codegen, CrossClusterEdgesBecomeTaggedPutsAndRecvs) {
 
 TEST(Codegen, SsaNamesAreAssignedOnce) {
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   // Every op statement assigns v_<value name> exactly once across all
   // cluster functions; spot-check one conv.
@@ -53,7 +48,7 @@ TEST(Codegen, SsaNamesAreAssignedOnce) {
 
 TEST(Codegen, SequentialVersionCoversEveryOp) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   EXPECT_NE(r.sequential_source.find("def run_sequential("),
             std::string::npos);
@@ -66,7 +61,7 @@ TEST(Codegen, SequentialVersionCoversEveryOp) {
 
 TEST(Codegen, WeightsAndInputsAreDictLookups) {
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   EXPECT_NE(r.parallel_source.find("weights['conv_0_w']"), std::string::npos);
   EXPECT_NE(r.parallel_source.find("inputs['data']"), std::string::npos);
@@ -75,7 +70,7 @@ TEST(Codegen, WeightsAndInputsAreDictLookups) {
 
 TEST(Codegen, MainSpawnsProcessPerCluster) {
   Graph g = models::build("googlenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   EXPECT_EQ(count_occurrences(r.parallel_source, "mp.Process(target=cluster_"),
             c.size());
@@ -84,7 +79,7 @@ TEST(Codegen, MainSpawnsProcessPerCluster) {
 
 TEST(Codegen, ConstantsEmittedAsWeights) {
   Graph g = testing::make_const_side_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   CodegenResult r = generate_python(g, c);
   // The Constant node does not produce a statement; its payload is read
   // from weights[...].
@@ -133,7 +128,7 @@ TEST(TorchExpression, ConcatAndTranspose) {
 TEST(Codegen, GeneratedSourcesAreNonTrivialForAllModels) {
   for (const std::string& name : models::model_names()) {
     Graph g = models::build(name);
-    Clustering c = cluster(g);
+    Clustering c = testing::cluster(g);
     CodegenResult r = generate_python(g, c, {name, name + ".rmb"});
     EXPECT_GT(r.parallel_source.size(), 2000u) << name;
     EXPECT_GT(r.sequential_source.size(), 1000u) << name;
@@ -144,7 +139,7 @@ TEST(Codegen, GeneratedSourcesAreNonTrivialForAllModels) {
 
 TEST(HyperCodegen, OneFunctionPerWorkerWithSampleTags) {
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering hc = build_hyperclusters(g, c, 2);
   const std::string src = generate_python_hyper(g, hc, {"squeezenet", "w"});
   EXPECT_EQ(count_occurrences(src, "def worker_"), c.size());
@@ -159,7 +154,7 @@ TEST(HyperCodegen, OneFunctionPerWorkerWithSampleTags) {
 
 TEST(HyperCodegen, SwitchedVariantRoutesAcrossWorkers) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering hc = build_switched_hyperclusters(g, c, 2);
   const std::string src = generate_python_hyper(g, hc, {"diamond", "w"});
   // Switched assignment makes both workers both send and receive.
@@ -170,8 +165,7 @@ TEST(HyperCodegen, SwitchedVariantRoutesAcrossWorkers) {
 
 TEST(HyperCodegen, InterleavesSamplesInEmissionOrder) {
   Graph g = testing::make_chain_graph();
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   const std::string src = generate_python_hyper(g, hc, {"chain", "w"});
   // First statement computes sample 0, second computes sample 1 of the same
   // op (the round-robin interleave of §III-E).

@@ -5,9 +5,8 @@
 #include "graph/shape_inference.h"
 #include "models/zoo.h"
 #include "models/net_builder.h"
+#include "oracle.h"
 #include "passes/constant_folding.h"
-#include "rt/executor.h"
-#include "rt/inputs.h"
 #include "test_util.h"
 
 namespace ramiel {
@@ -84,18 +83,8 @@ TEST(CpDce, FullPipelinePreservesSemantics) {
     constant_propagation_dce(folded);
     folded = folded.compacted();
 
-    Rng rng(11);
-    auto inputs = make_example_inputs(original, 1, rng);
-    SequentialExecutor run_orig(&original);
-    SequentialExecutor run_fold(&folded);
-    auto out_a = run_orig.run(inputs);
-    auto out_b = run_fold.run(inputs);
-    ASSERT_EQ(out_a[0].size(), out_b[0].size()) << name;
-    for (const auto& [key, value] : out_a[0]) {
-      ASSERT_TRUE(out_b[0].count(key)) << name << ": " << key;
-      EXPECT_TRUE(allclose(value, out_b[0].at(key), 1e-4f, 1e-3f))
-          << name << ": " << key;
-    }
+    SCOPED_TRACE(name);
+    oracle::check_rewrite(original, folded, oracle::kZooRewrite);
   }
 }
 
@@ -146,15 +135,7 @@ TEST(BnFolding, FoldsConvBnPairPreservingOutputs) {
   EXPECT_EQ(folded, 1);
   EXPECT_EQ(fused.live_node_count(), original.live_node_count() - 1);
 
-  Rng rng(5);
-  auto inputs = make_example_inputs(original, 1, rng);
-  SequentialExecutor a(&original);
-  SequentialExecutor b(&fused);
-  auto ra = a.run(inputs);
-  auto rb = b.run(inputs);
-  for (const auto& [key, value] : ra[0]) {
-    EXPECT_TRUE(allclose(value, rb[0].at(key), 1e-4f, 1e-4f)) << key;
-  }
+  oracle::check_rewrite(original, fused, oracle::kWidth);
 }
 
 TEST(BnFolding, SkipsBnWithSharedConvOutput) {
@@ -179,16 +160,8 @@ TEST(BnFolding, FoldsAcrossWholeModels) {
     EXPECT_EQ(fused.live_node_count(), original.live_node_count() - folded)
         << name;
 
-    Rng rng(6);
-    auto inputs = make_example_inputs(original, 1, rng);
-    SequentialExecutor a(&original);
-    SequentialExecutor b(&fused);
-    auto ra = a.run(inputs);
-    auto rb = b.run(inputs);
-    for (const auto& [key, value] : ra[0]) {
-      EXPECT_TRUE(allclose(value, rb[0].at(key), 1e-3f, 1e-2f))
-          << name << ": " << key;
-    }
+    SCOPED_TRACE(name);
+    oracle::check_rewrite(original, fused, oracle::kZooRewriteChain);
   }
 }
 
@@ -215,15 +188,7 @@ TEST(ActivationFusion, FusesConvReluPreservingOutputs) {
   EXPECT_EQ(count, 1);
   EXPECT_EQ(fused.live_node_count(), original.live_node_count() - 1);
 
-  Rng rng(7);
-  auto inputs = make_example_inputs(original, 1, rng);
-  SequentialExecutor a(&original);
-  SequentialExecutor b(&fused);
-  auto ra = a.run(inputs);
-  auto rb = b.run(inputs);
-  for (const auto& [key, value] : ra[0]) {
-    EXPECT_TRUE(allclose(value, rb[0].at(key), 1e-4f, 1e-4f)) << key;
-  }
+  oracle::check_rewrite(original, fused, oracle::kWidth);
 }
 
 TEST(ActivationFusion, SkipsActivationWithSharedProducer) {
@@ -248,16 +213,8 @@ TEST(ActivationFusion, FusesAcrossWholeModelsPreservingOutputs) {
     EXPECT_EQ(fused.live_node_count(), original.live_node_count() - count)
         << name;
 
-    Rng rng(8);
-    auto inputs = make_example_inputs(original, 1, rng);
-    SequentialExecutor a(&original);
-    SequentialExecutor b(&fused);
-    auto ra = a.run(inputs);
-    auto rb = b.run(inputs);
-    for (const auto& [key, value] : ra[0]) {
-      EXPECT_TRUE(allclose(value, rb[0].at(key), 1e-3f, 1e-2f))
-          << name << ": " << key;
-    }
+    SCOPED_TRACE(name);
+    oracle::check_rewrite(original, fused, oracle::kZooRewriteChain);
   }
 }
 

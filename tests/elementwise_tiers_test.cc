@@ -30,6 +30,7 @@ using kernels::Path;
 using testing::broadcast_operand;
 using testing::expect_bitwise;
 using testing::random_dims;
+using testing::same_bits;
 using testing::ref_binary;
 using testing::ref_reduce_mean;
 using testing::ScopedPath;
@@ -83,12 +84,6 @@ void one_nan_per_element(const std::vector<float>& x, std::int64_t sx,
       b = 1.0f;
     }
   }
-}
-
-bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 struct BinaryCase {

@@ -2,14 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstring>
 #include <exception>
-#include <mutex>
 #include <thread>
 
 #include "models/zoo.h"
-#include "passes/cluster_merging.h"
+#include "oracle.h"
 #include "passes/linear_clustering.h"
 #include "ramiel/pipeline.h"
 #include "rt/doorbell.h"
@@ -22,28 +19,9 @@
 namespace ramiel {
 namespace {
 
-Clustering cluster(const Graph& g) {
-  return merge_clusters(g, linear_clustering(g));
-}
-
-void expect_outputs_match(const std::vector<TensorMap>& a,
-                          const std::vector<TensorMap>& b, float atol = 1e-4f,
-                          float rtol = 1e-3f) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    ASSERT_EQ(a[s].size(), b[s].size());
-    for (const auto& [key, value] : a[s]) {
-      ASSERT_TRUE(b[s].count(key)) << key;
-      EXPECT_TRUE(allclose(value, b[s].at(key), atol, rtol))
-          << "sample " << s << " output " << key;
-    }
-  }
-}
-
 TEST(SequentialExecutor, RunsDiamond) {
   Graph g = testing::make_diamond_graph();
-  Rng rng(1);
-  auto inputs = make_example_inputs(g, 1, rng);
+  auto inputs = testing::example_inputs(g, 1, 1);
   SequentialExecutor exec(&g);
   auto out = exec.run(inputs);
   ASSERT_EQ(out.size(), 1u);
@@ -56,25 +34,21 @@ TEST(SequentialExecutor, RunsDiamond) {
 
 TEST(SequentialExecutor, BatchRunsSamplesIndependently) {
   Graph g = testing::make_diamond_graph();
-  Rng rng(2);
-  auto inputs = make_example_inputs(g, 3, rng);
+  auto inputs = testing::example_inputs(g, 3, 2);
   SequentialExecutor exec(&g);
   auto batched = exec.run(inputs);
   for (int s = 0; s < 3; ++s) {
     auto single = exec.run({inputs[static_cast<std::size_t>(s)]});
-    expect_outputs_match({batched[static_cast<std::size_t>(s)]}, single);
+    oracle::expect_bit_identical({batched[static_cast<std::size_t>(s)]},
+                                 single);
   }
 }
 
 TEST(SequentialExecutor, ProfileAccountsForAllTasks) {
   Graph g = testing::make_diamond_graph();
-  Rng rng(3);
-  auto inputs = make_example_inputs(g, 1, rng);
+  auto inputs = testing::example_inputs(g, 1, 3);
   SequentialExecutor exec(&g);
-  Profile profile;
-  RunOptions opts;
-  opts.trace = true;
-  exec.run(inputs, opts, &profile);
+  const Profile profile = testing::traced_run(exec, inputs);
   ASSERT_EQ(profile.workers.size(), 1u);
   EXPECT_EQ(profile.workers[0].tasks, 4);
   EXPECT_EQ(profile.events.size(), 4u);
@@ -82,38 +56,18 @@ TEST(SequentialExecutor, ProfileAccountsForAllTasks) {
 }
 
 TEST(ParallelExecutor, MatchesSequentialOnDiamond) {
-  Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 1);
-  Rng rng(4);
-  auto inputs = make_example_inputs(g, 1, rng);
-  SequentialExecutor seq(&g);
-  ParallelExecutor par(&g, hc);
-  expect_outputs_match(seq.run(inputs), par.run(inputs));
+  oracle::check({"diamond", testing::make_diamond_graph}, {oracle::Cell{}});
 }
 
 TEST(ParallelExecutor, HandlesConstantNodes) {
-  Graph g = testing::make_const_side_graph();
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 1);
-  Rng rng(5);
-  auto inputs = make_example_inputs(g, 1, rng);
-  SequentialExecutor seq(&g);
-  ParallelExecutor par(&g, hc);
-  expect_outputs_match(seq.run(inputs), par.run(inputs));
+  oracle::check({"const_side", testing::make_const_side_graph},
+                {oracle::Cell{}});
 }
 
 class ParallelEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ParallelEquivalence, ParallelMatchesSequential) {
-  Graph g = models::build(GetParam());
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 1);
-  Rng rng(6);
-  auto inputs = make_example_inputs(g, 1, rng);
-  SequentialExecutor seq(&g);
-  ParallelExecutor par(&g, hc);
-  expect_outputs_match(seq.run(inputs), par.run(inputs));
+  oracle::check(oracle::zoo(GetParam()), {oracle::Cell{}});
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ParallelEquivalence,
@@ -121,47 +75,22 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ParallelEquivalence,
                                            "yolo_v5", "bert"));
 
 TEST(ParallelExecutor, HyperclusterBatch2MatchesSequential) {
-  Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 2);
-  Rng rng(7);
-  auto inputs = make_example_inputs(g, 2, rng);
-  SequentialExecutor seq(&g);
-  ParallelExecutor par(&g, hc);
-  expect_outputs_match(seq.run(inputs), par.run(inputs));
+  oracle::check(oracle::zoo("squeezenet"), oracle::cells({.batches = {2}}));
 }
 
 TEST(ParallelExecutor, SwitchedHyperclusterMatchesSequential) {
-  Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
-  for (int batch : {2, 3, 4}) {
-    Hyperclustering hc = build_switched_hyperclusters(g, c, batch);
-    Rng rng(8);
-    auto inputs = make_example_inputs(g, batch, rng);
-    SequentialExecutor seq(&g);
-    ParallelExecutor par(&g, hc);
-    expect_outputs_match(seq.run(inputs), par.run(inputs));
-  }
+  oracle::check(oracle::zoo("squeezenet"),
+                oracle::cells({.batches = {2, 3, 4},
+                               .hypers = {HyperMode::kSwitched}}));
 }
 
 TEST(ParallelExecutor, IntraOpThreadsPreserveResults) {
-  Graph g = models::build("googlenet");
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 1);
-  Rng rng(9);
-  auto inputs = make_example_inputs(g, 1, rng);
-  ParallelExecutor par(&g, hc);
-  RunOptions serial_opts;
-  RunOptions threaded_opts;
-  threaded_opts.intra_op_threads = 4;
-  expect_outputs_match(par.run(inputs, serial_opts),
-                       par.run(inputs, threaded_opts), 1e-4f, 1e-4f);
+  oracle::check(oracle::zoo("googlenet"), oracle::cells({.intra_op = {4}}));
 }
 
 TEST(ParallelExecutor, RejectsWrongBatchSize) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   Rng rng(10);
   auto inputs = make_example_inputs(g, 1, rng);  // batch 1 vs executor batch 2
   ParallelExecutor par(&g, hc);
@@ -187,21 +116,13 @@ TEST(ParallelExecutor, ReusesWorkersAcrossManyRuns) {
   // instance, identical outputs every time (the serving loop depends on
   // this — no per-request thread spawn, no state bleeding between runs).
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
-  ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
-  Rng rng(40);
-  auto inputs = make_example_inputs(g, 1, rng);
+  ParallelExecutor par(&g, testing::hypercluster(g));
+  auto inputs = testing::example_inputs(g, 1, 40);
   const auto reference = par.run(inputs);
   for (int i = 0; i < 99; ++i) {
-    auto repeat = par.run(inputs);
-    ASSERT_EQ(repeat.size(), reference.size()) << "run " << i;
-    for (const auto& [key, value] : reference[0]) {
-      ASSERT_TRUE(repeat[0].count(key)) << "run " << i;
-      // Bitwise equality: same graph, same inputs, same kernels — reuse
-      // must not perturb results at all.
-      ASSERT_TRUE(allclose(repeat[0].at(key), value, 0.0f, 0.0f))
-          << "run " << i << " output " << key;
-    }
+    // Same graph, same inputs, same kernels: reuse must not perturb a bit.
+    SCOPED_TRACE(str_cat("run ", i));
+    oracle::expect_bit_identical(reference, par.run(inputs));
   }
   EXPECT_EQ(par.runs_completed(), 100u);
 }
@@ -210,19 +131,15 @@ TEST(ParallelExecutor, ReuseSurvivesIntraOpWidthChanges) {
   // The persistent per-worker pools rebuild when the requested intra-op
   // width changes; outputs stay equivalent through the transitions.
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
-  Rng rng(41);
-  auto inputs = make_example_inputs(g, 1, rng);
+  ParallelExecutor par(&g, testing::hypercluster(g));
+  auto inputs = testing::example_inputs(g, 1, 41);
   RunOptions serial, wide;
   wide.intra_op_threads = 3;
   const auto reference = par.run(inputs, serial);
   for (int i = 0; i < 6; ++i) {
-    auto got = par.run(inputs, i % 2 == 0 ? wide : serial);
-    for (const auto& [key, value] : reference[0]) {
-      ASSERT_TRUE(allclose(got[0].at(key), value, 1e-5f, 1e-5f))
-          << "run " << i << " output " << key;
-    }
+    SCOPED_TRACE(str_cat("run ", i));
+    oracle::expect_bit_identical(reference,
+                                 par.run(inputs, i % 2 == 0 ? wide : serial));
   }
 }
 
@@ -230,29 +147,22 @@ TEST(ParallelExecutor, RecoversAfterFailedRun) {
   // A run that throws (missing input) poisons the inboxes; the next run on
   // the same persistent instance must start from a clean slate.
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
+  ParallelExecutor par(&g, testing::hypercluster(g));
   std::vector<TensorMap> empty_inputs(1);
   for (int i = 0; i < 3; ++i) {
     EXPECT_THROW(par.run(empty_inputs), Error) << "iteration " << i;
-    Rng rng(42);
-    auto inputs = make_example_inputs(g, 1, rng);
-    SequentialExecutor seq(&g);
-    expect_outputs_match(seq.run(inputs), par.run(inputs));
+    auto inputs = testing::example_inputs(g, 1, 42);
+    oracle::expect_bit_identical(SequentialExecutor(&g).run(inputs),
+                                 par.run(inputs));
   }
 }
 
 TEST(ParallelExecutor, ProfileCountsMessagesAndTasks) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 1);
+  Hyperclustering hc = testing::hypercluster(g);
   ParallelExecutor par(&g, hc);
-  Rng rng(11);
-  auto inputs = make_example_inputs(g, 1, rng);
-  Profile profile;
-  RunOptions opts;
-  opts.trace = true;
-  par.run(inputs, opts, &profile);
+  auto inputs = testing::example_inputs(g, 1, 11);
+  const Profile profile = testing::traced_run(par, inputs);
   ASSERT_EQ(profile.workers.size(), 2u);
   int tasks = 0, messages = 0;
   for (const auto& w : profile.workers) {
@@ -266,14 +176,9 @@ TEST(ParallelExecutor, ProfileCountsMessagesAndTasks) {
 
 TEST(ParallelExecutor, ChromeTraceRenders) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
-  Rng rng(12);
-  auto inputs = make_example_inputs(g, 1, rng);
-  Profile profile;
-  RunOptions opts;
-  opts.trace = true;
-  par.run(inputs, opts, &profile);
+  ParallelExecutor par(&g, testing::hypercluster(g));
+  auto inputs = testing::example_inputs(g, 1, 12);
+  const Profile profile = testing::traced_run(par, inputs);
   const std::string json = profile.to_chrome_trace(g);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("Relu"), std::string::npos);
@@ -281,16 +186,14 @@ TEST(ParallelExecutor, ChromeTraceRenders) {
 
 TEST(ParallelExecutor, MissingInputThrows) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
-  ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
+  ParallelExecutor par(&g, testing::hypercluster(g));
   std::vector<TensorMap> empty_inputs(1);
   EXPECT_THROW(par.run(empty_inputs), Error);
 }
 
 TEST(MakeExampleInputs, CoversInputsAndRespectsIdRanges) {
   Graph g = models::build("bert");
-  Rng rng(13);
-  auto inputs = make_example_inputs(g, 2, rng);
+  auto inputs = testing::example_inputs(g, 2, 13);
   ASSERT_EQ(inputs.size(), 2u);
   for (const auto& sample : inputs) {
     EXPECT_TRUE(sample.count("input_ids"));
@@ -322,8 +225,7 @@ TEST(ParallelExecutor, KernelErrorPropagatesWithoutDeadlock) {
   c.clusters.push_back(Cluster{{side}});
   finalize_clustering(g, c);
   ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
-  Rng rng(3);
-  auto inputs = make_example_inputs(g, 1, rng);
+  auto inputs = testing::example_inputs(g, 1, 3);
   EXPECT_THROW(par.run(inputs), Error);  // and returns promptly
 }
 
@@ -350,12 +252,10 @@ TEST(ParallelExecutor, OutOfOrderProduceConsumeIsSafe) {
   c.clusters.push_back(Cluster{{early, mid, late}});
   c.clusters.push_back(Cluster{{use_late, use_early}});
   finalize_clustering(g, c);
-
-  Rng rng(4);
-  auto inputs = make_example_inputs(g, 1, rng);
-  SequentialExecutor seq(&g);
+  auto inputs = testing::example_inputs(g, 1, 4);
   ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
-  expect_outputs_match(seq.run(inputs), par.run(inputs));
+  oracle::expect_bit_identical(SequentialExecutor(&g).run(inputs),
+                               par.run(inputs));
 }
 
 TEST(ParallelExecutor, ValueConsumedByManyNodesInRemoteCluster) {
@@ -375,13 +275,11 @@ TEST(ParallelExecutor, ValueConsumedByManyNodesInRemoteCluster) {
   c.clusters.push_back(Cluster{{src}});
   c.clusters.push_back(Cluster{{c1, c2, joined}});
   finalize_clustering(g, c);
-  Rng rng(5);
-  auto inputs = make_example_inputs(g, 1, rng);
-  SequentialExecutor seq(&g);
+  auto inputs = testing::example_inputs(g, 1, 5);
   ParallelExecutor par(&g, build_hyperclusters(g, c, 1));
   Profile profile;
   auto got = par.run(inputs, {}, &profile);
-  expect_outputs_match(seq.run(inputs), got);
+  oracle::expect_bit_identical(SequentialExecutor(&g).run(inputs), got);
   // Exactly one message crossed (src -> worker 1), despite two consumers.
   int messages = 0;
   for (const auto& w : profile.workers) messages += w.messages_sent;
@@ -459,22 +357,6 @@ Graph make_fragile_graph(Clustering* clustering) {
   return g;
 }
 
-void expect_bit_identical(const std::vector<TensorMap>& a,
-                          const std::vector<TensorMap>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    ASSERT_EQ(a[s].size(), b[s].size()) << "sample " << s;
-    for (const auto& [key, ta] : a[s]) {
-      ASSERT_TRUE(b[s].count(key)) << key;
-      const Tensor& tb = b[s].at(key);
-      ASSERT_EQ(ta.shape().dims(), tb.shape().dims()) << key;
-      EXPECT_EQ(0, std::memcmp(ta.data().data(), tb.data().data(),
-                               ta.data().size() * sizeof(float)))
-          << "sample " << s << " output " << key;
-    }
-  }
-}
-
 struct ContainmentCase {
   ExecutorKind placement;
   bool shared_pool;  // the failing program shares its pool with another
@@ -496,7 +378,7 @@ TEST_P(Containment, KernelFailureStaysInItsRun) {
       build_hyperclusters(fragile, fragile_clusters, kBatch);
   Graph other = models::build("squeezenet");
   const Hyperclustering other_hc =
-      build_hyperclusters(other, cluster(other), kBatch);
+      testing::hypercluster(other, kBatch);
 
   Rng rng(17);
   const auto good = make_example_inputs(fragile, kBatch, rng);
@@ -518,11 +400,14 @@ TEST_P(Containment, KernelFailureStaysInItsRun) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 
   // The neighbour's next dispatch is untouched by the failure.
-  if (shared) expect_bit_identical(pool.run_program(1, other_inputs), other_solo);
+  if (shared) {
+    oracle::expect_bit_identical(pool.run_program(1, other_inputs),
+                                 other_solo);
+  }
 
   // The failing program itself serves its next, good, batch.
-  SequentialExecutor seq(&fragile);
-  expect_outputs_match(seq.run(good), pool.run_program(0, good));
+  oracle::expect_bit_identical(SequentialExecutor(&fragile).run(good),
+                               pool.run_program(0, good));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -541,7 +426,7 @@ TEST(ParallelExecutor, RejectsALaterProgramWithoutLeakingWorkers) {
   // plan for another hyperclustering. The constructor must throw (joining
   // the workers it started), not end the process.
   Graph g = models::build("squeezenet");
-  const Hyperclustering hc = build_hyperclusters(g, cluster(g), 1);
+  const Hyperclustering hc = testing::hypercluster(g);
   mem::MemPlan wrong;
   wrong.workers.resize(static_cast<std::size_t>(hc.workers.size()) + 1);
   std::vector<ExecutorProgram> programs;
@@ -552,35 +437,6 @@ TEST(ParallelExecutor, RejectsALaterProgramWithoutLeakingWorkers) {
 
 // ---------------------------------------------------------- runs in flight --
 
-/// One async run's outcome, filled by its completion.
-struct Outcome {
-  std::vector<TensorMap> outputs;
-  std::exception_ptr error;
-};
-
-/// Submits every batch before waiting for any; returns each run's outcome.
-std::vector<Outcome> submit_all(
-    ParallelExecutor& exec, const std::vector<std::vector<TensorMap>>& batches) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Outcome> outcomes(batches.size());
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    exec.submit(0, batches[i], RunOptions{},
-                [&, i](std::vector<TensorMap> out, std::exception_ptr error,
-                       Profile) {
-                  std::lock_guard<std::mutex> lk(mu);
-                  outcomes[i].outputs = std::move(out);
-                  outcomes[i].error = error;
-                  ++completed;
-                  cv.notify_all();
-                });
-  }
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return completed == batches.size(); });
-  return outcomes;
-}
-
 class RunsInFlight : public ::testing::TestWithParam<ExecutorKind> {};
 
 TEST_P(RunsInFlight, FailingRunFailsAloneBesideAGoodRun) {
@@ -588,32 +444,32 @@ TEST_P(RunsInFlight, FailingRunFailsAloneBesideAGoodRun) {
   // are in flight: only it fails, the good ones stay bit-identical to the
   // oracle, and the next run is clean.
   Graph g = models::build("squeezenet");
-  const Hyperclustering hc = build_hyperclusters(g, cluster(g), 2);
+  const Hyperclustering hc = testing::hypercluster(g, 2);
   ParallelExecutor exec(&g, hc, nullptr, GetParam());
-  Rng rng(51);
-  const auto good = make_example_inputs(g, 2, rng);
+  const auto good = testing::example_inputs(g, 2, 51);
   const std::vector<TensorMap> missing(2);
   const auto want = SequentialExecutor(&g).run(good);
 
   // Back-to-back submits overlap unless the host stalls this thread for a
   // whole run; retry until three slots were in flight together.
   for (int round = 0; round < 20 && exec.run_slots(0) < 3; ++round) {
-    const auto outcomes = submit_all(exec, {good, missing, good});
-    ASSERT_FALSE(outcomes[0].error);
-    ASSERT_TRUE(outcomes[1].error);
-    ASSERT_FALSE(outcomes[2].error);
-    expect_bit_identical(outcomes[0].outputs, want);
-    expect_bit_identical(outcomes[2].outputs, want);
+    std::vector<std::exception_ptr> errors;
+    const auto out =
+        oracle::run_in_flight(exec, {good, missing, good}, {}, &errors);
+    ASSERT_FALSE(errors[0]);
+    ASSERT_TRUE(errors[1]);
+    ASSERT_FALSE(errors[2]);
+    oracle::expect_bit_identical(out[0], want);
+    oracle::expect_bit_identical(out[2], want);
   }
   EXPECT_EQ(exec.run_slots(0), 3) << "the runs never overlapped";
-  expect_bit_identical(exec.run(good), want);
+  oracle::expect_bit_identical(exec.run(good), want);
 }
 
 TEST_P(RunsInFlight, DestructionDrainsAsyncRunsAndCallsEachCompletionOnce) {
   Graph g = models::build("squeezenet");
-  const Hyperclustering hc = build_hyperclusters(g, cluster(g), 2);
-  Rng rng(53);
-  const auto inputs = make_example_inputs(g, 2, rng);
+  const Hyperclustering hc = testing::hypercluster(g, 2);
+  const auto inputs = testing::example_inputs(g, 2, 53);
   constexpr int kRuns = 6;
   std::vector<std::atomic<int>> calls(kRuns);
   std::vector<std::atomic<int>> served(kRuns);
@@ -641,8 +497,8 @@ TEST_P(RunsInFlight, AddProgramUnderConcurrentRunProgramCallers) {
   // two callers keep running program 0: every output stays bit-identical.
   Graph a = models::build("squeezenet");
   Graph b = models::build("googlenet");
-  const Hyperclustering hc_a = build_hyperclusters(a, cluster(a), 2);
-  const Hyperclustering hc_b = build_hyperclusters(b, cluster(b), 2);
+  const Hyperclustering hc_a = testing::hypercluster(a, 2);
+  const Hyperclustering hc_b = testing::hypercluster(b, 2);
   Rng rng(57);
   const auto in_a = make_example_inputs(a, 2, rng);
   const auto in_b = make_example_inputs(b, 2, rng);
@@ -658,14 +514,14 @@ TEST_P(RunsInFlight, AddProgramUnderConcurrentRunProgramCallers) {
   for (int c = 0; c < 2; ++c) {
     callers.emplace_back([&] {
       while (!stop.load()) {
-        expect_bit_identical(pool.run_program(0, in_a), want_a);
+        oracle::expect_bit_identical(pool.run_program(0, in_a), want_a);
         runs.fetch_add(1);
       }
     });
   }
   for (int i = 0; i < 3; ++i) {
     const int id = pool.add_program(&b, hc_b, nullptr);
-    expect_bit_identical(pool.run_program(id, in_b), want_b);
+    oracle::expect_bit_identical(pool.run_program(id, in_b), want_b);
   }
   while (runs.load() < 4) std::this_thread::yield();
   stop.store(true);
@@ -674,34 +530,12 @@ TEST_P(RunsInFlight, AddProgramUnderConcurrentRunProgramCallers) {
 }
 
 TEST_P(RunsInFlight, ZooBitIdenticalAcrossMemPlanAndDepth) {
-  // The gate matrix: every zoo model x {arena, heap} x runs in flight
-  // {1, 2, 4}, each run on its own inputs, against the sequential oracle.
-  PipelineOptions opts;
-  opts.batch = 2;
-  opts.generate_code = false;
   for (const std::string& name : models::model_names()) {
-    SCOPED_TRACE(name);
-    const CompiledModel cm = compile_model(models::build(name), opts);
-    Rng rng(59);
-    std::vector<std::vector<TensorMap>> batches;
-    std::vector<std::vector<TensorMap>> want;
-    for (int i = 0; i < 4; ++i) {
-      batches.push_back(make_example_inputs(cm.graph, 2, rng));
-      want.push_back(SequentialExecutor(&cm.graph).run(batches.back()));
-    }
-    for (const bool planned : {true, false}) {
-      ParallelExecutor exec(&cm.graph, cm.hyperclusters,
-                            planned ? &cm.mem_plan : nullptr, GetParam());
-      for (const std::size_t depth : {1u, 2u, 4u}) {
-        const auto outcomes = submit_all(
-            exec, std::vector<std::vector<TensorMap>>(
-                      batches.begin(), batches.begin() + depth));
-        for (std::size_t i = 0; i < depth; ++i) {
-          ASSERT_FALSE(outcomes[i].error) << "depth " << depth;
-          expect_bit_identical(outcomes[i].outputs, want[i]);
-        }
-      }
-    }
+    oracle::check(oracle::zoo(name),
+                  oracle::cells({.placements = {GetParam()},
+                                 .arenas = {true, false},
+                                 .batches = {2},
+                                 .in_flight = {1, 2, 4}}));
   }
 }
 

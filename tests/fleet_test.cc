@@ -7,7 +7,7 @@
 //     contiguity, cluster-boundary cuts, modeled speedup)
 //   - the stage cut, run as a pinned program with several batches in
 //     flight, bit-identical to the sequential executor on all zoo models
-//     and to both parallel executors
+//     and to both parallel executors (oracle.h)
 //   - the arenas of run slots in flight at once never overlap (property
 //     test)
 //   - ModelRegistry versioning; FleetServer end-to-end on both pool modes,
@@ -17,11 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <future>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "mem/planner.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
 #include "rt/inputs.h"
@@ -251,31 +250,9 @@ TEST(JainIndex, KnownValues) {
 
 // ------------------------------------------------------------- pipeline --
 
-PipelineOptions fast_pipeline(int batch) {
-  PipelineOptions opts;
-  opts.batch = batch;
-  opts.generate_code = false;
-  return opts;
-}
-
-/// Bit-exact comparison: same keys, same shapes, same bytes.
-void expect_bit_identical(const TensorMap& a, const TensorMap& b,
-                          const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (const auto& [key, ta] : a) {
-    auto it = b.find(key);
-    ASSERT_NE(it, b.end()) << context << ": " << key;
-    const Tensor& tb = it->second;
-    ASSERT_EQ(ta.shape().dims(), tb.shape().dims()) << context << ": " << key;
-    ASSERT_EQ(0, std::memcmp(ta.data().data(), tb.data().data(),
-                             ta.data().size() * sizeof(float)))
-        << context << ": outputs differ bitwise for " << key;
-  }
-}
-
 TEST(StageCut, PropertiesHoldAcrossZoo) {
   for (const std::string& name : models::model_names()) {
-    CompiledModel cm = compile_model(models::build(name), fast_pipeline(1));
+    CompiledModel cm = oracle::compile(models::build(name), {});
     for (int stages : {2, 3, 4}) {
       const StageCut cut =
           build_stage_cut(cm.graph, cm.clustering, stages);
@@ -340,8 +317,7 @@ TEST(StageCut, BalancedChainSpeedupApproachesStageCount) {
   // squeezenet's runs balance well at 3 stages; the modeled speedup must
   // reflect a genuinely multi-stage cut (the >= 15% acceptance bar is a
   // fortiori covered by >= 2x here).
-  CompiledModel cm =
-      compile_model(models::build("squeezenet"), fast_pipeline(1));
+  CompiledModel cm = oracle::compile(models::build("squeezenet"), {});
   const StageCut cut = build_stage_cut(cm.graph, cm.clustering, 3);
   EXPECT_EQ(cut.num_stages(), 3);
   EXPECT_GE(cut.modeled_speedup(), 2.0);
@@ -350,120 +326,46 @@ TEST(StageCut, BalancedChainSpeedupApproachesStageCount) {
 /// A pipelined tenant's runtime: the stage cut as a pinned one-program
 /// executor (worker s = stage s), planned like any hyperclustering.
 std::unique_ptr<ParallelExecutor> stage_executor(const CompiledModel& cm,
-                                                 int stages, int batch,
-                                                 bool mem_plan) {
+                                                 int stages, int batch) {
   const StageCut cut = build_stage_cut(cm.graph, cm.clustering, stages);
   Hyperclustering hc = stage_hyperclusters(cm.graph, cut, batch);
-  const mem::MemPlan plan =
-      mem_plan ? mem::plan_memory(cm.graph, hc) : mem::MemPlan{};
-  return std::make_unique<ParallelExecutor>(
-      &cm.graph, std::move(hc), mem_plan ? &plan : nullptr,
-      ExecutorKind::kStatic);
-}
-
-/// Submits every batch before waiting for any (all in flight at once, as
-/// far as the host lets them overlap); returns each batch's outputs.
-std::vector<std::vector<TensorMap>> run_in_flight(
-    ParallelExecutor& exec, const std::vector<std::vector<TensorMap>>& batches,
-    const std::string& what) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::vector<TensorMap>> outputs(batches.size());
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    exec.submit(0, batches[i], RunOptions{},
-                [&, i](std::vector<TensorMap> out, std::exception_ptr error,
-                       Profile) {
-                  EXPECT_FALSE(error) << what << " batch " << i;
-                  std::lock_guard<std::mutex> lk(mu);
-                  outputs[i] = std::move(out);
-                  ++completed;
-                  cv.notify_all();
-                });
-  }
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return completed == batches.size(); });
-  return outputs;
+  const mem::MemPlan plan = mem::plan_memory(cm.graph, hc);
+  return std::make_unique<ParallelExecutor>(&cm.graph, std::move(hc), &plan,
+                                            ExecutorKind::kStatic);
 }
 
 TEST(StageCutProgram, BitIdenticalToSequentialAcrossZoo) {
+  // Two different batches in flight together, each in its own run slot.
   for (const std::string& name : models::model_names()) {
-    CompiledModel cm = compile_model(models::build(name), fast_pipeline(2));
-    Rng rng(7);
-    // Two different batches, in flight together, each in its own run slot.
-    const std::vector<std::vector<TensorMap>> batches = {
-        make_example_inputs(cm.graph, 2, rng),
-        make_example_inputs(cm.graph, 2, rng)};
-
-    SequentialExecutor seq(&cm.graph);
-    auto exec = stage_executor(cm, 3, 2, /*mem_plan=*/true);
-    const auto out = run_in_flight(*exec, batches, name);
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      ASSERT_EQ(out[b].size(), 2u) << name;
-      const auto expected = seq.run(batches[b]);
-      for (int s = 0; s < 2; ++s) {
-        expect_bit_identical(out[b][static_cast<std::size_t>(s)],
-                             expected[static_cast<std::size_t>(s)],
-                             name + " batch " + std::to_string(b));
-      }
-    }
-    EXPECT_EQ(exec->runs_completed(), 2u) << name;
+    oracle::check(oracle::zoo(name),
+                  {{.batch = 2, .in_flight = 2, .stages = 3}});
   }
 }
 
 TEST(StageCutProgram, BitIdenticalToBothParallelExecutors) {
-  for (const std::string& name : {std::string("squeezenet"),
-                                  std::string("bert")}) {
-    CompiledModel cm = compile_model(models::build(name), fast_pipeline(2));
-    Rng rng(11);
-    const auto inputs = make_example_inputs(cm.graph, 2, rng);
-    auto staged = stage_executor(cm, 3, 2, /*mem_plan=*/true);
-    const auto piped = run_in_flight(*staged, {inputs, inputs}, name);
-    for (ExecutorKind kind : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
-      auto exec = make_executor(kind, &cm.graph, cm.hyperclusters,
-                                cm.mem_plan.empty() ? nullptr : &cm.mem_plan);
-      const auto out = exec->run(inputs);
-      for (const auto& batch : piped) {
-        for (int s = 0; s < 2; ++s) {
-          expect_bit_identical(batch[static_cast<std::size_t>(s)],
-                               out[static_cast<std::size_t>(s)],
-                               name + " vs " + to_string(kind));
-        }
-      }
-    }
+  // Every cell is bit-identical to the sequential run, hence to each other.
+  for (const std::string name : {"squeezenet", "bert"}) {
+    oracle::check(oracle::zoo(name),
+                  {{.batch = 2, .in_flight = 2, .stages = 3},
+                   {.batch = 2},
+                   {.placement = ExecutorKind::kSteal, .batch = 2}});
   }
 }
 
 TEST(StageCutProgram, HeapModeMatchesPlannedMode) {
-  CompiledModel cm =
-      compile_model(models::build("googlenet"), fast_pipeline(2));
-  Rng rng(13);
-  const auto inputs = make_example_inputs(cm.graph, 2, rng);
-  auto planned = stage_executor(cm, 3, 2, /*mem_plan=*/true);
-  auto heap = stage_executor(cm, 3, 2, /*mem_plan=*/false);
-  EXPECT_TRUE(planned->mem_plan_enabled());
-  EXPECT_FALSE(heap->mem_plan_enabled());
-  const auto a = run_in_flight(*planned, {inputs, inputs}, "planned");
-  const auto b = run_in_flight(*heap, {inputs, inputs}, "heap");
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (int s = 0; s < 2; ++s) {
-      expect_bit_identical(a[r][static_cast<std::size_t>(s)],
-                           b[r][static_cast<std::size_t>(s)],
-                           "planned vs heap");
-    }
-  }
+  oracle::check(oracle::zoo("googlenet"),
+                {{.arena = true, .batch = 2, .in_flight = 2, .stages = 3},
+                 {.arena = false, .batch = 2, .in_flight = 2, .stages = 3}});
 }
 
 TEST(StageCutProgram, InFlightRunSlotsNeverShareArenas) {
-  CompiledModel cm =
-      compile_model(models::build("squeezenet"), fast_pipeline(2));
-  Rng rng(17);
-  const auto inputs = make_example_inputs(cm.graph, 2, rng);
-  auto exec = stage_executor(cm, 4, 2, /*mem_plan=*/true);
+  CompiledModel cm = oracle::compile(models::build("squeezenet"), {.batch = 2});
+  const auto inputs = testing::example_inputs(cm.graph, 2, 17);
+  auto exec = stage_executor(cm, 4, 2);
   // Two back-to-back submits overlap unless the host stalls this thread
   // for a whole run; retry a few times before declaring the slot pool dead.
   for (int attempt = 0; attempt < 20 && exec->run_slots(0) < 2; ++attempt) {
-    (void)run_in_flight(*exec, {inputs, inputs}, "overlap");
+    (void)oracle::run_in_flight(*exec, {inputs, inputs});
   }
   ASSERT_GE(exec->run_slots(0), 2) << "two runs never overlapped";
 
@@ -482,36 +384,14 @@ TEST(StageCutProgram, InFlightRunSlotsNeverShareArenas) {
 }
 
 TEST(StageCutProgram, OverlappingSubmitsAllResolveCorrectly) {
-  CompiledModel cm =
-      compile_model(models::build("squeezenet"), fast_pipeline(1));
-  Rng rng(19);
-  const auto all = make_example_inputs(cm.graph, 4, rng);
-  SequentialExecutor seq(&cm.graph);
-
-  auto exec = stage_executor(cm, 3, 1, /*mem_plan=*/true);
-  std::vector<std::vector<TensorMap>> batches;
-  for (const TensorMap& sample : all) batches.push_back({sample});
-  // Four runs in flight from a helper thread; every one resolves with its
-  // own sample's outputs.
-  std::vector<std::vector<TensorMap>> results;
-  std::thread submitter(
-      [&] { results = run_in_flight(*exec, batches, "overlap"); });
-  submitter.join();
-  for (int i = 0; i < 4; ++i) {
-    const auto& out = results[static_cast<std::size_t>(i)];
-    ASSERT_EQ(out.size(), 1u);
-    const auto expected = seq.run({all[static_cast<std::size_t>(i)]});
-    expect_bit_identical(out[0], expected[0], "run " + std::to_string(i));
-  }
-  EXPECT_EQ(exec->runs_completed(), 4u);
+  // Four runs in flight; every one resolves with its own batch's outputs.
+  oracle::check(oracle::zoo("squeezenet"), {{.in_flight = 4, .stages = 3}});
 }
 
 TEST(StageCutProgram, RejectsWrongBatchSize) {
-  CompiledModel cm =
-      compile_model(models::build("squeezenet"), fast_pipeline(2));
-  auto exec = stage_executor(cm, 2, 2, /*mem_plan=*/true);
-  Rng rng(23);
-  const auto one = make_example_inputs(cm.graph, 1, rng);
+  CompiledModel cm = oracle::compile(models::build("squeezenet"), {.batch = 2});
+  auto exec = stage_executor(cm, 2, 2);
+  const auto one = testing::example_inputs(cm.graph, 1, 23);
   EXPECT_THROW((void)exec->run(one), Error);
   EXPECT_THROW(exec->submit(0, one, RunOptions{},
                             [](std::vector<TensorMap>, std::exception_ptr,
@@ -523,9 +403,8 @@ TEST(StageCutProgram, RejectsWrongBatchSize) {
 // ----------------------------------------------------- shared-pool rt ----
 
 TEST(MultiProgramExecutor, TwoModelsOnOnePoolMatchSoloRuns) {
-  CompiledModel a =
-      compile_model(models::build("squeezenet"), fast_pipeline(2));
-  CompiledModel b = compile_model(models::build("googlenet"), fast_pipeline(2));
+  CompiledModel a = oracle::compile(models::build("squeezenet"), {.batch = 2});
+  CompiledModel b = oracle::compile(models::build("googlenet"), {.batch = 2});
   Rng rng(29);
   const auto in_a = make_example_inputs(a.graph, 2, rng);
   const auto in_b = make_example_inputs(b.graph, 2, rng);
@@ -544,12 +423,8 @@ TEST(MultiProgramExecutor, TwoModelsOnOnePoolMatchSoloRuns) {
   for (int round = 0; round < 2; ++round) {
     const auto got_a = pool.run_program(0, in_a);
     const auto got_b = pool.run_program(pb, in_b);
-    for (int s = 0; s < 2; ++s) {
-      expect_bit_identical(got_a[static_cast<std::size_t>(s)],
-                           want_a[static_cast<std::size_t>(s)], "squeezenet");
-      expect_bit_identical(got_b[static_cast<std::size_t>(s)],
-                           want_b[static_cast<std::size_t>(s)], "googlenet");
-    }
+    oracle::expect_bit_identical(want_a, got_a);
+    oracle::expect_bit_identical(want_b, got_b);
   }
 
   pool.remove_program(pb);
@@ -778,9 +653,8 @@ TEST(FleetServer, RemoveModelDrainsThenRejects) {
 
 TEST(FleetServer, PipelinedTenantServesCorrectlyAndReportsCut) {
   CompiledModel reference =
-      compile_model(models::build("squeezenet"), fast_pipeline(2));
-  Rng rng(31);
-  const auto inputs = make_example_inputs(reference.graph, 4, rng);
+      oracle::compile(models::build("squeezenet"), {.batch = 2});
+  const auto inputs = testing::example_inputs(reference.graph, 4, 31);
   SequentialExecutor seq(&reference.graph);
 
   // A pipelined tenant runs on its own executor in either pool mode.
@@ -794,19 +668,9 @@ TEST(FleetServer, PipelinedTenantServesCorrectlyAndReportsCut) {
     m.pipeline_stages = 3;
     config.models = {m};
     FleetServer fleet(config, FleetOptions{});
-
-    std::vector<std::future<Response>> futures;
-    for (const TensorMap& sample : inputs) {
-      futures.push_back(fleet.submit("squeezenet", TensorMap(sample)));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      Response r = futures[i].get();
-      ASSERT_TRUE(r.ok) << r.error;
-      const auto expected = seq.run({inputs[i]});
-      expect_bit_identical(r.outputs, expected[0],
-                           pool + " pipelined tenant sample " +
-                               std::to_string(i));
-    }
+    SCOPED_TRACE(pool + " pipelined tenant");
+    oracle::expect_bit_identical(
+        seq.run(inputs), oracle::serve_all(fleet, "squeezenet", inputs));
     fleet.shutdown();
 
     const auto reports = fleet.report();
@@ -833,14 +697,9 @@ TEST(FleetServer, PipelinedTenantKeepsTailExemplarsPerStage) {
   FleetOptions options;
   options.profile = true;
   FleetServer fleet(config, options);
-
-  Rng rng(41);
   const CompiledModel& cm = fleet.model_entry("squeezenet")->compiled;
-  std::vector<std::future<Response>> futures;
-  for (const TensorMap& sample : make_example_inputs(cm.graph, 8, rng)) {
-    futures.push_back(fleet.submit("squeezenet", TensorMap(sample)));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok);
+  (void)oracle::serve_all(fleet, "squeezenet",
+                          testing::example_inputs(cm.graph, 8, 41));
   fleet.shutdown();
 
   // The slowest batches are kept with their per-task profile: one worker
@@ -902,9 +761,8 @@ TEST(FleetServer, PipelinedTenantReportsThePinnedStagesItRuns) {
     m.executor = asked;
     config.models = {m};
     FleetServer fleet(config, FleetOptions{});
-    Rng rng(37);
     const CompiledModel& cm = fleet.model_entry(m.name)->compiled;
-    TensorMap input = make_example_inputs(cm.graph, 1, rng)[0];
+    TensorMap input = testing::example_inputs(cm.graph, 1, 37)[0];
     const Response r = fleet.submit(m.name, std::move(input)).get();
     ASSERT_TRUE(r.ok) << r.error;
     fleet.shutdown();
@@ -976,19 +834,6 @@ void write_calibration(const Graph& g, const std::vector<TensorMap>& samples,
   }
 }
 
-/// ||got - ref||_2 / max(1, ||ref||_2) — the error the per-dtype
-/// tolerances (quant_test.cc) are stated in.
-double normalized_l2_err(const Tensor& ref, const Tensor& got) {
-  EXPECT_EQ(ref.numel(), got.numel());
-  double num = 0.0, den = 0.0;
-  for (std::int64_t i = 0; i < ref.numel(); ++i) {
-    const double d = static_cast<double>(ref.at(i)) - got.at(i);
-    num += d * d;
-    den += static_cast<double>(ref.at(i)) * ref.at(i);
-  }
-  return std::sqrt(num) / std::max(std::sqrt(den), 1.0);
-}
-
 TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
   // Calibrate the folded f32 graph on the samples the test serves.
   PipelineOptions folded_opts;
@@ -997,8 +842,7 @@ TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
   folded_opts.mem_planning = false;
   CompiledModel folded =
       compile_model(models::build("squeezenet"), folded_opts);
-  Rng rng(41);
-  const auto inputs = make_example_inputs(folded.graph, 4, rng);
+  const auto inputs = testing::example_inputs(folded.graph, 4, 41);
   const std::string calib =
       ::testing::TempDir() + "/fleet_test_squeezenet.calib";
   write_calibration(folded.graph, inputs, calib);
@@ -1028,22 +872,11 @@ TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
 
   // The oracle: f32 SequentialExecutor on the untransformed model.
   Graph reference = models::build("squeezenet");
-  SequentialExecutor seq(&reference);
-  std::vector<std::future<Response>> futures;
-  for (const TensorMap& sample : inputs) {
-    futures.push_back(server.submit("squeezenet", TensorMap(sample)));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const Response r = futures[i].get();
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.batch_real, 4);
-    const TensorMap want = seq.run({inputs[i]})[0];
-    for (const auto& [key, value] : want) {
-      ASSERT_TRUE(r.outputs.count(key)) << key;
-      EXPECT_LE(normalized_l2_err(value, r.outputs.at(key)), 1e-2)
-          << "sample " << i << " " << key;
-    }
-  }
+  oracle::expect_agrees(SequentialExecutor(&reference).run(inputs),
+                        oracle::serve_all(server, "squeezenet", inputs),
+                        oracle::quant_fence("squeezenet", DType::kI8));
+  server.shutdown();
+  EXPECT_EQ(server.tenant_stats("squeezenet").batches, 1u);  // one full batch
   std::remove(calib.c_str());
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
-#include "passes/cluster_merging.h"
 #include "passes/hypercluster.h"
 #include "passes/linear_clustering.h"
 #include "test_util.h"
@@ -11,13 +10,9 @@
 namespace ramiel {
 namespace {
 
-Clustering cluster(const Graph& g) {
-  return merge_clusters(g, linear_clustering(g));
-}
-
 TEST(Hypercluster, Batch1IsClusterIdentity) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering hc = build_hyperclusters(g, c, 1);
   ASSERT_EQ(hc.workers.size(), static_cast<std::size_t>(c.size()));
   for (int w = 0; w < c.size(); ++w) {
@@ -34,9 +29,8 @@ TEST(Hypercluster, Batch1IsClusterIdentity) {
 
 TEST(Hypercluster, CoversEveryNodeSamplePair) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
   const int batch = 3;
-  Hyperclustering hc = build_hyperclusters(g, c, batch);
+  Hyperclustering hc = testing::hypercluster(g, batch);
   std::set<std::pair<NodeId, int>> seen;
   for (const auto& w : hc.workers) {
     for (const HyperTask& t : w) {
@@ -48,8 +42,7 @@ TEST(Hypercluster, CoversEveryNodeSamplePair) {
 
 TEST(Hypercluster, PlainInterleavesSamplesOpWise) {
   Graph g = testing::make_chain_graph();  // one cluster of 3 nodes
-  Clustering c = cluster(g);
-  Hyperclustering hc = build_hyperclusters(g, c, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   const auto& tasks = hc.workers[0];
   ASSERT_EQ(tasks.size(), 6u);
   // Round-robin: (n0,s0), (n0,s1), (n1,s0), (n1,s1), ...
@@ -62,7 +55,7 @@ TEST(Hypercluster, PlainInterleavesSamplesOpWise) {
 
 TEST(Hypercluster, PlainKeepsClusterPerWorker) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering hc = build_hyperclusters(g, c, 2);
   for (int w = 0; w < c.size(); ++w) {
     std::set<NodeId> cluster_nodes(
@@ -76,7 +69,7 @@ TEST(Hypercluster, PlainKeepsClusterPerWorker) {
 
 TEST(SwitchedHypercluster, RotatesClustersAcrossSamples) {
   Graph g = testing::make_diamond_graph();
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   ASSERT_EQ(c.size(), 2);
   Hyperclustering hc = build_switched_hyperclusters(g, c, 2);
   // Worker 0 runs cluster 0 for sample 0 and cluster 1 for sample 1.
@@ -93,7 +86,7 @@ TEST(SwitchedHypercluster, BalancesLoadOnSkewedClusters) {
   // Paper Fig. 9: switching turns a 5/2-ish split into a balanced one when
   // batch == number of clusters.
   Graph g = testing::make_diamond_graph();  // clusters of size 3 and 1
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering plain = build_hyperclusters(g, c, 2);
   Hyperclustering switched = build_switched_hyperclusters(g, c, 2);
   auto [pmax, pmin] = worker_load_bounds(plain);
@@ -107,7 +100,7 @@ TEST(SwitchedHypercluster, BalancesLoadOnSkewedClusters) {
 
 TEST(SwitchedHypercluster, CoversEveryNodeSamplePair) {
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   const int batch = 4;
   Hyperclustering hc = build_switched_hyperclusters(g, c, batch);
   std::set<std::pair<NodeId, int>> seen;
@@ -121,7 +114,7 @@ TEST(SwitchedHypercluster, CoversEveryNodeSamplePair) {
 
 TEST(Hypercluster, WorkerLookupConsistent) {
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering hc = build_switched_hyperclusters(g, c, 3);
   for (std::size_t w = 0; w < hc.workers.size(); ++w) {
     for (const HyperTask& t : hc.workers[w]) {
@@ -132,7 +125,7 @@ TEST(Hypercluster, WorkerLookupConsistent) {
 
 TEST(Hypercluster, SampleStreamsPreserveClusterOrder) {
   Graph g = models::build("squeezenet");
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   Hyperclustering hc = build_hyperclusters(g, c, 3);
   for (std::size_t w = 0; w < hc.workers.size(); ++w) {
     for (int s = 0; s < 3; ++s) {

@@ -1,4 +1,3 @@
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -9,13 +8,6 @@
 
 namespace ramiel {
 namespace {
-
-CostProfile uniform_profile(const Graph& g, double us) {
-  CostProfile p;
-  p.node_us.assign(g.nodes().size(), us);
-  p.value_bytes.assign(g.values().size(), 1024.0);
-  return p;
-}
 
 /// Stages must respect dependences: a node's predecessors appear in
 /// strictly earlier stages.
@@ -42,7 +34,7 @@ void expect_valid_stages(const Graph& g, const IosSchedule& s) {
 
 TEST(Ios, ChainIsOneOpPerStage) {
   Graph g = testing::make_chain_graph();
-  CostProfile p = uniform_profile(g, 10.0);
+  CostProfile p = testing::uniform_profile(g, 10.0);
   IosSchedule s = ios_schedule(g, p);
   EXPECT_EQ(s.stages.size(), 3u);
   expect_valid_stages(g, s);
@@ -50,7 +42,7 @@ TEST(Ios, ChainIsOneOpPerStage) {
 
 TEST(Ios, DiamondPacksBranchesIntoOneStage) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 10.0);
+  CostProfile p = testing::uniform_profile(g, 10.0);
   IosSchedule s = ios_schedule(g, p);
   expect_valid_stages(g, s);
   // Optimal: {a}, {b, c}, {d} — three stages.
@@ -64,7 +56,7 @@ TEST(Ios, DiamondPacksBranchesIntoOneStage) {
 
 TEST(Ios, MakespanBeatsSequentialOnParallelGraph) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   IosOptions opts;
   opts.machine.per_task_overhead_us = 0.0;
   IosSchedule s = ios_schedule(g, p, opts);
@@ -82,7 +74,7 @@ TEST(Ios, StageWidthPruningRespected) {
     outs.push_back(g.node(n).outputs[0]);
   }
   for (ValueId o : outs) g.mark_output(o);
-  CostProfile p = uniform_profile(g, 10.0);
+  CostProfile p = testing::uniform_profile(g, 10.0);
   IosOptions opts;
   opts.max_stage_width = 2;
   IosSchedule s = ios_schedule(g, p, opts);
@@ -122,7 +114,7 @@ TEST(Ios, CompileTimeGrowsWithGraphSize) {
 
 TEST(IosStageLatency, MaxOfMembersPlusBarrier) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 0.0);
+  CostProfile p = testing::uniform_profile(g, 0.0);
   p.node_us[1] = 100.0;
   p.node_us[2] = 40.0;
   MachineModel m;
@@ -141,7 +133,7 @@ TEST(IosStageLatency, WideStagePaysContention) {
     nodes.push_back(g.add_node(OpKind::kRelu, str_cat("r", i), {in}));
   }
   for (NodeId n : nodes) g.mark_output(g.node(n).outputs[0]);
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   MachineModel m;
   m.per_task_overhead_us = 0.0;
   m.cores = 12;

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -11,17 +10,6 @@
 
 namespace ramiel {
 namespace {
-
-/// Every live node appears in exactly one cluster.
-void expect_partition(const Graph& g, const Clustering& c) {
-  std::set<NodeId> seen;
-  for (const Cluster& cl : c.clusters) {
-    for (NodeId id : cl.nodes) {
-      EXPECT_TRUE(seen.insert(id).second) << "node " << id << " duplicated";
-    }
-  }
-  EXPECT_EQ(static_cast<int>(seen.size()), g.live_node_count());
-}
 
 /// A cluster is linear: consecutive nodes are connected producer->consumer
 /// *or* at least form a path in topological order (linear clustering emits
@@ -42,7 +30,7 @@ TEST(LinearClustering, ChainIsOneCluster) {
   Graph g = testing::make_chain_graph();
   Clustering c = linear_clustering(g);
   EXPECT_EQ(c.size(), 1);
-  expect_partition(g, c);
+  testing::expect_partition(g, c);
   expect_paths(g, c);
 }
 
@@ -53,7 +41,7 @@ TEST(LinearClustering, DiamondPeelsTwoPaths) {
   EXPECT_EQ(c.size(), 2);
   EXPECT_EQ(c.clusters[0].nodes.size(), 3u);
   EXPECT_EQ(c.clusters[1].nodes.size(), 1u);
-  expect_partition(g, c);
+  testing::expect_partition(g, c);
   expect_paths(g, c);
 }
 
@@ -91,7 +79,7 @@ TEST(LinearClustering, SqueezenetProducesNinePaths) {
   Graph g = models::build("squeezenet");
   Clustering c = linear_clustering(g);
   EXPECT_EQ(c.size(), 9);
-  expect_partition(g, c);
+  testing::expect_partition(g, c);
   expect_paths(g, c);
 }
 
@@ -100,7 +88,7 @@ class LcOnAllModels : public ::testing::TestWithParam<std::string> {};
 TEST_P(LcOnAllModels, ProducesValidLinearPartition) {
   Graph g = models::build(GetParam());
   Clustering c = linear_clustering(g);
-  expect_partition(g, c);
+  testing::expect_partition(g, c);
   expect_paths(g, c);
   EXPECT_NO_THROW(finalize_clustering(g, c));
 }

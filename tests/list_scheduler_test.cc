@@ -8,16 +8,9 @@
 namespace ramiel {
 namespace {
 
-CostProfile uniform_profile(const Graph& g, double us) {
-  CostProfile p;
-  p.node_us.assign(g.nodes().size(), us);
-  p.value_bytes.assign(g.values().size(), 1024.0);
-  return p;
-}
-
 TEST(ListScheduler, ChainStaysOnOneWorker) {
   Graph g = testing::make_chain_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   MachineModel m;
   auto r = list_schedule(g, p, m, 4);
   EXPECT_EQ(r.clustering.size(), 1);
@@ -27,7 +20,7 @@ TEST(ListScheduler, ChainStaysOnOneWorker) {
 
 TEST(ListScheduler, DiamondUsesSecondWorkerWhenCommIsCheap) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 1000.0);
+  CostProfile p = testing::uniform_profile(g, 1000.0);
   MachineModel m;
   m.comm_fixed_us = 1.0;
   m.comm_per_kb_us = 0.0;
@@ -40,7 +33,7 @@ TEST(ListScheduler, DiamondUsesSecondWorkerWhenCommIsCheap) {
 
 TEST(ListScheduler, ExpensiveCommKeepsWorkLocal) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 10.0);
+  CostProfile p = testing::uniform_profile(g, 10.0);
   MachineModel m;
   m.comm_fixed_us = 100000.0;  // prohibitive
   m.per_task_overhead_us = 0.0;
@@ -62,7 +55,7 @@ TEST(ListScheduler, PartitionIsValidOnModels) {
 
 TEST(ListScheduler, SingleWorkerMatchesSequentialSum) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   MachineModel m;
   m.per_task_overhead_us = 0.0;
   auto r = list_schedule(g, p, m, 1);

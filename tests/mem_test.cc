@@ -10,7 +10,6 @@
 //   - escapes: responses and results own their storage (nothing points
 //     into an arena after the run that filled it);
 //   - reporting: the compile report's "memory" block is strict JSON.
-#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -22,12 +21,11 @@
 #include "mem/plan.h"
 #include "mem/planner.h"
 #include "models/zoo.h"
+#include "oracle.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
-#include "rt/inputs.h"
 #include "serve/fleet/fleet_server.h"
 #include "strict_json.h"
-#include "support/rng.h"
 #include "test_util.h"
 
 namespace ramiel {
@@ -257,125 +255,39 @@ TEST(MemPlanProperty, NoCoexistingSlotOverlapOnAnyZooModel) {
   }
 }
 
-/// Random DAG over a pool of same-shaped values: unary/binary elementwise,
-/// Identity aliases, and MatMul against a weight initializer. Exercises
-/// interval shapes (diamonds, dead fan-outs, alias chains) the hand-built
-/// graphs miss.
-Graph make_random_dag(Rng& rng, int ops) {
-  Graph g("rand" + std::to_string(ops));
-  ValueId in = g.add_value("x", Shape{4, 8});
-  g.mark_input(in);
-  ValueId weight =
-      g.add_initializer("w", Tensor::full(Shape{8, 8}, 0.125f));
-  std::vector<ValueId> pool = {in};
-  const OpKind unary[] = {OpKind::kRelu, OpKind::kSigmoid, OpKind::kExp,
-                          OpKind::kTanh, OpKind::kNeg};
-  const OpKind binary[] = {OpKind::kAdd, OpKind::kMul, OpKind::kSub};
-  for (int i = 0; i < ops; ++i) {
-    const ValueId a = pool[rng.next_below(pool.size())];
-    NodeId n;
-    switch (rng.next_below(4)) {
-      case 0:
-        n = g.add_node(unary[rng.next_below(5)], "u" + std::to_string(i), {a});
-        break;
-      case 1:
-        n = g.add_node(binary[rng.next_below(3)], "b" + std::to_string(i),
-                       {a, pool[rng.next_below(pool.size())]});
-        break;
-      case 2:
-        n = g.add_node(OpKind::kIdentity, "id" + std::to_string(i), {a});
-        break;
-      default:
-        n = g.add_node(OpKind::kMatMul, "mm" + std::to_string(i),
-                       {a, weight});
-        break;
-    }
-    pool.push_back(g.node(n).outputs[0]);
-  }
-  g.mark_output(pool.back());
-  // A second, mid-graph output exercises the heap exclusion of outputs
-  // whose value still has downstream consumers.
-  g.mark_output(pool[pool.size() / 2]);
-  infer_shapes(g);
-  return g;
-}
-
 TEST(MemPlanProperty, RandomDagsPlanSoundlyAndRunBitIdentical) {
-  Rng rng(20260807);
-  for (int iter = 0; iter < 12; ++iter) {
-    const int batch = 1 + static_cast<int>(rng.next_below(3));
-    Graph g = make_random_dag(rng, 8 + static_cast<int>(rng.next_below(25)));
-    PipelineOptions opts;
-    opts.batch = batch;
-    opts.generate_code = false;
-    CompiledModel cm = compile_model(std::move(g), opts);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const int batch = 1 + static_cast<int>(seed % 3);
+    const CompiledModel cm =
+        oracle::compile(oracle::random_dag(seed), oracle::Cell{.batch = batch});
     expect_plan_sound(cm.graph, cm.hyperclusters, cm.mem_plan,
-                      "iter " + std::to_string(iter));
-
-    Rng input_rng(static_cast<std::uint64_t>(iter) + 1);
-    auto inputs = make_example_inputs(cm.graph, batch, input_rng);
-    ParallelExecutor heap(&cm.graph, cm.hyperclusters, nullptr);
-    ParallelExecutor arena(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-    auto want = heap.run(inputs);
-    auto got = arena.run(inputs);
-    ASSERT_EQ(want.size(), got.size());
-    for (std::size_t s = 0; s < want.size(); ++s) {
-      ASSERT_EQ(want[s].size(), got[s].size());
-      for (const auto& [name, tensor] : want[s]) {
-        ASSERT_TRUE(got[s].count(name)) << name;
-        const Tensor& other = got[s].at(name);
-        ASSERT_EQ(tensor.shape(), other.shape()) << name;
-        EXPECT_EQ(std::memcmp(tensor.data().data(), other.data().data(),
-                              tensor.data().size() * sizeof(float)),
-                  0)
-            << "iter " << iter << " output " << name;
-      }
-    }
+                      "seed " + std::to_string(seed));
+    oracle::check(oracle::random_source(seed),
+                  oracle::cells({.arenas = {false, true}, .batches = {batch}}));
   }
 }
 
 // ------------------------------------------------ executor equivalence ----
 
 TEST(MemExecutor, BitIdenticalToHeapOnEveryZooModelAndAcrossRuns) {
-  Rng rng(42);
   for (const std::string& name : models::model_names()) {
+    oracle::check(oracle::zoo(name),
+                  oracle::cells({.arenas = {false, true},
+                                 .rewrites = {oracle::Rewrites::kFold},
+                                 .batches = {2}}));
+    // The arenas are sized by the plan, and reused rather than grown.
     CompiledModel cm = compile_model(models::build(name), planned_options(2));
-    auto inputs = make_example_inputs(cm.graph, 2, rng);
-
-    ParallelExecutor heap(&cm.graph, cm.hyperclusters, nullptr);
     ParallelExecutor arena(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-    EXPECT_FALSE(heap.mem_plan_enabled());
-    EXPECT_TRUE(arena.mem_plan_enabled());
-
+    const auto inputs = testing::example_inputs(cm.graph, 2, 42);
     Profile profile;
-    auto want = heap.run(inputs);
-    auto first = arena.run(inputs);
-    auto second = arena.run(inputs, {}, &profile);  // arenas reused, not grown
-
+    arena.run(inputs);
+    arena.run(inputs, {}, &profile);
     EXPECT_EQ(arena.arena_bytes_allocated(),
               static_cast<std::size_t>(cm.mem_plan.peak_bytes))
         << name;
     int avoided = 0;
     for (const WorkerProfile& w : profile.workers) avoided += w.allocs_avoided;
     EXPECT_GT(avoided, 0) << name;
-
-    for (const auto& batch_result : {first, second}) {
-      ASSERT_EQ(want.size(), batch_result.size());
-      for (std::size_t s = 0; s < want.size(); ++s) {
-        ASSERT_EQ(want[s].size(), batch_result[s].size()) << name;
-        for (const auto& [key, tensor] : want[s]) {
-          ASSERT_TRUE(batch_result[s].count(key)) << name << "/" << key;
-          const Tensor& other = batch_result[s].at(key);
-          ASSERT_EQ(tensor.shape(), other.shape()) << name << "/" << key;
-          EXPECT_TRUE(other.owns_storage())
-              << name << "/" << key << " result must not point into an arena";
-          EXPECT_EQ(std::memcmp(tensor.data().data(), other.data().data(),
-                                tensor.data().size() * sizeof(float)),
-                    0)
-              << name << "/" << key;
-        }
-      }
-    }
   }
 }
 
@@ -402,9 +314,7 @@ TEST(MemServe, ArenaBackedResponsesOwnStorageAndSurviveLaterBatches) {
   serve::fleet::FleetServer server(config, opts);
   const Graph& graph = server.model_entry("squeezenet")->compiled.graph;
   ASSERT_FALSE(server.model_entry("squeezenet")->compiled.mem_plan.empty());
-
-  Rng rng(7);
-  auto sample = make_example_inputs(graph, 1, rng)[0];
+  auto sample = testing::example_inputs(graph, 1, 7)[0];
   SequentialExecutor seq(&graph);
   auto want = seq.run({sample})[0];
 
@@ -421,17 +331,10 @@ TEST(MemServe, ArenaBackedResponsesOwnStorageAndSurviveLaterBatches) {
 
   for (const serve::Response& r : responses) {
     ASSERT_TRUE(r.ok) << r.error;
-    ASSERT_EQ(r.outputs.size(), want.size());
-    for (const auto& [key, tensor] : want) {
-      ASSERT_TRUE(r.outputs.count(key)) << key;
-      const Tensor& got = r.outputs.at(key);
+    for (const auto& [key, got] : r.outputs) {
       EXPECT_TRUE(got.owns_storage()) << key;
-      ASSERT_EQ(tensor.shape(), got.shape()) << key;
-      EXPECT_EQ(std::memcmp(tensor.data().data(), got.data().data(),
-                            tensor.data().size() * sizeof(float)),
-                0)
-          << key;
     }
+    oracle::expect_bit_identical({want}, {r.outputs});
   }
 }
 

@@ -22,9 +22,9 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
-#include "rt/inputs.h"
 #include "rt/profiler.h"
 #include "serve/metrics_emitter.h"
 #include "serve/fleet/fleet_server.h"
@@ -349,14 +349,9 @@ TEST(CompileReport, CompileTraceSharesTimelineWithRuntime) {
   opts.generate_code = false;
   opts.batch = 1;
   CompiledModel cm = compile_model(models::build("squeezenet"), opts);
-
-  Rng rng(5);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
+  auto inputs = testing::example_inputs(cm.graph, 1, 5);
   ParallelExecutor par(&cm.graph, cm.hyperclusters);
-  RunOptions run_opts;
-  run_opts.trace = true;
-  Profile profile;
-  par.run(inputs, run_opts, &profile);
+  const Profile profile = testing::traced_run(par, inputs);
 
   Timeline tl;
   add_compile_trace(cm, tl);
@@ -376,14 +371,9 @@ TEST(RuntimeTrace, MessageFlowAndByteAccounting) {
   opts.generate_code = false;
   CompiledModel cm = compile_model(models::build("squeezenet"), opts);
   ASSERT_GT(cm.clustering.size(), 1) << "need a multi-worker model";
-
-  Rng rng(7);
-  auto inputs = make_example_inputs(cm.graph, 1, rng);
+  auto inputs = testing::example_inputs(cm.graph, 1, 7);
   ParallelExecutor par(&cm.graph, cm.hyperclusters);
-  RunOptions run_opts;
-  run_opts.trace = true;
-  Profile profile;
-  par.run(inputs, run_opts, &profile);
+  const Profile profile = testing::traced_run(par, inputs);
 
   ASSERT_FALSE(profile.messages.empty());
   std::int64_t send_bytes = 0;
@@ -410,9 +400,8 @@ TEST(RuntimeTrace, MessageFlowAndByteAccounting) {
   EXPECT_FALSE(profile.queue_depths.empty());
 
   // Tracing off: no per-message allocations on the hot path.
-  run_opts.trace = false;
   Profile quiet;
-  par.run(inputs, run_opts, &quiet);
+  par.run(inputs, RunOptions{}, &quiet);
   EXPECT_TRUE(quiet.messages.empty());
   EXPECT_TRUE(quiet.queue_depths.empty());
   EXPECT_GT(quiet.total_bytes_sent(), 0);  // byte accounting is always on
@@ -430,14 +419,10 @@ serve::fleet::FleetConfig serve_config() {
 
 /// Submits `n` seeded samples to the one tenant and waits for every one.
 void serve_samples(serve::fleet::FleetServer& server, int n, unsigned seed) {
-  Rng rng(seed);
-  const auto inputs = make_example_inputs(
-      server.model_entry("squeezenet")->compiled.graph, n, rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (const TensorMap& sample : inputs) {
-    futures.push_back(server.submit("squeezenet", TensorMap(sample)));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok);
+  (void)oracle::serve_all(
+      server, "squeezenet",
+      testing::example_inputs(server.model_entry("squeezenet")->compiled.graph,
+                              n, seed));
 }
 
 TEST(ServeObs, ServerStatsJsonStrictlyValid) {

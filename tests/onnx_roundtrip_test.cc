@@ -176,6 +176,26 @@ TEST(TextFormat, RejectsNegativeDims) {
   }
 }
 
+TEST(ModelFormats, RejectShapesPastTwoToTheFortyElements) {
+  // Their element counts would overflow int64 (and size nothing real).
+  for (const char* decl : {"input \"x\" [4294967296, 4294967296, 4]",
+                           "input \"x\" [0, 4294967296, 4294967296]",
+                           "init \"x\" [1099511627777] { 1 }"}) {
+    const std::string text =
+        std::string("ramiel-onnx-lite v1\nmodel \"m\"\n") + decl +
+        "\nnode Relu \"r\" in(\"x\") out(\"y\")\noutput \"y\"\n";
+    EXPECT_THROW(load_model_text(text), ParseError) << decl;
+  }
+  for (const Shape& huge : {Shape{1ll << 21, 1ll << 21},
+                            Shape{0, 1ll << 32, 1ll << 32}}) {
+    Graph g("huge");
+    g.mark_input(g.add_value("x", huge));
+    std::stringstream ss;
+    save_model_binary(g, ss);
+    EXPECT_THROW(load_model_binary(ss), ParseError) << huge.to_string();
+  }
+}
+
 TEST(BinaryFormat, RejectsNegativeDims) {
   Graph g("neg");
   const ValueId x = g.add_value("x", Shape{2, -3});

@@ -3,11 +3,10 @@
 // folding), driver-enforced invariants, each builtin rule, per-pattern
 // enable flags and report counts, plus output-preservation property tests
 // on random DAGs and the full zoo across static/steal executors and
-// heap/arena memory plans.
+// heap/arena memory plans (oracle.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,12 +14,11 @@
 #include "graph/shape_inference.h"
 #include "models/zoo.h"
 #include "obs/json_read.h"
+#include "oracle.h"
 #include "passes/patterns/driver.h"
 #include "passes/patterns/registry.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
-#include "rt/inputs.h"
-#include "rt/steal/steal_executor.h"
 #include "strict_json.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -123,32 +121,6 @@ Graph gemm_transpose_graph() {
   return g;
 }
 
-/// Worst normalized L2 distance across the output tensors of two runs.
-double normalized_diff(const TensorMap& a, const TensorMap& b) {
-  double worst = 0.0;
-  for (const auto& [key, va] : a) {
-    if (!b.count(key)) return 1e9;
-    const Tensor& vb = b.at(key);
-    if (va.numel() != vb.numel()) return 1e9;
-    double num = 0.0, den = 0.0;
-    for (std::int64_t i = 0; i < va.numel(); ++i) {
-      const double d = static_cast<double>(va.at(i)) - vb.at(i);
-      num += d * d;
-      den += static_cast<double>(va.at(i)) * va.at(i);
-    }
-    worst = std::max(worst, std::sqrt(num) / (std::sqrt(den) + 1e-12));
-  }
-  return worst;
-}
-
-PatternRunOptions only(const std::string& name) {
-  PatternRunOptions o;
-  for (const std::string& n : pattern_registry().names()) {
-    o.enable[n] = n == name;
-  }
-  return o;
-}
-
 NodeId find_node(const Graph& g, const std::string& name) {
   for (const Node& n : g.nodes()) {
     if (n.name == name) return n.id;
@@ -182,11 +154,7 @@ TEST(PatternBugfix, BnFoldBehindTailStillFires) {
   EXPECT_EQ(testing::run_pattern(g, "fold-batch-norms"), 1);
   g.validate();
 
-  Rng rng(3);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  auto a = SequentialExecutor(&reference).run(inputs);
-  auto b = SequentialExecutor(&g).run(inputs);
-  EXPECT_LT(normalized_diff(a[0], b[0]), 1e-4);
+  oracle::check_rewrite(reference, g, oracle::kPatterns);
 }
 
 TEST(PatternBugfix, BnFoldLeavesNoStaleConsumerEntries) {
@@ -291,7 +259,7 @@ TEST(PatternDriver, CatchesInterfaceRebindingRules) {
   infer_shapes(g);
 
   try {
-    run_patterns(g, only("test-rebind"));
+    run_patterns(g, testing::only_pattern("test-rebind"));
     FAIL() << "driver accepted an interface-rebinding rewrite";
   } catch (const ValidationError& e) {
     EXPECT_NE(std::string(e.what()).find("test-rebind"), std::string::npos);
@@ -311,7 +279,7 @@ TEST(PatternDriver, CatchesStaleConsumerRules) {
   g.validate();
 
   try {
-    run_patterns(g, only("test-stale"));
+    run_patterns(g, testing::only_pattern("test-stale"));
     FAIL() << "driver accepted a rewrite that left stale consumer entries";
   } catch (const ValidationError& e) {
     EXPECT_NE(std::string(e.what()).find("test-stale"), std::string::npos);
@@ -363,11 +331,7 @@ TEST(PatternRules, EpilogueChainCollapsesToFusedConv) {
   EXPECT_EQ(g.node(conv).attrs.get_str("act"), "relu");
   EXPECT_EQ(g.node(conv).inputs.size(), 3u);
 
-  Rng rng(5);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  auto a = SequentialExecutor(&reference).run(inputs);
-  auto b = SequentialExecutor(&g).run(inputs);
-  EXPECT_LT(normalized_diff(a[0], b[0]), 1e-4);
+  oracle::check_rewrite(reference, g, oracle::kPatterns);
 }
 
 TEST(PatternRules, GemmTransposeConstexprAndBiasAbsorb) {
@@ -379,11 +343,7 @@ TEST(PatternRules, GemmTransposeConstexprAndBiasAbsorb) {
   EXPECT_EQ(g.live_node_count(), 2);  // gemm (bias absorbed) + tanh
   EXPECT_EQ(g.node(find_node(g, "gemm")).inputs.size(), 3u);
 
-  Rng rng(6);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  auto a = SequentialExecutor(&reference).run(inputs);
-  auto b = SequentialExecutor(&g).run(inputs);
-  EXPECT_LT(normalized_diff(a[0], b[0]), 1e-4);
+  oracle::check_rewrite(reference, g, oracle::kPatterns);
 }
 
 TEST(PatternRules, DropIdentitySkipsGraphOutputs) {
@@ -397,7 +357,7 @@ TEST(PatternRules, DropIdentitySkipsGraphOutputs) {
   g.mark_output(g.node(tail).outputs[0]);
   infer_shapes(g);
 
-  PatternRunStats stats = run_patterns(g, only("drop-identity"));
+  auto stats = run_patterns(g, testing::only_pattern("drop-identity"));
   EXPECT_EQ(stats.count("drop-identity"), 1);  // interior only
   EXPECT_TRUE(g.node(mid).dead);
   EXPECT_FALSE(g.node(tail).dead);  // output-producing identity kept
@@ -423,7 +383,7 @@ TEST(PatternRules, SharedConvOutputBlocksAbsorption) {
   g.mark_output(g.node(other).outputs[0]);
   infer_shapes(g);
 
-  PatternRunStats stats = run_patterns(g, only("absorb-bias-add"));
+  auto stats = run_patterns(g, testing::only_pattern("absorb-bias-add"));
   EXPECT_EQ(stats.count("absorb-bias-add"), 0);
   EXPECT_FALSE(g.node(add).dead);
   g.validate();
@@ -448,13 +408,10 @@ TEST(PatternRules, PerRowGemmBiasBlocksAbsorption) {
   infer_shapes(reference);
   Graph g = reference;
 
-  PatternRunStats stats = run_patterns(g, only("absorb-bias-add"));
+  auto stats = run_patterns(g, testing::only_pattern("absorb-bias-add"));
   EXPECT_EQ(stats.count("absorb-bias-add"), 0);
   EXPECT_FALSE(g.node(add).dead);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  auto want = SequentialExecutor(&reference).run(inputs);
-  auto got = SequentialExecutor(&g).run(inputs);
-  EXPECT_LT(normalized_diff(want[0], got[0]), 1e-6);
+  oracle::check_rewrite(reference, g, oracle::kExact);
 }
 
 TEST(PatternRules, PerRowGemmBiasBlocksScaleFolding) {
@@ -481,13 +438,10 @@ TEST(PatternRules, PerRowGemmBiasBlocksScaleFolding) {
     infer_shapes(reference);
     Graph g = reference;
 
-    PatternRunStats stats = run_patterns(g, only("fold-scale-mul"));
+    auto stats = run_patterns(g, testing::only_pattern("fold-scale-mul"));
     EXPECT_EQ(stats.count("fold-scale-mul"), 0) << bias_shape.to_string();
     EXPECT_FALSE(g.node(mul).dead);
-    auto inputs = make_example_inputs(reference, 1, rng);
-    auto want = SequentialExecutor(&reference).run(inputs);
-    auto got = SequentialExecutor(&g).run(inputs);
-    EXPECT_LT(normalized_diff(want[0], got[0]), 1e-6);
+    oracle::check_rewrite(reference, g, oracle::kExact);
   }
 }
 
@@ -577,74 +531,11 @@ TEST(PatternPipeline, LegacyFlagsStillDriveTheStage) {
 
 // -- property tests: random DAGs --------------------------------------------
 
-/// Random DAG mixing elementwise chains with Gemm/Transpose/Identity and
-/// constants so every builtin rule has material to fire on. All activations
-/// flow through [1, 8] vectors; Gemm weights are [8, 8] constants.
-Graph random_pattern_graph(std::uint64_t seed) {
-  Rng rng(seed);
-  Graph g(str_cat("rand_patterns_", seed));
-  const Shape vec{1, 8};
-
-  std::vector<ValueId> pool;
-  ValueId in = g.add_value("in0", vec);
-  g.mark_input(in);
-  pool.push_back(in);
-
-  const int num_nodes = 12 + static_cast<int>(rng.next_below(28));
-  for (int i = 0; i < num_nodes; ++i) {
-    const std::uint64_t dice = rng.next_below(12);
-    ValueId a = pool[rng.next_below(pool.size())];
-    NodeId n;
-    if (dice < 2) {
-      // Gemm against a constant [8, 8] weight, sometimes pre-transposed.
-      ValueId w = g.add_initializer(
-          str_cat("w", i), Tensor::random(Shape{8, 8}, rng, -0.4f, 0.4f));
-      if (rng.next_below(2) == 0) {
-        NodeId tr = g.add_node(
-            OpKind::kTranspose, str_cat("tr", i), {w}, 1,
-            Attrs().set("perm", std::vector<std::int64_t>{1, 0}));
-        w = g.node(tr).outputs[0];
-      }
-      n = g.add_node(OpKind::kGemm, str_cat("g", i), {a, w});
-    } else if (dice < 4) {
-      ValueId c = g.add_initializer(
-          str_cat("c", i), Tensor::random(vec, rng, 0.5f, 1.5f));
-      n = g.add_node(rng.next_below(2) == 0 ? OpKind::kAdd : OpKind::kMul,
-                     str_cat("k", i),
-                     rng.next_below(2) == 0 ? std::vector<ValueId>{a, c}
-                                            : std::vector<ValueId>{c, a});
-    } else if (dice < 6) {
-      n = g.add_node(OpKind::kIdentity, str_cat("id", i), {a});
-    } else if (dice < 9) {
-      static constexpr OpKind kUnary[] = {OpKind::kRelu, OpKind::kSigmoid,
-                                          OpKind::kTanh};
-      n = g.add_node(kUnary[rng.next_below(3)], str_cat("u", i), {a});
-    } else {
-      ValueId b = pool[rng.next_below(pool.size())];
-      static constexpr OpKind kBinary[] = {OpKind::kAdd, OpKind::kSub,
-                                           OpKind::kMul};
-      n = g.add_node(kBinary[rng.next_below(3)], str_cat("b", i), {a, b});
-    }
-    pool.push_back(g.node(n).outputs[0]);
-  }
-  int outputs = 0;
-  for (const Value& v : g.values()) {
-    if (v.consumers.empty() && v.producer != kNoNode) {
-      g.mark_output(v.id);
-      ++outputs;
-    }
-  }
-  if (outputs == 0) g.mark_output(pool.back());
-  infer_shapes(g);
-  g.validate();
-  return g;
-}
-
 class PatternProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PatternProperty, RandomSubsetPreservesOutputsOnRandomDags) {
   const std::uint64_t seed = GetParam();
-  Graph reference = random_pattern_graph(seed);
+  Graph reference = oracle::random_dag(seed);
 
   // Random pattern subset derived from the seed; every third seed runs the
   // default set (builtins on, test-only rules off).
@@ -657,7 +548,7 @@ TEST_P(PatternProperty, RandomSubsetPreservesOutputsOnRandomDags) {
     }
   }
 
-  Graph g = random_pattern_graph(seed);
+  Graph g = oracle::random_dag(seed);
   PatternRunStats stats = run_patterns(g, o);
   g.validate();
   EXPECT_LE(g.live_node_count(), reference.live_node_count());
@@ -668,12 +559,7 @@ TEST_P(PatternProperty, RandomSubsetPreservesOutputsOnRandomDags) {
     (void)applied;
   }
 
-  Rng rng(seed + 10);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  auto a = SequentialExecutor(&reference).run(inputs);
-  auto b = SequentialExecutor(&g).run(inputs);
-  ASSERT_EQ(a[0].size(), b[0].size());
-  EXPECT_LT(normalized_diff(a[0], b[0]), 1e-4);
+  oracle::check_rewrite(reference, g, oracle::kPatterns);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PatternProperty,
@@ -685,29 +571,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PatternProperty,
 class PatternZoo : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PatternZoo, AllPatternsPreserveOutputsAcrossRuntimesAndPlans) {
-  const std::string name = GetParam();
-  Graph reference = models::build(name);
-  const int reference_nodes = reference.live_node_count();
-
-  PipelineOptions opts;
-  opts.pattern_rewrites = true;
-  opts.generate_code = false;
-  CompiledModel cm = compile_model(models::build(name), opts);
-  EXPECT_LE(cm.graph.live_node_count(), reference_nodes) << name;
-
-  Rng rng(42);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  auto expected = SequentialExecutor(&reference).run(inputs);
-
-  for (ExecutorKind kind : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
-    for (bool arena : {false, true}) {
-      auto exec = make_executor(kind, &cm.graph, cm.hyperclusters,
-                                arena ? &cm.mem_plan : nullptr);
-      auto got = exec->run(inputs);
-      EXPECT_LT(normalized_diff(expected[0], got[0]), 1e-4)
-          << name << " kind=" << to_string(kind) << " arena=" << arena;
-    }
-  }
+  const oracle::Cell patterns{.rewrites = oracle::Rewrites::kPatterns};
+  EXPECT_LE(oracle::compile(models::build(GetParam()), patterns)
+                .graph.live_node_count(),
+            models::build(GetParam()).live_node_count());
+  oracle::check(oracle::zoo(GetParam()),
+                oracle::cells({.placements = {ExecutorKind::kStatic,
+                                              ExecutorKind::kSteal},
+                               .arenas = {false, true},
+                               .rewrites = {oracle::Rewrites::kPatterns}}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PatternZoo,

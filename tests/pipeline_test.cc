@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "oracle.h"
 #include "ramiel/pipeline.h"
-#include "rt/executor.h"
-#include "rt/inputs.h"
 #include "support/stopwatch.h"
 #include "test_util.h"
 
@@ -65,22 +64,8 @@ TEST(Pipeline, SwitchedModeBalancesWorkers) {
 TEST(Pipeline, CompiledModelExecutesCorrectly) {
   // The transformed graph + clustering must still compute the same outputs
   // as the raw model.
-  Graph reference = models::build("yolo_v5");
-  PipelineOptions opts;
-  opts.constant_folding = true;
-  opts.cloning = true;
-  CompiledModel cm = compile_model(models::build("yolo_v5"), opts);
-
-  Rng rng(21);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  SequentialExecutor seq(&reference);
-  ParallelExecutor par(&cm.graph, cm.hyperclusters);
-  auto a = seq.run(inputs);
-  auto b = par.run(inputs);
-  for (const auto& [key, value] : a[0]) {
-    ASSERT_TRUE(b[0].count(key)) << key;
-    EXPECT_TRUE(allclose(value, b[0].at(key), 1e-3f, 1e-2f)) << key;
-  }
+  oracle::check(oracle::zoo("yolo_v5"),
+                {{.arena = false, .rewrites = oracle::Rewrites::kFoldClone}});
 }
 
 TEST(Pipeline, CompileTimesAreSeconds) {
@@ -111,7 +96,6 @@ TEST(Pipeline, BatchGeneratesHyperclusterSource) {
   EXPECT_TRUE(plain.code.hypercluster_source.empty());
 }
 
-
 TEST(Pipeline, BnFusionStageShrinksGraphAndStaysCorrect) {
   Graph reference = models::build("retinanet");
   PipelineOptions opts;
@@ -120,15 +104,8 @@ TEST(Pipeline, BnFusionStageShrinksGraphAndStaysCorrect) {
   EXPECT_GT(cm.pattern_stats.count("fold-batch-norms"), 0);
   EXPECT_LT(cm.graph.live_node_count(), reference.live_node_count());
 
-  Rng rng(31);
-  auto inputs = make_example_inputs(reference, 1, rng);
-  SequentialExecutor seq(&reference);
-  ParallelExecutor par(&cm.graph, cm.hyperclusters);
-  auto a = seq.run(inputs);
-  auto b = par.run(inputs);
-  for (const auto& [key, value] : a[0]) {
-    EXPECT_TRUE(allclose(value, b[0].at(key), 1e-3f, 1e-2f)) << key;
-  }
+  oracle::check_rewrite(reference, cm.graph, oracle::kZooRewriteChain,
+                        &cm.hyperclusters);
 }
 
 }  // namespace

@@ -16,10 +16,7 @@
 #include "obs/prof/critical_path.h"
 #include "obs/prof/sim_bridge.h"
 #include "obs/prof/whatif.h"
-#include "passes/cluster_merging.h"
-#include "passes/linear_clustering.h"
 #include "rt/executor.h"
-#include "rt/inputs.h"
 #include "rt/steal/steal_executor.h"
 #include "sim/simulator.h"
 #include "strict_json.h"
@@ -27,11 +24,6 @@
 
 namespace ramiel {
 namespace {
-
-Hyperclustering hypercluster(const Graph& g, int batch = 1) {
-  Clustering c = merge_clusters(g, linear_clustering(g));
-  return build_hyperclusters(g, c, batch);
-}
 
 // The sums-to-wall invariant, asserted everywhere: the decomposition must
 // tile the profiled window exactly (double rounding only).
@@ -164,16 +156,12 @@ TEST(CriticalPath, EmptyProfileInvalid) {
 // tasks must be actual recorded tasks.
 TEST(CriticalPath, ExecutorProfilesSumToWall) {
   Graph g = testing::make_diamond_graph();
-  Hyperclustering hc = hypercluster(g, 2);
-  Rng rng(7);
-  auto inputs = make_example_inputs(g, 2, rng);
+  Hyperclustering hc = testing::hypercluster(g, 2);
+  auto inputs = testing::example_inputs(g, 2, 7);
 
   for (const ExecutorKind kind : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
     auto exec = make_executor(kind, &g, hc, nullptr);
-    Profile p;
-    RunOptions opts;
-    opts.trace = true;
-    exec->run(inputs, opts, &p);
+    const Profile p = testing::traced_run(*exec, inputs);
     ASSERT_FALSE(p.events.empty());
 
     const prof::CriticalPathReport r = prof::analyze(g, hc, p);
@@ -202,7 +190,7 @@ TEST(CriticalPath, ExecutorProfilesSumToWall) {
 // on the invariant and rank real work: deterministic via the simulator.
 TEST(CriticalPath, StaticVsStealSimAttributionConsistent) {
   Graph g = models::build("googlenet");
-  Hyperclustering hc = hypercluster(g, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   Rng rng(11);
   CostProfile costs = measure_costs(g, 1, rng);
   SimOptions sim;
@@ -308,7 +296,7 @@ TEST(WhatIf, ChainSpeedupMatchesExactly) {
 // the bench's cross-check in miniature, as a regression test.
 TEST(WhatIf, AgreesWithSimulatorOnZooModel) {
   Graph g = models::build("squeezenet");
-  Hyperclustering hc = hypercluster(g, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   Rng rng(3);
   CostProfile costs = measure_costs(g, 1, rng);
   SimOptions sim;
@@ -341,7 +329,7 @@ TEST(CriticalPath, DecompositionSumsToWallAcrossZoo) {
   for (const std::string& name : models::model_names()) {
     SCOPED_TRACE(name);
     Graph g = models::build(name);
-    Hyperclustering hc = hypercluster(g, 2);
+    Hyperclustering hc = testing::hypercluster(g, 2);
     CostProfile costs;
     costs.node_us.assign(g.nodes().size(), 0.0);
     costs.value_bytes.assign(g.values().size(), 0.0);
@@ -374,14 +362,10 @@ TEST(CriticalPath, DecompositionSumsToWallAcrossZoo) {
 
 TEST(CriticalPathReport, StrictJsonRoundTrip) {
   Graph g = testing::make_diamond_graph();
-  Hyperclustering hc = hypercluster(g, 2);
-  Rng rng(5);
-  auto inputs = make_example_inputs(g, 2, rng);
+  Hyperclustering hc = testing::hypercluster(g, 2);
+  auto inputs = testing::example_inputs(g, 2, 5);
   auto exec = make_executor(ExecutorKind::kStatic, &g, hc, nullptr);
-  Profile p;
-  RunOptions opts;
-  opts.trace = true;
-  exec->run(inputs, opts, &p);
+  const Profile p = testing::traced_run(*exec, inputs);
 
   const prof::CriticalPathReport r = prof::analyze(g, hc, p);
   const std::string json = r.to_json();
@@ -410,7 +394,7 @@ TEST(CriticalPathReport, PublishExportsGauges) {
   p.end_ns = 100'000;
   p.wall_ms = 0.1;
   p.events = {{0, 0, 0, 0, 100'000}};
-  Hyperclustering hc = hypercluster(g, 1);
+  Hyperclustering hc = testing::hypercluster(g);
   const prof::CriticalPathReport r = prof::analyze(g, hc, p);
 
   obs::Registry reg;

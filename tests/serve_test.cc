@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -15,8 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "oracle.h"
 #include "ramiel/pipeline.h"
-#include "rt/inputs.h"
 #include "serve/fleet/fleet_server.h"
 #include "serve/loadgen.h"
 #include "tensor/ops.h"
@@ -297,8 +296,8 @@ std::vector<TensorMap> reference_outputs(const std::string& model,
 /// Example inputs matching the tenant's compiled graph.
 std::vector<TensorMap> tenant_inputs(const FleetServer& server, int n,
                                      unsigned seed) {
-  Rng rng(seed);
-  return make_example_inputs(server.model_entry("m")->compiled.graph, n, rng);
+  return testing::example_inputs(server.model_entry("m")->compiled.graph, n,
+                                 seed);
 }
 
 TEST(Server, ServesSingleRequestMatchingSequential) {
@@ -307,12 +306,8 @@ TEST(Server, ServesSingleRequestMatchingSequential) {
   Response resp = server.submit("m", TensorMap(inputs[0])).get();
   ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_GT(resp.latency_ms, 0.0);
-  auto expected = reference_outputs("squeezenet", inputs);
-  ASSERT_EQ(resp.outputs.size(), expected[0].size());
-  for (const auto& [name, tensor] : expected[0]) {
-    ASSERT_TRUE(resp.outputs.count(name));
-    EXPECT_TRUE(allclose(resp.outputs.at(name), tensor, 1e-4f, 1e-3f));
-  }
+  oracle::expect_bit_identical(reference_outputs("squeezenet", inputs),
+                               {resp.outputs});
 }
 
 TEST(Server, BatchedResponsesMatchPerRequestInputs) {
@@ -322,20 +317,8 @@ TEST(Server, BatchedResponsesMatchPerRequestInputs) {
   // assertions are exact even when the host deschedules the submitter.
   FleetServer server(one_tenant("squeezenet", 4, 2'000.0), FleetOptions{});
   auto inputs = tenant_inputs(server, 12, 22);
-  auto expected = reference_outputs("squeezenet", inputs);
-  std::vector<std::future<Response>> futures;
-  for (const TensorMap& sample : inputs) {
-    futures.push_back(server.submit("m", TensorMap(sample)));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    Response resp = futures[i].get();
-    ASSERT_TRUE(resp.ok) << resp.error;
-    for (const auto& [name, tensor] : expected[i]) {
-      ASSERT_TRUE(resp.outputs.count(name));
-      EXPECT_TRUE(allclose(resp.outputs.at(name), tensor, 1e-4f, 1e-3f))
-          << "request " << i << " output " << name;
-    }
-  }
+  oracle::expect_bit_identical(reference_outputs("squeezenet", inputs),
+                               oracle::serve_all(server, "m", inputs));
   server.shutdown();
   const ServerStats stats = server.tenant_stats("m");
   EXPECT_EQ(stats.served, 12u);
@@ -448,19 +431,9 @@ TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
       int sample = 1;
       for (Response r : {good1.get(), good2.get()}) {
         ASSERT_TRUE(r.ok) << r.error;
-        const TensorMap expected =
-            seq.run({inputs[static_cast<std::size_t>(sample++)]})[0];
-        ASSERT_EQ(r.outputs.size(), expected.size());
-        for (const auto& [name, tensor] : expected) {
-          ASSERT_TRUE(r.outputs.count(name)) << name;
-          const Tensor& got = r.outputs.at(name);
-          ASSERT_EQ(got.numel(), tensor.numel()) << name;
-          EXPECT_EQ(std::memcmp(got.data().data(), tensor.data().data(),
-                                sizeof(float) *
-                                    static_cast<std::size_t>(tensor.numel())),
-                    0)
-              << name << " is not bit-identical";
-        }
+        oracle::expect_bit_identical(
+            seq.run({inputs[static_cast<std::size_t>(sample++)]}),
+            {r.outputs});
       }
       server.shutdown();
       const ServerStats stats = server.tenant_stats("m");

@@ -22,12 +22,14 @@
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/microkernel.h"
 #include "tensor/thread_pool.h"
+#include "test_util.h"
 
 namespace ramiel {
 namespace {
 
 using kernels::Activation;
 using kernels::Epilogue;
+using testing::same_bits;
 
 constexpr std::int64_t kBlockK = 256;  // KC of the driver
 
@@ -134,11 +136,6 @@ Epilogue make_epilogue(const EpilogueCase& ec, std::int64_t M, std::int64_t N,
   }
   ep.bias = storage.data();
   return ep;
-}
-
-bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 /// Runs the vector path on f32 operands (ta/tb store A as KxM / B as NxK)

@@ -7,7 +7,6 @@
 #include "onnx/model_io.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
-#include "rt/inputs.h"
 #include "support/check.h"
 #include "support/string_util.h"
 #include "test_util.h"
@@ -249,9 +248,8 @@ TEST(ShapeInference, ZeroExtentRowOpsRunToAnEmptyOutput) {
   for (const auto& c : cases) {
     Graph g = load_one_node_model(c.file, c.node, c.decls);
     infer_shapes(g);
-    Rng rng(1);
     const auto out =
-        SequentialExecutor(&g).run(make_example_inputs(g, 1, rng));
+        SequentialExecutor(&g).run(testing::example_inputs(g, 1, 1));
     ASSERT_EQ(out.size(), 1u) << c.file;
     EXPECT_EQ(out[0].at("y").shape(), Shape({2, 0})) << c.file;
   }

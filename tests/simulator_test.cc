@@ -1,17 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
-#include "passes/cluster_merging.h"
 #include "passes/linear_clustering.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
 namespace ramiel {
 namespace {
-
-Clustering cluster(const Graph& g) {
-  return merge_clusters(g, linear_clustering(g));
-}
 
 /// Machine model with zero overheads — makespans depend only on kernel
 /// times, which makes schedule arithmetic exactly checkable.
@@ -23,20 +18,9 @@ MachineModel free_machine() {
   return m;
 }
 
-/// A profile with fixed per-node cost.
-CostProfile uniform_profile(const Graph& g, double us) {
-  CostProfile p;
-  p.node_us.assign(g.nodes().size(), us);
-  p.value_bytes.assign(g.values().size(), 1024.0);
-  for (const Node& n : g.nodes()) {
-    if (!n.dead && n.kind != OpKind::kConstant) p.total_us += us;
-  }
-  return p;
-}
-
 TEST(Simulator, SequentialIsSumOfCosts) {
   Graph g = testing::make_chain_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   SimOptions opts;
   opts.machine = free_machine();
   EXPECT_DOUBLE_EQ(simulate_sequential_ms(g, p, 1, opts), 0.3);
@@ -45,20 +29,20 @@ TEST(Simulator, SequentialIsSumOfCosts) {
 
 TEST(Simulator, ChainParallelEqualsSequential) {
   Graph g = testing::make_chain_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   SimOptions opts;
   opts.machine = free_machine();
-  auto hc = build_hyperclusters(g, cluster(g), 1);
+  auto hc = testing::hypercluster(g);
   SimResult r = simulate_parallel(g, hc, p, opts);
   EXPECT_NEAR(r.makespan_ms, 0.3, 1e-9);
 }
 
 TEST(Simulator, DiamondOverlapsBranches) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   SimOptions opts;
   opts.machine = free_machine();
-  auto hc = build_hyperclusters(g, cluster(g), 1);
+  auto hc = testing::hypercluster(g);
   SimResult r = simulate_parallel(g, hc, p, opts);
   // a, then b||c, then d: 3 steps of 100us instead of 4.
   EXPECT_NEAR(r.makespan_ms, 0.3, 1e-9);
@@ -67,11 +51,11 @@ TEST(Simulator, DiamondOverlapsBranches) {
 
 TEST(Simulator, CommCostsDelayRemoteConsumers) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   SimOptions opts;
   opts.machine = free_machine();
   opts.machine.comm_fixed_us = 1000.0;  // dwarfs compute
-  auto hc = build_hyperclusters(g, cluster(g), 1);
+  auto hc = testing::hypercluster(g);
   SimResult r = simulate_parallel(g, hc, p, opts);
   // The cross-cluster hop a->c->d costs two messages of 1ms.
   EXPECT_GT(r.makespan_ms, 2.0);
@@ -79,7 +63,7 @@ TEST(Simulator, CommCostsDelayRemoteConsumers) {
 
 TEST(Simulator, PerTaskOverheadCharged) {
   Graph g = testing::make_chain_graph();
-  CostProfile p = uniform_profile(g, 0.0);
+  CostProfile p = testing::uniform_profile(g, 0.0);
   SimOptions opts;
   opts.machine = free_machine();
   opts.machine.per_task_overhead_us = 50.0;
@@ -88,10 +72,10 @@ TEST(Simulator, PerTaskOverheadCharged) {
 
 TEST(Simulator, SlackAccountedOnBlockedWorkers) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   SimOptions opts;
   opts.machine = free_machine();
-  auto hc = build_hyperclusters(g, cluster(g), 1);
+  auto hc = testing::hypercluster(g);
   SimResult r = simulate_parallel(g, hc, p, opts);
   // The side-branch worker waits for a's output (100us), then its output is
   // consumed later; total slack > 0.
@@ -128,11 +112,11 @@ TEST(Simulator, IntraOpEffectivenessCappedByCoreShare) {
 
 TEST(Simulator, TraceEventsCoverAllTasks) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 10.0);
+  CostProfile p = testing::uniform_profile(g, 10.0);
   SimOptions opts;
   opts.machine = free_machine();
   opts.trace = true;
-  auto hc = build_hyperclusters(g, cluster(g), 1);
+  auto hc = testing::hypercluster(g);
   SimResult r = simulate_parallel(g, hc, p, opts);
   EXPECT_EQ(r.events.size(), 4u);
 }
@@ -142,7 +126,7 @@ TEST(Simulator, HyperclusterBatchScalesWork) {
   Rng rng(3);
   CostProfile p = measure_costs(g, 1, rng);
   SimOptions opts;
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   auto hc1 = build_hyperclusters(g, c, 1);
   auto hc4 = build_hyperclusters(g, c, 4);
   SimResult r1 = simulate_parallel(g, hc1, p, opts);
@@ -162,7 +146,7 @@ TEST(Simulator, BatchedHyperclusterBeatsBackToBackRuns) {
   Rng rng(4);
   CostProfile p = measure_costs(g, 1, rng);
   SimOptions opts;
-  Clustering c = cluster(g);
+  Clustering c = testing::cluster(g);
   SimResult r1 = simulate_parallel(g, build_hyperclusters(g, c, 1), p, opts);
   SimResult r4 = simulate_parallel(g, build_hyperclusters(g, c, 4), p, opts);
   EXPECT_LT(r4.makespan_ms, 4.0 * r1.makespan_ms);
@@ -199,12 +183,12 @@ TEST(Energy, SequentialBurnsOneActiveCore) {
 
 TEST(Energy, ParallelChargesIdleWorkers) {
   Graph g = testing::make_diamond_graph();
-  CostProfile p = uniform_profile(g, 100.0);
+  CostProfile p = testing::uniform_profile(g, 100.0);
   SimOptions opts;
   opts.machine = free_machine();
   opts.machine.active_power_w = 10.0;
   opts.machine.idle_power_w = 1.0;
-  auto hc = build_hyperclusters(g, cluster(g), 1);
+  auto hc = testing::hypercluster(g);
   SimResult r = simulate_parallel(g, hc, p, opts);
   // Worker 0: 3 tasks busy (300us); worker 1: 1 task busy, rest idle.
   // makespan 300us. Energy = (0.3ms*10 + 0) + (0.1ms*10 + 0.2ms*1) mJ/ms...
@@ -218,7 +202,7 @@ TEST(Energy, MoreWorkersMeansMoreIdleEnergy) {
   Rng rng(9);
   CostProfile p = measure_costs(g, 1, rng);
   SimOptions opts;
-  auto merged = cluster(g);
+  auto merged = testing::cluster(g);
   SimResult par = simulate_parallel(g, build_hyperclusters(g, merged, 1), p,
                                     opts);
   const double seq = simulate_sequential_ms(g, p, 1, opts);

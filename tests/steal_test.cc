@@ -3,7 +3,8 @@
 //
 //   (a) outputs are BIT-identical to the static executor's — same kernels,
 //       same inputs, same intra-op width, only the interleaving differs —
-//       across random DAGs, the zoo, thread counts and mem-plan on/off;
+//       across random DAGs, the zoo, thread counts and mem-plan on/off
+//       (both checked against the sequential oracle, oracle.h);
 //   (b) every task runs exactly once with all dependencies honored (the
 //       deque never duplicates or drops; checked via per-run task counts
 //       and trace events, and by TSan on the whole suite);
@@ -11,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <thread>
 #include <utility>
@@ -19,95 +19,20 @@
 
 #include "models/zoo.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "passes/cluster_merging.h"
 #include "passes/linear_clustering.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
-#include "rt/inputs.h"
 #include "rt/steal/deque.h"
 #include "rt/steal/steal_executor.h"
 #include "rt/steal/task_graph.h"
 #include "serve/fleet/fleet_server.h"
-#include "support/rng.h"
 #include "support/string_util.h"
 #include "test_util.h"
 
 namespace ramiel {
 namespace {
-
-/// Same generator family as property_test.cc: random DAG over [1, 8]
-/// values, numerically tame ops, constants mixed in.
-Graph random_graph(std::uint64_t seed) {
-  Rng rng(seed);
-  Graph g(str_cat("steal_random_", seed));
-  const Shape shape{1, 8};
-
-  std::vector<ValueId> pool;
-  const int num_inputs = 1 + static_cast<int>(rng.next_below(3));
-  for (int i = 0; i < num_inputs; ++i) {
-    ValueId v = g.add_value(str_cat("in", i), shape);
-    g.mark_input(v);
-    pool.push_back(v);
-  }
-  const int num_nodes = 10 + static_cast<int>(rng.next_below(40));
-  static constexpr OpKind kUnary[] = {OpKind::kRelu, OpKind::kSigmoid,
-                                      OpKind::kTanh, OpKind::kNeg,
-                                      OpKind::kIdentity};
-  static constexpr OpKind kBinary[] = {OpKind::kAdd, OpKind::kSub,
-                                       OpKind::kMul};
-  for (int i = 0; i < num_nodes; ++i) {
-    const std::uint64_t dice = rng.next_below(10);
-    NodeId n;
-    if (dice == 0) {
-      n = g.add_node(OpKind::kConstant, str_cat("const", i), {});
-      Tensor payload = Tensor::random(shape, rng, -0.5f, 0.5f);
-      g.value(g.node(n).outputs[0]).shape = payload.shape();
-      g.value(g.node(n).outputs[0]).const_data = std::move(payload);
-    } else if (dice <= 4) {
-      ValueId a = pool[rng.next_below(pool.size())];
-      n = g.add_node(kUnary[rng.next_below(5)], str_cat("u", i), {a});
-    } else {
-      ValueId a = pool[rng.next_below(pool.size())];
-      ValueId b = pool[rng.next_below(pool.size())];
-      n = g.add_node(kBinary[rng.next_below(3)], str_cat("b", i), {a, b});
-    }
-    pool.push_back(g.node(n).outputs[0]);
-  }
-  int outputs = 0;
-  for (const Value& v : g.values()) {
-    if (v.consumers.empty() && v.producer != kNoNode) {
-      g.mark_output(v.id);
-      ++outputs;
-    }
-  }
-  if (outputs == 0) g.mark_output(pool.back());
-  infer_shapes(g);
-  g.validate();
-  return g;
-}
-
-/// Bit-exact comparison: same keys, same shapes, same bytes.
-void expect_bit_identical(const std::vector<TensorMap>& a,
-                          const std::vector<TensorMap>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    ASSERT_EQ(a[s].size(), b[s].size()) << "sample " << s;
-    for (const auto& [key, ta] : a[s]) {
-      auto it = b[s].find(key);
-      ASSERT_NE(it, b[s].end()) << key;
-      const Tensor& tb = it->second;
-      ASSERT_EQ(ta.shape().dims(), tb.shape().dims()) << key;
-      ASSERT_EQ(0, std::memcmp(ta.data().data(), tb.data().data(),
-                               ta.data().size() * sizeof(float)))
-          << "outputs differ bitwise for " << key << " sample " << s;
-    }
-  }
-}
-
-Hyperclustering cluster(const Graph& g, int batch) {
-  return build_hyperclusters(
-      g, merge_clusters(g, linear_clustering(g)), batch);
-}
 
 // ---------------------------------------------------------------------------
 // Deque unit tests.
@@ -172,7 +97,7 @@ TEST(WorkDeque, ConcurrentPopAndStealDeliverEachTaskExactlyOnce) {
 
 TEST(TaskGraph, OneTaskPerNodePerSampleWithDataDeps) {
   Graph g = testing::make_diamond_graph();  // a -> {b, c} -> d
-  Hyperclustering hc = cluster(g, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   steal::TaskGraph tg = steal::build_task_graph(g, hc, false);
   EXPECT_EQ(tg.size(), static_cast<std::size_t>(g.live_node_count() * 2));
   // Each sample's subgraph: 'a' has no producer deps, d waits on b and c.
@@ -194,7 +119,7 @@ TEST(TaskGraph, OneTaskPerNodePerSampleWithDataDeps) {
 
 TEST(TaskGraph, ChainingSerializesEachPlannedStream) {
   Graph g = testing::make_chain_graph();
-  Hyperclustering hc = cluster(g, 2);
+  Hyperclustering hc = testing::hypercluster(g, 2);
   steal::TaskGraph chained = steal::build_task_graph(g, hc, true);
   steal::TaskGraph loose = steal::build_task_graph(g, hc, false);
   EXPECT_TRUE(chained.stream_chained);
@@ -220,40 +145,22 @@ TEST(TaskGraph, ChainingSerializesEachPlannedStream) {
 class StealRandomGraphs : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StealRandomGraphs, BitIdenticalToStaticWithAndWithoutMemPlan) {
-  PipelineOptions opts;
-  opts.generate_code = false;
-  opts.batch = 2;
-  CompiledModel cm = compile_model(random_graph(GetParam()), opts);
-  Rng rng(GetParam() + 17);
-  auto inputs = make_example_inputs(cm.graph, opts.batch, rng);
-
-  for (const bool mem_plan : {false, true}) {
-    const mem::MemPlan* plan = mem_plan ? &cm.mem_plan : nullptr;
-    ParallelExecutor stat(&cm.graph, cm.hyperclusters, plan);
-    StealExecutor steal(&cm.graph, cm.hyperclusters, plan);
-    auto a = stat.run(inputs);
-    auto b = steal.run(inputs);
-    expect_bit_identical(a, b);
-    // Re-running the steal executor must reproduce its own bits too (arena
-    // state and deques reset cleanly between runs).
-    auto c = steal.run(inputs);
-    expect_bit_identical(b, c);
-  }
+  oracle::check(oracle::random_source(GetParam()),
+                oracle::cells({.placements = {ExecutorKind::kStatic,
+                                              ExecutorKind::kSteal},
+                               .arenas = {false, true},
+                               .batches = {2}}));
 }
 
 TEST_P(StealRandomGraphs, EveryTaskRunsExactlyOnce) {
   PipelineOptions opts;
   opts.generate_code = false;
   opts.batch = 3;
-  CompiledModel cm = compile_model(random_graph(GetParam()), opts);
-  Rng rng(GetParam() + 29);
-  auto inputs = make_example_inputs(cm.graph, opts.batch, rng);
+  CompiledModel cm = compile_model(oracle::random_dag(GetParam()), opts);
+  auto inputs = testing::example_inputs(cm.graph, opts.batch, GetParam() + 29);
 
   StealExecutor steal(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-  RunOptions run_opts;
-  run_opts.trace = true;
-  Profile profile;
-  steal.run(inputs, run_opts, &profile);
+  const Profile profile = testing::traced_run(steal, inputs);
 
   int executed = 0;
   for (const WorkerProfile& w : profile.workers) executed += w.tasks;
@@ -274,39 +181,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StealRandomGraphs,
                          ::testing::Values(1, 7, 23, 99, 1234));
 
 TEST(StealExecutor, BitIdenticalAcrossThreadCountsOnSqueezenet) {
-  PipelineOptions opts;
-  opts.generate_code = false;
-  opts.batch = 2;
-  opts.constant_folding = true;
-  CompiledModel cm = compile_model(models::build("squeezenet"), opts);
-  Rng rng(5);
-  auto inputs = make_example_inputs(cm.graph, opts.batch, rng);
-
-  ParallelExecutor stat(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-  StealExecutor steal(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-  for (const int threads : {1, 2, 4}) {
-    RunOptions run_opts;
-    run_opts.intra_op_threads = threads;
-    auto a = stat.run(inputs, run_opts);
-    auto b = steal.run(inputs, run_opts);
-    expect_bit_identical(a, b);
-  }
+  oracle::check(oracle::zoo("squeezenet"),
+                oracle::cells({.placements = {ExecutorKind::kStatic,
+                                              ExecutorKind::kSteal},
+                               .rewrites = {oracle::Rewrites::kFold},
+                               .batches = {2},
+                               .intra_op = {1, 2, 4}}));
 }
 
 TEST(StealExecutor, BitIdenticalToStaticAcrossTheZoo) {
   for (const std::string& name : models::model_names()) {
-    PipelineOptions opts;
-    opts.generate_code = false;
-    opts.batch = 2;
-    CompiledModel cm = compile_model(models::build(name), opts);
-    Rng rng(11);
-    auto inputs = make_example_inputs(cm.graph, opts.batch, rng);
-    ParallelExecutor stat(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-    StealExecutor steal(&cm.graph, cm.hyperclusters, &cm.mem_plan);
-    auto a = stat.run(inputs);
-    auto b = steal.run(inputs);
-    SCOPED_TRACE(name);
-    expect_bit_identical(a, b);
+    oracle::check(oracle::zoo(name),
+                  oracle::cells({.placements = {ExecutorKind::kStatic,
+                                                ExecutorKind::kSteal},
+                                 .batches = {2}}));
   }
 }
 
@@ -354,8 +242,7 @@ TEST(StealExecutor, StealsUnderForcedSkew) {
   const std::uint64_t before = steals->value();
 
   StealExecutor steal(&g, std::move(hc));
-  Rng rng(3);
-  auto inputs = make_example_inputs(g, 1, rng);
+  auto inputs = testing::example_inputs(g, 1, 3);
   int stolen = 0;
   // Stealing needs the two worker threads to overlap; on a loaded 1-core
   // host one run can theoretically complete before the second thread wakes,
@@ -388,21 +275,20 @@ TEST(ExecutorKind, ParseAndRoundTrip) {
 
 TEST(ExecutorSeam, FactoryBuildsTheRequestedRuntime) {
   Graph g = testing::make_diamond_graph();
-  Hyperclustering hc = cluster(g, 1);
+  Hyperclustering hc = testing::hypercluster(g);
   auto stat = make_executor(ExecutorKind::kStatic, &g, hc);
   auto steal = make_executor(ExecutorKind::kSteal, &g, std::move(hc));
   EXPECT_EQ(stat->kind(), ExecutorKind::kStatic);
   EXPECT_EQ(steal->kind(), ExecutorKind::kSteal);
-  Rng rng(1);
-  auto inputs = make_example_inputs(g, 1, rng);
-  expect_bit_identical(stat->run(inputs), steal->run(inputs));
+  auto inputs = testing::example_inputs(g, 1, 1);
+  oracle::expect_bit_identical(stat->run(inputs), steal->run(inputs));
 }
 
 TEST(ExecutorSeam, FactoryStealIsAStealExecutor) {
   // Callers (perfbench's offline workload) tell the placements apart with
   // dynamic_cast, so the factory must build the concrete subclass.
   Graph g = testing::make_diamond_graph();
-  Hyperclustering hc = cluster(g, 1);
+  Hyperclustering hc = testing::hypercluster(g);
   auto stat = make_executor(ExecutorKind::kStatic, &g, hc);
   auto steal = make_executor(ExecutorKind::kSteal, &g, std::move(hc));
   EXPECT_EQ(dynamic_cast<StealExecutor*>(stat.get()), nullptr);

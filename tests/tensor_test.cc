@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "support/check.h"
 #include "support/rng.h"
 #include "tensor/tensor.h"
@@ -100,6 +102,19 @@ TEST(Allclose, RelativeToleranceScalesWithMagnitude) {
   Tensor b = Tensor::full(Shape{1}, 1000.5f);
   EXPECT_TRUE(allclose(a, b, /*atol=*/0.0f, /*rtol=*/1e-3f));
   EXPECT_FALSE(allclose(a, b, /*atol=*/0.0f, /*rtol=*/1e-6f));
+}
+
+TEST(Allclose, NanIsNeverClose) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor zero = Tensor::full(Shape{2}, 0.0f);
+  const Tensor has_nan(Shape{2}, {0.0f, nan});
+  EXPECT_FALSE(allclose(has_nan, zero, 1.0f, 1.0f));
+  EXPECT_FALSE(allclose(zero, has_nan, 1.0f, 1.0f));
+  EXPECT_FALSE(allclose(has_nan, has_nan));
+  const Tensor pos_inf = Tensor::full(Shape{1}, inf);
+  EXPECT_TRUE(allclose(pos_inf, pos_inf));
+  EXPECT_FALSE(allclose(pos_inf, Tensor::full(Shape{1}, -inf)));
 }
 
 }  // namespace
