@@ -1,9 +1,11 @@
 #include "obs/prof/critical_path.h"
 
 #include <algorithm>
-#include <limits>
+#include <array>
 #include <map>
+#include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,97 +25,6 @@ int cluster_of(const Hyperclustering& hc, NodeId node, int sample) {
   }
   return hc.worker(node, sample);
 }
-
-struct Walker {
-  const Profile& profile;
-  // Events sorted per worker by start (workers execute serially, so this is
-  // also end order); pos_in_worker[i] = index of event i in its worker list.
-  std::vector<std::vector<std::int32_t>> by_worker;
-  std::vector<std::int32_t> pos_in_worker;
-  // Data predecessors of event i (indices into profile.events).
-  std::vector<std::vector<std::int32_t>> data_preds;
-
-  explicit Walker(const Graph& graph, const Profile& p) : profile(p) {
-    const std::size_t n = p.events.size();
-    int max_worker = 0;
-    for (const TaskEvent& e : p.events) {
-      max_worker = std::max(max_worker, e.worker);
-    }
-    by_worker.resize(static_cast<std::size_t>(max_worker) + 1);
-    pos_in_worker.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      by_worker[static_cast<std::size_t>(p.events[i].worker)].push_back(
-          static_cast<std::int32_t>(i));
-    }
-    for (auto& lane : by_worker) {
-      std::sort(lane.begin(), lane.end(),
-                [&](std::int32_t a, std::int32_t b) {
-                  const TaskEvent& ea = p.events[static_cast<std::size_t>(a)];
-                  const TaskEvent& eb = p.events[static_cast<std::size_t>(b)];
-                  if (ea.start_ns != eb.start_ns) {
-                    return ea.start_ns < eb.start_ns;
-                  }
-                  return a < b;
-                });
-      for (std::size_t k = 0; k < lane.size(); ++k) {
-        pos_in_worker[static_cast<std::size_t>(lane[k])] =
-            static_cast<std::int32_t>(k);
-      }
-    }
-    std::map<std::pair<NodeId, int>, std::int32_t> index;
-    for (std::size_t i = 0; i < n; ++i) {
-      index[{p.events[i].node, p.events[i].sample}] =
-          static_cast<std::int32_t>(i);
-    }
-    data_preds.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const TaskEvent& e = p.events[i];
-      for (ValueId v : graph.node(e.node).inputs) {
-        const Value& val = graph.value(v);
-        // Constant values impose no dependency (the executors and the
-        // simulator treat them as available from time zero), and a recorded
-        // "producer" that finished after this task started cannot have
-        // bound its start — the simulator schedules free-standing
-        // zero-cost tasks lazily, so such inversions do occur.
-        if (val.is_constant()) continue;
-        const NodeId prod = val.producer;
-        if (prod == kNoNode) continue;
-        auto it = index.find({prod, e.sample});
-        if (it == index.end()) continue;
-        if (p.events[static_cast<std::size_t>(it->second)].end_ns >
-            e.start_ns) {
-          continue;
-        }
-        auto& preds = data_preds[i];
-        if (std::find(preds.begin(), preds.end(), it->second) ==
-            preds.end()) {
-          preds.push_back(it->second);
-        }
-      }
-    }
-  }
-
-  /// Latest-finishing data predecessor of event i, or -1.
-  std::int32_t latest_data_pred(std::size_t i) const {
-    std::int32_t best = -1;
-    for (std::int32_t p : data_preds[i]) {
-      if (best < 0 || profile.events[static_cast<std::size_t>(p)].end_ns >
-                          profile.events[static_cast<std::size_t>(best)]
-                              .end_ns) {
-        best = p;
-      }
-    }
-    return best;
-  }
-
-  /// Previous event on event i's worker, or -1 (worker lanes are serial).
-  std::int32_t worker_pred(std::size_t i) const {
-    const std::int32_t pos = pos_in_worker[i];
-    if (pos == 0) return -1;
-    return by_worker[static_cast<std::size_t>(profile.events[i].worker)]
-                    [static_cast<std::size_t>(pos) - 1];
-  }
-};
 
 }  // namespace
 
@@ -167,27 +78,70 @@ CriticalPathReport analyze(const Graph& graph, const Hyperclustering& hc,
   }
   report.wall_ms = static_cast<double>(window_end - window_begin) / 1e6;
 
+  // The recorded DAG, built once: the walk reads its data edges, the
+  // what-if battery replays it.
+  ReplayComm comm;
+  if (options.comm_ns_per_byte >= 0 || options.comm_fixed_ns >= 0) {
+    comm.ns_per_byte = std::max(0.0, options.comm_ns_per_byte);
+    comm.fixed_ns = std::max(0.0, options.comm_fixed_ns);
+  } else {
+    comm = estimate_comm(profile);
+  }
+  const RecordedDag dag = build_recorded_dag(graph, profile, comm);
+
+  // The walk runs over the DAG's tasks. Worker lanes are serial: order the
+  // tasks by (worker, start, event index) and each one's lane predecessor
+  // is the task before it.
+  const std::size_t n = dag.tasks.size();
+  auto ev = [&](std::int32_t t) -> const TaskEvent& {
+    return profile.events[static_cast<std::size_t>(
+        dag.event[static_cast<std::size_t>(t)])];
+  };
+  std::vector<std::int32_t> lanes(n);
+  std::iota(lanes.begin(), lanes.end(), 0);
+  std::sort(lanes.begin(), lanes.end(), [&](std::int32_t a, std::int32_t b) {
+    return std::tie(ev(a).worker, ev(a).start_ns,
+                    dag.event[static_cast<std::size_t>(a)]) <
+           std::tie(ev(b).worker, ev(b).start_ns,
+                    dag.event[static_cast<std::size_t>(b)]);
+  });
+  std::vector<std::int32_t> lane_pred(n, -1);
+  for (std::size_t k = 1; k < n; ++k) {
+    if (ev(lanes[k]).worker == ev(lanes[k - 1]).worker) {
+      lane_pred[static_cast<std::size_t>(lanes[k])] = lanes[k - 1];
+    }
+  }
+  // Latest-finishing data predecessor of task t, or -1. A recorded
+  // "producer" that finished after t started cannot have bound its start —
+  // the simulator schedules free-standing zero-cost tasks lazily, so such
+  // inversions do occur — and is skipped.
+  auto data_pred = [&](std::int32_t t) {
+    std::int32_t best = -1;
+    for (const sim::Edge& p : dag.tasks[static_cast<std::size_t>(t)].preds) {
+      if (ev(p.to).end_ns > ev(t).start_ns) continue;
+      if (best < 0 || ev(p.to).end_ns > ev(best).end_ns) best = p.to;
+    }
+    return best;
+  };
+
   // Backward walk from the last-finishing task. Each iteration emits the
   // current task's compute slice and then the gap back to whichever
   // constraint bound its start: the latest data predecessor (comm when it
   // ran on another worker, queue when same-worker) or the previous task on
   // the same worker lane (queue). Segments are emitted back-to-back, so
   // they tile [window_begin, window_end] exactly.
-  const Walker walker(graph, profile);
   std::vector<PathStep> steps;
-  std::vector<char> visited(profile.events.size(), 0);
+  std::vector<char> visited(n, 0);
   std::int64_t cur = window_end;
-  std::size_t t = last;
-  visited[t] = 1;
-  {
-    const TaskEvent& e = profile.events[t];
-    if (e.end_ns < cur) {
-      steps.push_back({Segment::kIdle, kNoNode, 0, -1, e.end_ns, cur});
-      cur = e.end_ns;
-    }
+  std::int32_t t = static_cast<std::int32_t>(
+      std::find(dag.event.begin(), dag.event.end(), last) - dag.event.begin());
+  visited[static_cast<std::size_t>(t)] = 1;
+  if (ev(t).end_ns < cur) {
+    steps.push_back({Segment::kIdle, kNoNode, 0, -1, ev(t).end_ns, cur});
+    cur = ev(t).end_ns;
   }
   for (;;) {
-    const TaskEvent& e = profile.events[t];
+    const TaskEvent& e = ev(t);
     const std::int64_t begin = std::min(e.start_ns, cur);
     if (begin < cur) {
       steps.push_back(
@@ -197,8 +151,8 @@ CriticalPathReport analyze(const Graph& graph, const Hyperclustering& hc,
     // A pred already on the path would close a cycle — only possible for
     // inconsistent hand-built profiles, but the walk must terminate on any
     // input, so such candidates are treated as absent.
-    std::int32_t dp = walker.latest_data_pred(t);
-    std::int32_t wp = walker.worker_pred(t);
+    std::int32_t dp = data_pred(t);
+    std::int32_t wp = lane_pred[static_cast<std::size_t>(t)];
     if (dp >= 0 && visited[static_cast<std::size_t>(dp)]) dp = -1;
     if (wp >= 0 && visited[static_cast<std::size_t>(wp)]) wp = -1;
     if (dp < 0 && wp < 0) {
@@ -209,33 +163,19 @@ CriticalPathReport analyze(const Graph& graph, const Hyperclustering& hc,
       }
       break;
     }
-    std::int32_t pred;
-    Segment kind;
-    const std::int64_t dp_end =
-        dp < 0 ? std::numeric_limits<std::int64_t>::min()
-               : profile.events[static_cast<std::size_t>(dp)].end_ns;
-    const std::int64_t wp_end =
-        wp < 0 ? std::numeric_limits<std::int64_t>::min()
-               : profile.events[static_cast<std::size_t>(wp)].end_ns;
-    if (dp >= 0 && dp_end >= wp_end) {
-      pred = dp;
-      kind = profile.events[static_cast<std::size_t>(dp)].worker != e.worker
-                 ? Segment::kComm
-                 : Segment::kQueue;
-    } else {
-      pred = wp;
-      kind = Segment::kQueue;
-    }
-    const std::int64_t gap_begin = std::min(
-        std::max(profile.events[static_cast<std::size_t>(pred)].end_ns,
-                 window_begin),
-        cur);
+    // The later-finishing of the two bound the start; a tie goes to data.
+    const bool data = dp >= 0 && (wp < 0 || ev(dp).end_ns >= ev(wp).end_ns);
+    const std::int32_t pred = data ? dp : wp;
+    const Segment kind =
+        data && ev(dp).worker != e.worker ? Segment::kComm : Segment::kQueue;
+    const std::int64_t gap_begin =
+        std::min(std::max(ev(pred).end_ns, window_begin), cur);
     if (gap_begin < cur) {
       steps.push_back({kind, e.node, e.sample, e.worker, gap_begin, cur});
       cur = gap_begin;
     }
-    t = static_cast<std::size_t>(pred);
-    visited[t] = 1;
+    t = pred;
+    visited[static_cast<std::size_t>(t)] = 1;
   }
   std::reverse(steps.begin(), steps.end());
 
@@ -259,16 +199,13 @@ CriticalPathReport analyze(const Graph& graph, const Hyperclustering& hc,
 
   std::map<int, ClusterAttribution> clusters;
   std::map<int, WorkerAttribution> workers;
+  const std::array<double*, 4> totals{&report.compute_ms, &report.comm_ms,
+                                      &report.queue_ms, &report.idle_ms};
   for (const PathStep& s : steps) {
     const double ms = s.ms();
-    switch (s.kind) {
-      case Segment::kCompute: report.compute_ms += ms; break;
-      case Segment::kComm: report.comm_ms += ms; break;
-      case Segment::kQueue: report.queue_ms += ms; break;
-      case Segment::kIdle: report.idle_ms += ms; break;
-    }
-    if (s.node == kNoNode) continue;
-    if (s.kind == Segment::kIdle) continue;
+    const auto kind = static_cast<std::size_t>(s.kind);
+    *totals[kind] += ms;
+    if (s.node == kNoNode || s.kind == Segment::kIdle) continue;
     OpAttribution& a = ops[s.node];
     a.critpath_ms += ms;
     if (s.kind == Segment::kCompute) {
@@ -278,12 +215,9 @@ CriticalPathReport analyze(const Graph& graph, const Hyperclustering& hc,
     const int c = cluster_of(hc, s.node, s.sample);
     ClusterAttribution& ca = clusters[c];
     ca.cluster = c;
-    switch (s.kind) {
-      case Segment::kCompute: ca.compute_ms += ms; break;
-      case Segment::kComm: ca.comm_ms += ms; break;
-      case Segment::kQueue: ca.queue_ms += ms; break;
-      case Segment::kIdle: break;
-    }
+    const std::array<double*, 3> split{&ca.compute_ms, &ca.comm_ms,
+                                       &ca.queue_ms};
+    *split[kind] += ms;
     if (s.worker >= 0) {
       WorkerAttribution& wa = workers[s.worker];
       wa.worker = s.worker;
@@ -329,14 +263,6 @@ CriticalPathReport analyze(const Graph& graph, const Hyperclustering& hc,
   // -- what-if ----------------------------------------------------------
 
   if (options.what_if) {
-    ReplayComm comm;
-    if (options.comm_ns_per_byte >= 0 || options.comm_fixed_ns >= 0) {
-      comm.ns_per_byte = std::max(0.0, options.comm_ns_per_byte);
-      comm.fixed_ns = std::max(0.0, options.comm_fixed_ns);
-    } else {
-      comm = estimate_comm(profile);
-    }
-    const ReplayDag dag = build_replay_dag(graph, profile, comm);
     const int k = dag.workers;
     report.replay_ms = replay_ms(dag, k);
     auto add = [&](const std::string& scenario, double predicted) {

@@ -1,21 +1,10 @@
 #include "obs/prof/whatif.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
-#include <utility>
+#include <numeric>
+#include <tuple>
 
 namespace ramiel::prof {
-namespace {
-
-double value_bytes(const Graph& graph, ValueId v) {
-  const Shape& shape = graph.value(v).shape;
-  if (shape.rank() == 0) return 4.0;  // scalar
-  return 4.0 * static_cast<double>(shape.numel());
-}
-
-}  // namespace
 
 ReplayComm estimate_comm(const Profile& profile) {
   std::vector<double> latencies;
@@ -42,130 +31,51 @@ ReplayComm estimate_comm(const Profile& profile) {
   return comm;
 }
 
-ReplayDag build_replay_dag(const Graph& graph, const Profile& profile,
-                           const ReplayComm& comm) {
-  ReplayDag dag;
+RecordedDag build_recorded_dag(const Graph& graph, const Profile& profile,
+                               const ReplayComm& comm) {
+  RecordedDag dag;
   dag.workers = std::max<int>(1, static_cast<int>(profile.workers.size()));
-  if (profile.events.empty()) return dag;
 
   // Recorded start order is a valid topological order of the executed DAG:
   // every consumer started only after its producer finished.
-  std::vector<std::size_t> order(profile.events.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const TaskEvent& ea = profile.events[a];
-    const TaskEvent& eb = profile.events[b];
-    if (ea.start_ns != eb.start_ns) return ea.start_ns < eb.start_ns;
-    return std::make_pair(ea.node, ea.sample) <
-           std::make_pair(eb.node, eb.sample);
-  });
-
-  std::map<std::pair<NodeId, int>, std::int32_t> index;
-  dag.tasks.reserve(order.size());
-  for (std::size_t i : order) {
-    const TaskEvent& e = profile.events[i];
-    ReplayDag::Task t;
+  dag.event.resize(profile.events.size());
+  std::iota(dag.event.begin(), dag.event.end(), 0);
+  std::sort(dag.event.begin(), dag.event.end(),
+            [&](std::int32_t a, std::int32_t b) {
+              const TaskEvent& ea = profile.events[static_cast<std::size_t>(a)];
+              const TaskEvent& eb = profile.events[static_cast<std::size_t>(b)];
+              return std::tie(ea.start_ns, ea.node, ea.sample) <
+                     std::tie(eb.start_ns, eb.node, eb.sample);
+            });
+  dag.tasks.reserve(dag.event.size());
+  for (std::int32_t i : dag.event) {
+    const TaskEvent& e = profile.events[static_cast<std::size_t>(i)];
+    sim::Task& t = dag.tasks.emplace_back();
     t.node = e.node;
     t.sample = e.sample;
-    t.dur_ns = static_cast<double>(e.end_ns - e.start_ns);
-    index[{e.node, e.sample}] = static_cast<std::int32_t>(dag.tasks.size());
-    dag.tasks.push_back(std::move(t));
+    t.home = e.worker;
+    t.dur = static_cast<double>(e.end_ns - e.start_ns);
   }
-  dag.succs.resize(dag.tasks.size());
-  for (std::size_t ti = 0; ti < dag.tasks.size(); ++ti) {
-    ReplayDag::Task& t = dag.tasks[ti];
-    for (ValueId v : graph.node(t.node).inputs) {
-      const Value& val = graph.value(v);
-      // Constant values are available from time zero — no dependency, no
-      // comm charge (mirrors the executors and the simulator).
-      if (val.is_constant()) continue;
-      const NodeId p = val.producer;
-      if (p == kNoNode) continue;
-      auto it = index.find({p, t.sample});
-      if (it == index.end()) continue;  // constant-folded / never executed
-      const std::int32_t pi = it->second;
-      if (std::find(t.preds.begin(), t.preds.end(), pi) != t.preds.end()) {
-        continue;
-      }
-      t.preds.push_back(pi);
-      t.pred_comm_ns.push_back(comm.fixed_ns +
-                               comm.ns_per_byte * value_bytes(graph, v));
-      dag.succs[static_cast<std::size_t>(pi)].push_back(
-          static_cast<std::int32_t>(ti));
-    }
-  }
+  sim::link_data_preds(graph, dag.tasks, [&](ValueId v) {
+    const double floats = static_cast<double>(graph.value(v).shape.numel());
+    return comm.fixed_ns + comm.ns_per_byte * 4.0 * floats;
+  });
   return dag;
 }
 
-double replay_ms(const ReplayDag& dag, int workers,
+double replay_ms(const RecordedDag& dag, int workers,
                  const std::vector<double>* scale) {
-  if (dag.tasks.empty()) return 0.0;
-  workers = std::max(1, workers);
-  const std::size_t n = dag.tasks.size();
-
-  std::vector<int> missing(n);
-  std::vector<double> finish(n, 0.0);
-  std::vector<int> placed(n, -1);
-  std::vector<std::int32_t> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    missing[i] = static_cast<int>(dag.tasks[i].preds.size());
-    if (missing[i] == 0) ready.push_back(static_cast<std::int32_t>(i));
+  std::vector<sim::Task> tasks = dag.tasks;
+  if (scale != nullptr) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) tasks[i].dur *= (*scale)[i];
   }
-  std::vector<double> worker_free(static_cast<std::size_t>(workers), 0.0);
-
-  // Greedy list schedule: take the earliest-free worker, run whichever
-  // ready task can start soonest there (charging comm for cross-worker
-  // predecessor data), ties broken by recorded order. A task becomes ready
-  // once all predecessors are *scheduled* — the start-time max handles
-  // actually waiting for them.
-  std::size_t done = 0;
-  while (done < n) {
-    int w = 0;
-    for (int k = 1; k < workers; ++k) {
-      if (worker_free[static_cast<std::size_t>(k)] <
-          worker_free[static_cast<std::size_t>(w)]) {
-        w = k;
-      }
-    }
-    std::size_t best = 0;
-    double best_start = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < ready.size(); ++r) {
-      const ReplayDag::Task& t =
-          dag.tasks[static_cast<std::size_t>(ready[r])];
-      double start = worker_free[static_cast<std::size_t>(w)];
-      for (std::size_t p = 0; p < t.preds.size(); ++p) {
-        const std::size_t pi = static_cast<std::size_t>(t.preds[p]);
-        double arrive = finish[pi];
-        if (placed[pi] != w) arrive += t.pred_comm_ns[p];
-        start = std::max(start, arrive);
-      }
-      if (start < best_start ||
-          (start == best_start && ready[r] < ready[best])) {
-        best_start = start;
-        best = r;
-      }
-    }
-    const std::int32_t ti = ready[best];
-    ready[best] = ready.back();
-    ready.pop_back();
-    const ReplayDag::Task& t = dag.tasks[static_cast<std::size_t>(ti)];
-    double dur = t.dur_ns;
-    if (scale != nullptr) dur *= (*scale)[static_cast<std::size_t>(ti)];
-    finish[static_cast<std::size_t>(ti)] = best_start + dur;
-    placed[static_cast<std::size_t>(ti)] = w;
-    worker_free[static_cast<std::size_t>(w)] = best_start + dur;
-    for (std::int32_t s : dag.succs[static_cast<std::size_t>(ti)]) {
-      if (--missing[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-    }
-    ++done;
-  }
-  double makespan = 0.0;
-  for (double f : finish) makespan = std::max(makespan, f);
-  return makespan / 1e6;
+  return sim::schedule(tasks, std::max(1, workers), sim::Policy::kGreedy)
+             .makespan /
+         1e6;
 }
 
-double replay_node_speedup_ms(const ReplayDag& dag, int workers, NodeId node,
-                              double factor) {
+double replay_node_speedup_ms(const RecordedDag& dag, int workers,
+                              NodeId node, double factor) {
   std::vector<double> scale(dag.tasks.size(), 1.0);
   for (std::size_t i = 0; i < dag.tasks.size(); ++i) {
     if (dag.tasks[i].node == node) scale[i] = 1.0 / factor;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/cost_model.h"
+#include "graph/op_eval.h"
 #include "graph/shape_inference.h"
 #include "mem/planner.h"
 #include "passes/patterns/registry.h"
@@ -15,6 +16,7 @@
 #include "support/check.h"
 #include "support/stopwatch.h"
 #include "support/string_util.h"
+#include "tensor/kernels/kernels.h"
 
 namespace ramiel {
 namespace {
@@ -194,6 +196,58 @@ CompiledModel compile_model(Graph graph, const PipelineOptions& options) {
   compile_metrics().compiles->inc();
   compile_metrics().compile_ms->observe(out.compile_seconds * 1e3);
   return out;
+}
+
+std::unordered_map<std::string, float> record_calibration(
+    const Graph& graph,
+    const std::vector<std::unordered_map<std::string, Tensor>>& samples) {
+  std::unordered_map<std::string, float> ranges;
+  auto record = [&](const Value& v, const Tensor& t) {
+    if (t.dtype() != DType::kF32 || t.numel() == 0) return;
+    const float m = kernels::absmax(t.raw(), t.dtype(),
+                                    static_cast<std::size_t>(t.numel()));
+    auto [it, inserted] = ranges.emplace(v.name, m);
+    if (!inserted && m > it->second) it->second = m;
+  };
+  const std::vector<NodeId> order = graph.topo_order();
+  for (const auto& sample : samples) {
+    std::unordered_map<ValueId, Tensor> env;
+    for (const Value& v : graph.values()) {
+      if (v.is_constant()) env.emplace(v.id, *v.const_data);
+    }
+    for (ValueId in : graph.inputs()) {
+      const Value& v = graph.value(in);
+      env.insert_or_assign(in, sample.at(v.name));
+      record(v, sample.at(v.name));
+    }
+    for (NodeId id : order) {
+      const Node& n = graph.node(id);
+      if (n.kind == OpKind::kConstant) continue;  // output already in env
+      std::vector<Tensor> ins;
+      ins.reserve(n.inputs.size());
+      for (ValueId v : n.inputs) ins.push_back(env.at(v));
+      std::vector<Tensor> outs = eval_node(n, ins);
+      for (std::size_t i = 0; i < n.outputs.size(); ++i) {
+        record(graph.value(n.outputs[i]), outs[i]);
+        env.insert_or_assign(n.outputs[i], std::move(outs[i]));
+      }
+    }
+  }
+  return ranges;
+}
+
+void write_calibration(const Graph& graph,
+                       const std::unordered_map<std::string, float>& ranges,
+                       const std::string& path) {
+  std::ofstream os(path);
+  for (const Value& v : graph.values()) {
+    const auto it = ranges.find(v.name);
+    if (it == ranges.end()) continue;
+    os << it->first << '\t' << it->second << '\n';
+  }
+  os.close();
+  RAMIEL_CHECK(!os.fail(),
+               str_cat("cannot write calibration file '", path, "'"));
 }
 
 std::unordered_map<std::string, float> load_calibration(

@@ -116,8 +116,23 @@ struct CompiledModel {
 /// Runs the pipeline on `graph` (consumed).
 CompiledModel compile_model(Graph graph, const PipelineOptions& options = {});
 
-/// Parses a calibration file written by ramiel_calibrate — one
-/// "name<TAB>absmax" line per value — into PipelineOptions::calibration.
+/// Per-value dynamic ranges for int8 calibration: the absolute maximum of
+/// every non-empty f32 graph input and node output of `graph`, accumulated
+/// over `samples` (each evaluated node by node in topological order) and
+/// keyed by value name.
+std::unordered_map<std::string, float> record_calibration(
+    const Graph& graph,
+    const std::vector<std::unordered_map<std::string, Tensor>>& samples);
+
+/// Writes `ranges` as a calibration file: one "name<TAB>absmax" line per
+/// value of `graph` that has a range, in value order. Throws Error when the
+/// file cannot be written.
+void write_calibration(const Graph& graph,
+                       const std::unordered_map<std::string, float>& ranges,
+                       const std::string& path);
+
+/// Parses a calibration file (write_calibration's format, what
+/// ramiel_calibrate emits) into PipelineOptions::calibration.
 /// Throws Error when the file cannot be read or a range is not a finite
 /// value >= 0 (naming the file and line); malformed lines are skipped.
 std::unordered_map<std::string, float> load_calibration(

@@ -2,28 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
 
-#include "rt/steal/task_graph.h"
 #include "support/check.h"
-#include "support/string_util.h"
 
 namespace ramiel {
-namespace {
-
-constexpr double kUnset = -1.0;
-
-/// Per-worker simulation state.
-struct WorkerState {
-  std::vector<std::vector<NodeId>> streams;  // per-sample node lists
-  std::vector<std::size_t> cursor;
-  double clock = 0.0;
-  int prefer = 0;
-  std::size_t remaining = 0;
-};
-
-}  // namespace
 
 double SimResult::total_slack_ms() const {
   double total = 0.0;
@@ -46,27 +28,70 @@ double sequential_energy_mj(double seq_ms, const MachineModel& machine) {
   return seq_ms / 1e3 * machine.active_power_w * 1e3;
 }
 
-double simulate_sequential_ms(const Graph& graph, const CostProfile& profile,
-                              int batch, const SimOptions& options) {
-  RAMIEL_CHECK(batch >= 1, "batch must be >= 1");
-  double us = 0.0;
-  for (const Node& n : graph.nodes()) {
-    if (n.dead || n.kind == OpKind::kConstant) continue;
-    const double kernel = options.machine.kernel_us(
-        profile.node_us[static_cast<std::size_t>(n.id)],
-        options.intra_op_threads, /*active_workers=*/1,
-        kernel_is_parallelizable(n.kind));
-    us += options.machine.per_task_overhead_us + kernel;
-  }
-  return us * static_cast<double>(batch) / 1e3;
+namespace {
+
+/// Modeled duration of one task of `n`: dispatch overhead plus its kernel
+/// under intra-op threading. Constant nodes cost nothing.
+double task_us(const Node& n, const CostProfile& profile,
+               const MachineModel& machine, int threads, int active_workers) {
+  if (n.kind == OpKind::kConstant) return 0.0;
+  return machine.per_task_overhead_us +
+         machine.kernel_us(profile.node_us[static_cast<std::size_t>(n.id)],
+                           threads, active_workers,
+                           kernel_is_parallelizable(n.kind));
 }
 
-SimResult simulate_parallel(const Graph& graph, const Hyperclustering& hc,
-                            const CostProfile& profile,
-                            const SimOptions& options) {
+/// The simulator's task list: one task per hypercluster task, in
+/// hyperclustering order (worker-major, the order of the runtime's task
+/// graph), homed on its hypercluster worker. Under the pinned placement
+/// every output value is a message to each distinct remote worker that
+/// consumes it. Durations are filled by the caller.
+std::vector<sim::Task> build_tasks(const Graph& graph,
+                                   const Hyperclustering& hc,
+                                   const CostProfile& profile,
+                                   const MachineModel& machine, bool pinned) {
+  std::vector<sim::Task> tasks;
+  for (std::size_t w = 0; w < hc.workers.size(); ++w) {
+    for (const HyperTask& ht : hc.workers[w]) {
+      sim::Task& t = tasks.emplace_back();
+      t.node = ht.node;
+      t.sample = ht.sample;
+      t.home = static_cast<int>(w);
+    }
+  }
+  auto comm = [&](ValueId v) {
+    return machine.comm_us(profile.value_bytes[static_cast<std::size_t>(v)]);
+  };
+  RAMIEL_CHECK(sim::link_data_preds(graph, tasks, comm) == 0,
+               "producer node missing from hyperclustering");
+  if (!pinned) return tasks;
+  for (sim::Task& t : tasks) {
+    for (ValueId ov : graph.node(t.node).outputs) {
+      std::vector<int> to;  // distinct remote workers consuming ov
+      for (NodeId c : graph.value(ov).consumers) {
+        const int wc = graph.node(c).dead ? -1 : hc.worker(c, t.sample);
+        if (wc < 0 || wc == t.home) continue;
+        if (std::find(to.begin(), to.end(), wc) == to.end()) to.push_back(wc);
+      }
+      for (int wc : to) t.sends.push_back(sim::Edge{wc, comm(ov)});
+    }
+  }
+  return tasks;
+}
+
+SimResult simulate(const Graph& graph, const Hyperclustering& hc,
+                   const CostProfile& profile, const SimOptions& options,
+                   sim::Policy policy) {
   const int k = static_cast<int>(hc.workers.size());
-  const int batch = hc.batch;
-  RAMIEL_CHECK(k >= 1, "need at least one worker");
+  const MachineModel& machine = options.machine;
+  std::vector<sim::Task> tasks = build_tasks(
+      graph, hc, profile, machine, policy == sim::Policy::kPinned);
+  auto fill_durations = [&](int threads, int active_workers) {
+    for (sim::Task& t : tasks) {
+      t.dur = task_us(graph.node(t.node), profile, machine, threads,
+                      active_workers);
+    }
+  };
 
   // Intra-op threading shares the cores with however many workers are
   // *simultaneously* busy, which for phased graphs is far fewer than the
@@ -75,314 +100,61 @@ SimResult simulate_parallel(const Graph& graph, const Hyperclustering& hc,
   // use it as the contention width.
   int active_workers = k;
   if (options.intra_op_threads > 1) {
-    SimOptions probe = options;
-    probe.intra_op_threads = 1;
-    probe.trace = false;
-    SimResult serial = simulate_parallel(graph, hc, profile, probe);
+    fill_durations(1, k);
+    const sim::Schedule serial = sim::schedule(tasks, k, policy);
     double busy_us = 0.0;
     for (const SimWorkerStats& w : serial.workers) busy_us += w.busy_us;
-    if (serial.makespan_ms > 0.0) {
+    const double makespan_ms = serial.makespan / 1e3;
+    if (makespan_ms > 0.0) {
       active_workers = std::max(
           1, std::min(k, static_cast<int>(
-                             std::lround(busy_us / 1e3 / serial.makespan_ms))));
+                             std::lround(busy_us / 1e3 / makespan_ms))));
     }
   }
-
-  // done_time[(value, sample)] = virtual completion time at the producer;
-  // kUnset until produced. Graph inputs / constants are available at t=0.
-  const std::size_t nvalues = graph.values().size();
-  std::vector<double> done_time(nvalues * static_cast<std::size_t>(batch),
-                                kUnset);
-  auto done_idx = [&](ValueId v, int s) {
-    return static_cast<std::size_t>(v) * static_cast<std::size_t>(batch) +
-           static_cast<std::size_t>(s);
-  };
-
-  std::vector<WorkerState> workers(static_cast<std::size_t>(k));
-  for (int w = 0; w < k; ++w) {
-    WorkerState& ws = workers[static_cast<std::size_t>(w)];
-    ws.streams.resize(static_cast<std::size_t>(batch));
-    ws.cursor.assign(static_cast<std::size_t>(batch), 0);
-    for (const HyperTask& t : hc.workers[static_cast<std::size_t>(w)]) {
-      ws.streams[static_cast<std::size_t>(t.sample)].push_back(t.node);
-    }
-    ws.remaining = hc.workers[static_cast<std::size_t>(w)].size();
-  }
+  fill_durations(options.intra_op_threads, active_workers);
+  sim::Schedule run = sim::schedule(tasks, k, policy);
 
   SimResult result;
-  result.workers.assign(static_cast<std::size_t>(k), SimWorkerStats{});
-
-  // Availability of one node input to worker w for sample s: 0 for statics,
-  // producer completion (+comm if remote), kUnset if not yet produced.
-  auto input_avail = [&](ValueId v, int s, int w) -> double {
-    const Value& val = graph.value(v);
-    if (val.is_constant()) return 0.0;
-    if (val.producer == kNoNode || graph.node(val.producer).dead) return 0.0;
-    const double done = done_time[done_idx(v, s)];
-    if (done == kUnset) return kUnset;
-    const int wp = hc.worker(val.producer, s);
-    if (wp == w) return done;
-    return done +
-           options.machine.comm_us(
-               profile.value_bytes[static_cast<std::size_t>(v)]);
-  };
-
-  // Ready time of the head task of stream s on worker w: max input avail,
-  // kUnset when any input is still unproduced; 0-input tasks are ready at 0.
-  auto head_ready = [&](const WorkerState& ws, int s, int w) -> double {
-    auto su = static_cast<std::size_t>(s);
-    if (ws.cursor[su] >= ws.streams[su].size()) return kUnset;
-    const Node& n = graph.node(ws.streams[su][ws.cursor[su]]);
-    double ready = 0.0;
-    for (ValueId v : n.inputs) {
-      const double a = input_avail(v, s, w);
-      if (a == kUnset) return kUnset;
-      ready = std::max(ready, a);
-    }
-    return ready;
-  };
-
-  using Event = std::pair<double, int>;  // (time, worker)
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> heap;
-  for (int w = 0; w < k; ++w) heap.emplace(0.0, w);
-
-  double makespan_us = 0.0;
-  while (!heap.empty()) {
-    const auto [t, w] = heap.top();
-    heap.pop();
-    WorkerState& ws = workers[static_cast<std::size_t>(w)];
-    if (ws.remaining == 0) continue;
-    SimWorkerStats& stats = result.workers[static_cast<std::size_t>(w)];
-    if (t > ws.clock) {
-      stats.slack_us += t - ws.clock;
-      ws.clock = t;
-    }
-
-    // Run every task that is runnable at the advancing clock, respecting the
-    // round-robin sample preference of the real worker.
-    bool progressed = true;
-    while (progressed && ws.remaining > 0) {
-      progressed = false;
-      for (int off = 0; off < batch; ++off) {
-        const int s = (ws.prefer + off) % batch;
-        const double ready = head_ready(ws, s, w);
-        if (ready == kUnset || ready > ws.clock) continue;
-        auto su = static_cast<std::size_t>(s);
-        const NodeId id = ws.streams[su][ws.cursor[su]];
-        const Node& n = graph.node(id);
-        double dur = 0.0;
-        if (n.kind != OpKind::kConstant) {
-          dur = options.machine.per_task_overhead_us +
-                options.machine.kernel_us(
-                    profile.node_us[static_cast<std::size_t>(id)],
-                    options.intra_op_threads, active_workers,
-                    kernel_is_parallelizable(n.kind));
-        }
-        const double start = ws.clock;
-        ws.clock += dur;
-        stats.busy_us += dur;
-        ++stats.tasks;
-        if (options.trace) {
-          result.events.push_back(
-              TaskEvent{id, s, w, static_cast<std::int64_t>(start * 1e3),
-                        static_cast<std::int64_t>(ws.clock * 1e3)});
-        }
-        for (ValueId ov : n.outputs) {
-          done_time[done_idx(ov, s)] = ws.clock;
-          // Wake every remote consumer worker at its arrival time.
-          std::vector<int> notified;
-          for (NodeId c : graph.value(ov).consumers) {
-            if (graph.node(c).dead) continue;
-            const int wc = hc.worker(c, s);
-            if (wc == w || wc < 0) continue;
-            if (std::find(notified.begin(), notified.end(), wc) !=
-                notified.end()) {
-              continue;
-            }
-            notified.push_back(wc);
-            ++stats.messages_sent;
-            const double arrival =
-                ws.clock + options.machine.comm_us(
-                               profile.value_bytes[static_cast<std::size_t>(ov)]);
-            heap.emplace(arrival, wc);
-          }
-        }
-        ++ws.cursor[su];
-        --ws.remaining;
-        ws.prefer = (s + 1) % batch;
-        progressed = true;
-        break;
-      }
-    }
-    makespan_us = std::max(makespan_us, ws.clock);
-    if (ws.remaining == 0) continue;
-
-    // Nothing runnable now: if some head has a known future ready time,
-    // self-schedule a wake-up; otherwise wait for a producer's message
-    // event (pushed above when it sends).
-    double wake = std::numeric_limits<double>::infinity();
-    for (int s = 0; s < batch; ++s) {
-      const double ready = head_ready(ws, s, w);
-      if (ready != kUnset && ready > ws.clock) wake = std::min(wake, ready);
-    }
-    if (std::isfinite(wake)) heap.emplace(wake, w);
-  }
-
-  for (const WorkerState& ws : workers) {
-    if (ws.remaining != 0) {
-      throw Error(
-          str_cat("simulation stalled with ", ws.remaining,
-                  " tasks pending on a worker (invalid clustering?)"));
+  result.makespan_ms = run.makespan / 1e3;
+  result.workers = std::move(run.workers);
+  if (options.trace) {
+    result.events.reserve(run.order.size());
+    for (const sim::Placed& p : run.order) {
+      const sim::Task& t = tasks[static_cast<std::size_t>(p.task)];
+      result.events.push_back(
+          TaskEvent{t.node, t.sample, p.worker,
+                    static_cast<std::int64_t>(p.start * 1e3),
+                    static_cast<std::int64_t>(p.end * 1e3)});
     }
   }
-  result.makespan_ms = makespan_us / 1e3;
   return result;
+}
+
+}  // namespace
+
+double simulate_sequential_ms(const Graph& graph, const CostProfile& profile,
+                              int batch, const SimOptions& options) {
+  RAMIEL_CHECK(batch >= 1, "batch must be >= 1");
+  double us = 0.0;
+  for (const Node& n : graph.nodes()) {
+    if (!n.dead) {
+      us += task_us(n, profile, options.machine, options.intra_op_threads,
+                    /*active_workers=*/1);
+    }
+  }
+  return us * static_cast<double>(batch) / 1e3;
+}
+
+SimResult simulate_parallel(const Graph& graph, const Hyperclustering& hc,
+                            const CostProfile& profile,
+                            const SimOptions& options) {
+  return simulate(graph, hc, profile, options, sim::Policy::kPinned);
 }
 
 SimResult simulate_steal(const Graph& graph, const Hyperclustering& hc,
                          const CostProfile& profile,
                          const SimOptions& options) {
-  const int k = static_cast<int>(hc.workers.size());
-  RAMIEL_CHECK(k >= 1, "need at least one worker");
-  const steal::TaskGraph tg =
-      steal::build_task_graph(graph, hc, /*chain_streams=*/false);
-  const std::size_t n = tg.size();
-
-  // Same serial-probe concurrency estimate as simulate_parallel, so the two
-  // modes face identical intra-op contention assumptions.
-  int active_workers = k;
-  if (options.intra_op_threads > 1) {
-    SimOptions probe = options;
-    probe.intra_op_threads = 1;
-    probe.trace = false;
-    SimResult serial = simulate_steal(graph, hc, profile, probe);
-    double busy_us = 0.0;
-    for (const SimWorkerStats& w : serial.workers) busy_us += w.busy_us;
-    if (serial.makespan_ms > 0.0) {
-      active_workers = std::max(
-          1, std::min(k, static_cast<int>(
-                             std::lround(busy_us / 1e3 / serial.makespan_ms))));
-    }
-  }
-
-  SimResult result;
-  result.workers.assign(static_cast<std::size_t>(k), SimWorkerStats{});
-
-  // Assignment is greedy and work-conserving: the earliest-free worker takes
-  // the ready task it can start soonest (pred end + comm when the pred ran
-  // elsewhere). Tasks complete "instantly" in the data structures — their
-  // end time is computed at assignment — so the ready list can only be
-  // empty when every unassigned task still has unassigned predecessors,
-  // which a DAG cannot sustain.
-  std::vector<std::int32_t> deps(tg.initial_deps);
-  std::vector<double> end_time(n, 0.0);
-  std::vector<int> ran_on(n, -1);
-  std::vector<std::int32_t> ready(tg.seeds);
-  using Event = std::pair<double, int>;  // (free time, worker)
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> idle;
-  for (int w = 0; w < k; ++w) idle.emplace(0.0, w);
-
-  // Map (node, sample) -> task id for pred lookups.
-  const std::size_t nodes = static_cast<std::size_t>(hc.num_nodes);
-  std::vector<std::int32_t> task_of(nodes * static_cast<std::size_t>(hc.batch),
-                                    -1);
-  for (std::size_t t = 0; t < n; ++t) {
-    const steal::StealTask& st = tg.tasks[t];
-    task_of[static_cast<std::size_t>(st.sample) * nodes +
-            static_cast<std::size_t>(st.node)] = static_cast<std::int32_t>(t);
-  }
-  // Earliest start of task t on worker w, and whether every live input was
-  // produced on w (a "local" continuation — what the owner's LIFO pop runs).
-  auto earliest_start = [&](std::int32_t t, int w, double free_at,
-                            bool* local) {
-    double start = free_at;
-    *local = true;
-    const steal::StealTask& st = tg.tasks[static_cast<std::size_t>(t)];
-    const Node& node = graph.node(st.node);
-    for (ValueId v : node.inputs) {
-      const Value& val = graph.value(v);
-      if (val.is_constant()) continue;
-      if (val.producer == kNoNode || graph.node(val.producer).dead) continue;
-      const std::int32_t p =
-          task_of[static_cast<std::size_t>(st.sample) * nodes +
-                  static_cast<std::size_t>(val.producer)];
-      double avail = end_time[static_cast<std::size_t>(p)];
-      if (ran_on[static_cast<std::size_t>(p)] != w) {
-        *local = false;
-        avail += options.machine.comm_us(
-            profile.value_bytes[static_cast<std::size_t>(v)]);
-      }
-      start = std::max(start, avail);
-    }
-    return start;
-  };
-
-  std::size_t done = 0;
-  double makespan_us = 0.0;
-  std::vector<double> worker_clock(static_cast<std::size_t>(k), 0.0);
-  while (done < n) {
-    RAMIEL_CHECK(!ready.empty(),
-                 "steal simulation stalled (cyclic task graph?)");
-    const auto [free_at, w] = idle.top();
-    idle.pop();
-    // Pick the ready task this worker can start soonest; ties go to a local
-    // continuation (the real executor's LIFO pop keeps producer-consumer
-    // chains on one worker, so migrations only happen when they pay).
-    std::size_t best = 0;
-    bool best_local = false;
-    double best_start = earliest_start(ready[0], w, free_at, &best_local);
-    for (std::size_t i = 1; i < ready.size(); ++i) {
-      bool local = false;
-      const double s = earliest_start(ready[i], w, free_at, &local);
-      if (s < best_start || (s == best_start && local && !best_local)) {
-        best = i;
-        best_start = s;
-        best_local = local;
-      }
-    }
-    const std::int32_t t = ready[best];
-    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(best));
-    const steal::StealTask& st = tg.tasks[static_cast<std::size_t>(t)];
-    const Node& node = graph.node(st.node);
-
-    SimWorkerStats& stats = result.workers[static_cast<std::size_t>(w)];
-    if (best_start > worker_clock[static_cast<std::size_t>(w)]) {
-      stats.slack_us += best_start - worker_clock[static_cast<std::size_t>(w)];
-    }
-    double dur = 0.0;
-    if (node.kind != OpKind::kConstant) {
-      dur = options.machine.per_task_overhead_us +
-            options.machine.kernel_us(
-                profile.node_us[static_cast<std::size_t>(st.node)],
-                options.intra_op_threads, active_workers,
-                kernel_is_parallelizable(node.kind));
-    }
-    const double end = best_start + dur;
-    worker_clock[static_cast<std::size_t>(w)] = end;
-    end_time[static_cast<std::size_t>(t)] = end;
-    ran_on[static_cast<std::size_t>(t)] = w;
-    stats.busy_us += dur;
-    ++stats.tasks;
-    if (options.trace) {
-      result.events.push_back(TaskEvent{
-          st.node, st.sample, w, static_cast<std::int64_t>(best_start * 1e3),
-          static_cast<std::int64_t>(end * 1e3)});
-    }
-    makespan_us = std::max(makespan_us, end);
-    ++done;
-    idle.emplace(end, w);
-
-    for (std::int32_t i = tg.succ_begin[static_cast<std::size_t>(t)];
-         i < tg.succ_begin[static_cast<std::size_t>(t) + 1]; ++i) {
-      const std::int32_t succ = tg.succ[static_cast<std::size_t>(i)];
-      if (--deps[static_cast<std::size_t>(succ)] == 0) {
-        ready.push_back(succ);
-      }
-    }
-  }
-
-  result.makespan_ms = makespan_us / 1e3;
-  return result;
+  return simulate(graph, hc, profile, options, sim::Policy::kGreedy);
 }
 
 }  // namespace ramiel

@@ -1,16 +1,13 @@
 // Discrete-event simulator for clustered execution on a modeled multicore.
 //
-// simulate_parallel replays the pinned (static) placement of the one
-// task-graph executor, ParallelExecutor: every task on its hypercluster's
-// worker, per-sample streams in topological order, a worker advances
-// whichever sample is runnable and idles only when none is — but in virtual
-// time, with task durations taken from a measured CostProfile and message
-// latencies (one per cross-worker edge) from the MachineModel. One
-// difference: the simulator rotates its sample preference after every task
-// (the paper's §III-E interleave), while the runtime stays on a sample
-// until it blocks, for cache locality. This gives deterministic makespans
-// of the paper's 12-core machine on any host (this one has 4 vCPUs; see
-// DESIGN.md).
+// simulate_parallel and simulate_steal model the two placements of the one
+// task-graph executor, ParallelExecutor, in virtual time: they fill the
+// schedule engine's task list (sim/schedule.h, one task per hypercluster
+// (node, sample) pair) with durations from a measured CostProfile and
+// message latencies (one per cross-worker edge) from the MachineModel, and
+// run it under the engine's pinned or greedy policy. This gives
+// deterministic makespans of the paper's 12-core machine on any host (this
+// one has 4 vCPUs; see DESIGN.md).
 #pragma once
 
 #include <vector>
@@ -19,6 +16,7 @@
 #include "rt/profiler.h"
 #include "sim/cost_profile.h"
 #include "sim/machine.h"
+#include "sim/schedule.h"
 
 namespace ramiel {
 
@@ -26,13 +24,6 @@ struct SimOptions {
   int intra_op_threads = 1;
   MachineModel machine;
   bool trace = false;  // collect virtual-time TaskEvents
-};
-
-struct SimWorkerStats {
-  double busy_us = 0.0;
-  double slack_us = 0.0;  // virtual idle time waiting for messages
-  int tasks = 0;
-  int messages_sent = 0;
 };
 
 struct SimResult {
@@ -53,19 +44,22 @@ struct SimResult {
 /// Energy of a sequential run (one active core for the whole duration).
 double sequential_energy_mj(double seq_ms, const MachineModel& machine);
 
-/// Simulates the hyperclustered parallel schedule; returns its makespan.
+/// Simulates the pinned placement: every task on its hypercluster's worker,
+/// per-sample streams in topological order, a worker advancing whichever
+/// sample is runnable (rotating its preference after every task; see
+/// sim/schedule.h) and idling only when none is. A task's outputs are
+/// messages to each remote consumer worker.
 SimResult simulate_parallel(const Graph& graph, const Hyperclustering& hc,
                             const CostProfile& profile,
                             const SimOptions& options = {});
 
-/// Simulates the steal placement (rt/steal/) on the same machine model: the
-/// identical task set, but dependency-scheduled greedily onto k
-/// interchangeable workers instead of replaying the pinned per-cluster
-/// placement — any idle worker takes the oldest-ready task, the idealization
-/// of Chase–Lev stealing. Cross-worker reads are charged the machine's comm
-/// cost, as the pinned placement's messages are. Comparing this against
-/// simulate_parallel on a skewed clustering is how the bench demonstrates
-/// the steal win on a 12-core machine this host does not have.
+/// Simulates the steal placement on the same machine model: the identical
+/// task set, scheduled greedily onto k interchangeable workers (the
+/// engine's kGreedy policy). Cross-worker reads are charged the machine's
+/// comm cost, as the pinned placement's messages are; no messages are
+/// counted. Comparing this against simulate_parallel on a skewed clustering
+/// is how the bench demonstrates the steal win on a 12-core machine this
+/// host does not have.
 SimResult simulate_steal(const Graph& graph, const Hyperclustering& hc,
                          const CostProfile& profile,
                          const SimOptions& options = {});

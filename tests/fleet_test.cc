@@ -18,14 +18,12 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "graph/cost_model.h"
-#include "graph/op_eval.h"
 #include "graph/shape_inference.h"
 #include "mem/planner.h"
 #include "models/zoo.h"
@@ -798,42 +796,6 @@ TEST(FleetServer, StatsJsonIsStrictAndComplete) {
   EXPECT_NE(doc.find("\"rejected_quota\""), std::string::npos);
 }
 
-/// Writes a ramiel_calibrate-format file ("name<TAB>absmax" per value) for
-/// `g` over `samples`, by evaluating every node in topological order.
-void write_calibration(const Graph& g, const std::vector<TensorMap>& samples,
-                       const std::string& path) {
-  std::unordered_map<std::string, float> ranges;
-  const auto record = [&](const Value& v, const Tensor& t) {
-    float m = 0.0f;
-    for (float f : t.data()) m = std::max(m, std::fabs(f));
-    float& r = ranges[v.name];
-    r = std::max(r, m);
-  };
-  for (const TensorMap& sample : samples) {
-    std::unordered_map<ValueId, Tensor> env;
-    for (const Value& v : g.values()) {
-      if (v.is_constant()) env.emplace(v.id, *v.const_data);
-    }
-    for (ValueId in : g.inputs()) {
-      env.insert_or_assign(in, sample.at(g.value(in).name));
-    }
-    for (NodeId id : g.topo_order()) {
-      const Node& n = g.node(id);
-      std::vector<Tensor> ins;
-      for (ValueId v : n.inputs) ins.push_back(env.at(v));
-      std::vector<Tensor> outs = eval_node(n, ins);
-      for (std::size_t i = 0; i < n.outputs.size(); ++i) {
-        record(g.value(n.outputs[i]), outs[i]);
-        env.insert_or_assign(n.outputs[i], std::move(outs[i]));
-      }
-    }
-  }
-  std::ofstream os(path);
-  for (const auto& [name, absmax] : ranges) {
-    os << name << '\t' << absmax << '\n';
-  }
-}
-
 TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
   // Calibrate the folded f32 graph on the samples the test serves.
   PipelineOptions folded_opts;
@@ -845,7 +807,8 @@ TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
   const auto inputs = testing::example_inputs(folded.graph, 4, 41);
   const std::string calib =
       ::testing::TempDir() + "/fleet_test_squeezenet.calib";
-  write_calibration(folded.graph, inputs, calib);
+  write_calibration(folded.graph,
+                    record_calibration(folded.graph, inputs), calib);
 
   FleetConfig config = single_tenant_config("squeezenet");
   ModelConfig& m = config.models[0];

@@ -253,7 +253,7 @@ TEST(WhatIf, ReplayMonotonicity) {
                         s + 190'000});
   }
 
-  const prof::ReplayDag dag = prof::build_replay_dag(g, p, {});
+  const prof::RecordedDag dag = prof::build_recorded_dag(g, p, {});
   ASSERT_EQ(dag.tasks.size(), 8u);
   double prev = prof::replay_ms(dag, 1);
   EXPECT_GT(prev, 0.0);
@@ -286,7 +286,7 @@ TEST(WhatIf, ChainSpeedupMatchesExactly) {
   p.events = {{0, 0, 0, 0, 100'000},
               {1, 0, 0, 100'000, 400'000},
               {2, 0, 0, 400'000, 600'000}};
-  const prof::ReplayDag dag = prof::build_replay_dag(g, p, {});
+  const prof::RecordedDag dag = prof::build_recorded_dag(g, p, {});
   EXPECT_NEAR(prof::replay_ms(dag, 1), 0.6, 1e-9);
   EXPECT_NEAR(prof::replay_node_speedup_ms(dag, 1, 1, 2.0), 0.45, 1e-9);
   EXPECT_NEAR(prof::replay_node_speedup_ms(dag, 1, 1, 3.0), 0.4, 1e-9);

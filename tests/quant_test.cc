@@ -357,6 +357,25 @@ TEST(LoadCalibration, ReadsRangesAndSkipsMalformedLines) {
   EXPECT_THROW(load_calibration(path + ".missing"), Error);
 }
 
+TEST(LoadCalibration, RoundTripsRecordedRanges) {
+  // Unfolded bert keeps its Constant nodes, whose outputs are not recorded.
+  Graph g = models::build("bert");
+  const auto ranges =
+      record_calibration(g, ramiel::testing::example_inputs(g, 2, 7));
+  for (ValueId in : g.inputs()) {
+    EXPECT_EQ(ranges.count(g.value(in).name), 1u) << "graph inputs recorded";
+  }
+  const std::string path = ::testing::TempDir() + "/roundtrip.calib";
+  write_calibration(g, ranges, path);
+  const auto loaded = load_calibration(path);
+  ASSERT_EQ(loaded.size(), ranges.size());
+  for (const auto& [name, absmax] : ranges) {
+    ASSERT_EQ(loaded.count(name), 1u) << name;
+    // The file holds six significant digits.
+    EXPECT_NEAR(loaded.at(name), absmax, absmax * 1e-5f) << name;
+  }
+}
+
 TEST(LoadCalibration, RejectsNonFiniteAndNegativeRangesNamingFileAndLine) {
   // An inf or nan scale turns quantized outputs into NaN (which a fused
   // Relu hides as zeros); a negative one silently means "measure".

@@ -5,26 +5,21 @@
 //                    [--fuse-bn] [--fuse-act] [--patterns] [-o FILE]
 //
 // The graph goes through the same pipeline passes a compile would run
-// (pass the same transform flags!) minus the quantize stage, then every
-// node is evaluated in topological order over N random example batches and
-// the absolute maximum of every non-constant value is accumulated. The
-// output is one "name<TAB>absmax" line per value; `ramiel run|compile
+// (pass the same transform flags!) minus the quantize stage, then
+// record_calibration evaluates every node in topological order over N
+// random example batches and accumulates the absolute maximum of every
+// non-constant value. The output (write_calibration) is one
+// "name<TAB>absmax" line per value; `ramiel run|compile
 // --dtype i8 --calib FILE` consumes it to stamp static activation scales
 // on the quantized Conv/Gemm/MatMul nodes, replacing their per-call
 // dynamic-range scans.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "graph/op_eval.h"
 #include "load_model.h"
 #include "ramiel/pipeline.h"
 #include "rt/inputs.h"
-#include "support/string_util.h"
-#include "tensor/kernels/kernels.h"
 
 namespace {
 
@@ -76,50 +71,10 @@ int main(int argc, char** argv) {
     const Graph& g = cm.graph;
     if (out_path.empty()) out_path = g.name() + ".calib";
 
-    // name -> accumulated absmax across every batch sample.
-    std::unordered_map<std::string, float> ranges;
-    auto record = [&](const Value& v, const Tensor& t) {
-      if (t.dtype() != DType::kF32 || t.numel() == 0) return;
-      const float m = kernels::absmax(t.raw(), t.dtype(),
-                                      static_cast<std::size_t>(t.numel()));
-      auto [it, inserted] = ranges.emplace(v.name, m);
-      if (!inserted && m > it->second) it->second = m;
-    };
-
     Rng rng(7);
-    const auto samples = make_example_inputs(g, batches, rng);
-    const std::vector<NodeId> order = g.topo_order();
-    for (const TensorMap& sample : samples) {
-      std::unordered_map<ValueId, Tensor> env;
-      for (const Value& v : g.values()) {
-        if (v.is_constant()) env.emplace(v.id, *v.const_data);
-      }
-      for (ValueId in : g.inputs()) {
-        const Value& v = g.value(in);
-        env.insert_or_assign(in, sample.at(v.name));
-        record(v, sample.at(v.name));
-      }
-      for (NodeId id : order) {
-        const Node& n = g.node(id);
-        std::vector<Tensor> ins;
-        ins.reserve(n.inputs.size());
-        for (ValueId v : n.inputs) ins.push_back(env.at(v));
-        std::vector<Tensor> outs = eval_node(n, ins);
-        for (std::size_t i = 0; i < n.outputs.size(); ++i) {
-          const Value& v = g.value(n.outputs[i]);
-          record(v, outs[i]);
-          env.insert_or_assign(n.outputs[i], std::move(outs[i]));
-        }
-      }
-    }
-
-    std::ofstream os(out_path);
-    for (const Value& v : g.values()) {
-      const auto it = ranges.find(v.name);
-      if (it == ranges.end()) continue;
-      os << it->first << '\t' << it->second << '\n';
-    }
-    os.close();
+    const auto ranges =
+        record_calibration(g, make_example_inputs(g, batches, rng));
+    write_calibration(g, ranges, out_path);
     std::printf("wrote %s (%zu value ranges, %d batches, model %s)\n",
                 out_path.c_str(), ranges.size(), batches, g.name().c_str());
   } catch (const std::exception& e) {
