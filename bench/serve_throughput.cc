@@ -31,7 +31,8 @@
 // The pipelining section puts each model's modeled stage-cut speedup next
 // to measured closed-loop req/s of the pipelined tenant and of the plain
 // one; the runs-in-flight section measures one executor's samples/s with 1
-// vs 2 concurrent callers.
+// vs 2 concurrent callers; the short-run section measures what a run of one
+// sample costs on a batch-4 executor next to a full run of four.
 //
 // Knobs: RAMIEL_SERVE_REQUESTS (default 96), RAMIEL_SERVE_CLIENTS (8).
 // --json-out FILE appends every row to FILE as a JSON array, the format
@@ -536,6 +537,64 @@ void executor_depth() {
   }
 }
 
+/// Short runs: ms per run of one batch-4 executor given 1 sample (a short
+/// run: only that sample's tasks) vs its full 4, from kPairs alternating
+/// pairs of 200 ms windows; the ratio is the median of the per-pair ratios.
+/// The keys are not gated (no `_ms` suffix): measured wall times.
+void short_run() {
+  constexpr int kPairs = 10;
+  constexpr double kWindowMs = 200.0;
+  bench::print_header(
+      "Short runs — one batch-4 executor, runs of 1 vs 4 samples\n"
+      "(measured ms per run on this host, arena plan; medians of 10 "
+      "alternating pairs)");
+  std::printf("%-12s %-8s | %10s %10s %7s\n", "Model", "placement",
+              "1 sample", "4 samples", "ratio");
+  for (const std::string model : {"squeezenet", "bert"}) {
+    PipelineOptions opts;
+    opts.batch = 4;
+    opts.generate_code = false;
+    CompiledModel cm = compile_model(models::build(model), opts);
+    Rng rng(7);
+    const auto full = make_example_inputs(cm.graph, 4, rng);
+    const std::vector<TensorMap> one = {full[0]};
+    for (const ExecutorKind placement :
+         {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
+      ParallelExecutor exec(&cm.graph, cm.hyperclusters,
+                            cm.mem_plan.empty() ? nullptr : &cm.mem_plan,
+                            placement);
+      const auto ms_per_run = [&](const std::vector<TensorMap>& inputs,
+                                  double window_ms) {
+        return 1e3 * static_cast<double>(inputs.size()) /
+               samples_per_s(exec, inputs, 1, window_ms);
+      };
+      (void)ms_per_run(full, 50.0);  // warm the run slot
+      std::vector<double> ms1, ms4, ratio;
+      for (int pair = 0; pair < kPairs; ++pair) {
+        // Alternate which size goes first, so drift cancels.
+        double a = 0.0, b = 0.0;
+        if (pair % 2 == 0) {
+          a = ms_per_run(one, kWindowMs);
+          b = ms_per_run(full, kWindowMs);
+        } else {
+          b = ms_per_run(full, kWindowMs);
+          a = ms_per_run(one, kWindowMs);
+        }
+        ms1.push_back(a);
+        ms4.push_back(b);
+        ratio.push_back(b > 0 ? a / b : 0.0);
+      }
+      std::printf("%-12s %-8s | %10.3f %10.3f %6.2fx\n", model.c_str(),
+                  to_string(placement), median(ms1), median(ms4),
+                  median(ratio));
+      record("short_run", model, str_cat(to_string(placement), " batch 4"),
+             {{"one_sample_ms_per_run", median(ms1)},
+              {"four_samples_ms_per_run", median(ms4)},
+              {"one_over_four", median(ratio)}});
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -639,6 +698,7 @@ int main(int argc, char** argv) {
   fleet_mixed(env_int("RAMIEL_FLEET_DURATION_MS", 3000));
   fleet_pipeline(requests * 4, clients);
   executor_depth();
+  short_run();
 
   if (!json_out.empty()) {
     write_json(json_out);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <map>
+#include <numeric>
 #include <tuple>
 
 #include "graph/op_eval.h"
@@ -173,6 +174,11 @@ struct ParallelExecutor::Program {
   /// seeds[home] = the task graph's seeds homed there (the steal
   /// placement's first work for that worker).
   std::vector<std::vector<std::int32_t>> seeds;
+  /// A run of n samples runs the tasks of samples [0, n) only (no edge
+  /// crosses samples): tasks_below[n] counts them, seeds_from[n] counts the
+  /// seeds of samples >= n, which the steal placement claims and skips.
+  std::vector<std::int64_t> tasks_below;
+  std::vector<std::int64_t> seeds_from;
   /// One per (value, sample, consuming home != producing home): the
   /// producer task and the first consuming task in that home's stream —
   /// the pinned placement's messages.
@@ -226,7 +232,13 @@ struct ParallelExecutor::RunSlot {
   std::unique_ptr<std::atomic<std::int32_t>[]> seed_next;
 
   std::atomic<std::uint64_t> run_id{0};  // 0 while the slot is free
-  std::atomic<std::int64_t> remaining{0};  // tasks not yet finished
+  /// The run's sample count n, 1..batch. Atomic because a pinned worker
+  /// holding a stale run id reads it while the slot may be refilled (see
+  /// step_pinned).
+  std::atomic<int> samples{0};
+  /// Tasks of samples < n not yet finished, plus (steal) seeds of samples
+  /// >= n not yet claimed: every seed cursor is spent before the slot frees.
+  std::atomic<std::int64_t> remaining{0};
   std::atomic<bool> abort{false};  // a task failed: the rest only drain
   std::vector<TensorMap> owned_inputs;  // submit(): the run owns its batch
   const std::vector<TensorMap>* inputs = nullptr;
@@ -351,11 +363,21 @@ int ParallelExecutor::add_program_locked(ExecutorProgram program) {
                      .push_back(static_cast<std::int32_t>(t));
   }
   prog->seeds.resize(static_cast<std::size_t>(k));
-  for (std::int32_t seed : tg.seeds) {
-    prog->seeds[static_cast<std::size_t>(
-                    tg.tasks[static_cast<std::size_t>(seed)].home)]
-        .push_back(seed);
+  prog->tasks_below.assign(static_cast<std::size_t>(batch) + 1, 0);
+  prog->seeds_from.assign(static_cast<std::size_t>(batch) + 1, 0);
+  for (const steal::StealTask& task : tg.tasks) {
+    ++prog->tasks_below[static_cast<std::size_t>(task.sample) + 1];
   }
+  for (std::int32_t seed : tg.seeds) {
+    const steal::StealTask& task = tg.tasks[static_cast<std::size_t>(seed)];
+    prog->seeds[static_cast<std::size_t>(task.home)].push_back(seed);
+    ++prog->seeds_from[static_cast<std::size_t>(task.sample)];
+  }
+  // Per-sample counts so far; prefix sums from below and from above.
+  std::partial_sum(prog->tasks_below.begin(), prog->tasks_below.end(),
+                   prog->tasks_below.begin());
+  std::partial_sum(prog->seeds_from.rbegin(), prog->seeds_from.rend(),
+                   prog->seeds_from.rbegin());
 
   // Cross-home data edges, deduplicated per (value, sample, home); the
   // smallest consumer id is the first consumer in that home's stream.
@@ -590,11 +612,12 @@ void ParallelExecutor::start_run(int program, std::vector<TensorMap> owned,
     Program& prog = program_at(program);
     RAMIEL_CHECK(prog.live, str_cat("program ", program, " has been removed"));
     const int batch = prog.hc.batch;
-    RAMIEL_CHECK(static_cast<int>(batch_inputs.size()) == batch,
+    RAMIEL_CHECK(!batch_inputs.empty() &&
+                     static_cast<int>(batch_inputs.size()) <= batch,
                  str_cat("batch size mismatch: executor compiled for batch ",
-                         batch, " (hyperclustering), run() got ",
-                         batch_inputs.size(), " sample",
-                         batch_inputs.size() == 1 ? "" : "s"));
+                         batch, " (hyperclustering) takes 1 to ", batch,
+                         " samples, run() got ", batch_inputs.size(),
+                         " sample", batch_inputs.size() == 1 ? "" : "s"));
     run = take_run_slot(prog);
     ++in_flight_;
     nthreads = lanes_.size();
@@ -609,8 +632,12 @@ void ParallelExecutor::start_run(int program, std::vector<TensorMap> owned,
   for (std::size_t t = 0; t < tg.size(); ++t) {
     run->deps[t].store(tg.initial_deps[t], std::memory_order_relaxed);
   }
-  run->remaining.store(static_cast<std::int64_t>(tg.size()),
-                       std::memory_order_relaxed);
+  const auto n = batch_inputs.size();
+  run->samples.store(static_cast<int>(n), std::memory_order_release);
+  const std::int64_t remaining =
+      prog.tasks_below[n] +
+      (placement_ == ExecutorKind::kSteal ? prog.seeds_from[n] : 0);
+  run->remaining.store(remaining, std::memory_order_relaxed);
   run->abort.store(false, std::memory_order_relaxed);
   run->owned_inputs = std::move(owned);
   run->inputs = inputs != nullptr ? inputs : &run->owned_inputs;
@@ -649,7 +676,7 @@ void ParallelExecutor::start_run(int program, std::vector<TensorMap> owned,
     }
   }
   // No task will finish the run: complete it here.
-  if (tg.size() == 0) finish_run(*run);
+  if (remaining == 0) finish_run(*run);
 }
 
 ParallelExecutor::RunSlot* ParallelExecutor::take_run_slot(Program& prog) {
@@ -760,9 +787,22 @@ ParallelExecutor::Step ParallelExecutor::step_pinned(Worker& w) {
     const int batch = prog.hc.batch;
     RunSlot::Cursor& c = run->cursors[me];
     if (c.run != id) {
+      // A short run can finish without this worker (it only has tasks of
+      // samples the run does not carry) and its slot be refilled while a
+      // stale copy of the list still shows the old id here. The sample
+      // count read is the old run's only if the id is still current after
+      // it: the refill stores its count after the slot's id went to 0.
+      const int samples = run->samples.load(std::memory_order_acquire);
+      if (run->run_id.load(std::memory_order_acquire) != id) continue;
+      // Streams of samples the run does not carry start at their end.
       c.run = id;
-      c.pos.assign(static_cast<std::size_t>(batch), 0);
-      c.left = prog.hc.workers[me].size();
+      c.pos.resize(static_cast<std::size_t>(batch));
+      c.left = 0;
+      for (std::size_t s = 0; s < c.pos.size(); ++s) {
+        const bool carried = static_cast<int>(s) < samples;
+        c.pos[s] = carried ? 0 : streams[s].size();
+        if (carried) c.left += streams[s].size();
+      }
       c.prefer = 0;
     }
     // A run with none of this worker's tasks left cannot be reused under
@@ -816,7 +856,16 @@ ParallelExecutor::Step ParallelExecutor::step_stealing(Worker& w) {
         if (next.load(std::memory_order_acquire) >= size) continue;
         const std::int32_t n = next.fetch_add(1, std::memory_order_acq_rel);
         if (n >= size) continue;
-        run_task(w, *run, seeds[static_cast<std::size_t>(n)], !own);
+        const std::int32_t t = seeds[static_cast<std::size_t>(n)];
+        if (run->prog->tg.tasks[static_cast<std::size_t>(t)].sample >=
+            run->samples.load(std::memory_order_relaxed)) {
+          // A seed of a sample the run does not carry: only count it off.
+          if (run->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            finish_run(*run);
+          }
+          return true;
+        }
+        run_task(w, *run, t, !own);
         return true;
       }
     }
@@ -976,6 +1025,7 @@ void ParallelExecutor::finish_run(RunSlot& run) {
   Program& prog = *run.prog;
   const Graph& g = *prog.graph;
   const int batch = prog.hc.batch;
+  const int samples = run.samples.load(std::memory_order_relaxed);
   const std::int64_t end_ns = Stopwatch::now_ns();
   const double wall_ms = static_cast<double>(end_ns - run.start_ns) / 1e6;
   std::exception_ptr error = run.first_error;
@@ -985,8 +1035,8 @@ void ParallelExecutor::finish_run(RunSlot& run) {
     try {
       // Collect graph outputs. Arena-backed tensors must not outlive the
       // run (the slot's next run rewrites them) — detach them here.
-      results.resize(static_cast<std::size_t>(batch));
-      for (int s = 0; s < batch; ++s) {
+      results.resize(static_cast<std::size_t>(samples));
+      for (int s = 0; s < samples; ++s) {
         const auto su = static_cast<std::size_t>(s);
         collect_static_outputs(g, (*run.inputs)[su], &results[su]);
         for (ValueId ov : g.outputs()) {
@@ -1051,11 +1101,13 @@ void ParallelExecutor::tally_messages(RunSlot& run, Profile& profile) {
   if (placement_ != ExecutorKind::kStatic) return;
   const Program& prog = *run.prog;
   const steal::TaskGraph& tg = prog.tg;
+  const int samples = run.samples.load(std::memory_order_relaxed);
   const bool trace = !run.task_ns.empty();
   // (receiving worker, stamp, 0 = send / 1 = receive)
   std::vector<std::tuple<int, std::int64_t, int>> depth_events;
   for (const Program::CrossEdge& e : prog.cross_edges) {
     const steal::StealTask& src = tg.tasks[static_cast<std::size_t>(e.producer)];
+    if (src.sample >= samples) continue;  // a sample the run did not carry
     const steal::StealTask& dst = tg.tasks[static_cast<std::size_t>(e.consumer)];
     const std::int64_t bytes =
         run.values[static_cast<std::size_t>(e.value) *

@@ -49,6 +49,12 @@
 // failing run fails only itself: its remaining tasks drain without running
 // kernels, and the runs beside it finish normally.
 //
+// Short runs: a run may carry fewer samples than the compiled batch. No
+// dependency edge crosses samples, so a run of n samples runs the tasks of
+// samples [0, n) only — the pinned placement starts the other streams at
+// their end, the steal placement skips their seeds — and returns n output
+// maps, bit-identical to the first n of a full run on the same inputs.
+//
 // Intra-op parallelism: when RunOptions.intra_op_threads > 1, each worker
 // owns a private thread pool of that size for its kernels — exactly how the
 // paper's per-cluster Python processes each carry their own OpenMP pool,
@@ -111,15 +117,16 @@ class Executor {
  public:
   virtual ~Executor() = default;
 
-  /// Runs one batch (size fixed by the hyperclustering); returns per-sample
-  /// graph outputs. Safe to call repeatedly and from multiple threads
-  /// (concurrent calls overlap).
+  /// Runs 1 to batch() samples; returns their graph outputs, one map per
+  /// sample. Safe to call repeatedly and from multiple threads (concurrent
+  /// calls overlap).
   virtual std::vector<TensorMap> run(const std::vector<TensorMap>& inputs,
                                      const RunOptions& options = {},
                                      Profile* profile = nullptr) = 0;
 
   virtual ExecutorKind kind() const = 0;
   virtual int num_workers() const = 0;
+  /// The compiled batch: the most samples one run() takes.
   virtual int batch() const = 0;
   virtual std::uint64_t runs_completed() const = 0;
 
@@ -167,8 +174,8 @@ class ParallelExecutor : public Executor {
                                         std::exception_ptr error,
                                         Profile profile)>;
 
-  /// The graph must outlive the executor. `hc.batch` fixes the batch size
-  /// accepted by run(). Worker threads start immediately and park until the
+  /// The graph must outlive the executor. `hc.batch` is the most samples
+  /// one run() takes. Worker threads start immediately and park until the
   /// first run(). When `mem_plan` is non-null (and non-empty) the executor
   /// copies it and backs planned intermediates with persistent per-home
   /// arenas instead of per-run heap allocations; null runs fully on the
@@ -188,24 +195,25 @@ class ParallelExecutor : public Executor {
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  /// Runs one batch of program 0 (batch_inputs.size() must equal that
-  /// program's hyperclustering batch — checked up front). Returns
-  /// per-sample graph outputs. Reuses the persistent workers; safe to call
-  /// repeatedly and from multiple threads (their runs overlap).
+  /// Runs 1 to batch() samples of program 0 (checked up front) and returns
+  /// their graph outputs, one map per sample; a short run runs only its
+  /// samples' tasks. Reuses the persistent workers; safe to call repeatedly
+  /// and from multiple threads (their runs overlap).
   std::vector<TensorMap> run(const std::vector<TensorMap>& batch_inputs,
                              const RunOptions& options = {},
                              Profile* profile = nullptr) override;
 
-  /// Runs one batch of program `program`: submit() and wait.
+  /// Runs 1 to program_batch(program) samples of program `program`:
+  /// submit() and wait.
   std::vector<TensorMap> run_program(int program,
                                      const std::vector<TensorMap>& batch_inputs,
                                      const RunOptions& options = {},
                                      Profile* profile = nullptr);
 
-  /// Starts one batch of program `program` and returns; `done` receives the
-  /// outputs or the error. A bad program id or batch size throws here,
-  /// before anything runs. Waits only while add_program()/remove_program()
-  /// hold new runs back.
+  /// Starts a run of program `program` on 1 to program_batch(program)
+  /// samples and returns; `done` receives their outputs or the error. A bad
+  /// program id or sample count throws here, before anything runs. Waits
+  /// only while add_program()/remove_program() hold new runs back.
   void submit(int program, std::vector<TensorMap> batch_inputs,
               const RunOptions& options, Completion done);
 
@@ -227,10 +235,10 @@ class ParallelExecutor : public Executor {
   /// Worker (cluster) count of one hosted program.
   int program_workers(int program) const;
 
-  /// Batch size every run() must supply (program 0's).
+  /// Program 0's compiled batch: the most samples one run() takes.
   int batch() const override { return program_batch(0); }
 
-  /// Batch size of one hosted program.
+  /// Compiled batch of one hosted program.
   int program_batch(int program) const;
 
   /// The hyperclustering one hosted program runs (its profile's workers).

@@ -369,15 +369,12 @@ void FleetServer::dispatch(Tenant& t,
                            const std::shared_ptr<const ModelEntry>& entry,
                            std::vector<Request> batch,
                            std::int64_t dispatch_ns) {
-  const int real = static_cast<int>(batch.size());
   const int slots = entry->config.batch;
-  // The program wants exactly `slots` samples; short batches are padded
-  // with copies of the first sample and the padded outputs are discarded
-  // (batch_fill in the stats is exactly the cost of this).
+  // A short batch runs only its real samples' tasks (a short run of the
+  // program, rt/executor.h).
   std::vector<TensorMap> inputs;
-  inputs.reserve(static_cast<std::size_t>(slots));
+  inputs.reserve(batch.size());
   for (const Request& r : batch) inputs.push_back(r.inputs);
-  for (int i = real; i < slots; ++i) inputs.push_back(inputs[0]);
 
   RunOptions run_opts;
   run_opts.intra_op_threads = options_.intra_op_threads;

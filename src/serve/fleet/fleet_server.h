@@ -4,7 +4,8 @@
 //
 // Every request takes the same route: admission (quota + bounded queue) ->
 // per-tenant batch fill (up to the tenant's batch, waiting at most its
-// flush timeout for batch-mates, padding short batches) -> executor.
+// flush timeout for batch-mates) -> executor, which runs a short batch's
+// real samples only.
 //
 // Composition of the fleet subsystem (see the sibling headers for each
 // part's contract):
@@ -274,9 +275,9 @@ class FleetServer {
   void retire_runtime(Tenant& t);
   /// Fills a batch for `first`'s tenant and dispatches it.
   void serve_one(Tenant& t, Request first);
-  /// Pads the batch to the tenant's slots, submits it to the tenant's
-  /// executor with finish() as its completion, then waits until the tenant
-  /// is under its in-flight bound.
+  /// Submits the batch's requests (1 to the tenant's slots) to the
+  /// tenant's executor with finish() as its completion, then waits until
+  /// the tenant is under its in-flight bound.
   void dispatch(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
                 std::vector<Request> batch, std::int64_t dispatch_ns);
   /// Fans the outputs (or the error) out to the riders, updates the stats,

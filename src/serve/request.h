@@ -21,7 +21,8 @@ struct Response {
   /// Submit-to-completion time as observed by the server.
   double latency_ms = 0.0;
   /// Size of the executor batch this request rode in (0 when rejected) and
-  /// how many of those slots carried real requests (rest were padding).
+  /// how many of those slots carried real requests (the run computed only
+  /// those).
   int batch_slots = 0;
   int batch_real = 0;
 };

@@ -65,7 +65,8 @@ struct ServerStats {
 
   /// Fraction of dispatched batch slots that carried real requests
   /// (1.0 = every batch left full; low values mean the flush timeout is
-  /// doing the serving).
+  /// doing the serving). Empty slots cost no compute: a short batch runs
+  /// only its real samples.
   double batch_fill() const;
 
   /// Served requests per second of uptime.

@@ -89,23 +89,28 @@ TEST(ParallelExecutor, IntraOpThreadsPreserveResults) {
 }
 
 TEST(ParallelExecutor, RejectsWrongBatchSize) {
+  // A run takes 1 to batch samples: 0 and batch + 1 are rejected up front
+  // with an explanatory message, before any worker touches the inputs.
   Graph g = testing::make_diamond_graph();
   Hyperclustering hc = testing::hypercluster(g, 2);
   Rng rng(10);
-  auto inputs = make_example_inputs(g, 1, rng);  // batch 1 vs executor batch 2
   ParallelExecutor par(&g, hc);
-  // The mismatch is rejected up front with an explanatory message, before
-  // any worker touches the inputs.
-  try {
-    par.run(inputs);
-    FAIL() << "expected batch-size mismatch to throw";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("batch size mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("compiled for batch 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("got 1 sample"), std::string::npos) << what;
+  for (int n : {0, 3}) {
+    SCOPED_TRACE(str_cat(n, " samples"));
+    try {
+      par.run(n == 0 ? std::vector<TensorMap>{}
+                     : make_example_inputs(g, n, rng));
+      FAIL() << "expected batch-size mismatch to throw";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("batch size mismatch"), std::string::npos) << what;
+      EXPECT_NE(what.find("compiled for batch 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(str_cat("got ", n, " samples")), std::string::npos)
+          << what;
+    }
   }
-  // The rejected call must not wedge the persistent workers: a correctly
+  EXPECT_EQ(par.runs_completed(), 0u);
+  // The rejected calls must not wedge the persistent workers: a correctly
   // sized batch still runs afterwards.
   auto ok_inputs = make_example_inputs(g, 2, rng);
   EXPECT_EQ(par.run(ok_inputs).size(), 2u);
@@ -536,6 +541,87 @@ TEST_P(RunsInFlight, ZooBitIdenticalAcrossMemPlanAndDepth) {
                                  .arenas = {true, false},
                                  .batches = {2},
                                  .in_flight = {1, 2, 4}}));
+  }
+}
+
+// ------------------------------------------------------------- short runs --
+
+// A run of n < batch samples runs only those samples' tasks and is
+// bit-identical to the sequential run of the same n samples (and to the
+// first n outputs of a full run, oracle.h).
+const oracle::Slice kShortRunSlice{
+    .placements = {ExecutorKind::kStatic, ExecutorKind::kSteal},
+    .arenas = {true, false},
+    .batches = {4},
+    .hypers = {HyperMode::kPlain, HyperMode::kSwitched},
+    .samples = {1, 3},
+    .in_flight = {1, 2}};
+
+TEST(ShortRuns, SqueezenetMatchesTheOracle) {
+  oracle::check(oracle::zoo("squeezenet"), oracle::cells(kShortRunSlice));
+}
+
+TEST(ShortRuns, RandomDagsMatchTheOracle) {
+  for (std::uint64_t seed : {3u, 8u}) {
+    oracle::check(oracle::random_source(seed), oracle::cells(kShortRunSlice));
+  }
+}
+
+TEST(ShortRuns, ShortAndFullRunsInFlightTogether) {
+  // Runs of 1, 4 and 3 samples of one batch-4 program overlap; each returns
+  // its own samples' outputs, bit-identical to the sequential run.
+  CompiledModel cm = oracle::compile(
+      models::build("squeezenet"),
+      {.batch = 4, .hyper = HyperMode::kSwitched});
+  std::vector<std::vector<TensorMap>> batches = {
+      testing::example_inputs(cm.graph, 4, 61),
+      testing::example_inputs(cm.graph, 4, 62),
+      testing::example_inputs(cm.graph, 4, 63)};
+  batches[0].resize(1);
+  batches[2].resize(3);
+  for (ExecutorKind placement : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
+    SCOPED_TRACE(to_string(placement));
+    ParallelExecutor exec(&cm.graph, cm.hyperclusters, &cm.mem_plan,
+                          placement);
+    for (int round = 0; round < 3; ++round) {
+      const auto got = oracle::run_in_flight(exec, batches);
+      for (std::size_t i = 0; i < batches.size(); ++i) {
+        SCOPED_TRACE(str_cat("run ", i));
+        oracle::expect_bit_identical(
+            SequentialExecutor(&cm.graph).run(batches[i]), got[i]);
+      }
+    }
+  }
+}
+
+TEST(ShortRuns, RunOnlyTheirSamplesTasks) {
+  // A short run's profile counts one sample's tasks per sample it carries,
+  // and (pinned) only its own samples' messages.
+  CompiledModel cm =
+      oracle::compile(models::build("squeezenet"), {.batch = 4});
+  std::size_t tasks = 0;
+  for (const auto& list : cm.hyperclusters.workers) tasks += list.size();
+  const auto inputs = testing::example_inputs(cm.graph, 4, 64);
+  const auto sum = [](const Profile& p, int WorkerProfile::*field) {
+    int total = 0;
+    for (const WorkerProfile& w : p.workers) total += w.*field;
+    return total;
+  };
+  for (ExecutorKind placement : {ExecutorKind::kStatic, ExecutorKind::kSteal}) {
+    SCOPED_TRACE(to_string(placement));
+    ParallelExecutor exec(&cm.graph, cm.hyperclusters, &cm.mem_plan,
+                          placement);
+    RunOptions traced;
+    traced.trace = true;
+    Profile full, one;
+    (void)exec.run(inputs, traced, &full);
+    ASSERT_EQ(exec.run({inputs[0]}, traced, &one).size(), 1u);
+    EXPECT_EQ(sum(full, &WorkerProfile::tasks), static_cast<int>(tasks));
+    EXPECT_EQ(4 * sum(one, &WorkerProfile::tasks), static_cast<int>(tasks));
+    for (const TaskEvent& e : one.events) EXPECT_EQ(e.sample, 0);
+    for (const MessageEvent& m : one.messages) EXPECT_EQ(m.sample, 0);
+    EXPECT_EQ(4 * sum(one, &WorkerProfile::messages_sent),
+              sum(full, &WorkerProfile::messages_sent));
   }
 }
 

@@ -387,15 +387,32 @@ TEST(StageCutProgram, OverlappingSubmitsAllResolveCorrectly) {
 }
 
 TEST(StageCutProgram, RejectsWrongBatchSize) {
+  // A run takes 1 to batch samples: 0 and batch + 1 are rejected up front,
+  // before anything runs, by run() and submit() alike.
   CompiledModel cm = oracle::compile(models::build("squeezenet"), {.batch = 2});
   auto exec = stage_executor(cm, 2, 2);
-  const auto one = testing::example_inputs(cm.graph, 1, 23);
-  EXPECT_THROW((void)exec->run(one), Error);
-  EXPECT_THROW(exec->submit(0, one, RunOptions{},
-                            [](std::vector<TensorMap>, std::exception_ptr,
-                               Profile) { ADD_FAILURE() << "ran"; }),
-               Error);
+  for (int n : {0, 3}) {
+    SCOPED_TRACE(str_cat(n, " samples"));
+    const std::vector<TensorMap> wrong =
+        n == 0 ? std::vector<TensorMap>{}
+               : testing::example_inputs(cm.graph, n, 23);
+    try {
+      (void)exec->run(wrong);
+      ADD_FAILURE() << "expected batch-size mismatch to throw";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("compiled for batch 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(str_cat("got ", n, " samples")), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW(exec->submit(0, wrong, RunOptions{},
+                              [](std::vector<TensorMap>, std::exception_ptr,
+                                 Profile) { ADD_FAILURE() << "ran"; }),
+                 Error);
+  }
   EXPECT_EQ(exec->runs_completed(), 0u);
+  // The rejected calls leave the executor serving.
+  EXPECT_EQ(exec->run(testing::example_inputs(cm.graph, 2, 24)).size(), 2u);
 }
 
 // ----------------------------------------------------- shared-pool rt ----
@@ -710,6 +727,62 @@ TEST(FleetServer, PipelinedTenantKeepsTailExemplarsPerStage) {
     EXPECT_TRUE(ex.report.valid);
     EXPECT_EQ(ex.report.workers, 3);
     EXPECT_FALSE(ex.report.path.empty());
+  }
+}
+
+TEST(FleetServer, LoneRequestRunsOneSampleOfABatch4Tenant) {
+  // A request that leaves alone at the flush timeout runs one sample's
+  // tasks, not four, and answers exactly what it answers inside a full
+  // batch (at another sample slot of the switched interleave).
+  obs::Counter* tasks_total = obs::registry().counter(
+      "ramiel_rt_tasks_total", "Graph tasks executed (node x sample)");
+  for (const std::string pool : {"shared", "partitioned"}) {
+    SCOPED_TRACE(pool);
+    FleetConfig config;
+    config.pool = pool;
+    ModelConfig m;
+    m.name = "squeezenet";
+    m.batch = 4;
+    m.hyper = HyperMode::kSwitched;
+    m.flush_timeout_ms = 200.0;  // a full batch of back-to-back submits fills
+    config.models = {m};
+    FleetOptions options;
+    options.profile = true;
+    FleetServer fleet(config, options);
+    const CompiledModel& cm = fleet.model_entry("squeezenet")->compiled;
+    std::size_t tasks = 0;
+    for (const auto& list : cm.hyperclusters.workers) tasks += list.size();
+    const auto inputs = testing::example_inputs(cm.graph, 4, 71);
+
+    const std::uint64_t before = tasks_total->value();
+    Response lone = fleet.submit("squeezenet", TensorMap(inputs[2])).get();
+    ASSERT_TRUE(lone.ok) << lone.error;
+    EXPECT_EQ(tasks_total->value() - before, tasks / 4);
+    EXPECT_EQ(lone.batch_real, 1);
+    EXPECT_EQ(lone.batch_slots, 4);
+
+    // The short batch's exemplar: a critical path over sample 0 only.
+    const std::vector<TailExemplar> tail = fleet.tail_exemplars("squeezenet");
+    ASSERT_EQ(tail.size(), 1u);
+    EXPECT_TRUE(tail[0].report.valid);
+    EXPECT_EQ(tail[0].report.tasks, static_cast<int>(tasks / 4));
+    EXPECT_FALSE(tail[0].report.path.empty());
+    for (const auto& [node, sample] : tail[0].report.critical_tasks()) {
+      EXPECT_EQ(sample, 0) << "node " << node;
+    }
+
+    std::vector<std::future<Response>> full;
+    for (const TensorMap& in : inputs) {
+      full.push_back(fleet.submit("squeezenet", TensorMap(in)));
+    }
+    std::vector<Response> got;
+    for (auto& f : full) got.push_back(f.get());
+    for (const Response& r : got) {
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.batch_real, 4);
+    }
+    oracle::expect_bit_identical({got[2].outputs}, {lone.outputs});
+    fleet.shutdown();
   }
 }
 

@@ -68,6 +68,8 @@ std::string describe(const Cell& cell) {
      << kRewrites[static_cast<int>(cell.rewrites)] << ", batch "
      << cell.batch
      << (cell.hyper == HyperMode::kSwitched ? " switched" : " plain") << ", "
+     << (cell.samples > 0 ? str_cat(cell.samples, " samples, ")
+                          : std::string())
      << cell.in_flight << " in flight, " << cell.intra_op << " intra-op, "
      << (!cell.tier ? "env"
                     : *cell.tier == kernels::Path::kScalar ? "scalar"
@@ -238,8 +240,9 @@ CompiledModel compile(Graph graph, const Cell& cell) {
 void check(const Source& source, const std::vector<Cell>& cells) {
   const Graph reference = source.build();
   using CompileKey = std::tuple<DType, Rewrites, int, HyperMode>;
-  // (tier, width, batch, run) -> outputs, for the oracle and per compile.
-  using RunKey = std::tuple<int, int, int, int>;
+  // (tier, width, batch, samples, run) -> outputs, for the oracle and per
+  // compile.
+  using RunKey = std::tuple<int, int, int, int, int>;
   std::map<CompileKey, CompiledModel> compiled;
   std::map<RunKey, std::vector<TensorMap>> oracle_runs;
   std::map<std::pair<CompileKey, RunKey>, std::vector<TensorMap>> seq_runs;
@@ -270,12 +273,15 @@ void check(const Source& source, const std::vector<Cell>& cells) {
                           cell.arena ? &plan : nullptr, cell.placement);
     EXPECT_EQ(exec.mem_plan_enabled(), cell.arena);
 
-    // One batch twice, or in_flight different batches at once.
+    // One batch twice, or in_flight different batches at once; a short
+    // cell keeps the first n samples of each.
     const int runs = std::max(2, cell.in_flight);
+    const int n = cell.samples > 0 ? cell.samples : cell.batch;
     std::vector<std::vector<TensorMap>> batches;
     for (int r = 0; r < runs; ++r) {
       batches.push_back(inputs_for(reference, cell.batch,
                                    cell.in_flight == 1 ? 0 : r));
+      batches.back().resize(static_cast<std::size_t>(n));
     }
     RunOptions options;
     options.intra_op_threads = cell.intra_op;
@@ -286,6 +292,14 @@ void check(const Source& source, const std::vector<Cell>& cells) {
       for (const auto& batch : batches) got.push_back(exec.run(batch, options));
     }
     EXPECT_EQ(exec.runs_completed(), static_cast<std::uint64_t>(runs));
+    if (n < cell.batch) {
+      // A full run of the first batch's inputs on the same executor (the
+      // slot a short run left) agrees with the short run on its samples.
+      const std::vector<TensorMap> full =
+          exec.run(inputs_for(reference, cell.batch, 0), options);
+      expect_bit_identical(
+          got[0], std::vector<TensorMap>(full.begin(), full.begin() + n));
+    }
 
     // f32 without rewrites at width 1 computes exactly what the reference
     // graph does, so the oracle run is also the same-graph run.
@@ -294,12 +308,12 @@ void check(const Source& source, const std::vector<Cell>& cells) {
     for (int r = 0; r < runs; ++r) {
       const int input = cell.in_flight == 1 ? 0 : r;
       SCOPED_TRACE(str_cat("run ", r));
-      const RunKey oracle_key{tier_key, 1, cell.batch, input};
+      const RunKey oracle_key{tier_key, 1, cell.batch, n, input};
       if (!oracle_runs.count(oracle_key)) {
         oracle_runs[oracle_key] = SequentialExecutor(&reference).run(
             batches[static_cast<std::size_t>(r)]);
       }
-      const RunKey seq_key{tier_key, cell.intra_op, cell.batch, input};
+      const RunKey seq_key{tier_key, cell.intra_op, cell.batch, n, input};
       auto& same = exact ? oracle_runs[oracle_key] : seq_runs[{key, seq_key}];
       if (same.empty()) {
         same = SequentialExecutor(&cm.graph).run(
@@ -325,10 +339,18 @@ std::vector<Cell> cells(const Slice& s) {
         for (Rewrites rewrites : s.rewrites)
           for (int batch : s.batches)
             for (HyperMode hyper : s.hypers)
-              for (int in_flight : s.in_flight)
-                for (int intra_op : s.intra_op)
-                  out.push_back({placement, arena, dtype, rewrites, batch,
-                                 hyper, in_flight, intra_op});
+              for (int samples : s.samples)
+                for (int in_flight : s.in_flight)
+                  for (int intra_op : s.intra_op)
+                    out.push_back({.placement = placement,
+                                   .arena = arena,
+                                   .dtype = dtype,
+                                   .rewrites = rewrites,
+                                   .batch = batch,
+                                   .hyper = hyper,
+                                   .samples = samples,
+                                   .in_flight = in_flight,
+                                   .intra_op = intra_op});
   return out;
 }
 

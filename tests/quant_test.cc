@@ -312,7 +312,7 @@ TEST(QuantI8, AllZeroWeightChannelStaysExactlyZero) {
     ASSERT_EQ(c.at(i * n + zero_col), 0.0f);
   }
   oracle::expect_agrees({{{"c", matmul(a, b)}}}, {{{"c", c}}},
-                        oracle::kI8Fence);
+                        oracle::kI8Gemm);
 }
 
 TEST(QuantI8, ScalarDispatchKnobForcesThePortableTier) {
