@@ -6,8 +6,12 @@
 //
 // Every GEMM/conv benchmark is registered twice — `<name>/.../scalar` pins
 // the portable reference loops, `<name>/.../vector` the packed cache-blocked
-// path (AVX2+FMA when the host has it) — so a scalar-vs-vector speedup is one
-// grep over the output. GFLOPS counters report arithmetic throughput.
+// path capped at the AVX2 tier — so a scalar-vs-vector speedup is one grep
+// over the output, and a `/vector` row measures the same kernel on every
+// x86 runner (AVX-512 hosts included). The bert MatMul rows run at the
+// host's best tier and again under `/avx2`, so the AVX-512 tier's gain is a
+// pair of rows from one process. GFLOPS counters report arithmetic
+// throughput.
 //
 //   kernel_microbench --json-out=FILE   # google-benchmark JSON to FILE
 //
@@ -18,6 +22,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,11 +35,27 @@
 namespace ramiel {
 namespace {
 
-/// Pins the kernel dispatch to one path for a benchmark's lifetime.
+/// Pins the kernel dispatch to one path for a benchmark's lifetime; the
+/// vector path is capped at the AVX2 tier (see the header comment).
 class ScopedPath {
  public:
-  explicit ScopedPath(kernels::Path p) { kernels::force_kernel_path(p); }
-  ~ScopedPath() { kernels::force_kernel_path(std::nullopt); }
+  explicit ScopedPath(kernels::Path p) {
+    kernels::force_kernel_path(p);
+    kernels::force_tier(kernels::Tier::kAvx2);
+  }
+  ~ScopedPath() {
+    kernels::force_kernel_path(std::nullopt);
+    kernels::force_tier(std::nullopt);
+  }
+};
+
+/// Caps the kernel tier for a scope (nullopt: no cap).
+class ScopedTier {
+ public:
+  explicit ScopedTier(std::optional<kernels::Tier> cap) {
+    kernels::force_tier(cap);
+  }
+  ~ScopedTier() { kernels::force_tier(std::nullopt); }
 };
 
 using ShapeArgs = std::vector<std::int64_t>;
@@ -151,6 +172,9 @@ void BM_ConvFusedBiasRelu(benchmark::State& state, kernels::Path path,
 // bench-diff CI gate ratchets (absolute throughput on a shared CI box is
 // noise; the ratio is not). `gflops` / `eff_bandwidth` are deliberately
 // lowercase/custom so the differ records but does not gate them.
+// The f32 GEMM (the baseline and the f16/bf16 rows) runs at the AVX2 cap and
+// i8 at its best tier (VNNI where the host has it), the kernels the
+// committed ratios were measured on.
 // ---------------------------------------------------------------------------
 
 /// Seconds per call of `fn`, measured with a warmup call and a ~200 ms
@@ -200,6 +224,7 @@ void BM_SGEMMDtype(benchmark::State& state, DType dt, const ShapeArgs& shape) {
   if (dt != DType::kF32) {
     f32_sec = seconds_per_call([&] { benchmark::DoNotOptimize(matmul(a, b)); });
   }
+  if (dt == DType::kI8) kernels::force_tier(std::nullopt);  // see above
 
   for (auto _ : state) run();
 
@@ -247,6 +272,7 @@ void BM_ConvZooDtype(benchmark::State& state, DType dt,
     f32_sec = seconds_per_call(
         [&] { benchmark::DoNotOptimize(conv2d(x, w, std::nullopt, p)); });
   }
+  if (dt == DType::kI8) kernels::force_tier(std::nullopt);  // see above
 
   for (auto _ : state) run();
 
@@ -284,7 +310,10 @@ void register_dtypes(const char* name, DtypeBenchFn fn,
   }
 }
 
+void register_bert_matmuls();  // with the bert rows below
+
 void register_kernel_benchmarks() {
+  register_bert_matmuls();
   register_paths("BM_SGEMM", BM_SGEMM,
                  {{256, 256, 256},     // blocked-vs-scalar acceptance shape
                   {128, 768, 768},     // BERT-base QKV/output projection
@@ -490,8 +519,9 @@ BENCHMARK(BM_BertTransposeHeads);
 // write-back) costs as much as the FMA loop.
 // ---------------------------------------------------------------------------
 
-void BM_BertMatMul(benchmark::State& state, const Shape& a_shape,
-                   const Shape& b_shape) {
+void BM_BertMatMul(benchmark::State& state, std::optional<kernels::Tier> cap,
+                   const Shape& a_shape, const Shape& b_shape) {
+  ScopedTier tier(cap);
   Rng rng(15);
   Tensor a = Tensor::random(a_shape, rng);
   Tensor b = Tensor::random(b_shape, rng);
@@ -503,11 +533,35 @@ void BM_BertMatMul(benchmark::State& state, const Shape& a_shape,
       static_cast<double>(flops) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
-BENCHMARK_CAPTURE(BM_BertMatMul, proj, Shape{96, 128}, Shape{128, 128});
-BENCHMARK_CAPTURE(BM_BertMatMul, ff1, Shape{96, 128}, Shape{128, 512});
-BENCHMARK_CAPTURE(BM_BertMatMul, ff2, Shape{96, 512}, Shape{512, 128});
-BENCHMARK_CAPTURE(BM_BertMatMul, qk, Shape{1, 4, 96, 32}, Shape{1, 4, 32, 96});
-BENCHMARK_CAPTURE(BM_BertMatMul, pv, Shape{1, 4, 96, 96}, Shape{1, 4, 96, 32});
+
+/// `BM_BertMatMul/<name>` at the host's best tier and `.../avx2` at the
+/// AVX2 cap, for each of bert's five GEMM shapes. The `/avx2` rows enter
+/// the gated baseline; the best-tier rows keep their names from before the
+/// AVX-512 tier, so no AVX-512 row can go missing on an AVX2-only runner.
+void register_bert_matmuls() {
+  const struct {
+    const char* name;
+    Shape a, b;
+  } shapes[] = {
+      {"proj", Shape{96, 128}, Shape{128, 128}},  // 96x128x128 projections
+      {"ff1", Shape{96, 128}, Shape{128, 512}},   // 96x512x128 FFN expand
+      {"ff2", Shape{96, 512}, Shape{512, 128}},   // 96x128x512 FFN contract
+      // The scores product Q x K^T (B is the transposed K): 4 x (96x96x32).
+      {"qk", Shape{1, 4, 96, 32}, Shape{1, 4, 32, 96}},
+      {"pv", Shape{1, 4, 96, 96}, Shape{1, 4, 96, 32}},  // 4 x (96x32x96)
+  };
+  for (const std::optional<kernels::Tier> cap :
+       {std::optional<kernels::Tier>(), std::optional(kernels::Tier::kAvx2)}) {
+    for (const auto& s : shapes) {
+      const std::string name = std::string("BM_BertMatMul/") + s.name +
+                               (cap ? std::string("/avx2") : std::string());
+      benchmark::RegisterBenchmark(
+          name.c_str(), [cap, a = s.a, b = s.b](benchmark::State& state) {
+            BM_BertMatMul(state, cap, a, b);
+          });
+    }
+  }
+}
 
 // One dependency release from worker A that wakes worker B: the pinned
 // placement's cross-home hand-off (B sleeps on its Doorbell; A drops B's

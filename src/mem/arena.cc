@@ -1,12 +1,68 @@
 #include "mem/arena.h"
 
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <new>
 #include <utility>
 
 #include "mem/plan.h"
 
 namespace ramiel::mem {
+namespace {
+
+// Planned-slot blocks released by destroyed (or grown) arenas, kept for the
+// next arena that asks for the same size. An executor re-made for the same
+// plan — a fleet swap, a benchmark's repeated set-up — then runs on the
+// resident pages its predecessor left. Without this, each re-made
+// executor's blocks landed higher in the heap than the last one's (the
+// free space they left was partly taken by the next set-up's graph), until
+// one spilled into fresh pages: perfbench's offline_bert read ~5 MB more
+// peak RSS in about half of its runs. Oldest blocks are freed first once
+// the kept bytes pass kMaxSpareBytes.
+constexpr std::size_t kMaxSpareBytes = std::size_t{64} << 20;
+
+struct SpareBlocks {
+  std::mutex mu;
+  std::deque<std::pair<float*, std::size_t>> blocks;  // oldest first
+  std::size_t bytes = 0;
+};
+
+SpareBlocks& spares() {
+  static SpareBlocks* s = new SpareBlocks();
+  return *s;
+}
+
+float* take_block(std::size_t bytes) {
+  SpareBlocks& s = spares();
+  {
+    std::lock_guard<std::mutex> lk(s.mu);
+    for (auto it = s.blocks.begin(); it != s.blocks.end(); ++it) {
+      if (it->second == bytes) {
+        float* p = it->first;
+        s.blocks.erase(it);
+        s.bytes -= bytes;
+        return p;
+      }
+    }
+  }
+  return static_cast<float*>(
+      ::operator new(bytes, std::align_val_t{kSlotAlign}));
+}
+
+void give_block(float* p, std::size_t bytes) {
+  SpareBlocks& s = spares();
+  std::lock_guard<std::mutex> lk(s.mu);
+  s.blocks.emplace_back(p, bytes);
+  s.bytes += bytes;
+  while (s.bytes > kMaxSpareBytes) {
+    ::operator delete(s.blocks.front().first, std::align_val_t{kSlotAlign});
+    s.bytes -= s.blocks.front().second;
+    s.blocks.pop_front();
+  }
+}
+
+}  // namespace
 
 MemArena::~MemArena() { release(); }
 
@@ -29,7 +85,7 @@ MemArena& MemArena::operator=(MemArena&& o) noexcept {
 
 void MemArena::release() {
   if (data_ != nullptr) {
-    ::operator delete(data_, std::align_val_t{kSlotAlign});
+    give_block(data_, capacity_);
     data_ = nullptr;
     capacity_ = 0;
   }
@@ -44,12 +100,11 @@ bool MemArena::ensure(std::size_t bytes) {
   if (bytes <= capacity_) return false;
   const bool grew = data_ != nullptr;
   if (data_ != nullptr) {
-    ::operator delete(data_, std::align_val_t{kSlotAlign});
+    give_block(data_, capacity_);
     data_ = nullptr;
     capacity_ = 0;
   }
-  data_ = static_cast<float*>(
-      ::operator new(bytes, std::align_val_t{kSlotAlign}));
+  data_ = take_block(bytes);
   capacity_ = bytes;
   return grew;
 }

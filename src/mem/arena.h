@@ -37,6 +37,9 @@ class MemArena {
   /// nonempty block had to be reallocated (a "grow" event — planned sizes
   /// should make this rare). Must only be called while no tensor points
   /// into the arena (the executor calls it between runs, workers parked).
+  /// A block an arena releases is kept (up to 64 MiB in all) for the next
+  /// arena asking for exactly its size, so a re-made executor of the same
+  /// plan runs on resident pages (see arena.cc).
   bool ensure(std::size_t bytes);
 
   float* data() { return data_; }

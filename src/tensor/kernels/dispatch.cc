@@ -36,22 +36,35 @@ bool cpu_has_avx512_vnni() {
 #endif
 }
 
-// Best i8 tier the hardware (and the compiled TUs) can actually run.
-I8Kernel best_i8_kernel() {
+bool cpu_has_avx512f() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+// Best tier per GEMM that the hardware (and the compiled TUs) can run. The
+// f32 AVX-512 tier hands edge tiles to the AVX2 kernel, so it needs both.
+Tier best_tier(Gemm g) {
+  if (!cpu_has_avx2_fma()) return Tier::kPortable;
+  if (g == Gemm::kF32) {
+    if (avx2_microkernel() == nullptr) return Tier::kPortable;
+    return cpu_has_avx512f() && avx512_pair_microkernel() != nullptr
+               ? Tier::kAvx512
+               : Tier::kAvx2;
+  }
   if (cpu_has_avx512_vnni() && vnni_i8_microkernels().au != nullptr) {
-    return I8Kernel::kVnni;
+    return Tier::kAvx512;
   }
-  if (cpu_has_avx2_fma() && avx2_i8_microkernels().au != nullptr) {
-    return I8Kernel::kAvx2;
-  }
-  return I8Kernel::kScalar;
+  return avx2_i8_microkernels().au != nullptr ? Tier::kAvx2 : Tier::kPortable;
 }
 
 // -1 = follow the env default; otherwise a Path value pinned by tests.
 std::atomic<int> g_forced{-1};
 
-// -1 = automatic tier selection; otherwise an I8Kernel cap pinned by tests.
-std::atomic<int> g_forced_i8{-1};
+// -1 = no cap; otherwise the Tier cap pinned by tests.
+std::atomic<int> g_tier_cap{-1};
 
 }  // namespace
 
@@ -62,31 +75,35 @@ Path active_path() {
   return env;
 }
 
-bool vector_microkernel_available() {
-  static const bool ok = cpu_has_avx2_fma() && avx2_microkernel() != nullptr;
-  return ok;
-}
-
 void force_kernel_path(std::optional<Path> path) {
   g_forced.store(path ? static_cast<int>(*path) : -1,
                  std::memory_order_relaxed);
 }
 
-I8Kernel active_i8_kernel() {
+Tier active_tier(Gemm g) {
   // RAMIEL_KERNEL=scalar pins *all* kernels to their portable loops so the
   // knob keeps meaning "no SIMD anywhere".
-  if (active_path() == Path::kScalar) return I8Kernel::kScalar;
-  static const I8Kernel best = best_i8_kernel();
-  const int forced = g_forced_i8.load(std::memory_order_relaxed);
-  if (forced < 0) return best;
-  // The forced value is a cap: asking for VNNI on an AVX2-only host still
-  // runs AVX2 — tests exercise "at most this tier", never a kernel the CPU
-  // can't execute.
-  return std::min(static_cast<I8Kernel>(forced), best);
+  if (active_path() == Path::kScalar) return Tier::kPortable;
+  static const Tier best[] = {best_tier(Gemm::kF32), best_tier(Gemm::kI8)};
+  const Tier b = best[static_cast<int>(g)];
+  const int cap = g_tier_cap.load(std::memory_order_relaxed);
+  // The cap never raises a tier: asking for kAvx512 on an AVX2-only host
+  // still runs AVX2, so tests exercise "at most this tier".
+  return cap < 0 ? b : std::min(static_cast<Tier>(cap), b);
 }
 
-void force_i8_kernel(std::optional<I8Kernel> k) {
-  g_forced_i8.store(k ? static_cast<int>(*k) : -1, std::memory_order_relaxed);
+void force_tier(std::optional<Tier> cap) {
+  g_tier_cap.store(cap ? static_cast<int>(*cap) : -1,
+                   std::memory_order_relaxed);
+}
+
+const char* tier_name(Tier t) {
+  switch (t) {
+    case Tier::kPortable: return "portable";
+    case Tier::kAvx2: return "avx2";
+    case Tier::kAvx512: return "avx512";
+  }
+  return "?";
 }
 
 namespace {
@@ -133,15 +150,6 @@ void rows_from_f32(const float* src, void* dst, DType dt, std::size_t n) {
     return;
   }
   convert_f32_to_storage(src, dst, dt, n);
-}
-
-const char* i8_kernel_name(I8Kernel k) {
-  switch (k) {
-    case I8Kernel::kScalar: return "scalar";
-    case I8Kernel::kAvx2: return "avx2";
-    case I8Kernel::kVnni: return "vnni";
-  }
-  return "?";
 }
 
 }  // namespace ramiel::kernels

@@ -83,7 +83,7 @@ constexpr Kernels kPortable{
 }  // namespace
 
 const Kernels& active() {
-  if (active_path() == Path::kVector && vector_microkernel_available()) {
+  if (active_tier(Gemm::kF32) >= Tier::kAvx2) {
     static const Kernels* avx2 = detail::avx2_kernels();
     if (avx2 != nullptr) return *avx2;
   }

@@ -5,13 +5,25 @@
 //   kScalar — portable reference loops (the seed implementation, kept as
 //             the always-correct fallback and the A/B baseline);
 //   kVector — packed-panel SGEMM with MC/KC/NC cache blocking and an
-//             MR x NR register-tiled microkernel. The microkernel itself
-//             is chosen at runtime: an explicit AVX2+FMA kernel on hosts
-//             that have it (CPUID probe), a portable scalar microkernel
-//             otherwise — so kVector is safe to select everywhere.
+//             MR x NR register-tiled microkernel.
+//
+// On the vector path each GEMM runs at one of three tiers, the best the
+// host's CPU (a CPUID probe) and the compiled TUs allow:
+//
+//   kPortable — the portable scalar microkernel (any target);
+//   kAvx2     — AVX2+FMA: the 6x16 f32 tile, the maddubs i8 tile;
+//   kAvx512   — the f32 GEMM's 6x32 AVX-512F tile over two adjacent B
+//               panels (edges fall back to the 6x16 tile), the i8 GEMM's
+//               AVX-512 VNNI tile.
+//
+// The f32 tiers from kAvx2 up compute the same FMA chain per output, and
+// the i8 tiers the same exact i32 sums, so a tier changes speed, never a
+// bit. The f32 kPortable tier is the exception: it has no FMA, and its
+// mul+add chain rounds differently.
 //
 // Path selection: RAMIEL_KERNEL=scalar|vector (default vector), resolved
-// once per process; force_kernel_path() overrides for tests/benchmarks.
+// once per process; force_kernel_path() overrides for tests/benchmarks,
+// and force_tier() caps the tier.
 //
 // Epilogues: bias add and Relu/Sigmoid are folded into the GEMM write-back
 // (the kernel-level counterpart of graph-side fusion like fold_batch_norms),
@@ -37,31 +49,31 @@ enum class Path { kScalar, kVector };
 /// resolved; independent of which microkernel the CPU probe picked).
 Path active_path();
 
-/// True when the runtime CPUID probe found AVX2+FMA and the explicit
-/// vector microkernel is in use (false -> packed driver runs the portable
-/// scalar microkernel).
-bool vector_microkernel_available();
-
 /// Test/bench hook: pin the path regardless of RAMIEL_KERNEL. Pass
 /// std::nullopt to return to env-based selection.
 void force_kernel_path(std::optional<Path> path);
 
-/// Microkernel tier for the quantized (i8) GEMM. All tiers share one fixed
-/// quantization scheme and exact i32 accumulation, so results are
-/// bit-identical across them — the tier only changes speed.
-enum class I8Kernel { kScalar, kAvx2, kVnni };
+/// Kernel tier, lowest first (see the header comment).
+enum class Tier { kPortable, kAvx2, kAvx512 };
 
-/// Tier the next qgemm call will use: kScalar when the kernel path is
-/// scalar (RAMIEL_KERNEL=scalar or forced), otherwise the best of
-/// {VNNI, AVX2, scalar} the CPU supports, capped by force_i8_kernel().
-I8Kernel active_i8_kernel();
+/// The GEMMs that pick a tier. f32 (sgemm_dt) reaches kAvx512 with
+/// AVX-512F, i8 (qgemm) with AVX-512 VNNI; both reach kAvx2 with AVX2+FMA.
+enum class Gemm { kF32, kI8 };
 
-/// Test/bench hook: cap the i8 tier (e.g. kAvx2 to measure maddubs on a
-/// VNNI host). Requests above what the CPU supports degrade to the best
-/// available tier. Pass std::nullopt to return to automatic selection.
-void force_i8_kernel(std::optional<I8Kernel> k);
+/// Tier the next call of `g` runs: kPortable on the scalar path
+/// (RAMIEL_KERNEL=scalar or forced), otherwise the best tier the CPU and
+/// the compiled TUs support for `g`, capped by force_tier(). vmath and the
+/// element-wise run loops take their AVX2 tier when
+/// active_tier(Gemm::kF32) >= Tier::kAvx2.
+Tier active_tier(Gemm g);
 
-const char* i8_kernel_name(I8Kernel k);
+/// Test/bench hook: cap every tier at `cap` (kAvx2 measures the AVX2
+/// kernels on an AVX-512 host). A cap above what the CPU supports runs the
+/// best supported tier, never a kernel the CPU cannot execute. Pass
+/// std::nullopt to lift the cap.
+void force_tier(std::optional<Tier> cap);
+
+const char* tier_name(Tier t);
 
 /// Activation folded into the kernel write-back.
 enum class Activation { kNone, kRelu, kSigmoid };
@@ -81,7 +93,8 @@ struct Epilogue {
 /// C[M,N] (row-major, leading dimension ldc) = act(A * B + bias).
 /// A is addressed as A[m * rs_a + k * cs_a], B as B[k * rs_b + n * cs_b],
 /// so transposed operands are just swapped strides — packing reads each
-/// element exactly once either way. Parallelism: splits over cache-blocked
+/// element exactly once either way (a unit-k-stride A in whole 6-row tiles
+/// is read in place, unpacked). Parallelism: splits over cache-blocked
 /// row tiles (vector path) or rows (scalar path) via ctx.
 void sgemm(std::int64_t M, std::int64_t N, std::int64_t K, const float* A,
            std::int64_t rs_a, std::int64_t cs_a, const float* B,

@@ -2,12 +2,14 @@
 //
 // A microkernel computes one full MR x NR register tile
 //
-//   acc[MR][NR] = sum_{k < kc} a_panel[k][MR] (x) b_panel[k][NR]
+//   acc[MR][NR] = sum_{k < kc} a[r * a_rs + k * a_cs] (x) b_panel[k][NR]
 //
-// over panels packed by the driver (a_panel: k-major with MR consecutive
-// row elements per k; b_panel: k-major with NR consecutive column elements
-// per k), and writes it straight from registers into C (row-major, leading
-// dimension ldc) as a TileWriteback describes (BLIS-style):
+// over a B panel packed by the driver (k-major with NR consecutive column
+// elements per k) and an A block the driver either packed (a_panel: k-major
+// with MR consecutive row elements per k, {a_rs, a_cs} = {1, MR}) or left in
+// place (an f32 row-major A with unit k-stride: {lda, 1}). It writes the
+// tile straight from registers into C (row-major, leading dimension ldc) as
+// a TileWriteback describes (BLIS-style):
 //
 //   not last:  C = acc  (first)  or  C += acc
 //   last:      v = (first ? 0 : C) + acc;  v += bias;  C = relu ? max(v, 0) : v
@@ -15,11 +17,21 @@
 // in exactly that operation order, so the result is bit-identical to
 // storing acc and merging it element by element. A kernel whose acc can
 // never be -0.0 may skip the `0 + acc` (it is then the identity); an FMA
-// chain can reach -0.0 through underflow, so the AVX2 kernel keeps it.
+// chain can reach -0.0 through underflow, so the vector kernels keep it.
 // The kernel always writes the full tile; the driver hands it a local
 // MR x NR tile instead of C (plain store: first, not last) for ragged M/N
 // edges, Sigmoid, and bias layouts outside the two forms below, then merges
 // that tile itself.
+//
+// The AVX-512 pair kernel computes a 6 x 32 tile (12 zmm accumulators) over
+// two adjacent NR = 16 B panels of the same packed stripe; the packer
+// already lays panels out back to back, so it reads them where they are and
+// no panel format changes. Each output element is still one k-ordered FMA
+// chain from +0.0f, restarted per KC block, with the write-back above, so
+// its tile equals two 6 x 16 AVX2 tiles bit for bit, and kMR, kNR, the
+// blocking, merge_tile and TileWriteback are shared by every tier. The driver calls it only for full tiles over a full
+// pair with a direct write-back; edge tiles and an odd last panel go through
+// the 6 x 16 kernel.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +39,8 @@
 namespace ramiel::kernels {
 
 // Register tile. MR=6 rows x NR=16 columns fits AVX2: 12 ymm accumulators
-// + 2 B loads + 1 A broadcast = 15 of 16 registers.
+// + 2 B loads + 1 A broadcast = 15 of 16 registers. The AVX-512 pair tile
+// is MR x 2*NR in 12 + 2 + 1 of 32 zmm registers.
 inline constexpr std::int64_t kMR = 6;
 inline constexpr std::int64_t kNR = 16;
 
@@ -52,18 +65,27 @@ struct TileWriteback {
   bool relu = false;
 };
 
-/// C points at the tile's (0, 0) element; no alignment is required.
-using MicroKernelFn = void (*)(std::int64_t kc, const float* a_panel,
+/// A is read at a[r * a_rs + k * a_cs]. C points at the tile's (0, 0)
+/// element; no alignment is required.
+using MicroKernelFn = void (*)(std::int64_t kc, const float* a,
+                               std::int64_t a_rs, std::int64_t a_cs,
                                const float* b_panel, float* c,
                                std::int64_t ldc, const TileWriteback& wb);
 
-void microkernel_scalar(std::int64_t kc, const float* a_panel,
-                        const float* b_panel, float* c, std::int64_t ldc,
-                        const TileWriteback& wb);
+void microkernel_scalar(std::int64_t kc, const float* a, std::int64_t a_rs,
+                        std::int64_t a_cs, const float* b_panel, float* c,
+                        std::int64_t ldc, const TileWriteback& wb);
 
 /// Compiled with AVX2+FMA codegen in its own TU; only ever called after a
 /// runtime CPUID check. Null on targets where the compiler can't emit AVX2.
 MicroKernelFn avx2_microkernel();
+
+/// The MR x 2*NR pair kernel: b_panel is the first of two adjacent packed
+/// panels (the second starts kc * NR floats later), C and a per-column
+/// bias span 2 * NR columns. Compiled with -mavx512f in its own TU and only
+/// called after a runtime CPUID check; null where the compiler can't emit
+/// AVX-512F.
+MicroKernelFn avx512_pair_microkernel();
 
 // ---------------------------------------------------------------------------
 // Quantized (i8) microkernels.

@@ -41,8 +41,9 @@ inline void store_row(float* c, __m256 v0, __m256 v1, const TileWriteback& wb,
 }
 
 // 6x16 register tile: two 8-lane accumulators per row.
-void ukr_avx2(std::int64_t kc, const float* a_panel, const float* b_panel,
-              float* c, std::int64_t ldc, const TileWriteback& wb) {
+void ukr_avx2(std::int64_t kc, const float* a, std::int64_t a_rs,
+              std::int64_t a_cs, const float* b_panel, float* c,
+              std::int64_t ldc, const TileWriteback& wb) {
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
@@ -50,51 +51,53 @@ void ukr_avx2(std::int64_t kc, const float* a_panel, const float* b_panel,
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
 
-  const float* a = a_panel;
+  // Rows 0-2 are read through a0, rows 3-5 through a3, each at offsets
+  // {0, a_rs, 2 * a_rs}: one addressing form for packed and in-place A.
+  const float* a0 = a;
+  const float* a3 = a + 3 * a_rs;
   const float* b = b_panel;
 
   // One k step: 2 B loads + 6 A broadcasts feed 12 FMAs, so the loop is
-  // FMA-throughput-bound on any 2-FMA-port core. Unroll by 2 to hide the
-  // loop-carried bookkeeping and give the scheduler two independent load
-  // streams per iteration; both panels are packed k-major, so the prefetch
+  // FMA-throughput-bound on any 2-FMA-port core. Unroll by 4 to hide the
+  // loop-carried bookkeeping; B is packed k-major, so its prefetch
   // distance is a fixed small stride.
-#define RAMIEL_UKR_STEP(AK, BK)                      \
+#define RAMIEL_UKR_STEP(BK)                          \
   do {                                               \
     const __m256 b0 = _mm256_loadu_ps((BK));         \
     const __m256 b1 = _mm256_loadu_ps((BK) + 8);     \
-    __m256 av = _mm256_broadcast_ss((AK) + 0);       \
+    __m256 av = _mm256_broadcast_ss(a0);             \
     c00 = _mm256_fmadd_ps(av, b0, c00);              \
     c01 = _mm256_fmadd_ps(av, b1, c01);              \
-    av = _mm256_broadcast_ss((AK) + 1);              \
+    av = _mm256_broadcast_ss(a0 + a_rs);             \
     c10 = _mm256_fmadd_ps(av, b0, c10);              \
     c11 = _mm256_fmadd_ps(av, b1, c11);              \
-    av = _mm256_broadcast_ss((AK) + 2);              \
+    av = _mm256_broadcast_ss(a0 + 2 * a_rs);         \
     c20 = _mm256_fmadd_ps(av, b0, c20);              \
     c21 = _mm256_fmadd_ps(av, b1, c21);              \
-    av = _mm256_broadcast_ss((AK) + 3);              \
+    av = _mm256_broadcast_ss(a3);                    \
     c30 = _mm256_fmadd_ps(av, b0, c30);              \
     c31 = _mm256_fmadd_ps(av, b1, c31);              \
-    av = _mm256_broadcast_ss((AK) + 4);              \
+    av = _mm256_broadcast_ss(a3 + a_rs);             \
     c40 = _mm256_fmadd_ps(av, b0, c40);              \
     c41 = _mm256_fmadd_ps(av, b1, c41);              \
-    av = _mm256_broadcast_ss((AK) + 5);              \
+    av = _mm256_broadcast_ss(a3 + 2 * a_rs);         \
     c50 = _mm256_fmadd_ps(av, b0, c50);              \
     c51 = _mm256_fmadd_ps(av, b1, c51);              \
+    a0 += a_cs;                                      \
+    a3 += a_cs;                                      \
   } while (0)
 
   std::int64_t k = 0;
   for (; k + 3 < kc; k += 4) {
     _mm_prefetch(reinterpret_cast<const char*>(b + 8 * kNR), _MM_HINT_T0);
-    RAMIEL_UKR_STEP(a, b);
-    RAMIEL_UKR_STEP(a + kMR, b + kNR);
-    RAMIEL_UKR_STEP(a + 2 * kMR, b + 2 * kNR);
-    RAMIEL_UKR_STEP(a + 3 * kMR, b + 3 * kNR);
-    a += 4 * kMR;
+    RAMIEL_UKR_STEP(b);
+    RAMIEL_UKR_STEP(b + kNR);
+    RAMIEL_UKR_STEP(b + 2 * kNR);
+    RAMIEL_UKR_STEP(b + 3 * kNR);
     b += 4 * kNR;
   }
   for (; k < kc; ++k) {
-    RAMIEL_UKR_STEP(a, b);
-    a += kMR;
+    RAMIEL_UKR_STEP(b);
     b += kNR;
   }
 #undef RAMIEL_UKR_STEP

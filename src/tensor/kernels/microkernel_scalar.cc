@@ -2,7 +2,7 @@
 
 namespace ramiel::kernels {
 
-// Portable microkernel over the packed panels. The fixed-trip inner loops
+// Portable microkernel over a packed B panel and a packed or in-place A. The fixed-trip inner loops
 // over an accumulator array auto-vectorize to whatever the baseline target
 // offers (SSE2 on x86-64), which keeps the packed driver profitable even
 // without the explicit AVX2 kernel. The write-back follows TileWriteback's
@@ -11,15 +11,15 @@ namespace ramiel::kernels {
 // (a product that rounds to -0.0 is added to +0.0f or to a nonzero value),
 // so that add cannot change a bit. On x86-64 this TU builds at the baseline
 // ISA, which has no FMA for the compiler to contract the chain into.
-void microkernel_scalar(std::int64_t kc, const float* a_panel,
-                        const float* b_panel, float* c, std::int64_t ldc,
-                        const TileWriteback& wb) {
+void microkernel_scalar(std::int64_t kc, const float* a, std::int64_t a_rs,
+                        std::int64_t a_cs, const float* b_panel, float* c,
+                        std::int64_t ldc, const TileWriteback& wb) {
   float acc[kMR][kNR] = {};
   for (std::int64_t k = 0; k < kc; ++k) {
-    const float* a = a_panel + k * kMR;
+    const float* ak = a + k * a_cs;
     const float* b = b_panel + k * kNR;
     for (std::int64_t r = 0; r < kMR; ++r) {
-      const float av = a[r];
+      const float av = ak[r * a_rs];
       for (std::int64_t j = 0; j < kNR; ++j) acc[r][j] += av * b[j];
     }
   }

@@ -430,18 +430,18 @@ void qgemm(std::int64_t M, std::int64_t N, std::int64_t K, const void* A,
   const float sd = dyn_absmax / 63.0f;
   const float inv_sd = 63.0f / dyn_absmax;
 
-  const I8Kernel tier = active_i8_kernel();
+  const Tier tier = active_tier(Gemm::kI8);
   I8Microkernels mks;
   switch (tier) {
-    case I8Kernel::kVnni:
+    case Tier::kAvx512:
       mks = vnni_i8_microkernels();
       qgemm_metrics().vnni->inc();
       break;
-    case I8Kernel::kAvx2:
+    case Tier::kAvx2:
       mks = avx2_i8_microkernels();
       qgemm_metrics().avx2->inc();
       break;
-    case I8Kernel::kScalar:
+    case Tier::kPortable:
       mks = I8Microkernels{&microkernel_i8_scalar_au, &microkernel_i8_scalar_as};
       qgemm_metrics().scalar->inc();
       break;
@@ -452,7 +452,7 @@ void qgemm(std::int64_t M, std::int64_t N, std::int64_t K, const void* A,
 
   // RAMIEL_KERNEL=scalar keeps even the row helpers on their portable
   // loops; the helpers are bit-exact either way, so this only costs speed.
-  const LowpRowKernels rk = tier == I8Kernel::kScalar
+  const LowpRowKernels rk = tier == Tier::kPortable
                                 ? LowpRowKernels{}
                                 : avx2_lowp_row_kernels();
 

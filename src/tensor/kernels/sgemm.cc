@@ -7,8 +7,15 @@
 //     for each KC depth block:
 //       pack B[kc x nc] into NR-wide k-major panels   (parallel over panels)
 //       for each MC row tile:                         (parallel over tiles)
-//         pack A[mc x kc] into MR-wide k-major panels (per-lane scratch)
-//         for each NR panel x MR subtile: microkernel -> C
+//         pack A[mc x kc] into MR-wide k-major panels (per-lane scratch),
+//           unless A is read in place (below)
+//         for each NR panel (pair) x MR subtile: microkernel -> C
+//
+// An f32 A with unit k-stride whose MC row tile is whole MR-row subtiles is
+// not packed: the microkernels read it through its row pointer and leading
+// dimension. At bert's shapes (M = 96, K <= 512) packing A cost 17-45% of
+// a call. At the AVX-512 tier, full tiles over a pair of full panels run the
+// 6 x 32 pair kernel; everything else runs the 6 x 16 AVX2 kernel.
 //
 // The microkernel writes each full register tile straight into C, owning
 // accumulation across KC blocks and, on the last block, the bias add and
@@ -49,6 +56,12 @@ struct GemmMetrics {
   obs::Counter* scalar = obs::registry().counter(
       "ramiel_kernel_gemm_scalar_total",
       "SGEMM calls executed by the scalar reference path");
+  obs::Counter* avx2 = obs::registry().counter(
+      "ramiel_kernel_gemm_avx2_total",
+      "Vector-path SGEMM calls at the AVX2 tier (6x16 microkernel)");
+  obs::Counter* avx512 = obs::registry().counter(
+      "ramiel_kernel_gemm_avx512_total",
+      "Vector-path SGEMM calls at the AVX-512 tier (6x32 pair microkernel)");
   obs::Counter* lowp = obs::registry().counter(
       "ramiel_kernel_gemm_lowp_total",
       "SGEMM calls with at least one f16/bf16 storage operand or output");
@@ -298,8 +311,10 @@ void sgemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
                    std::int64_t cs_a, const void* B, DType b_dt,
                    std::int64_t rs_b, std::int64_t cs_b, void* C, DType c_dt,
                    std::int64_t ldc, const Epilogue& ep, const OpContext& ctx,
-                   MicroKernelFn ukr) {
+                   MicroKernelFn ukr, MicroKernelFn pair_ukr) {
   const PackAFn do_pack_a = pack_a_for(a_dt, cs_a);
+  // Whole MR-row subtiles of an f32 A with unit k-stride are read in place.
+  const bool a_in_place_ok = a_dt == DType::kF32 && cs_a == 1;
   const PackBFn do_pack_b = pack_b_for(b_dt, cs_b);
   const bool stage_c = c_dt != DType::kF32;
 
@@ -377,27 +392,61 @@ void sgemm_blocked(std::int64_t M, std::int64_t N, std::int64_t K,
                 const std::int64_t m0 = t * kMC;
                 const std::int64_t mc = std::min(kMC, M - m0);
                 const std::int64_t subtiles = ceil_div(mc, kMR);
-                do_pack_a(ap, A, rs_a, cs_a, m0, mc, k0, kc);
-                for (std::int64_t j = 0; j < npan; ++j) {
-                  const float* bpj = bp + j * kc * kNR;
+                const bool in_place = a_in_place_ok && mc % kMR == 0;
+                const float* a_blk;
+                std::int64_t a_rs, a_cs, a_step;  // a_step: per subtile
+                if (in_place) {
+                  a_blk = static_cast<const float*>(A) + m0 * rs_a + k0;
+                  a_rs = rs_a;
+                  a_cs = 1;
+                  a_step = kMR * rs_a;
+                } else {
+                  do_pack_a(ap, A, rs_a, cs_a, m0, mc, k0, kc);
+                  a_blk = ap;
+                  a_rs = 1;
+                  a_cs = kMR;
+                  a_step = kMR * kc;
+                }
+                // A full tile of `fn` (the 6 x 16 or the 6 x 32 pair kernel)
+                // straight into C.
+                const auto direct_tile = [&](MicroKernelFn fn, std::int64_t i,
+                                             std::int64_t j) {
+                  const std::int64_t mi = m0 + i * kMR;
+                  if (ep.bias != nullptr) {
+                    tile_wb.bias = ep.bias + mi * ep.bias_stride_m +
+                                   (n0 + j * kNR) * ep.bias_stride_n;
+                  }
+                  fn(kc, a_blk + i * a_step, a_rs, a_cs, bp + j * kc * kNR,
+                     cdst + mi * ldc_dst + j * kNR, ldc_dst, tile_wb);
+                };
+                // One MR x NR tile: direct when full and the epilogue
+                // allows, else through acc + merge_tile.
+                const auto tile = [&](std::int64_t i, std::int64_t j) {
                   const std::int64_t cols = std::min(kNR, nc - j * kNR);
+                  const std::int64_t rows = std::min(kMR, mc - i * kMR);
+                  if (direct && rows == kMR && cols == kNR) {
+                    direct_tile(ukr, i, j);
+                    return;
+                  }
+                  ukr(kc, a_blk + i * a_step, a_rs, a_cs, bp + j * kc * kNR,
+                      acc, kNR, local_store);
+                  merge_tile(cdst, ldc_dst, m0 + i * kMR, j * kNR, rows, cols,
+                             acc, first, last, ep, n0 + j * kNR);
+                };
+                for (std::int64_t j = 0; j < npan;) {
+                  // Panels j and j + 1 both full: the pair kernel takes
+                  // their full-row tiles.
+                  const bool pair =
+                      pair_ukr != nullptr && direct && (j + 2) * kNR <= nc;
                   for (std::int64_t i = 0; i < subtiles; ++i) {
-                    const std::int64_t mi = m0 + i * kMR;
-                    const std::int64_t rows = std::min(kMR, mc - i * kMR);
-                    const float* api = ap + i * kMR * kc;
-                    if (direct && rows == kMR && cols == kNR) {
-                      if (ep.bias != nullptr) {
-                        tile_wb.bias = ep.bias + mi * ep.bias_stride_m +
-                                       (n0 + j * kNR) * ep.bias_stride_n;
-                      }
-                      ukr(kc, api, bpj, cdst + mi * ldc_dst + j * kNR,
-                          ldc_dst, tile_wb);
+                    if (pair && (i + 1) * kMR <= mc) {
+                      direct_tile(pair_ukr, i, j);
                     } else {
-                      ukr(kc, api, bpj, acc, kNR, local_store);
-                      merge_tile(cdst, ldc_dst, mi, j * kNR, rows, cols, acc,
-                                 first, last, ep, n0 + j * kNR);
+                      tile(i, j);
+                      if (pair) tile(i, j + 1);
                     }
                   }
+                  j += pair ? 2 : 1;
                 }
               }
             }
@@ -487,9 +536,9 @@ float absmax(const void* data, DType dt, std::size_t n) {
                "absmax: i8 tensors are already quantized (no dynamic range "
                "scan applies)");
   const auto scan_f32 = [](const float* p, std::size_t len) {
-    const LowpRowKernels rk =
-        vector_microkernel_available() ? avx2_lowp_row_kernels()
-                                       : LowpRowKernels{};
+    const LowpRowKernels rk = active_tier(Gemm::kI8) >= Tier::kAvx2
+                                  ? avx2_lowp_row_kernels()
+                                  : LowpRowKernels{};
     if (rk.absmax_f32 != nullptr) {
       return rk.absmax_f32(p, static_cast<std::int64_t>(len));
     }
@@ -551,12 +600,18 @@ void sgemm_dt(std::int64_t M, std::int64_t N, std::int64_t K, const void* A,
     return;
   }
   if (active_path() == Path::kVector) {
-    gemm_metrics().vector->inc();
-    const MicroKernelFn ukr = vector_microkernel_available()
-                                  ? avx2_microkernel()
-                                  : &microkernel_scalar;
+    GemmMetrics& metrics = gemm_metrics();
+    metrics.vector->inc();
+    const Tier tier = active_tier(Gemm::kF32);
+    MicroKernelFn ukr = &microkernel_scalar;
+    MicroKernelFn pair_ukr = nullptr;
+    if (tier >= Tier::kAvx2) {
+      ukr = avx2_microkernel();
+      (tier == Tier::kAvx512 ? metrics.avx512 : metrics.avx2)->inc();
+    }
+    if (tier == Tier::kAvx512) pair_ukr = avx512_pair_microkernel();
     sgemm_blocked(M, N, K, A, a_dtype, rs_a, cs_a, B, b_dtype, rs_b, cs_b, C,
-                  c_dtype, ldc, ep, ctx, ukr);
+                  c_dtype, ldc, ep, ctx, ukr, pair_ukr);
   } else {
     gemm_metrics().scalar->inc();
     if (a_dtype == DType::kF32 && b_dtype == DType::kF32 &&

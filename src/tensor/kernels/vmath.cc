@@ -81,7 +81,7 @@ constexpr Kernels kPortable{&erf_portable, &exp_portable,
                             &softmax_rows_portable};
 
 const Kernels& active() {
-  if (active_path() == Path::kVector && vector_microkernel_available()) {
+  if (active_tier(Gemm::kF32) >= Tier::kAvx2) {
     static const Kernels* avx2 = avx2_kernels();
     if (avx2 != nullptr) return *avx2;
   }

@@ -72,6 +72,25 @@ TEST(MemArena, AlignedGrowOnlyReallocatesNonEmptyBlocks) {
             0u);
 }
 
+TEST(MemArena, ReleasedBlockServesTheNextArenaOfItsSize) {
+  // A re-made executor of the same plan gets its predecessor's block back
+  // (the same resident pages); a block of another size is not handed out.
+  constexpr std::size_t kBytes = (std::size_t{3} << 20) + 4 * kSlotAlign;
+  const float* first = nullptr;
+  {
+    MemArena a;
+    a.ensure(kBytes);
+    first = a.data();
+  }
+  MemArena other;
+  other.ensure(kBytes + kSlotAlign);
+  EXPECT_NE(other.data(), first);
+  MemArena again;
+  again.ensure(kBytes);
+  EXPECT_EQ(again.data(), first);
+  EXPECT_EQ(again.capacity_bytes(), kBytes);
+}
+
 TEST(SlotSink, MatchesByExactNumelAndZeroFillsPlainSlots) {
   alignas(64) float buf[8];
   for (float& x : buf) x = 7.5f;

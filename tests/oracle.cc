@@ -72,12 +72,35 @@ std::string describe(const Cell& cell) {
                           : std::string())
      << cell.in_flight << " in flight, " << cell.intra_op << " intra-op, "
      << (!cell.tier ? "env"
-                    : *cell.tier == kernels::Path::kScalar ? "scalar"
-                                                           : "vector")
+         : *cell.tier == KernelTier::kScalar ? "scalar"
+         : *cell.tier == KernelTier::kVector ? "vector"
+                                             : "avx2-capped")
      << " tier, " << (cell.stages > 0 ? str_cat(cell.stages, " stages")
                                       : std::string("no stage cut"));
   return os.str();
 }
+
+/// Pins a cell's kernel path and tier cap for a scope; unset pins nothing.
+class TierPin {
+ public:
+  explicit TierPin(std::optional<KernelTier> tier) : pinned_(tier) {
+    if (!tier) return;
+    kernels::force_kernel_path(*tier == KernelTier::kScalar
+                                   ? kernels::Path::kScalar
+                                   : kernels::Path::kVector);
+    if (*tier == KernelTier::kAvx2) kernels::force_tier(kernels::Tier::kAvx2);
+  }
+  ~TierPin() {
+    if (!pinned_) return;
+    kernels::force_kernel_path(std::nullopt);
+    kernels::force_tier(std::nullopt);
+  }
+  TierPin(const TierPin&) = delete;
+  TierPin& operator=(const TierPin&) = delete;
+
+ private:
+  std::optional<KernelTier> pinned_;
+};
 
 }  // namespace
 
@@ -249,9 +272,11 @@ void check(const Source& source, const std::vector<Cell>& cells) {
 
   for (const Cell& cell : cells) {
     SCOPED_TRACE(source.name + ": " + describe(cell));
-    std::optional<testing::ScopedPath> tier;
-    if (cell.tier) tier.emplace(*cell.tier);
-    const int tier_key = cell.tier ? static_cast<int>(*cell.tier) : -1;
+    auto pin = std::make_optional<TierPin>(cell.tier);
+    // The reference runs' tier: an AVX2 cap is checked against the best.
+    const std::optional<KernelTier> ref_tier =
+        cell.tier == KernelTier::kAvx2 ? KernelTier::kVector : cell.tier;
+    const int tier_key = ref_tier ? static_cast<int>(*ref_tier) : -1;
 
     const CompileKey key{cell.dtype, cell.rewrites, cell.batch, cell.hyper};
     auto it = compiled.find(key);
@@ -301,6 +326,8 @@ void check(const Source& source, const std::vector<Cell>& cells) {
           got[0], std::vector<TensorMap>(full.begin(), full.begin() + n));
     }
 
+    pin.reset();
+    const TierPin ref_pin(ref_tier);
     // f32 without rewrites at width 1 computes exactly what the reference
     // graph does, so the oracle run is also the same-graph run.
     const bool exact = cell.dtype == DType::kF32 &&
@@ -379,7 +406,7 @@ std::vector<Cell> pairwise_cells() {
                    .hyper = static_cast<HyperMode>(r[5]),
                    .in_flight = r[6],
                    .intra_op = r[7],
-                   .tier = static_cast<kernels::Path>(r[8]),
+                   .tier = static_cast<KernelTier>(r[8]),
                    .stages = r[9]});
   }
   return out;

@@ -13,7 +13,9 @@
 // runs the cell on a ParallelExecutor and asserts two relations:
 //
 //   (1) bit-identity with SequentialExecutor on the same compiled graph,
-//       the same samples, the same kernel tier and intra-op width:
+//       the same samples, the same kernel tier (a cell capped at AVX2 is
+//       compared with the uncapped tier: see KernelTier) and intra-op
+//       width:
 //       placement, mem plan, runs in flight, the hypercluster interleave,
 //       a short run and the stage cut never change a bit (and every output
 //       owns its storage), and an arena
@@ -128,6 +130,13 @@ Tolerance quant_fence(const std::string& model, DType dtype);
 
 enum class Rewrites { kNone, kFold, kFoldClone, kPatterns };
 
+/// A cell's kernels: the scalar reference loops, the vector path at the
+/// host's best tier, or the vector path capped at AVX2 (kernels::force_tier).
+/// The f32 GEMM's AVX-512 tier computes the AVX2 tier's bits, so a kAvx2
+/// cell's reference runs take the best tier: its relation (1) is the two
+/// tiers' bit identity.
+enum class KernelTier { kScalar, kVector, kAvx2 };
+
 /// One configuration. The defaults are the plain batch-1 pinned run.
 struct Cell {
   ExecutorKind placement = ExecutorKind::kStatic;
@@ -140,7 +149,7 @@ struct Cell {
   int in_flight = 1;
   int intra_op = 1;
   // Unset: RAMIEL_KERNEL decides.
-  std::optional<kernels::Path> tier = std::nullopt;
+  std::optional<KernelTier> tier = std::nullopt;
   int stages = 0;  // > 0: run the stage cut (the pipelined tenant) instead
 };
 

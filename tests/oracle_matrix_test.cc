@@ -38,6 +38,22 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param;
     });
 
+TEST(OracleTiers, Avx2CapIsBitIdenticalToTheBestTier) {
+  // A cell capped at AVX2 is checked bit for bit against reference runs at
+  // the host's best tier (AVX-512 where it has it). With the pattern rules,
+  // bert's projections become Gemms with a per-column bias and squeezenet's
+  // convs carry a per-row bias with a fused Relu; without them the biases
+  // are separate adds. Both go through the GEMM's direct write-back.
+  for (const char* model : {"bert", "squeezenet"}) {
+    std::vector<oracle::Cell> cells;
+    for (const oracle::Rewrites r :
+         {oracle::Rewrites::kNone, oracle::Rewrites::kPatterns}) {
+      cells.push_back({.rewrites = r, .tier = oracle::KernelTier::kAvx2});
+    }
+    oracle::check(oracle::zoo(model), cells);
+  }
+}
+
 TEST(OracleMatrixCells, CoverEveryPairOfDimensionValues) {
   // Each cell as its nine dimension values.
   std::set<std::pair<std::pair<int, int>, std::pair<int, int>>> pairs;

@@ -39,15 +39,15 @@
 namespace ramiel {
 namespace {
 
-using kernels::I8Kernel;
 using kernels::Path;
+using kernels::Tier;
 
 /// Restores automatic kernel selection on scope exit so a failing test
 /// cannot leak a forced path into the rest of the suite.
 struct DispatchGuard {
   ~DispatchGuard() {
     kernels::force_kernel_path(std::nullopt);
-    kernels::force_i8_kernel(std::nullopt);
+    kernels::force_tier(std::nullopt);
   }
 };
 
@@ -230,13 +230,13 @@ TEST(QuantI8, BitIdenticalAcrossMicrokernelTiers) {
   const Tensor a = Tensor::random(Shape{37, 100, 53}, rng);
   const Tensor b = Tensor::random(Shape{53, 41}, rng);
   const Tensor bq = b.quantize_per_channel(1);
-  kernels::force_i8_kernel(I8Kernel::kScalar);
+  kernels::force_tier(Tier::kPortable);
   const Tensor scalar = matmul(a, bq);
   // Forced tiers are caps, so these degrade gracefully on hosts without
   // the SIMD — the comparison is then trivially true, never skipped.
-  kernels::force_i8_kernel(I8Kernel::kAvx2);
+  kernels::force_tier(Tier::kAvx2);
   const Tensor avx2 = matmul(a, bq);
-  kernels::force_i8_kernel(std::nullopt);
+  kernels::force_tier(std::nullopt);
   const Tensor best = matmul(a, bq);
   oracle::expect_bit_identical({{{"y", scalar}}}, {{{"y", avx2}}});
   oracle::expect_bit_identical({{{"y", scalar}}}, {{{"y", best}}});
@@ -264,10 +264,10 @@ TEST(QuantI8, SaturatingInputsClampAtTheRailsAcrossTiers) {
   // and every tier must clamp identically.
   const Tensor a = Tensor::random(Shape{19, 80}, rng, -4.0f, 4.0f);
   const Tensor bq = Tensor::random(Shape{80, 31}, rng).quantize_per_channel(1);
-  kernels::force_i8_kernel(I8Kernel::kScalar);
+  kernels::force_tier(Tier::kPortable);
   const Tensor scalar =
       matmul(a, bq, OpContext::serial(), DType::kF32, /*act_absmax=*/1.0f);
-  kernels::force_i8_kernel(std::nullopt);
+  kernels::force_tier(std::nullopt);
   const Tensor best =
       matmul(a, bq, OpContext::serial(), DType::kF32, /*act_absmax=*/1.0f);
   oracle::expect_bit_identical({{{"y", scalar}}}, {{{"y", best}}});
@@ -325,7 +325,7 @@ TEST(QuantI8, ScalarDispatchKnobForcesThePortableTier) {
   // kernel, i8 included — and because all tiers share one quantization
   // scheme the portable fallback still produces the same bits.
   kernels::force_kernel_path(Path::kScalar);
-  EXPECT_EQ(kernels::active_i8_kernel(), I8Kernel::kScalar);
+  EXPECT_EQ(kernels::active_tier(kernels::Gemm::kI8), Tier::kPortable);
   const Tensor scalar = matmul(a, bq);
   oracle::expect_bit_identical({{{"y", vec}}}, {{{"y", scalar}}});
   // Half-width storage works on the scalar path too; only the fp32

@@ -145,6 +145,13 @@ class ScopedPath {
   ~ScopedPath() { kernels::force_kernel_path(std::nullopt); }
 };
 
+/// Caps the kernel tier (kernels::force_tier) for a scope.
+class ScopedTier {
+ public:
+  explicit ScopedTier(kernels::Tier cap) { kernels::force_tier(cap); }
+  ~ScopedTier() { kernels::force_tier(std::nullopt); }
+};
+
 /// Options that enable exactly one registered pattern rule.
 inline patterns::PatternRunOptions only_pattern(const std::string& name) {
   patterns::PatternRunOptions options;
