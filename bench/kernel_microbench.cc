@@ -18,6 +18,7 @@
 // plus all standard --benchmark_* flags.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -170,19 +171,25 @@ void BM_ConvFusedBiasRelu(benchmark::State& state, kernels::Path path,
 // range). Each non-f32 row carries a `speedup_vs_f32` counter measured
 // against the fp32 vector path in the same process — that ratio is what the
 // bench-diff CI gate ratchets (absolute throughput on a shared CI box is
-// noise; the ratio is not). `gflops` / `eff_bandwidth` are deliberately
+// noise; the ratio is not). The ratio is the median over kSpeedupPairs of
+// the two timed back to back in one loop, alternating which goes first, so
+// host drift hits both sides of every pair alike and the median drops the
+// pairs a preemption hit. `gflops` / `eff_bandwidth` are deliberately
 // lowercase/custom so the differ records but does not gate them.
 // The f32 GEMM (the baseline and the f16/bf16 rows) runs at the AVX2 cap and
 // i8 at its best tier (VNNI where the host has it), the kernels the
 // committed ratios were measured on.
 // ---------------------------------------------------------------------------
 
-/// Seconds per call of `fn`, measured with a warmup call and a ~200 ms
-/// sampling window. Used for the in-process f32 baseline of the speedup
-/// counters.
+/// Pairs behind each speedup_vs_f32 median, and the sampling window of
+/// each side of a pair.
+constexpr int kSpeedupPairs = 15;
+constexpr auto kSpeedupWindow = std::chrono::milliseconds(20);
+
+/// Seconds per call of `fn` over a ~kSpeedupWindow window (at least one
+/// call).
 double seconds_per_call(const std::function<void()>& fn) {
   using clock = std::chrono::steady_clock;
-  fn();  // warm caches and the packing scratch
   int iters = 0;
   const auto t0 = clock::now();
   clock::duration elapsed{};
@@ -190,8 +197,42 @@ double seconds_per_call(const std::function<void()>& fn) {
     fn();
     ++iters;
     elapsed = clock::now() - t0;
-  } while (elapsed < std::chrono::milliseconds(200) && iters < 64);
+  } while (elapsed < kSpeedupWindow);
   return std::chrono::duration<double>(elapsed).count() / iters;
+}
+
+/// Median of f32 seconds per call over `variant` seconds per call, from
+/// kSpeedupPairs pairs timed alternately. The f32 side runs at the AVX2
+/// cap, the variant at `variant_cap` (nullopt: the best tier). Leaves the
+/// tier at `variant_cap`.
+double median_speedup(const std::function<void()>& f32,
+                      const std::function<void()>& variant,
+                      std::optional<kernels::Tier> variant_cap) {
+  const auto time_f32 = [&] {
+    kernels::force_tier(kernels::Tier::kAvx2);
+    return seconds_per_call(f32);
+  };
+  const auto time_variant = [&] {
+    kernels::force_tier(variant_cap);
+    return seconds_per_call(variant);
+  };
+  (void)time_f32();  // warm caches and the packing scratch of both
+  (void)time_variant();
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+    double f32_sec = 0.0, variant_sec = 0.0;
+    if (pair % 2 == 0) {
+      f32_sec = time_f32();
+      variant_sec = time_variant();
+    } else {
+      variant_sec = time_variant();
+      f32_sec = time_f32();
+    }
+    ratios.push_back(f32_sec / variant_sec);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kSpeedupPairs / 2,
+                   ratios.end());
+  return ratios[kSpeedupPairs / 2];
 }
 
 /// Low-precision operand storage for one dtype variant: f16/bf16 convert
@@ -220,11 +261,13 @@ void BM_SGEMMDtype(benchmark::State& state, DType dt, const ShapeArgs& shape) {
     benchmark::DoNotOptimize(matmul(a2, b2, OpContext::serial(), out_dt));
   };
 
-  double f32_sec = 0.0;
+  double speedup = 0.0;
   if (dt != DType::kF32) {
-    f32_sec = seconds_per_call([&] { benchmark::DoNotOptimize(matmul(a, b)); });
+    speedup = median_speedup(
+        [&] { benchmark::DoNotOptimize(matmul(a, b)); }, run,
+        dt == DType::kI8 ? std::nullopt
+                         : std::optional<kernels::Tier>(kernels::Tier::kAvx2));
   }
-  if (dt == DType::kI8) kernels::force_tier(std::nullopt);  // see above
 
   for (auto _ : state) run();
 
@@ -237,11 +280,7 @@ void BM_SGEMMDtype(benchmark::State& state, DType dt, const ShapeArgs& shape) {
       static_cast<double>(a2.byte_size() + b2.byte_size() + out.byte_size()) *
           iters,
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1024);
-  if (dt != DType::kF32) {
-    // Rate counter trick: value / elapsed = f32_sec_per_iter / sec_per_iter.
-    state.counters["speedup_vs_f32"] =
-        benchmark::Counter(f32_sec * iters, benchmark::Counter::kIsRate);
-  }
+  if (dt != DType::kF32) state.counters["speedup_vs_f32"] = speedup;
 }
 
 void BM_ConvZooDtype(benchmark::State& state, DType dt,
@@ -267,12 +306,13 @@ void BM_ConvZooDtype(benchmark::State& state, DType dt,
     benchmark::DoNotOptimize(conv2d(x2, w2, std::nullopt, p2));
   };
 
-  double f32_sec = 0.0;
+  double speedup = 0.0;
   if (dt != DType::kF32) {
-    f32_sec = seconds_per_call(
-        [&] { benchmark::DoNotOptimize(conv2d(x, w, std::nullopt, p)); });
+    speedup = median_speedup(
+        [&] { benchmark::DoNotOptimize(conv2d(x, w, std::nullopt, p)); }, run,
+        dt == DType::kI8 ? std::nullopt
+                         : std::optional<kernels::Tier>(kernels::Tier::kAvx2));
   }
-  if (dt == DType::kI8) kernels::force_tier(std::nullopt);  // see above
 
   for (auto _ : state) run();
 
@@ -285,10 +325,7 @@ void BM_ConvZooDtype(benchmark::State& state, DType dt,
       static_cast<double>(x2.byte_size() + w2.byte_size() + out.byte_size()) *
           iters,
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1024);
-  if (dt != DType::kF32) {
-    state.counters["speedup_vs_f32"] =
-        benchmark::Counter(f32_sec * iters, benchmark::Counter::kIsRate);
-  }
+  if (dt != DType::kF32) state.counters["speedup_vs_f32"] = speedup;
 }
 
 using DtypeBenchFn = void (*)(benchmark::State&, DType, const ShapeArgs&);

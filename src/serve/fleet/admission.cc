@@ -1,12 +1,22 @@
 #include "serve/fleet/admission.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "support/check.h"
 #include "support/stopwatch.h"
 
 namespace ramiel::serve::fleet {
+namespace {
+
+/// tenants[index], checked (const or not: the queue's tenant table).
+template <typename Tenants>
+auto& at_checked(Tenants& tenants, int index) {
+  RAMIEL_CHECK(index >= 0 && index < static_cast<int>(tenants.size()),
+               "no such tenant");
+  return tenants[static_cast<std::size_t>(index)];
+}
+
+}  // namespace
 
 TokenBucket::TokenBucket(double rate_per_s, double burst, std::int64_t now_ns)
     : rate_(rate_per_s),
@@ -40,24 +50,18 @@ int FleetQueue::add_tenant(const std::string& name,
   RAMIEL_CHECK(options.weight > 0.0, "tenant weight must be > 0");
   RAMIEL_CHECK(options.queue_depth >= 1, "tenant queue depth must be >= 1");
   std::lock_guard<std::mutex> lk(mu_);
-  Tenant t;
-  t.name = name;
-  t.options = options;
-  t.bucket = TokenBucket(options.quota_rps, options.burst, /*now_ns=*/0);
   // A late-arriving tenant must not think it is owed all the service the
   // incumbents already consumed: start it at the current fair floor.
   double floor = 0.0;
   for (const Tenant& existing : tenants_) {
     floor = std::max(floor, existing.served / existing.options.weight);
   }
+  Tenant& t = tenants_.emplace_back();
+  t.name = name;
+  t.options = options;
+  t.bucket = TokenBucket(options.quota_rps, options.burst, /*now_ns=*/0);
   t.served = floor * options.weight;
-  tenants_.push_back(std::move(t));
   return static_cast<int>(tenants_.size()) - 1;
-}
-
-int FleetQueue::num_tenants() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(tenants_.size());
 }
 
 void FleetQueue::update_tenant(int tenant, const TenantOptions& options,
@@ -65,9 +69,7 @@ void FleetQueue::update_tenant(int tenant, const TenantOptions& options,
   RAMIEL_CHECK(options.weight > 0.0, "tenant weight must be > 0");
   RAMIEL_CHECK(options.queue_depth >= 1, "tenant queue depth must be >= 1");
   std::lock_guard<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  Tenant& t = tenants_[static_cast<std::size_t>(tenant)];
+  Tenant& t = at_checked(tenants_, tenant);
   // Rescale the kept service credit so the tenant's *normalized* position
   // in the fair order is unchanged by a weight change.
   t.served = t.served / t.options.weight * options.weight;
@@ -78,9 +80,7 @@ void FleetQueue::update_tenant(int tenant, const TenantOptions& options,
 FleetQueue::Admit FleetQueue::try_push(int tenant, Request&& request,
                                        std::int64_t now_ns) {
   std::lock_guard<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  Tenant& t = tenants_[static_cast<std::size_t>(tenant)];
+  Tenant& t = at_checked(tenants_, tenant);
   if (closed_ || t.closed) {
     ++t.counters.rejected_closed;
     return Admit::kClosed;
@@ -96,7 +96,9 @@ FleetQueue::Admit FleetQueue::try_push(int tenant, Request&& request,
   t.items.push_back(std::move(request));
   ++t.counters.admitted;
   ++total_depth_;
-  not_empty_.notify_one();
+  // Wake this tenant's dispatcher and the fair one, never another tenant's.
+  t.not_empty.notify_one();
+  any_not_empty_.notify_one();
   return Admit::kOk;
 }
 
@@ -134,104 +136,64 @@ int FleetQueue::select_locked(std::int64_t now_ns) {
   return best;
 }
 
-FleetQueue::PopResult FleetQueue::pop_for(Request* out, int* tenant,
-                                          std::int64_t timeout_ns) {
-  std::unique_lock<std::mutex> lk(mu_);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(timeout_ns);
-  while (true) {
-    if (total_depth_ > 0) {
-      // Same steady clock Request::enqueue_ns was stamped with.
-      const int pick = select_locked(Stopwatch::now_ns());
-      Tenant& t = tenants_[static_cast<std::size_t>(pick)];
-      *out = std::move(t.items.front());
-      t.items.pop_front();
-      t.served += 1.0;
-      --total_depth_;
-      if (tenant != nullptr) *tenant = pick;
-      return PopResult::kItem;
-    }
-    if (closed_) return PopResult::kClosed;
-    if (not_empty_.wait_until(lk, deadline) == std::cv_status::timeout &&
-        total_depth_ == 0) {
-      return closed_ ? PopResult::kClosed : PopResult::kTimeout;
-    }
-  }
-}
-
-FleetQueue::PopResult FleetQueue::pop_tenant_for(int tenant, Request* out,
-                                                 std::int64_t timeout_ns) {
-  std::unique_lock<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  Tenant& t = tenants_[static_cast<std::size_t>(tenant)];
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(timeout_ns);
-  while (true) {
-    if (!t.items.empty()) {
-      *out = std::move(t.items.front());
-      t.items.pop_front();
-      t.served += 1.0;
-      --total_depth_;
-      return PopResult::kItem;
-    }
-    if (closed_ || t.closed) return PopResult::kClosed;
-    if (not_empty_.wait_until(lk, deadline) == std::cv_status::timeout &&
-        t.items.empty()) {
-      return (closed_ || t.closed) ? PopResult::kClosed : PopResult::kTimeout;
-    }
-  }
-}
-
-bool FleetQueue::try_pop_tenant(int tenant, Request* out) {
-  std::lock_guard<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  Tenant& t = tenants_[static_cast<std::size_t>(tenant)];
-  if (t.items.empty()) return false;
-  *out = std::move(t.items.front());
+Request FleetQueue::pop_front_locked(Tenant& t) {
+  Request r = std::move(t.items.front());
   t.items.pop_front();
   t.served += 1.0;
   --total_depth_;
-  return true;
+  return r;
+}
+
+FleetQueue::PopResult FleetQueue::pop(int* tenant, Request* out) {
+  std::unique_lock<std::mutex> lk(mu_);
+  if (*tenant == kAnyTenant) {
+    any_not_empty_.wait(lk, [&] { return total_depth_ > 0 || closed_; });
+    if (total_depth_ == 0) return PopResult::kClosed;
+    // Same steady clock Request::enqueue_ns was stamped with.
+    *tenant = select_locked(Stopwatch::now_ns());
+  } else {
+    Tenant& t = at_checked(tenants_, *tenant);
+    t.not_empty.wait(
+        lk, [&] { return !t.items.empty() || t.closed || closed_; });
+    if (t.items.empty()) return PopResult::kClosed;
+  }
+  *out = pop_front_locked(tenants_[static_cast<std::size_t>(*tenant)]);
+  return PopResult::kItem;
+}
+
+std::size_t FleetQueue::take(int tenant, std::size_t n,
+                             std::vector<Request>* out) {
+  std::lock_guard<std::mutex> lk(mu_);
+  Tenant& t = at_checked(tenants_, tenant);
+  std::size_t taken = 0;
+  for (; taken < n && !t.items.empty(); ++taken) {
+    out->push_back(pop_front_locked(t));
+  }
+  return taken;
 }
 
 void FleetQueue::close_tenant(int tenant) {
   std::lock_guard<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  tenants_[static_cast<std::size_t>(tenant)].closed = true;
-  not_empty_.notify_all();
+  Tenant& t = at_checked(tenants_, tenant);
+  t.closed = true;
+  t.not_empty.notify_all();
 }
 
 void FleetQueue::close() {
   std::lock_guard<std::mutex> lk(mu_);
   closed_ = true;
-  not_empty_.notify_all();
-}
-
-bool FleetQueue::closed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return closed_;
-}
-
-std::size_t FleetQueue::depth() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return total_depth_;
+  any_not_empty_.notify_all();
+  for (Tenant& t : tenants_) t.not_empty.notify_all();
 }
 
 std::size_t FleetQueue::tenant_depth(int tenant) const {
   std::lock_guard<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  return tenants_[static_cast<std::size_t>(tenant)].items.size();
+  return at_checked(tenants_, tenant).items.size();
 }
 
 TenantCounters FleetQueue::counters(int tenant) const {
   std::lock_guard<std::mutex> lk(mu_);
-  RAMIEL_CHECK(tenant >= 0 && tenant < static_cast<int>(tenants_.size()),
-               "no such tenant");
-  return tenants_[static_cast<std::size_t>(tenant)].counters;
+  return at_checked(tenants_, tenant).counters;
 }
 
 }  // namespace ramiel::serve::fleet

@@ -91,8 +91,6 @@ class FleetQueue {
   /// server publishes the index only after registration).
   int add_tenant(const std::string& name, const TenantOptions& options);
 
-  int num_tenants() const;
-
   /// Replaces a tenant's quota/weight/aging parameters in place (hot swap).
   /// The token bucket restarts at the new burst; served-credit is kept so
   /// the fair order is undisturbed.
@@ -105,18 +103,23 @@ class FleetQueue {
   /// request is NOT consumed (caller still owns the promise).
   Admit try_push(int tenant, Request&& request, std::int64_t now_ns);
 
-  enum class PopResult { kItem, kTimeout, kClosed };
+  /// pop()'s wildcard source: the fair dequeue across every tenant.
+  static constexpr int kAnyTenant = -1;
 
-  /// Fair dequeue across all open tenants; fills *tenant with the source.
-  /// kTimeout after timeout_ns without work; kClosed once closed and fully
-  /// drained (remaining items are still delivered first).
-  PopResult pop_for(Request* out, int* tenant, std::int64_t timeout_ns);
+  enum class PopResult { kItem, kClosed };
 
-  /// Dequeue from one tenant only (partitioned dispatchers, batch fill).
-  PopResult pop_tenant_for(int tenant, Request* out, std::int64_t timeout_ns);
+  /// Blocks until a request is queued, then moves it to *out. *tenant names
+  /// the source: one tenant (a partitioned dispatcher), or kAnyTenant for
+  /// the weighted-fair + aging choice across all of them (the shared
+  /// dispatcher), which *tenant then reports. kClosed once the queue, or
+  /// that one tenant, is closed and drained: what was admitted is still
+  /// delivered first. A push wakes its own tenant's waiters and the fair
+  /// ones, never another tenant's.
+  PopResult pop(int* tenant, Request* out);
 
-  /// Non-blocking single-tenant pop (batch fill fast path).
-  bool try_pop_tenant(int tenant, Request* out);
+  /// Moves up to `n` already-queued requests of `tenant` onto the back of
+  /// *out, oldest first, and returns how many. Never blocks (batch fill).
+  std::size_t take(int tenant, std::size_t n, std::vector<Request>* out);
 
   /// Stops admission for one tenant; its queued requests remain poppable.
   void close_tenant(int tenant);
@@ -124,9 +127,7 @@ class FleetQueue {
   /// Stops admission everywhere and wakes all poppers (close-then-drain).
   void close();
 
-  bool closed() const;
-  std::size_t depth() const;          // waiting requests, all tenants
-  std::size_t tenant_depth(int tenant) const;
+  std::size_t tenant_depth(int tenant) const;  // waiting requests
   TenantCounters counters(int tenant) const;
 
  private:
@@ -138,16 +139,20 @@ class FleetQueue {
     double served = 0.0;  // weighted-fair service count
     bool closed = false;
     TenantCounters counters;
+    std::condition_variable not_empty;  // this tenant's pop() waiters
   };
 
   /// Picks the tenant to pop from (aging first, then weighted fair);
   /// -1 when everything is empty. Caller holds mu_.
   int select_locked(std::int64_t now_ns);
+  /// Pops `t`'s head request. Caller holds mu_; `t` is non-empty.
+  Request pop_front_locked(Tenant& t);
 
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  /// Deque: grows without relocating (Request holds a promise, so tenants
-  /// must never be copied on table growth).
+  std::condition_variable any_not_empty_;  // kAnyTenant pop() waiters
+  /// Deque: grows without relocating, so a waiter's Tenant& stays valid
+  /// while tenants are added (and a promise-holding Request, like the
+  /// condition variable, is never copied on table growth).
   std::deque<Tenant> tenants_;
   std::size_t total_depth_ = 0;
   bool closed_ = false;

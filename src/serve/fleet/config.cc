@@ -1,6 +1,8 @@
 #include "serve/fleet/config.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <unordered_set>
 
@@ -77,6 +79,20 @@ bool read_string(const obs::JsonValue& obj, const char* key, std::string* out,
   return true;
 }
 
+/// The first member of `obj` whose key is not in `known`, named in *error;
+/// true when there is none. A typo or a retired key fails loudly instead
+/// of leaving its field at the default.
+bool known_keys(const obs::JsonValue& obj,
+                std::initializer_list<std::string_view> known,
+                const std::string& where, std::string* error) {
+  for (const auto& [key, value] : obj.object) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return fail(error, str_cat(where, "unknown key '", key, "'"));
+    }
+  }
+  return true;
+}
+
 bool parse_model(const obs::JsonValue& entry, ModelConfig* out,
                  std::string* error) {
   if (!entry.is(obs::JsonValue::Kind::kObject)) {
@@ -87,13 +103,19 @@ bool parse_model(const obs::JsonValue& entry, ModelConfig* out,
     return fail(error, "models[] entry needs a non-empty 'name'");
   }
   const std::string where = str_cat("model '", out->name, "': ");
+  if (!known_keys(entry,
+                  {"name", "model", "batch", "slo_class", "executor",
+                   "quota_rps", "burst", "weight", "queue_depth",
+                   "pipeline_stages", "fold", "clone", "hyper", "dtype",
+                   "calib"},
+                  where, error)) {
+    return false;
+  }
   std::string executor = to_string(out->executor);
   std::string hyper = hyper_name(out->hyper);
   std::string dtype = dtype_name(out->dtype);
   if (!read_string(entry, "model", &out->model, error) ||
       !read_int(entry, "batch", &out->batch, error) ||
-      !read_number(entry, "flush_timeout_ms", &out->flush_timeout_ms,
-                   error) ||
       !read_string(entry, "slo_class", &out->slo_class, error) ||
       !read_string(entry, "executor", &executor, error) ||
       !read_number(entry, "quota_rps", &out->quota_rps, error) ||
@@ -142,9 +164,6 @@ void ModelConfig::validate() const {
   if (batch < 1) bad("batch must be >= 1");
   if (queue_depth < 1) bad("queue_depth must be >= 1");
   if (pipeline_stages < 1) bad("pipeline_stages must be >= 1");
-  if (!std::isfinite(flush_timeout_ms) || flush_timeout_ms < 0.0) {
-    bad("flush_timeout_ms must be a finite number >= 0");
-  }
   if (!std::isfinite(quota_rps)) bad("quota_rps must be finite");
   if (!std::isfinite(burst)) bad("burst must be finite");
   if (!std::isfinite(weight) || weight <= 0.0) bad("weight must be > 0");
@@ -165,7 +184,11 @@ bool parse_fleet_config(std::string_view json, FleetConfig* out,
     return fail(error, "fleet config must be a JSON object");
   }
   *out = FleetConfig{};
-  if (!read_string(doc, "pool", &out->pool, error)) return false;
+  if (!known_keys(doc, {"pool", "aging_ms", "models"}, "fleet config: ",
+                  error) ||
+      !read_string(doc, "pool", &out->pool, error)) {
+    return false;
+  }
   if (out->pool != "shared" && out->pool != "partitioned") {
     return fail(error, str_cat("pool '", out->pool,
                                "' (want shared|partitioned)"));
@@ -205,7 +228,6 @@ std::string to_json(const FleetConfig& config) {
     out += "{\"name\":" + json_quote(m.name);
     out += ",\"model\":" + json_quote(m.model);
     out += ",\"batch\":" + std::to_string(m.batch);
-    out += ",\"flush_timeout_ms\":" + json_number(m.flush_timeout_ms);
     out += ",\"slo_class\":" + json_quote(m.slo_class);
     out += ",\"executor\":" + json_quote(to_string(m.executor));
     out += ",\"quota_rps\":" + json_number(m.quota_rps);

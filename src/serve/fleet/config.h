@@ -10,7 +10,7 @@
 //     "pool": "shared",            // or "partitioned"
 //     "aging_ms": 50.0,            // fairness aging threshold (admission.h)
 //     "models": [
-//       {"name": "squeezenet", "batch": 4, "flush_timeout_ms": 2.0,
+//       {"name": "squeezenet", "batch": 4,
 //        "slo_class": "interactive", "executor": "auto",
 //        "quota_rps": 200.0, "burst": 50.0, "weight": 2.0,
 //        "queue_depth": 64, "pipeline_stages": 1,
@@ -21,7 +21,8 @@
 //   }
 //
 // Parsing is strict RFC 8259 (obs/json_read.h) with typed validation:
-// unknown pool/executor/slo_class/hyper/dtype strings, non-integral or
+// unknown keys (at the top level and in models[] entries), unknown
+// pool/executor/slo_class/hyper/dtype strings, non-integral or
 // out-of-range integers, non-positive batches and duplicate tenant names
 // are errors, not defaults. to_json() round-trips losslessly
 // (test-enforced), so a fleet's running config can be exported and
@@ -38,8 +39,9 @@
 
 namespace ramiel::serve::fleet {
 
-/// Per-tenant model entry: artifact and its compile options, batching
-/// policy, and machine share.
+/// Per-tenant model entry: artifact and its compile options, batch size,
+/// and machine share. There is no batching delay to set: a batch is what
+/// the tenant already has queued (fleet_server.h).
 struct ModelConfig {
   /// Tenant name — the submit() key and the {model=...} metric label.
   std::string name;
@@ -47,10 +49,6 @@ struct ModelConfig {
   std::string model;
   /// Serving batch size (the hyperclustering batch).
   int batch = 4;
-  /// How long a partial batch waits for more requests of this tenant,
-  /// measured from its first request; 0 flushes partial batches at once.
-  /// Under load batches leave full before it fires.
-  double flush_timeout_ms = 2.0;
   /// SLO class: "interactive" | "standard" | "batch". Interactive tenants
   /// age twice as fast toward the fairness boost; batch tenants never age.
   std::string slo_class = "standard";
@@ -88,8 +86,8 @@ struct ModelConfig {
   std::string calib;
 
   /// Throws Error naming the tenant and the first invalid field: an empty
-  /// name, batch / queue_depth / pipeline_stages below 1, a negative or
-  /// non-finite flush timeout, non-finite quota or burst, weight <= 0, or
+  /// name, batch / queue_depth / pipeline_stages below 1, non-finite
+  /// quota or burst, weight <= 0, or
   /// an unknown slo_class. parse_fleet_config and ModelRegistry::add both
   /// call it, so configs built in code fail the same way as JSON ones.
   void validate() const;

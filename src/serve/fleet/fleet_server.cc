@@ -29,9 +29,6 @@ double jain_fairness(const std::vector<double>& allocations) {
 
 namespace {
 
-/// Idle poll granularity of the dispatcher loops (2 ms).
-constexpr std::int64_t kPollNs = 2'000'000;
-
 /// Batches a pipelined tenant keeps in flight: one filling the early
 /// stages while the previous one drains the later ones. Every other tenant
 /// finishes each batch before it dispatches the next.
@@ -43,6 +40,26 @@ void refuse(std::promise<Response>& promise, std::string error) {
   r.ok = false;
   r.error = std::move(error);
   promise.set_value(std::move(r));
+}
+
+/// Why `inputs` cannot run on `graph`, or "" when they can: a graph input
+/// is missing, or its tensor's shape or dtype is not the input's.
+std::string input_error(const Graph& graph, const TensorMap& inputs) {
+  for (ValueId id : graph.inputs()) {
+    const Value& v = graph.value(id);
+    const auto it = inputs.find(v.name);
+    if (it == inputs.end()) return str_cat("missing input '", v.name, "'");
+    const Tensor& t = it->second;
+    if (t.shape() != v.shape) {
+      return str_cat("input '", v.name, "' has shape ", t.shape().to_string(),
+                     ", want ", v.shape.to_string());
+    }
+    if (t.dtype() != v.dtype) {
+      return str_cat("input '", v.name, "' has dtype ", dtype_name(t.dtype()),
+                     ", want ", dtype_name(v.dtype));
+    }
+  }
+  return "";
 }
 
 }  // namespace
@@ -111,7 +128,8 @@ FleetServer::FleetServer(const FleetConfig& config, FleetOptions options,
     throw;
   }
   if (pool_ == "shared") {
-    shared_dispatcher_ = std::thread([this] { shared_dispatch_loop(); });
+    shared_dispatcher_ =
+        std::thread([this] { dispatch_loop(FleetQueue::kAnyTenant); });
   }
 }
 
@@ -232,7 +250,7 @@ void FleetServer::add_model(const ModelConfig& config) {
   }
   if (pool_ == "partitioned") {
     published->dispatcher = std::thread(
-        [this, index = published->index] { tenant_dispatch_loop(index); });
+        [this, index = published->index] { dispatch_loop(index); });
   }
 }
 
@@ -280,6 +298,16 @@ std::future<Response> FleetServer::submit(const std::string& model,
   }
 
   t->stats->on_submit();
+  // A request the graph cannot run is refused here, before it can share a
+  // batch: checked against the latest registered version of the tenant.
+  if (const std::shared_ptr<const ModelEntry> entry = registry_.lookup(model)) {
+    const std::string bad = input_error(entry->compiled.graph, request.inputs);
+    if (!bad.empty()) {
+      t->stats->on_reject();
+      refuse(request.promise, str_cat("model '", model, "': ", bad));
+      return result;
+    }
+  }
   const std::int64_t now_ns = request.enqueue_ns;
   const FleetQueue::Admit admit =
       queue_.try_push(t->index, std::move(request), now_ns);
@@ -305,26 +333,12 @@ std::future<Response> FleetServer::submit(const std::string& model,
   return result;
 }
 
-void FleetServer::shared_dispatch_loop() {
+void FleetServer::dispatch_loop(int source) {
   while (true) {
+    int index = source;
     Request first;
-    int index = -1;
-    const FleetQueue::PopResult r = queue_.pop_for(&first, &index, kPollNs);
-    if (r == FleetQueue::PopResult::kClosed) return;
-    if (r != FleetQueue::PopResult::kItem) continue;
+    if (queue_.pop(&index, &first) == FleetQueue::PopResult::kClosed) return;
     serve_one(tenant(index), std::move(first));
-  }
-}
-
-void FleetServer::tenant_dispatch_loop(int index) {
-  Tenant& t = tenant(index);
-  while (true) {
-    Request first;
-    const FleetQueue::PopResult r =
-        queue_.pop_tenant_for(index, &first, kPollNs);
-    if (r == FleetQueue::PopResult::kClosed) return;
-    if (r != FleetQueue::PopResult::kItem) continue;
-    serve_one(t, std::move(first));
   }
 }
 
@@ -337,44 +351,25 @@ void FleetServer::serve_one(Tenant& t, Request first) {
   const std::shared_ptr<const ModelEntry> entry = t.entry;
   const int slots = entry->config.batch;
 
-  // Dynamic batch fill from this tenant only: take batch-mates until the
-  // batch is full or the flush timeout, counted from the first request's
-  // dequeue, runs out. Under load the timeout never fires (max
-  // throughput); at low load it bounds the wait for company. A closed
-  // queue still hands out what it holds, so shutdown drains.
+  // Work-conserving fill: the head request plus whatever of this tenant is
+  // already queued, up to the batch; nothing waits for company. Requests
+  // that arrive while this batch runs (the in-flight bound below) form
+  // the next one. A closed queue still hands out what it holds, so
+  // shutdown drains.
   std::vector<Request> batch;
   batch.reserve(static_cast<std::size_t>(slots));
   batch.push_back(std::move(first));
-  const std::int64_t deadline =
-      Stopwatch::now_ns() +
-      static_cast<std::int64_t>(entry->config.flush_timeout_ms * 1e6);
-  while (static_cast<int>(batch.size()) < slots) {
-    const std::int64_t remaining = deadline - Stopwatch::now_ns();
-    if (remaining <= 0) break;
-    Request r;
-    if (queue_.pop_tenant_for(t.index, &r, remaining) !=
-        FleetQueue::PopResult::kItem) {
-      break;
-    }
-    batch.push_back(std::move(r));
-  }
+  queue_.take(t.index, static_cast<std::size_t>(slots) - 1, &batch);
   t.stats->queue_depth_gauge()->set(
       static_cast<double>(queue_.tenant_depth(t.index)));
-
-  dispatch(t, entry, std::move(batch), Stopwatch::now_ns());
   mirror_aged(t);
-}
 
-void FleetServer::dispatch(Tenant& t,
-                           const std::shared_ptr<const ModelEntry>& entry,
-                           std::vector<Request> batch,
-                           std::int64_t dispatch_ns) {
-  const int slots = entry->config.batch;
   // A short batch runs only its real samples' tasks (a short run of the
-  // program, rt/executor.h).
+  // program, rt/executor.h). The riders keep their promises, not inputs.
+  const std::int64_t dispatch_ns = Stopwatch::now_ns();
   std::vector<TensorMap> inputs;
   inputs.reserve(batch.size());
-  for (const Request& r : batch) inputs.push_back(r.inputs);
+  for (Request& r : batch) inputs.push_back(std::move(r.inputs));
 
   RunOptions run_opts;
   run_opts.intra_op_threads = options_.intra_op_threads;
@@ -418,8 +413,9 @@ void FleetServer::finish(Tenant& t,
   if (!error && options_.profile) {
     maybe_keep_exemplar(t, entry, hc, profile, dispatch_ns);
   }
-  // One bad request poisons its whole batch (they shared one run); every
-  // rider gets the error and the tenant keeps serving.
+  // Malformed inputs were refused at submit(), so what fails here fails on
+  // its values (a gather index out of range, say). The riders shared one
+  // run: every one gets the error, and the tenant keeps serving.
   std::string failure;
   if (error) {
     try {

@@ -2,18 +2,24 @@
 // This is the one serving path; a single-model server (tools/ramiel_serve)
 // is a one-tenant fleet on a partitioned pool.
 //
-// Every request takes the same route: admission (quota + bounded queue) ->
-// per-tenant batch fill (up to the tenant's batch, waiting at most its
-// flush timeout for batch-mates) -> executor, which runs a short batch's
-// real samples only.
+// Every request takes the same route: input check (every graph input
+// present with its shape and dtype) -> admission (quota + bounded queue) ->
+// per-tenant batch fill -> executor, which runs a short batch's real
+// samples only. The fill is work-conserving: a batch is the tenant's head
+// request plus whatever of that tenant is already queued, up to its batch
+// size, and nothing waits for batch-mates. Requests that arrive while a
+// batch runs queue behind the tenant's in-flight bound and leave together
+// as the next batch, so batches fill with load and a lone request at an
+// idle tenant leaves at once as a 1-sample short run.
 //
 // Composition of the fleet subsystem (see the sibling headers for each
 // part's contract):
 //
 //   submit(model, sample)
-//        │ per-tenant token bucket + bounded queue     (fleet/admission.h)
-//        ▼
-//   FleetQueue ── weighted-fair + aging dequeue ──▶ dispatch
+//        │ input check; per-tenant token bucket + bounded queue
+//        ▼                                           (fleet/admission.h)
+//   FleetQueue ── weighted-fair + aging pop ──▶ head request
+//        │   + take() of the tenant's queued requests, up to its batch
 //        │
 //        │   ParallelExecutor::submit (rt/executor.h) on the tenant's own
 //        │   executor (partitioned, or a pipelined tenant's stage cut) or
@@ -161,10 +167,11 @@ class FleetServer {
   FleetServer(const FleetServer&) = delete;
   FleetServer& operator=(const FleetServer&) = delete;
 
-  /// Submits one sample to tenant `model`. Never blocks: quota, full-queue,
-  /// unknown-model and shutdown rejections resolve the future immediately
-  /// with !ok and a reason; admitted requests resolve when their batch
-  /// completes.
+  /// Submits one sample to tenant `model`. Never blocks: malformed-input
+  /// (a graph input missing, or of the wrong shape or dtype), quota,
+  /// full-queue, unknown-model and shutdown rejections resolve the future
+  /// immediately with !ok and a reason; admitted requests resolve when
+  /// their batch completes.
   std::future<Response> submit(const std::string& model, TensorMap inputs);
 
   /// Hot add (new name) or hot swap (existing name). Compilation happens on
@@ -273,13 +280,11 @@ class FleetServer {
   /// Drains and drops `t`'s runtime binding (caller holds exec_mu and
   /// tenants_mu_).
   void retire_runtime(Tenant& t);
-  /// Fills a batch for `first`'s tenant and dispatches it.
+  /// Fills a batch for `first`'s tenant from what is already queued,
+  /// submits it (1 to the tenant's slots requests) to the tenant's executor
+  /// with finish() as its completion, then waits until the tenant is under
+  /// its in-flight bound.
   void serve_one(Tenant& t, Request first);
-  /// Submits the batch's requests (1 to the tenant's slots) to the
-  /// tenant's executor with finish() as its completion, then waits until
-  /// the tenant is under its in-flight bound.
-  void dispatch(Tenant& t, const std::shared_ptr<const ModelEntry>& entry,
-                std::vector<Request> batch, std::int64_t dispatch_ns);
   /// Fans the outputs (or the error) out to the riders, updates the stats,
   /// records the span and ends the batch's flight. `hc` is the program the
   /// batch ran. Takes no fleet-wide lock: it runs on an executor thread,
@@ -289,8 +294,10 @@ class FleetServer {
               int slots, std::int64_t dispatch_ns,
               std::vector<TensorMap> outputs, std::exception_ptr error,
               const Profile& profile);
-  void shared_dispatch_loop();
-  void tenant_dispatch_loop(int index);
+  /// One dispatcher: pops `source`'s head request (a tenant index, or
+  /// FleetQueue::kAnyTenant for the shared pool's fair dequeue) and serves
+  /// it until the queue is closed and drained.
+  void dispatch_loop(int source);
   void mirror_aged(Tenant& t);
   void maybe_keep_exemplar(Tenant& t,
                            const std::shared_ptr<const ModelEntry>& entry,

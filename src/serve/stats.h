@@ -45,7 +45,8 @@ struct LatencySummary {
 struct ServerStats {
   std::uint64_t submitted = 0;  // accepted + rejected
   std::uint64_t served = 0;     // responses delivered ok
-  std::uint64_t rejected = 0;   // refused at admission (queue full/closed)
+  std::uint64_t rejected = 0;   // refused at submit: malformed inputs,
+                                // quota, queue full or closed
   std::uint64_t failed = 0;     // accepted but errored during execution
   std::uint64_t batches = 0;    // executor dispatches
   std::uint64_t batch_slots = 0;    // batches x batch size
@@ -64,9 +65,10 @@ struct ServerStats {
   std::uint64_t window_served = 0;
 
   /// Fraction of dispatched batch slots that carried real requests
-  /// (1.0 = every batch left full; low values mean the flush timeout is
-  /// doing the serving). Empty slots cost no compute: a short batch runs
-  /// only its real samples.
+  /// (1.0 = every batch left full). A batch is what was queued when it
+  /// left, so the fill follows the load: low values mean requests rarely
+  /// queue behind a running batch. Empty slots cost no compute: a short
+  /// batch runs only its real samples.
   double batch_fill() const;
 
   /// Served requests per second of uptime.

@@ -113,15 +113,13 @@ TEST(FleetQueue, QuotaAndDepthAccountingIsExact) {
 
   // One second later the bucket holds 5 fresh tokens again; the depth gate
   // still caps the queue at 3, and draining frees depth but not tokens.
-  Request r;
-  while (q.try_pop_tenant(t, &r)) {
-  }
+  std::vector<Request> drained;
+  q.take(t, 8, &drained);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(q.try_push(t, make_request(), kSec), FleetQueue::Admit::kOk);
   }
   EXPECT_EQ(q.try_push(t, make_request(), kSec), FleetQueue::Admit::kFull);
-  while (q.try_pop_tenant(t, &r)) {
-  }
+  q.take(t, 8, &drained);
   EXPECT_EQ(q.try_push(t, make_request(), kSec), FleetQueue::Admit::kOk);
   EXPECT_EQ(q.try_push(t, make_request(), kSec), FleetQueue::Admit::kQuota);
 }
@@ -135,8 +133,9 @@ TEST(FleetQueue, ClosedTenantRejectsButDrains) {
   EXPECT_EQ(q.counters(t).rejected_closed, 1u);
   // The queued request stays poppable after close (close-then-drain).
   Request r;
-  EXPECT_EQ(q.pop_tenant_for(t, &r, kMs), FleetQueue::PopResult::kItem);
-  EXPECT_EQ(q.pop_tenant_for(t, &r, kMs), FleetQueue::PopResult::kClosed);
+  int from = t;
+  EXPECT_EQ(q.pop(&from, &r), FleetQueue::PopResult::kItem);
+  EXPECT_EQ(q.pop(&from, &r), FleetQueue::PopResult::kClosed);
 }
 
 TEST(FleetQueue, WeightedFairDequeueMatchesWeights) {
@@ -157,8 +156,8 @@ TEST(FleetQueue, WeightedFairDequeueMatchesWeights) {
   int from_a = 0, from_b = 0;
   for (int i = 0; i < 12; ++i) {
     Request r;
-    int tenant = -1;
-    ASSERT_EQ(q.pop_for(&r, &tenant, kSec), FleetQueue::PopResult::kItem);
+    int tenant = FleetQueue::kAnyTenant;
+    ASSERT_EQ(q.pop(&tenant, &r), FleetQueue::PopResult::kItem);
     (tenant == a ? from_a : from_b)++;
   }
   // 3:1 weights → 9:3 split (ties may shift one pop either way).
@@ -187,8 +186,8 @@ TEST(FleetQueue, AgingBeatsWeightSkewSoNobodyStarves) {
             FleetQueue::Admit::kOk);
 
   Request r;
-  int tenant = -1;
-  ASSERT_EQ(q.pop_for(&r, &tenant, kSec), FleetQueue::PopResult::kItem);
+  int tenant = FleetQueue::kAnyTenant;
+  ASSERT_EQ(q.pop(&tenant, &r), FleetQueue::PopResult::kItem);
   EXPECT_EQ(tenant, b) << "aged head must outrank the 100x-weighted tenant";
   EXPECT_EQ(q.counters(b).aged, 1u);
   EXPECT_EQ(q.counters(a).aged, 0u);
@@ -211,8 +210,8 @@ TEST(FleetQueue, BatchClassNeverAges) {
   ASSERT_EQ(q.try_push(b, make_request(now - 10 * kSec), now),
             FleetQueue::Admit::kOk);
   Request r;
-  int tenant = -1;
-  ASSERT_EQ(q.pop_for(&r, &tenant, kSec), FleetQueue::PopResult::kItem);
+  int tenant = FleetQueue::kAnyTenant;
+  ASSERT_EQ(q.pop(&tenant, &r), FleetQueue::PopResult::kItem);
   // Ancient but aging-exempt: the weighted-fair order decides, and both
   // start at ratio 0 — first tenant wins the tie, not the old request.
   EXPECT_EQ(tenant, a);
@@ -526,12 +525,10 @@ FleetConfig two_tenant_config(const std::string& pool) {
   a.name = "alpha";
   a.model = "scale2";
   a.batch = 2;
-  a.flush_timeout_ms = 1.0;
   ModelConfig b;
   b.name = "beta";
   b.model = "scale3";
   b.batch = 2;
-  b.flush_timeout_ms = 1.0;
   config.models = {a, b};
   return config;
 }
@@ -624,7 +621,6 @@ TEST(FleetServer, HotSwapDuringTrafficFinishesInFlightOnOldVersion) {
     swap.name = "alpha";
     swap.model = "scale5";
     swap.batch = 2;
-    swap.flush_timeout_ms = 1.0;
     fleet.add_model(swap);
     EXPECT_EQ(fleet.model_version("alpha"), 2);
 
@@ -679,7 +675,6 @@ TEST(FleetServer, PipelinedTenantServesCorrectlyAndReportsCut) {
     ModelConfig m;
     m.name = "squeezenet";
     m.batch = 2;
-    m.flush_timeout_ms = 1.0;
     m.pipeline_stages = 3;
     config.models = {m};
     FleetServer fleet(config, FleetOptions{});
@@ -706,7 +701,6 @@ TEST(FleetServer, PipelinedTenantKeepsTailExemplarsPerStage) {
   ModelConfig m;
   m.name = "squeezenet";
   m.batch = 4;
-  m.flush_timeout_ms = 1.0;
   m.pipeline_stages = 3;
   config.models = {m};
   FleetOptions options;
@@ -731,21 +725,26 @@ TEST(FleetServer, PipelinedTenantKeepsTailExemplarsPerStage) {
 }
 
 TEST(FleetServer, LoneRequestRunsOneSampleOfABatch4Tenant) {
-  // A request that leaves alone at the flush timeout runs one sample's
-  // tasks, not four, and answers exactly what it answers inside a full
-  // batch (at another sample slot of the switched interleave).
+  // A lone request at an idle tenant leaves at once and runs one sample's
+  // tasks, not four. It answers exactly what it answers inside a full
+  // batch (at another sample slot of the switched interleave): the full
+  // batch queues behind a blocker on the shared pool, and on the
+  // partitioned pool the reference is the sequential run.
   obs::Counter* tasks_total = obs::registry().counter(
       "ramiel_rt_tasks_total", "Graph tasks executed (node x sample)");
   for (const std::string pool : {"shared", "partitioned"}) {
     SCOPED_TRACE(pool);
     FleetConfig config;
     config.pool = pool;
+    ModelConfig blocker;
+    blocker.name = "blocker";
+    blocker.model = "squeezenet";
+    blocker.batch = 1;
     ModelConfig m;
     m.name = "squeezenet";
     m.batch = 4;
     m.hyper = HyperMode::kSwitched;
-    m.flush_timeout_ms = 200.0;  // a full batch of back-to-back submits fills
-    config.models = {m};
+    config.models = {blocker, m};
     FleetOptions options;
     options.profile = true;
     FleetServer fleet(config, options);
@@ -771,17 +770,19 @@ TEST(FleetServer, LoneRequestRunsOneSampleOfABatch4Tenant) {
       EXPECT_EQ(sample, 0) << "node " << node;
     }
 
-    std::vector<std::future<Response>> full;
-    for (const TensorMap& in : inputs) {
-      full.push_back(fleet.submit("squeezenet", TensorMap(in)));
+    if (pool == "shared") {
+      const std::vector<Response> got =
+          oracle::serve_behind(fleet, "blocker", "squeezenet", inputs);
+      ASSERT_EQ(got.size(), 4u);
+      for (const Response& r : got) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.batch_real, 4);
+      }
+      oracle::expect_bit_identical({got[2].outputs}, {lone.outputs});
+    } else {
+      oracle::expect_bit_identical(SequentialExecutor(&cm.graph).run({inputs[2]}),
+                                   {lone.outputs});
     }
-    std::vector<Response> got;
-    for (auto& f : full) got.push_back(f.get());
-    for (const Response& r : got) {
-      ASSERT_TRUE(r.ok) << r.error;
-      EXPECT_EQ(r.batch_real, 4);
-    }
-    oracle::expect_bit_identical({got[2].outputs}, {lone.outputs});
     fleet.shutdown();
   }
 }
@@ -827,7 +828,6 @@ TEST(FleetServer, PipelinedTenantReportsThePinnedStagesItRuns) {
     m.name = str_cat("piped_", to_string(asked));
     m.model = "squeezenet";
     m.batch = 2;
-    m.flush_timeout_ms = 1.0;
     m.pipeline_stages = 3;
     m.executor = asked;
     config.models = {m};
@@ -883,10 +883,17 @@ TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
   write_calibration(folded.graph,
                     record_calibration(folded.graph, inputs), calib);
 
+  // A shared pool, so the four requests can queue behind a blocker and
+  // leave as one full batch (oracle::serve_behind).
   FleetConfig config = single_tenant_config("squeezenet");
-  ModelConfig& m = config.models[0];
+  config.pool = "shared";
+  ModelConfig blocker;
+  blocker.name = "blocker";
+  blocker.model = "squeezenet";
+  blocker.batch = 1;
+  config.models.insert(config.models.begin(), blocker);
+  ModelConfig& m = config.models[1];
   m.batch = 4;
-  m.flush_timeout_ms = 2'000.0;  // one full batch
   m.fold = true;
   m.hyper = HyperMode::kSwitched;
   m.dtype = DType::kI8;
@@ -908,11 +915,16 @@ TEST(FleetServer, CompileOptionsFoldSwitchedI8MatchTheF32Oracle) {
 
   // The oracle: f32 SequentialExecutor on the untransformed model.
   Graph reference = models::build("squeezenet");
-  oracle::expect_agrees(SequentialExecutor(&reference).run(inputs),
-                        oracle::serve_all(server, "squeezenet", inputs),
+  std::vector<TensorMap> outputs;
+  for (Response& r :
+       oracle::serve_behind(server, "blocker", "squeezenet", inputs)) {
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.batch_real, 4);  // one full batch
+    outputs.push_back(std::move(r.outputs));
+  }
+  oracle::expect_agrees(SequentialExecutor(&reference).run(inputs), outputs,
                         oracle::quant_fence("squeezenet", DType::kI8));
   server.shutdown();
-  EXPECT_EQ(server.tenant_stats("squeezenet").batches, 1u);  // one full batch
   std::remove(calib.c_str());
 }
 
@@ -926,7 +938,6 @@ TEST(FleetConfigJson, RoundTripsLosslessly) {
   a.name = "squeezenet";
   a.model = "";
   a.batch = 8;
-  a.flush_timeout_ms = 0.5;
   a.slo_class = "interactive";
   a.executor = ExecutorKind::kSteal;
   a.quota_rps = 200.0;
@@ -957,7 +968,6 @@ TEST(FleetConfigJson, RoundTripsLosslessly) {
   ASSERT_EQ(parsed.models.size(), 2u);
   EXPECT_EQ(parsed.models[0].name, a.name);
   EXPECT_EQ(parsed.models[0].batch, a.batch);
-  EXPECT_DOUBLE_EQ(parsed.models[0].flush_timeout_ms, a.flush_timeout_ms);
   EXPECT_EQ(parsed.models[0].slo_class, a.slo_class);
   EXPECT_EQ(parsed.models[0].executor, a.executor);
   EXPECT_DOUBLE_EQ(parsed.models[0].quota_rps, a.quota_rps);
@@ -998,6 +1008,10 @@ TEST(FleetConfigJson, RejectsInvalidDocuments) {
   EXPECT_FALSE(parse_fleet_config(
       R"({"models":[{"name":"a","executor":"gpu"}]})", &out, &err));
   EXPECT_FALSE(parse_fleet_config(R"({"models":[]})", &out, &err));
+  EXPECT_FALSE(parse_fleet_config(
+      R"({"pool":"shared","agin_ms":5,"models":[{"name":"a"}]})", &out, &err));
+  EXPECT_NE(err.find("fleet config: unknown key 'agin_ms'"), std::string::npos)
+      << err;
 
   // Integers must be integral and fit an int: no silent truncation (2.7
   // would serve batch 2), no wraparound (3e9), no undefined cast (1e300).
@@ -1016,7 +1030,10 @@ TEST(FleetConfigJson, RejectsInvalidDocuments) {
   rejects(R"("batch":-2)", "batch must be >= 1");
   rejects(R"("queue_depth":0)", "queue_depth must be >= 1");
   rejects(R"("pipeline_stages":0)", "pipeline_stages must be >= 1");
-  rejects(R"("flush_timeout_ms":-1)", "flush_timeout_ms must be");
+  // Unknown keys name themselves: a retired knob or a typo is an error,
+  // not a silent default.
+  rejects(R"("flush_timeout_ms":2.0)", "unknown key 'flush_timeout_ms'");
+  rejects(R"("quota_rsp":10)", "unknown key 'quota_rsp'");
   rejects(R"("weight":0)", "weight must be > 0");
   rejects(R"("hyper":"zigzag")", "hyper 'zigzag'");
   rejects(R"("dtype":"f64")", "dtype 'f64'");
@@ -1056,10 +1073,9 @@ TEST(ModelRegistry, AddRejectsWhatTheParserRejects) {
   EXPECT_EQ(add_error(config), parse_error);
 
   config.queue_depth = 64;
-  config.flush_timeout_ms = std::nan("");
-  EXPECT_NE(add_error(config).find("flush_timeout_ms must be"),
-            std::string::npos);
-  config.flush_timeout_ms = 2.0;
+  config.weight = std::nan("");
+  EXPECT_NE(add_error(config).find("weight must be > 0"), std::string::npos);
+  config.weight = 1.0;
   config.batch = 0;
   EXPECT_NE(add_error(config).find("batch must be >= 1"), std::string::npos);
   EXPECT_EQ(registry.size(), 0) << "nothing invalid was published";

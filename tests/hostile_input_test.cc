@@ -2,10 +2,13 @@
 // ASan and UBSan): 150 mutations each of squeezenet's text (.rml) and
 // binary (.rmb) model files, of a two-tenant fleet JSON config and of a
 // calibration file. A mutation must load (a model also compiles) or be
-// rejected with Error; a crash, a hang or any other exception fails.
+// rejected with Error; a crash, a hang or any other exception fails. Plus
+// malformed serving requests, which submit() must refuse without touching
+// the well-formed requests beside them.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +16,10 @@
 #include "models/zoo.h"
 #include "onnx/model_io.h"
 #include "ramiel/pipeline.h"
+#include "rt/inputs.h"
+#include "oracle.h"
 #include "serve/fleet/config.h"
+#include "serve/fleet/fleet_server.h"
 #include "support/check.h"
 #include "support/rng.h"
 
@@ -136,7 +142,7 @@ TEST(HostileInput, FleetConfigMutationsParseOrReport) {
       "{\"name\":\"squeezenet\",\"batch\":4,\"weight\":2,\"quota_rps\":100,\n"
       "\"pipeline_stages\":3,\"executor\":\"static\",\"dtype\":\"f16\"},\n"
       "{\"name\":\"plain\",\"model\":\"bert\",\"batch\":1,\"fold\":true,\n"
-      "\"hyper\":\"switched\",\"flush_timeout_ms\":2.5,\"queue_depth\":8}]}\n";
+      "\"hyper\":\"switched\",\"queue_depth\":8}]}\n";
   serve::fleet::FleetConfig parsed;
   ASSERT_TRUE(serve::fleet::parse_fleet_config(config, &parsed));
   expect_loads_or_rejects(config, 3, mutate_text, [](const std::string& json) {
@@ -146,6 +152,54 @@ TEST(HostileInput, FleetConfigMutationsParseOrReport) {
       EXPECT_FALSE(error.empty());
     }
   });
+}
+
+TEST(HostileInput, MalformedRequestsAreRefusedAtSubmit) {
+  // Requests with a wrong-shape tensor, a missing input or a wrong-dtype
+  // tensor, submitted between good ones to a batch-4 tenant: each is
+  // refused at once with a reason naming the input, and the good ones are
+  // served exactly as the f32 sequential run answers them.
+  serve::fleet::FleetServer server(
+      serve::fleet::single_tenant_config("squeezenet"));
+  const Graph& graph = server.model_entry("squeezenet")->compiled.graph;
+  const std::string input = graph.value(graph.inputs()[0]).name;
+  Rng rng(11);
+  const std::vector<TensorMap> good = make_example_inputs(graph, 3, rng);
+  TensorMap wrong_shape = good[0];
+  wrong_shape.at(input) = Tensor(Shape{1, 3, 8, 8});
+  TensorMap wrong_dtype = good[0];
+  wrong_dtype.at(input) = good[0].at(input).cast(DType::kF16);
+  const std::vector<std::pair<TensorMap, std::string>> bad = {
+      {wrong_shape, "has shape"},
+      {TensorMap{}, "missing input"},
+      {wrong_dtype, "has dtype f16"}};
+
+  std::vector<std::future<serve::Response>> served, refused;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    served.push_back(server.submit("squeezenet", TensorMap(good[i])));
+    refused.push_back(server.submit("squeezenet", TensorMap(bad[i].first)));
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    ASSERT_EQ(refused[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const serve::Response r = refused[i].get();
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("'" + input + "'"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find(bad[i].second), std::string::npos) << r.error;
+    EXPECT_EQ(r.batch_slots, 0);
+  }
+  std::vector<TensorMap> outputs;
+  for (auto& f : served) {
+    serve::Response r = f.get();
+    ASSERT_TRUE(r.ok) << r.error;
+    outputs.push_back(std::move(r.outputs));
+  }
+  oracle::expect_bit_identical(SequentialExecutor(&graph).run(good), outputs);
+  server.shutdown();
+  const serve::ServerStats stats = server.tenant_stats("squeezenet");
+  EXPECT_EQ(stats.rejected, 3u);
+  EXPECT_EQ(stats.served, 3u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 TEST(HostileInput, CalibrationMutationsLoadOrThrowError) {

@@ -1,6 +1,7 @@
 #include "oracle.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
@@ -426,6 +427,32 @@ std::vector<TensorMap> serve_all(serve::fleet::FleetServer& server,
     out.push_back(std::move(r.outputs));
   }
   return out;
+}
+
+std::vector<serve::Response> serve_behind(
+    serve::fleet::FleetServer& server, const std::string& blocker,
+    const std::string& model, const std::vector<TensorMap>& samples) {
+  const TensorMap hold_input = testing::example_inputs(
+      server.model_entry(blocker)->compiled.graph, 1, 5)[0];
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    std::vector<TensorMap> owned = samples;  // copied before the blocker
+    std::future<serve::Response> hold =
+        server.submit(blocker, TensorMap(hold_input));
+    std::vector<std::future<serve::Response>> futures;
+    for (TensorMap& sample : owned) {
+      futures.push_back(server.submit(model, std::move(sample)));
+    }
+    const bool held =
+        hold.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+    const serve::Response hold_response = hold.get();
+    EXPECT_TRUE(hold_response.ok) << hold_response.error;
+    std::vector<serve::Response> out;
+    for (auto& f : futures) out.push_back(f.get());
+    if (held) return out;
+  }
+  ADD_FAILURE() << "the blocker finished before the samples were queued, "
+                   "in every attempt";
+  return {};
 }
 
 void check_rewrite(const Graph& reference, const Graph& rewritten,

@@ -45,6 +45,7 @@
 #include "graph/graph.h"
 #include "ramiel/pipeline.h"
 #include "rt/executor.h"
+#include "serve/request.h"
 #include "support/dtype.h"
 #include "tensor/kernels/kernels.h"
 
@@ -214,6 +215,20 @@ std::vector<std::vector<TensorMap>> run_in_flight(
 std::vector<TensorMap> serve_all(serve::fleet::FleetServer& server,
                                  const std::string& model,
                                  const std::vector<TensorMap>& samples);
+
+/// Submits every sample to `model` while one request of tenant `blocker`
+/// runs on the same shared-pool fleet, and returns the responses in order.
+/// The shared dispatcher finishes a batch before it takes the next
+/// (in-flight bound 1), and `blocker` wins the fair order (added before
+/// `model` and sent nothing else), so the samples are all queued when
+/// `model`'s next batch is filled: they leave in full batches of its batch
+/// size, in submission order, the last one short. That holds when the
+/// blocker was still running after the last sample was queued; the helper
+/// checks it and resubmits until it held, failing the test if it never
+/// does.
+std::vector<serve::Response> serve_behind(
+    serve::fleet::FleetServer& server, const std::string& blocker,
+    const std::string& model, const std::vector<TensorMap>& samples);
 
 /// Relation (2) for a rewrite applied outside the pipeline: the sequential
 /// run of `reference` against the run of `rewritten` on the same seeded

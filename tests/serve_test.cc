@@ -1,23 +1,29 @@
 // Serving tests (`ctest -L serve`): the one-tenant request queue, the stats
 // collector, and the single-model server — a one-tenant fleet::FleetServer
-// on a partitioned pool, the set-up tools/ramiel_serve runs. The Batcher
-// cases pin the per-tenant batch-fill policy (full batches leave at once,
-// partial ones after the flush timeout, close drains); the Server cases pin
-// correctness, admission and failure isolation end to end.
+// on a partitioned pool, the set-up tools/ramiel_serve runs. The FleetQueue
+// cases pin the blocking pop, the non-blocking take and who a push wakes.
+// The Batcher cases pin the work-conserving batch fill: requests queued
+// while a batch runs leave together up to the batch size, a lone request
+// leaves at once as a 1-sample short run, and close drains. The Server
+// cases pin correctness at every batch size, admission (malformed inputs
+// are refused at submit) and failure isolation end to end.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/shape_inference.h"
 #include "models/zoo.h"
 #include "oracle.h"
 #include "ramiel/pipeline.h"
 #include "serve/fleet/fleet_server.h"
 #include "serve/loadgen.h"
+#include "support/string_util.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -39,13 +45,16 @@ float request_payload(const Request& r) { return r.inputs.at("x").at(0); }
 using fleet::FleetQueue;
 using fleet::TenantOptions;
 
-constexpr std::int64_t kQueueMs = 1'000'000;
-
 /// A one-tenant queue of the given depth with no quota.
 int one_tenant_queue(FleetQueue& q, std::size_t depth) {
   TenantOptions options;
   options.queue_depth = depth;
   return q.add_tenant("m", options);
+}
+
+/// Blocking pop from one tenant.
+FleetQueue::PopResult pop_from(FleetQueue& q, int tenant, Request* out) {
+  return q.pop(&tenant, out);
 }
 
 TEST(FleetQueue, OneTenantFifoWithinDepth) {
@@ -57,11 +66,15 @@ TEST(FleetQueue, OneTenantFifoWithinDepth) {
   }
   EXPECT_EQ(q.tenant_depth(t), 3u);
   Request out;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(q.pop_tenant_for(t, &out, kQueueMs),
-              FleetQueue::PopResult::kItem);
-    EXPECT_EQ(request_payload(out), static_cast<float>(i));
-  }
+  ASSERT_EQ(pop_from(q, t, &out), FleetQueue::PopResult::kItem);
+  EXPECT_EQ(request_payload(out), 0.0f);
+  // take() hands out the rest oldest first, up to what was asked.
+  std::vector<Request> rest;
+  EXPECT_EQ(q.take(t, 1, &rest), 1u);
+  EXPECT_EQ(q.take(t, 8, &rest), 1u);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(request_payload(rest[0]), 1.0f);
+  EXPECT_EQ(request_payload(rest[1]), 2.0f);
   EXPECT_EQ(q.tenant_depth(t), 0u);
 }
 
@@ -78,12 +91,12 @@ TEST(FleetQueue, OneTenantRefusedRequestStaysWithCaller) {
   extra.promise.set_value(Response{});  // still usable
 }
 
-TEST(FleetQueue, OneTenantPopTimesOutWhenEmpty) {
+TEST(FleetQueue, OneTenantTakeFromEmptyReturnsAtOnce) {
   FleetQueue q;
   const int t = one_tenant_queue(q, 2);
-  Request out;
-  EXPECT_EQ(q.pop_tenant_for(t, &out, /*timeout_ns=*/2'000'000),
-            FleetQueue::PopResult::kTimeout);
+  std::vector<Request> out;
+  EXPECT_EQ(q.take(t, 4, &out), 0u);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(FleetQueue, OneTenantCloseDrainsThenReportsClosed) {
@@ -95,10 +108,9 @@ TEST(FleetQueue, OneTenantCloseDrainsThenReportsClosed) {
   EXPECT_EQ(q.try_push(t, make_request(8.0f), 0), FleetQueue::Admit::kClosed);
   Request out;
   // Queued work is still delivered, then the queue reports closed.
-  ASSERT_EQ(q.pop_tenant_for(t, &out, kQueueMs), FleetQueue::PopResult::kItem);
+  ASSERT_EQ(pop_from(q, t, &out), FleetQueue::PopResult::kItem);
   EXPECT_EQ(request_payload(out), 7.0f);
-  EXPECT_EQ(q.pop_tenant_for(t, &out, kQueueMs),
-            FleetQueue::PopResult::kClosed);
+  EXPECT_EQ(pop_from(q, t, &out), FleetQueue::PopResult::kClosed);
 }
 
 TEST(FleetQueue, OneTenantCloseWakesBlockedConsumer) {
@@ -109,10 +121,52 @@ TEST(FleetQueue, OneTenantCloseWakesBlockedConsumer) {
     q.close();
   });
   Request out;
-  // Returns once closed rather than sleeping out the 60 s timeout.
-  EXPECT_EQ(q.pop_tenant_for(t, &out, 60'000 * kQueueMs),
-            FleetQueue::PopResult::kClosed);
+  // Returns once closed rather than blocking for good.
+  EXPECT_EQ(pop_from(q, t, &out), FleetQueue::PopResult::kClosed);
   closer.join();
+}
+
+TEST(FleetQueue, PushWakesItsOwnTenantsWaiter) {
+  // Two waiters block in pop() on two different tenants. Each round pushes
+  // to one tenant, and that tenant's waiter must return: a push that woke
+  // the other tenant's waiter instead would leave the request sitting with
+  // nobody awake to take it.
+  FleetQueue q;
+  const int tenants[2] = {one_tenant_queue(q, 8), one_tenant_queue(q, 8)};
+  std::promise<float> got[2];
+  std::mutex mu;
+  std::future<float> next[2] = {got[0].get_future(), got[1].get_future()};
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < 2; ++w) {
+    waiters.emplace_back([&, w] {
+      Request r;
+      while (pop_from(q, tenants[w], &r) == FleetQueue::PopResult::kItem) {
+        std::lock_guard<std::mutex> lk(mu);
+        got[w].set_value(request_payload(r));
+        got[w] = std::promise<float>();
+        next[w] = got[w].get_future();
+      }
+    });
+  }
+  for (int round = 0; round < 8; ++round) {
+    constexpr int kOrder[8] = {0, 1, 1, 0, 0, 1, 0, 1};
+    const int w = kOrder[round];
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // both wait
+    std::future<float> mine;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      mine = std::move(next[w]);
+    }
+    ASSERT_EQ(q.try_push(tenants[w], make_request(static_cast<float>(round)),
+                         0),
+              FleetQueue::Admit::kOk);
+    ASSERT_EQ(mine.wait_for(std::chrono::seconds(1)),
+              std::future_status::ready)
+        << "round " << round << ": tenant " << w << "'s waiter slept";
+    EXPECT_EQ(mine.get(), static_cast<float>(round));
+  }
+  q.close();
+  for (std::thread& t : waiters) t.join();
 }
 
 // -------------------------------------------------------------- batcher --
@@ -122,17 +176,29 @@ using fleet::FleetOptions;
 using fleet::FleetServer;
 
 /// One-tenant config named "m" as ramiel_serve builds it.
-FleetConfig one_tenant(const std::string& model, int batch, double flush_ms) {
+FleetConfig one_tenant(const std::string& model, int batch) {
   FleetConfig config = fleet::single_tenant_config("m");
   config.models[0].model = model;
   config.models[0].batch = batch;
-  config.models[0].flush_timeout_ms = flush_ms;
+  return config;
+}
+
+/// one_tenant() on a shared pool behind a first tenant "blocker"
+/// (squeezenet, batch 1) for oracle::serve_behind.
+FleetConfig behind_blocker(const std::string& model, int batch) {
+  FleetConfig config = one_tenant(model, batch);
+  config.pool = "shared";
+  fleet::ModelConfig blocker;
+  blocker.name = "blocker";
+  blocker.model = "squeezenet";
+  blocker.batch = 1;
+  config.models.insert(config.models.begin(), blocker);
   return config;
 }
 
 /// "double": y = 2 * x for x of shape [1, 1] — tags each response with its
 /// request's payload so batch membership is visible.
-Graph doubling_graph(const std::string&) {
+Graph doubling_graph() {
   Graph g("double");
   ValueId in = g.add_value("x", Shape{1, 1});
   g.mark_input(in);
@@ -143,6 +209,11 @@ Graph doubling_graph(const std::string&) {
   return g;
 }
 
+/// "double" from doubling_graph(), every other spec from the zoo.
+Graph double_or_zoo(const std::string& spec) {
+  return spec == "double" ? doubling_graph() : models::build(spec);
+}
+
 TensorMap payload(float v) {
   TensorMap m;
   m.emplace("x", Tensor::full(Shape{1, 1}, v));
@@ -151,64 +222,51 @@ TensorMap payload(float v) {
 
 float doubled(const Response& r) { return r.outputs.begin()->second.at(0); }
 
-TEST(Batcher, CollectsFullBatchWithoutWaitingOutTheTimeout) {
-  // A 60 s flush window would hang the test if a full batch waited it out.
-  FleetServer server(one_tenant("double", 4, 60'000.0), FleetOptions{},
-                     doubling_graph);
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(server.submit("m", payload(static_cast<float>(i))));
-  }
-  for (int i = 0; i < 4; ++i) {
-    auto& fut = futures[static_cast<std::size_t>(i)];
-    ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    const Response r = fut.get();
+TEST(Batcher, RequestsQueuedDuringARunLeaveTogether) {
+  // Six requests queue while another batch runs: the next batch takes the
+  // first four at once (what is queued, not what might come), and the two
+  // left over leave together after it.
+  FleetServer server(behind_blocker("double", 4), FleetOptions{},
+                     double_or_zoo);
+  std::vector<TensorMap> samples;
+  for (int i = 0; i < 6; ++i) samples.push_back(payload(static_cast<float>(i)));
+  const std::vector<Response> got =
+      oracle::serve_behind(server, "blocker", "m", samples);
+  ASSERT_EQ(got.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    const Response& r = got[static_cast<std::size_t>(i)];
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.batch_real, 4);
+    EXPECT_EQ(r.batch_real, i < 4 ? 4 : 2) << "request " << i;
     EXPECT_EQ(r.batch_slots, 4);
     EXPECT_EQ(doubled(r), 2.0f * static_cast<float>(i));
   }
 }
 
-TEST(Batcher, FlushesPartialBatchAfterTimeout) {
-  FleetServer server(one_tenant("double", 4, 5.0), FleetOptions{},
-                     doubling_graph);
+TEST(Batcher, LoneRequestLeavesAtOnce) {
+  // A request at an idle tenant is a batch by itself: a 1-sample short run
+  // that leaves as soon as it is popped, never held for batch-mates.
+  FleetServer server(one_tenant("double", 4), FleetOptions{},
+                     double_or_zoo);
   const Response r = server.submit("m", payload(1.0f)).get();
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.batch_real, 1);  // flushed short rather than waiting forever
+  EXPECT_EQ(r.batch_real, 1);
   EXPECT_EQ(r.batch_slots, 4);
-  EXPECT_GE(r.latency_ms, 5.0);  // ...but only after the flush window
   EXPECT_EQ(doubled(r), 2.0f);
 }
 
-TEST(Batcher, PicksUpLateArrivalsWithinTheWindow) {
-  FleetServer server(one_tenant("double", 2, 2'000.0), FleetOptions{},
-                     doubling_graph);
-  auto first = server.submit("m", payload(1.0f));
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto late = server.submit("m", payload(2.0f));
-  const Response a = first.get();
-  const Response b = late.get();
-  ASSERT_TRUE(a.ok && b.ok) << a.error << b.error;
-  EXPECT_EQ(a.batch_real, 2);
-  EXPECT_EQ(b.batch_real, 2);
-  EXPECT_EQ(doubled(a), 2.0f);
-  EXPECT_EQ(doubled(b), 4.0f);
-}
-
 TEST(Batcher, ReportsCloseOnlyWhenDrained) {
-  // A request waiting out a 60 s flush window when shutdown() closes the
-  // queue is served at once as a partial batch, not dropped or held for
-  // the timeout; only then does the dispatcher report closed and exit.
-  FleetServer server(one_tenant("double", 4, 60'000.0), FleetOptions{},
-                     doubling_graph);
+  // A request still queued behind a running batch when shutdown() closes
+  // the queue is served, not dropped; only then does the dispatcher report
+  // closed and exit.
+  FleetServer server(behind_blocker("double", 4), FleetOptions{},
+                     double_or_zoo);
+  const TensorMap hold_input = testing::example_inputs(
+      server.model_entry("blocker")->compiled.graph, 1, 3)[0];
+  auto hold = server.submit("blocker", TensorMap(hold_input));
   auto fut = server.submit("m", payload(3.0f));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const auto start = std::chrono::steady_clock::now();
   server.shutdown();
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_TRUE(hold.get().ok);
   const Response r = fut.get();
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.batch_real, 1);
@@ -301,7 +359,7 @@ std::vector<TensorMap> tenant_inputs(const FleetServer& server, int n,
 }
 
 TEST(Server, ServesSingleRequestMatchingSequential) {
-  FleetServer server(one_tenant("squeezenet", 1, 2.0), FleetOptions{});
+  FleetServer server(one_tenant("squeezenet", 1), FleetOptions{});
   auto inputs = tenant_inputs(server, 1, 21);
   Response resp = server.submit("m", TensorMap(inputs[0])).get();
   ASSERT_TRUE(resp.ok) << resp.error;
@@ -311,26 +369,52 @@ TEST(Server, ServesSingleRequestMatchingSequential) {
 }
 
 TEST(Server, BatchedResponsesMatchPerRequestInputs) {
-  // 12 distinct requests through a batch-4 server: every response must
-  // correspond to ITS request's input, not a batch-mate's. The generous
-  // flush window makes every batch leave full, so the fill/batches
-  // assertions are exact even when the host deschedules the submitter.
-  FleetServer server(one_tenant("squeezenet", 4, 2'000.0), FleetOptions{});
+  // 12 distinct requests through a batch-4 tenant: every response must
+  // correspond to ITS request's input, not a batch-mate's. Queued behind
+  // another batch, they leave as three full batches.
+  FleetServer server(behind_blocker("squeezenet", 4), FleetOptions{});
   auto inputs = tenant_inputs(server, 12, 22);
+  const std::vector<Response> got =
+      oracle::serve_behind(server, "blocker", "m", inputs);
+  ASSERT_EQ(got.size(), 12u);
+  std::vector<TensorMap> outputs;
+  for (const Response& r : got) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.batch_real, 4);
+    outputs.push_back(r.outputs);
+  }
   oracle::expect_bit_identical(reference_outputs("squeezenet", inputs),
-                               oracle::serve_all(server, "m", inputs));
-  server.shutdown();
-  const ServerStats stats = server.tenant_stats("m");
-  EXPECT_EQ(stats.served, 12u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.batches, 3u);  // 12 requests / batch 4, all full
-  EXPECT_DOUBLE_EQ(stats.batch_fill(), 1.0);
+                               outputs);
+}
+
+TEST(Server, EveryBatchSizeMatchesTheOracle) {
+  // A batch of n = 1..4 requests (n queued behind another batch) answers
+  // each request exactly as the f32 sequential run does.
+  FleetServer server(behind_blocker("squeezenet", 4), FleetOptions{});
+  const auto inputs = tenant_inputs(server, 4, 28);
+  const auto reference = reference_outputs("squeezenet", inputs);
+  for (std::size_t n = 1; n <= inputs.size(); ++n) {
+    SCOPED_TRACE(str_cat("batch of ", n));
+    const std::vector<TensorMap> samples(inputs.begin(), inputs.begin() + n);
+    const std::vector<Response> got =
+        oracle::serve_behind(server, "blocker", "m", samples);
+    ASSERT_EQ(got.size(), n);
+    std::vector<TensorMap> outputs;
+    for (const Response& r : got) {
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.batch_real, static_cast<int>(n));
+      outputs.push_back(r.outputs);
+    }
+    oracle::expect_bit_identical(
+        std::vector<TensorMap>(reference.begin(), reference.begin() + n),
+        outputs);
+  }
 }
 
 TEST(Server, PartialBatchFlushBoundsLatency) {
-  // One lonely request into a batch-4 server must come back after the
-  // flush timeout — not wait forever for three batch-mates.
-  FleetServer server(one_tenant("squeezenet", 4, 10.0), FleetOptions{});
+  // One lonely request into a batch-4 server leaves at once as a 1-sample
+  // short run: its latency is its own run, not a wait for batch-mates.
+  FleetServer server(one_tenant("squeezenet", 4), FleetOptions{});
   auto inputs = tenant_inputs(server, 1, 23);
   std::future<Response> fut = server.submit("m", TensorMap(inputs[0]));
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
@@ -347,7 +431,7 @@ TEST(Server, SaturationRejectsPromptlyAndKeepsServing) {
   // Offered load far beyond a depth-2 queue: excess submissions resolve
   // immediately with a rejection (bounded queue, no unbounded growth), all
   // accepted requests complete, and the server still serves afterwards.
-  FleetConfig config = one_tenant("squeezenet", 2, 2.0);
+  FleetConfig config = one_tenant("squeezenet", 2);
   config.models[0].queue_depth = 2;
   FleetServer server(config, FleetOptions{});
   auto inputs = tenant_inputs(server, 1, 24);
@@ -380,7 +464,7 @@ TEST(Server, SaturationRejectsPromptlyAndKeepsServing) {
 }
 
 TEST(Server, SubmitAfterShutdownIsRejectedNotHung) {
-  FleetServer server(one_tenant("squeezenet", 2, 2.0), FleetOptions{});
+  FleetServer server(one_tenant("squeezenet", 2), FleetOptions{});
   auto inputs = tenant_inputs(server, 1, 25);
   server.shutdown();
   Response resp = server.submit("m", TensorMap(inputs[0])).get();
@@ -390,7 +474,7 @@ TEST(Server, SubmitAfterShutdownIsRejectedNotHung) {
 
 TEST(Server, ShutdownDrainsAcceptedRequests) {
   auto server = std::make_unique<FleetServer>(
-      one_tenant("squeezenet", 4, 50.0), FleetOptions{});
+      one_tenant("squeezenet", 4), FleetOptions{});
   auto inputs = tenant_inputs(*server, 1, 26);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
@@ -402,25 +486,52 @@ TEST(Server, ShutdownDrainsAcceptedRequests) {
   }
 }
 
+/// squeezenet plus a lookup its requests drive: the extra output is
+/// table[i] for the extra input i, one index into a 4-entry table. An index
+/// past the table passes every submit-time check (name, shape and dtype
+/// are right) and fails the run on its value.
+Graph lookup_or_zoo(const std::string& spec) {
+  if (spec != "lookup") return models::build(spec);
+  Graph g = models::build("squeezenet");
+  ValueId i = g.add_value("i", Shape{1});
+  g.mark_input(i);
+  ValueId table = g.add_initializer("table", Tensor::vec({1, 2, 3, 4}));
+  NodeId pick = g.add_node(OpKind::kGather, "pick", {table, i});
+  g.mark_output(g.node(pick).outputs[0]);
+  infer_shapes(g);
+  return g;
+}
+
 TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
-  // A request with no inputs fails inside the runtime: its batch-mate
-  // shares the error, the next batch is served bit-identical to the
-  // sequential executor. Over both pools and both runtimes — the executor
-  // and the stage pipeline, whose flights fail on a stage thread.
+  // A request whose lookup index is out of range fails inside the runtime;
+  // the tenant keeps serving, and the next requests are served
+  // bit-identical to the sequential executor. Over both pools and both
+  // runtimes — the executor and the stage pipeline, whose flights fail on
+  // a stage thread. On the shared pool the bad request and a batch-mate
+  // queue behind a blocker and leave as one batch: the mate shares the
+  // error.
   for (const std::string pool : {"partitioned", "shared"}) {
     for (const int stages : {1, 3}) {
       SCOPED_TRACE(pool + " pool, " + std::to_string(stages) + " stage(s)");
-      FleetConfig config = one_tenant("squeezenet", 2, 2'000.0);
-      config.pool = pool;
-      config.models[0].pipeline_stages = stages;
-      FleetServer server(config, FleetOptions{});
-      auto inputs = tenant_inputs(server, 3, 27);
+      const bool shared = pool == "shared";
+      FleetConfig config =
+          shared ? behind_blocker("lookup", 2) : one_tenant("lookup", 2);
+      config.models.back().pipeline_stages = stages;
+      FleetServer server(config, FleetOptions{}, lookup_or_zoo);
+      const auto inputs = tenant_inputs(server, 3, 27);
+      TensorMap bad = inputs[0];
+      bad.at("i") = Tensor::vec({99});
 
-      // The generous flush window makes each pair leave as one batch.
-      auto bad = server.submit("m", TensorMap{});
-      auto mate = server.submit("m", TensorMap(inputs[0]));
-      for (Response r : {bad.get(), mate.get()}) {
+      const std::vector<TensorMap> pair = {bad, inputs[0]};
+      std::vector<Response> failed;
+      if (shared) {
+        failed = oracle::serve_behind(server, "blocker", "m", pair);
+      } else {
+        failed = {server.submit("m", TensorMap(bad)).get()};
+      }
+      for (const Response& r : failed) {
         EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.batch_real, shared ? 2 : 1);
         EXPECT_NE(r.error.find("execution failed"), std::string::npos)
             << r.error;
       }
@@ -437,15 +548,15 @@ TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
       }
       server.shutdown();
       const ServerStats stats = server.tenant_stats("m");
-      EXPECT_EQ(stats.failed, 2u);
-      EXPECT_EQ(stats.served, 2u);
-      EXPECT_EQ(stats.batches, 2u);
+      EXPECT_GE(stats.failed, failed.size());
+      EXPECT_GE(stats.served, 2u);
+      EXPECT_EQ(stats.served + stats.failed, stats.submitted);
     }
   }
 }
 
 TEST(Server, ClosedLoopLoadAllServed) {
-  FleetConfig config = one_tenant("squeezenet", 4, 2.0);
+  FleetConfig config = one_tenant("squeezenet", 4);
   config.models[0].hyper = HyperMode::kSwitched;
   FleetServer server(config, FleetOptions{});
   LoadOptions load;
@@ -475,7 +586,6 @@ TEST(Server, EnvOverridesConfigureDefaults) {
   ASSERT_EQ(base.models.size(), 1u);
   EXPECT_EQ(base.models[0].name, "m");
   EXPECT_EQ(base.models[0].batch, 4);
-  EXPECT_DOUBLE_EQ(base.models[0].flush_timeout_ms, 2.0);
   EXPECT_EQ(base.models[0].queue_depth, 256);
   EXPECT_EQ(base.models[0].executor, ExecutorKind::kStatic);
   EXPECT_EQ(base.models[0].dtype, DType::kF32);

@@ -1,7 +1,9 @@
 // ramiel_serve — serve one model and drive it with in-process load (clients
 // are threads in this process, which is also what the serving bench and
 // tests do). The server is a one-tenant fleet::FleetServer on a
-// partitioned pool: admission -> per-tenant batch fill -> executor.
+// partitioned pool: admission -> per-tenant batch fill -> executor. A
+// batch is whatever is queued when the previous one finishes (never a
+// wait for batch-mates), up to --batch.
 //
 //   ramiel_serve <model|path.rml> [flags]
 //     --batch N        serving batch size / hyperclustering batch (default 4)
@@ -15,7 +17,6 @@
 //     --calib FILE     calibration ranges for --dtype i8 (ramiel_calibrate)
 //     --queue-depth N  admission-control bound (default
 //                      $RAMIEL_SERVE_QUEUE_DEPTH or 256)
-//     --flush-ms X     dynamic-batching flush timeout (default 2.0)
 //     --mem-plan M     'arena' (default; $RAMIEL_MEM_PLAN) backs
 //                      intermediates with the static arena plan, 'off'
 //                      heap-allocates per intermediate
@@ -72,7 +73,7 @@ int usage() {
                " [--fold] [--clone]\n"
                "                    [--dtype f32|f16|bf16|i8] [--calib FILE]\n"
                "                    [--threads N] [--queue-depth N]"
-               " [--flush-ms X] [--mem-plan off|arena]\n"
+               " [--mem-plan off|arena]\n"
                "                    [--executor static|steal|auto]\n"
                "                    [--arrival closed|poisson:RATE]\n"
                "                    [--requests N] [--clients C]"
@@ -130,8 +131,6 @@ int main(int argc, char** argv) {
       fleet_opts.intra_op_threads = std::atoi(argv[++i]);
     } else if (arg == "--queue-depth" && i + 1 < argc) {
       model.queue_depth = std::atoi(argv[++i]);
-    } else if (arg == "--flush-ms" && i + 1 < argc) {
-      model.flush_timeout_ms = std::atof(argv[++i]);
     } else if ((arg == "--mem-plan" && i + 1 < argc) ||
                arg.rfind("--mem-plan=", 0) == 0) {
       const std::string value =
@@ -204,11 +203,10 @@ int main(int argc, char** argv) {
     std::printf("%s: %d clusters, compile %.1f ms\n", cm.graph.name().c_str(),
                 cm.clustering.size(), cm.compile_seconds * 1e3);
     std::printf(
-        "serving: batch %d, queue depth %d, flush %.1f ms, intra-op %d, "
+        "serving: batch %d, queue depth %d, intra-op %d, "
         "mem-plan %s, executor %s%s (cluster-cost cv %.2f); "
         "load: %d clients x %d requests\n\n",
-        model.batch, model.queue_depth, model.flush_timeout_ms,
-        fleet_opts.intra_op_threads, fleet_opts.mem_plan ? "arena" : "off",
+        model.batch, model.queue_depth, fleet_opts.intra_op_threads, fleet_opts.mem_plan ? "arena" : "off",
         to_string(entry->executor),
         model.executor == ExecutorKind::kAuto ? " (auto)" : "",
         cm.cluster_cost_cv, load.clients, load.requests);
