@@ -38,12 +38,9 @@
 // a closed-loop capacity measured in the same process.
 //
 // Knobs: RAMIEL_SERVE_REQUESTS (default 96), RAMIEL_SERVE_CLIENTS (8),
-// RAMIEL_FLEET_DURATION_MS (3000), RAMIEL_KNEE_DURATION_MS (3000).
+// RAMIEL_FLEET_DURATION_MS (3000; the fleet and knee/overload windows).
 // --json-out FILE appends every row to FILE as a JSON array, the format
 // committed as BENCH_serve.json to track the trajectory across PRs.
-// --section NAME[,NAME...] runs only those sections (throughput, executor,
-// profiler_overhead, fleet_mixed, knee_overload, fleet_pipeline,
-// executor_depth, short_run).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -598,10 +595,75 @@ void short_run() {
   }
 }
 
-/// Batch size x hypermode: measured closed-loop req/s, latency and fill of
-/// the one-tenant server next to the simulated 12-core rate, plus a
-/// saturation row per model.
-void batch_throughput(int requests, int clients) {
+/// Knee and overload: one squeezenet tenant (static, batch 4, no quota)
+/// under open-loop Poisson arrivals at 0.8x and 2x the closed-loop capacity
+/// measured first in the same process. Near the knee batches leave only as
+/// full as the queue is, the place where a fill that never waits could
+/// lose to one that does; at overload the bounded queue sheds the excess.
+/// served_req_s counts the requests served over the offered window. The
+/// keys are not gated (no `_rps`/`_ms` suffix): open-loop tails swing by
+/// more than the 10% gate between runs.
+void knee_overload(int clients, double duration_ms) {
+  bench::print_header(
+      "Knee and overload — squeezenet, batch 4, static, open-loop Poisson\n"
+      "(measured on this host; offered = factor x closed-loop capacity)");
+  serve::fleet::FleetConfig config =
+      serve::fleet::single_tenant_config("squeezenet");
+  config.models[0].executor = ExecutorKind::kStatic;
+  const std::string name = config.models[0].name;
+  double capacity = 0.0;
+  {
+    serve::fleet::FleetServer fleet(config,
+                                    serve::fleet::single_tenant_options());
+    serve::LoadOptions load;
+    load.clients = clients;
+    load.requests = 400;
+    capacity = serve_closed_loop(fleet, load).throughput_rps();
+  }
+  std::printf("%-12s %-12s | %9s %9s %8s %8s %6s\n", "Model", "Load",
+              "offered", "served/s", "p50 ms", "p99 ms", "fill");
+  const std::pair<const char*, double> loads[] = {{"knee 0.8x", 0.8},
+                                                  {"overload 2x", 2.0}};
+  for (const auto& [label, factor] : loads) {
+    serve::fleet::FleetServer fleet(config,
+                                    serve::fleet::single_tenant_options());
+    drive_tenant(fleet, name, factor * capacity, duration_ms, 3);
+    fleet.shutdown();
+    const ServerStats st = fleet.tenant_stats(name);
+    const double served_req_s =
+        static_cast<double>(st.served) / (duration_ms / 1e3);
+    std::printf("%-12s %-12s | %9.1f %9.1f %8.2f %8.2f %6.2f\n",
+                name.c_str(), label, factor * capacity, served_req_s,
+                st.latency.p50_ms, st.latency.p99_ms, st.batch_fill());
+    record("knee_overload", name, label,
+           {{"capacity_req_s", capacity},
+            {"offered_req_s", factor * capacity},
+            {"served_req_s", served_req_s},
+            {"p50_latency", st.latency.p50_ms},
+            {"p99_latency", st.latency.p99_ms},
+            {"batch_fill", st.batch_fill()}},
+           "measured");
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string json_out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--json-out" && i + 1 < argc) {
+      json_out = argv[++i];
+    } else if (arg.rfind("--json-out=", 0) == 0) {
+      json_out = arg.substr(arg.find('=') + 1);
+    } else {
+      std::fprintf(stderr, "usage: serve_throughput [--json-out FILE]\n");
+      return 2;
+    }
+  }
+  const int requests = env_int("RAMIEL_SERVE_REQUESTS", 96);
+  const int clients = env_int("RAMIEL_SERVE_CLIENTS", 8);
+
   bench::print_header(
       "Serving throughput — dynamic batching x hypermode (closed loop)\n"
       "(measured = real threaded server on this container;\n"
@@ -683,98 +745,14 @@ void batch_throughput(int requests, int clients) {
             {"failed", static_cast<double>(sat.failed)}});
   }
 
-}
-
-/// Knee and overload: one squeezenet tenant (static, batch 4, no quota)
-/// under open-loop Poisson arrivals at 0.8x and 2x the closed-loop capacity
-/// measured first in the same process. Near the knee batches leave only as
-/// full as the queue is, the place where a fill that never waits could
-/// lose to one that does; at overload the bounded queue sheds the excess.
-/// served_req_s counts the requests served over the offered window. The
-/// keys are not gated (no `_rps`/`_ms` suffix): open-loop tails swing by
-/// more than the 10% gate between runs.
-void knee_overload(int clients, double duration_ms) {
-  bench::print_header(
-      "Knee and overload — squeezenet, batch 4, static, open-loop Poisson\n"
-      "(measured on this host; offered = factor x closed-loop capacity)");
-  serve::fleet::FleetConfig config =
-      serve::fleet::single_tenant_config("squeezenet");
-  config.models[0].executor = ExecutorKind::kStatic;
-  const std::string name = config.models[0].name;
-  double capacity = 0.0;
-  {
-    serve::fleet::FleetServer fleet(config,
-                                    serve::fleet::single_tenant_options());
-    serve::LoadOptions load;
-    load.clients = clients;
-    load.requests = 400;
-    capacity = serve_closed_loop(fleet, load).throughput_rps();
-  }
-  std::printf("%-12s %-12s | %9s %9s %8s %8s %6s\n", "Model", "Load",
-              "offered", "served/s", "p50 ms", "p99 ms", "fill");
-  const std::pair<const char*, double> loads[] = {{"knee 0.8x", 0.8},
-                                                  {"overload 2x", 2.0}};
-  for (const auto& [label, factor] : loads) {
-    serve::fleet::FleetServer fleet(config,
-                                    serve::fleet::single_tenant_options());
-    drive_tenant(fleet, name, factor * capacity, duration_ms, 3);
-    fleet.shutdown();
-    const ServerStats st = fleet.tenant_stats(name);
-    const double served_req_s =
-        static_cast<double>(st.served) / (duration_ms / 1e3);
-    std::printf("%-12s %-12s | %9.1f %9.1f %8.2f %8.2f %6.2f\n",
-                name.c_str(), label, factor * capacity, served_req_s,
-                st.latency.p50_ms, st.latency.p99_ms, st.batch_fill());
-    record("knee_overload", name, label,
-           {{"capacity_req_s", capacity},
-            {"offered_req_s", factor * capacity},
-            {"served_req_s", served_req_s},
-            {"p50_latency", st.latency.p50_ms},
-            {"p99_latency", st.latency.p99_ms},
-            {"batch_fill", st.batch_fill()}},
-           "measured");
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      json_out = arg.substr(arg.find('=') + 1);
-    } else if (arg == "--section" && i + 1 < argc) {
-      only = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: serve_throughput [--json-out FILE] "
-                   "[--section NAME[,NAME...]]\n");
-      return 2;
-    }
-  }
-  const auto want = [&only](const std::string& section) {
-    return only.empty() ||
-           ("," + only + ",").find("," + section + ",") != std::string::npos;
-  };
-  const int requests = env_int("RAMIEL_SERVE_REQUESTS", 96);
-  const int clients = env_int("RAMIEL_SERVE_CLIENTS", 8);
-
-  if (want("throughput")) batch_throughput(requests, clients);
-  if (want("executor")) executor_comparison(requests, clients);
-  if (want("profiler_overhead")) profiler_overhead(requests, clients);
-  if (want("fleet_mixed")) {
-    fleet_mixed(env_int("RAMIEL_FLEET_DURATION_MS", 3000));
-  }
-  if (want("knee_overload")) {
-    knee_overload(clients, env_int("RAMIEL_KNEE_DURATION_MS", 3000));
-  }
-  if (want("fleet_pipeline")) fleet_pipeline(requests * 4, clients);
-  if (want("executor_depth")) executor_depth();
-  if (want("short_run")) short_run();
+  executor_comparison(requests, clients);
+  profiler_overhead(requests, clients);
+  const int fleet_ms = env_int("RAMIEL_FLEET_DURATION_MS", 3000);
+  fleet_mixed(fleet_ms);
+  knee_overload(clients, fleet_ms);
+  fleet_pipeline(requests * 4, clients);
+  executor_depth();
+  short_run();
 
   if (!json_out.empty()) {
     write_json(json_out);

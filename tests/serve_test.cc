@@ -503,38 +503,48 @@ Graph lookup_or_zoo(const std::string& spec) {
 }
 
 TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
-  // A request whose lookup index is out of range fails inside the runtime;
-  // the tenant keeps serving, and the next requests are served
-  // bit-identical to the sequential executor. Over both pools and both
-  // runtimes — the executor and the stage pipeline, whose flights fail on
-  // a stage thread. On the shared pool the bad request and a batch-mate
-  // queue behind a blocker and leave as one batch: the mate shares the
-  // error.
+  // A request whose lookup index is out of range fails inside the runtime:
+  // its batch-mate shares the error, the tenant keeps serving, and the next
+  // requests are served bit-identical to the sequential executor. Over both
+  // pools and both runtimes — the executor and the stage pipeline, whose
+  // flights fail on a stage thread.
   for (const std::string pool : {"partitioned", "shared"}) {
     for (const int stages : {1, 3}) {
       SCOPED_TRACE(pool + " pool, " + std::to_string(stages) + " stage(s)");
-      const bool shared = pool == "shared";
-      FleetConfig config =
-          shared ? behind_blocker("lookup", 2) : one_tenant("lookup", 2);
-      config.models.back().pipeline_stages = stages;
+      FleetConfig config = one_tenant("lookup", 2);
+      config.pool = pool;
+      config.models[0].pipeline_stages = stages;
       FleetServer server(config, FleetOptions{}, lookup_or_zoo);
       const auto inputs = tenant_inputs(server, 3, 27);
       TensorMap bad = inputs[0];
       bad.at("i") = Tensor::vec({99});
 
-      const std::vector<TensorMap> pair = {bad, inputs[0]};
-      std::vector<Response> failed;
-      if (shared) {
-        failed = oracle::serve_behind(server, "blocker", "m", pair);
-      } else {
-        failed = {server.submit("m", TensorMap(bad)).get()};
+      // The mate submitted right behind the bad request shares its batch
+      // when it is queued before the idle tenant's batch is filled: send
+      // the pair until it did, keeping every response for the counts.
+      std::vector<Response> responses;
+      bool paired = false;
+      for (int attempt = 0; attempt < 50 && !paired; ++attempt) {
+        auto bad_future = server.submit("m", TensorMap(bad));
+        auto mate_future = server.submit("m", TensorMap(inputs[0]));
+        const Response bad_response = bad_future.get();
+        const Response mate_response = mate_future.get();
+        EXPECT_FALSE(bad_response.ok);
+        EXPECT_NE(bad_response.error.find("execution failed"),
+                  std::string::npos)
+            << bad_response.error;
+        paired = bad_response.batch_real == 2;
+        EXPECT_EQ(mate_response.batch_real, bad_response.batch_real);
+        EXPECT_EQ(mate_response.ok, !paired) << mate_response.error;
+        if (paired) {
+          EXPECT_NE(mate_response.error.find("execution failed"),
+                    std::string::npos)
+              << mate_response.error;
+        }
+        responses.push_back(bad_response);
+        responses.push_back(mate_response);
       }
-      for (const Response& r : failed) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.batch_real, shared ? 2 : 1);
-        EXPECT_NE(r.error.find("execution failed"), std::string::npos)
-            << r.error;
-      }
+      ASSERT_TRUE(paired) << "the mate never shared the bad request's batch";
 
       auto good1 = server.submit("m", TensorMap(inputs[1]));
       auto good2 = server.submit("m", TensorMap(inputs[2]));
@@ -545,12 +555,20 @@ TEST(Server, ExecutionFailurePoisonsBatchButNotServer) {
         oracle::expect_bit_identical(
             seq.run({inputs[static_cast<std::size_t>(sample++)]}),
             {r.outputs});
+        responses.push_back(r);
       }
       server.shutdown();
+      // Each batch of n requests answers n responses of batch_real n.
+      std::uint64_t served = 0, failed = 0;
+      double batches = 0.0;
+      for (const Response& r : responses) {
+        ++(r.ok ? served : failed);
+        batches += 1.0 / r.batch_real;
+      }
       const ServerStats stats = server.tenant_stats("m");
-      EXPECT_GE(stats.failed, failed.size());
-      EXPECT_GE(stats.served, 2u);
-      EXPECT_EQ(stats.served + stats.failed, stats.submitted);
+      EXPECT_EQ(stats.failed, failed);
+      EXPECT_EQ(stats.served, served);
+      EXPECT_EQ(static_cast<double>(stats.batches), batches);
     }
   }
 }
